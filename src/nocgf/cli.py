@@ -7,6 +7,7 @@ ideal|bandwidth, sweep --param, jitter --powers, spectrum --gate --out.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import experiments
@@ -31,6 +32,17 @@ def _add_common(p):
     p.add_argument("--steps", type=int, help="grid steps for both systems")
     p.add_argument("--seed", type=int, help="master seed")
     p.add_argument("--out", help="output CSV path")
+
+
+def _parse_powers(text: str):
+    """Comma-separated finite powers >= 0; None if empty or malformed."""
+    try:
+        powers = [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        return None
+    if not powers or not all(math.isfinite(pw) and pw >= 0 for pw in powers):
+        return None
+    return powers
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -116,7 +128,11 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "jitter":
-        powers = [float(tok) for tok in args.powers.split(",") if tok.strip()]
+        powers = _parse_powers(args.powers)
+        if powers is None:
+            print(f"--powers must list finite mean powers >= 0, got {args.powers!r}",
+                  file=sys.stderr)
+            return 2
         rows = experiments.run_jitter_sweep(cfg, powers)
         text = experiments.write_csv(cfg.out, experiments.JITTER_HEADER, rows,
                                      "jitter")

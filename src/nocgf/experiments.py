@@ -128,24 +128,32 @@ JITTER_HEADER = ("gate", "power", "sigma_t_ps", "mean_trp", "std_trp",
 
 
 def run_jitter_sweep(cfg: ExperimentConfig, powers, results=None):
-    """Noise-averaged Tr P per (gate, mean power)."""
+    """Noise-averaged Tr P per (gate, mean power).
+
+    Every power is validated before any gate is improved, and each gate is
+    improved once and shared by all its powers.
+    """
     results = results or {}
     nz = cfg.noise
-    jobs = [(g, float(pw)) for g in cfg.gates for pw in powers]
+    jobs = [
+        (g, noise.default_noise_params(
+            cfg.params_for(g).qubits, float(pw), seed=cfg.noise_seed(),
+            sigma=nz["sigma"], tau_f=nz["tau_f"]))
+        for g in cfg.gates for pw in powers
+    ]
+    names = list(dict.fromkeys(name for name, _ in jobs))
+    improved = dict(zip(names, _map_ordered(
+        lambda g: results.get(g) or improve_for(cfg, g), names)))
 
     def one(job):
-        name, power = job
+        name, np_ = job
         gate = metrics.gate_target(name)
         p = cfg.params_for(name)
         grid = cfg.grid_for(p)
-        res = results.get(name) or improve_for(cfg, name)
-        np_ = noise.default_noise_params(
-            p.qubits, power, seed=cfg.noise_seed(), sigma=nz["sigma"],
-            tau_f=nz["tau_f"],
-        )
         mean, std, _ = noise.noise_ensemble(
-            gate, p, np_, nz["realizations"], grid, improved=res
+            gate, p, np_, nz["realizations"], grid, improved=improved[name]
         )
+        power = np_.mean_power
         sigma_t_ps = noise.jitter_report(power, nz["f_clock_hz"]).sigma_t * 1e12
         return (
             name, power, sigma_t_ps, mean, std, nz["realizations"],

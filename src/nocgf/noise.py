@@ -37,8 +37,8 @@ class NoiseParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.mean_power < 0:
-            raise ValueError("mean_power must be >= 0")
+        if not (np.isfinite(self.mean_power) and self.mean_power >= 0):
+            raise ValueError(f"mean_power must be finite and >= 0, got {self.mean_power}")
         if self.sigma <= 0:
             raise ValueError("sigma must be > 0")
         if self.tau_f <= 0:
@@ -190,11 +190,10 @@ def noise_ensemble(gate: metrics.GateTarget, p, noise_params: NoiseParams,
         sample_realization(noise_params, p.tau0, trial=k) for k in range(realizations)
     ]
     if noise_params.mean_power == 0.0:
-        finals = np.broadcast_to(
-            improved.improved_unitary, (realizations, gate.dim, gate.dim)
-        )
-    else:
-        finals = propagate.propagate_modified_batch(p, grid, delta_f, samples)
+        # every trial is the noise-free improved gate, so the spread is exactly 0
+        value = metrics.trace_p(improved.improved_unitary, gate.sweep_unitary)
+        return value, 0.0, [value] * realizations
+    finals = propagate.propagate_modified_batch(p, grid, delta_f, samples)
     values = [metrics.trace_p(u, gate.sweep_unitary) for u in finals]
     mean = float(np.mean(values))
     std = float(np.std(values, ddof=1)) if realizations > 1 else 0.0

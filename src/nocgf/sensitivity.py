@@ -45,8 +45,9 @@ def run_sensitivity(gate: metrics.GateTarget, p, parameter: str,
                     improved: noc.ImprovedGateResult | None = None):
     """Tr P with and without the frozen control correction at -1/0/+1 ULP.
 
-    The zero row re-propagates with the unperturbed parameters, so it
-    reproduces the ideal pipeline output exactly.
+    The zero row is the ideal pipeline output: it takes the two final
+    propagators of `improved` when that result was computed on this grid,
+    and re-propagates with the unperturbed parameters otherwise.
     """
     if not hasattr(p, parameter):
         raise ValueError(f"unknown sweep parameter {parameter!r}")
@@ -60,15 +61,18 @@ def run_sensitivity(gate: metrics.GateTarget, p, parameter: str,
     rows = []
     for shift in (-1, 0, 1):
         value = base + shift * ulp
-        pp = replace(p, **{parameter: value})
-        with_noc = propagate.propagate_modified(pp, grid, delta_f)
-        without = propagate.propagate_nominal(pp, grid)
+        if shift == 0 and improved.control.grid == grid:
+            with_noc, without = improved.improved_unitary, improved.nominal_unitary
+        else:
+            pp = replace(p, **{parameter: value})
+            with_noc = propagate.propagate_modified(pp, grid, delta_f).final
+            without = propagate.propagate_nominal(pp, grid).final
         rows.append(
             SensitivityRow(
                 parameter=parameter,
                 value=value,
-                trp_with_noc=metrics.trace_p(with_noc.final, gate.sweep_unitary),
-                trp_without_noc=metrics.trace_p(without.final, gate.sweep_unitary),
+                trp_with_noc=metrics.trace_p(with_noc, gate.sweep_unitary),
+                trp_without_noc=metrics.trace_p(without, gate.sweep_unitary),
             )
         )
     return rows

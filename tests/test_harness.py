@@ -117,6 +117,51 @@ def test_jitter_zero_power_rows():
     assert std == 0.0
 
 
+def _count_improve_calls(monkeypatch, fail=False):
+    calls = []
+    real = experiments.improve_for
+
+    def counting(cfg, name):
+        calls.append(name)
+        if fail:
+            raise AssertionError("improve_for must not run")
+        return real(cfg, name)
+
+    monkeypatch.setattr(experiments, "improve_for", counting)
+    return calls
+
+
+def test_jitter_improves_once_per_gate(monkeypatch):
+    cfg = config_from_dict({
+        "steps": {"one_qubit": 40000, "two_qubit": 60000},
+        "gates": ["hadamard"],
+        "noise": {"realizations": 1},
+    })
+    calls = _count_improve_calls(monkeypatch)
+    rows = experiments.run_jitter_sweep(cfg, [0.0, 6.25e-5])
+    assert calls == ["hadamard"]
+    assert [r[1] for r in rows] == [0.0, 6.25e-5]
+
+
+@pytest.mark.parametrize("power", [float("nan"), float("inf"), -1.0])
+def test_jitter_rejects_bad_power_before_improving(monkeypatch, power):
+    cfg = config_from_dict({"gates": ["hadamard"]})
+    calls = _count_improve_calls(monkeypatch, fail=True)
+    with pytest.raises(ValueError, match="mean_power"):
+        experiments.run_jitter_sweep(cfg, [1e-3, power])
+    assert calls == []
+
+
+@pytest.mark.parametrize("powers", [",", "", "x", "1e-3,abc", "nan", "inf", "-1"])
+def test_cli_jitter_rejects_bad_powers(monkeypatch, capsys, powers):
+    calls = _count_improve_calls(monkeypatch, fail=True)
+    rc = cli.main(["jitter", "--powers", powers, "--gate", "hadamard"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("--powers") and err.count("\n") == 1
+    assert calls == []
+
+
 def test_worker_count_env(monkeypatch):
     monkeypatch.delenv("NOCGF_THREADS", raising=False)
     assert experiments.worker_count() == 1

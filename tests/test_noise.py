@@ -20,6 +20,12 @@ def test_params_validation():
     assert p.rate == pytest.approx(1.0 / 6.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("power", [float("nan"), float("inf"), -1.0])
+def test_mean_power_must_be_finite_and_nonnegative(power):
+    with pytest.raises(ValueError, match="mean_power"):
+        NoiseParams(mean_power=power)
+
+
 def test_default_tau_f_per_system():
     assert default_noise_params(1, 1e-3).tau_f == 0.3
     assert default_noise_params(2, 1e-3).tau_f == 0.1

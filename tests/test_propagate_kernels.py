@@ -1,0 +1,95 @@
+"""Property tests of the integrator kernels: the component-major step maps
+and the blocked scan, each against a plain reference kept here as the oracle.
+"""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from nocgf.propagate import _blocked_scan, step_maps
+from tests.conftest import random_unitary
+
+EPS_BOUND = 1e-12
+
+
+def reference_step_maps(a1, a2, a3, dt):
+    """The one-step map written with batched `@` on (..., n, n) stacks."""
+    k1 = a1
+    k2 = a2 + (dt / 2.0) * (a2 @ k1)
+    k3 = a2 + (dt / 2.0) * (a2 @ k2)
+    k4 = a3 + dt * (a3 @ k3)
+    m = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    n = a1.shape[-1]
+    idx = np.arange(n)
+    m[..., idx, idx] += 1.0
+    pbar = (a1 + 4.0 * a2 + a3) * (dt / 6.0)
+    p2 = pbar @ pbar
+    p5 = (p2 @ p2) @ pbar
+    inner = pbar / 720.0 + p2 / 5760.0
+    inner[..., idx, idx] += 1.0 / 120.0
+    return m + p5 @ inner
+
+
+def sequential_products(factors, u):
+    """p[k] = factors[k] ... factors[0] u, one product per step."""
+    out = []
+    for f in factors:
+        u = f @ u
+        out.append(u)
+    return np.stack(out)
+
+
+def tree_product(factors):
+    """factors[-1] ... factors[0] by pairwise products of neighbours."""
+    level = list(factors)
+    while len(level) > 1:
+        paired = [level[i + 1] @ level[i] for i in range(0, len(level) - 1, 2)]
+        if len(level) % 2:
+            paired.append(level[-1])
+        level = paired
+    return level[0]
+
+
+def unitary_stack(seed, n, length, batch):
+    rng = np.random.default_rng(seed)
+    count = length * int(np.prod(batch, dtype=int))
+    mats = np.stack([random_unitary(rng, n) for _ in range(count)])
+    return mats.reshape(length, *batch, n, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 4]),
+       length=st.integers(1, 200), batch=st.sampled_from([(), (3,)]))
+@example(seed=1, n=2, length=1, batch=())
+@example(seed=2, n=4, length=97, batch=(3,))
+@example(seed=3, n=2, length=50, batch=())
+@example(seed=4, n=4, length=4096, batch=())
+def test_blocked_scan_matches_sequential_and_tree(seed, n, length, batch):
+    factors = unitary_stack(seed, n, length + 1, batch)
+    u, factors = factors[0], factors[1:]
+    x = np.ascontiguousarray(np.moveaxis(factors, (-2, -1), (0, 1)))
+    bound = EPS_BOUND * length
+
+    p = _blocked_scan(x, u)
+    assert p.shape == (length, *batch, n, n)
+    assert np.abs(p - sequential_products(factors, u)).max() <= bound
+    assert np.abs(p[-1] - tree_product(factors) @ u).max() <= bound
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 4, 16]),
+       steps=st.integers(1, 300), batch=st.sampled_from([(), (2,)]),
+       dt=st.floats(1e-3, 0.3), component_major=st.booleans())
+def test_step_maps_matches_matmul_reference(seed, n, steps, batch, dt,
+                                            component_major):
+    rng = np.random.default_rng(seed)
+    shape = (3, steps, *batch, n, n)
+    a = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / np.sqrt(n)
+    if component_major:
+        # each entry of each stage input is one contiguous vector
+        a = np.moveaxis(np.ascontiguousarray(np.moveaxis(a, (-2, -1), (0, 1))),
+                        (0, 1), (-2, -1))
+    m = step_maps(a[0], a[1], a[2], dt)
+    ref = reference_step_maps(*(np.ascontiguousarray(x) for x in a), dt)
+    assert m.shape == ref.shape
+    assert np.abs(m - ref).max() <= EPS_BOUND * max(1.0, np.abs(ref).max())

@@ -1,6 +1,6 @@
-import numpy as np
 import pytest
 
+from nocgf import sensitivity
 from nocgf.control import NOMINAL_PARAMS
 from nocgf.metrics import gate_target
 from nocgf.noc import improve_gate
@@ -38,3 +38,28 @@ def test_unknown_parameter_rejected():
     p = NOMINAL_PARAMS["hadamard"]
     with pytest.raises(ValueError):
         run_sensitivity(gate_target("hadamard"), p, "zeta", TimeGrid(p.tau0, 100))
+
+
+@pytest.mark.parametrize("same_grid", [True, False])
+def test_zero_row_reuses_improve_result_on_its_grid(monkeypatch, same_grid):
+    p = NOMINAL_PARAMS["hadamard"]
+    gate = gate_target("hadamard")
+    grid = TimeGrid(p.tau0, 40000)
+    res = improve_gate(gate, p, grid)
+    # same step count, so the frozen control still fits the other grid
+    sweep_grid = grid if same_grid else TimeGrid(p.tau0 - 1.0, grid.steps)
+    propagated = []
+
+    def counting(fn):
+        def wrapped(pp, *args, **kwargs):
+            propagated.append(pp.lam)
+            return fn(pp, *args, **kwargs)
+        return wrapped
+
+    for name in ("propagate_nominal", "propagate_modified"):
+        monkeypatch.setattr(sensitivity.propagate, name,
+                            counting(getattr(sensitivity.propagate, name)))
+    rows = run_sensitivity(gate, p, "lam", sweep_grid, improved=res)
+    assert [r.value for r in rows] == pytest.approx([7.819, 7.820, 7.821], abs=1e-12)
+    assert propagated.count(p.lam) == (0 if same_grid else 2)
+    assert len(propagated) == (4 if same_grid else 6)
