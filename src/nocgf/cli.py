@@ -11,7 +11,10 @@ import math
 import sys
 
 from . import experiments
-from .config import apply_overrides, default_config, load_config
+from .config import ConfigError, apply_overrides, default_config, load_config
+from .noc import ConsistencyError
+from .noise import DegenerateRealizationError
+from .propagate import AccuracyError
 
 
 def _base_config(args):
@@ -78,8 +81,21 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# run-time errors reported as one line on stderr with exit code 2
+USER_ERRORS = (ConfigError, AccuracyError, ConsistencyError,
+               DegenerateRealizationError)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except USER_ERRORS as exc:
+        print(f"nocgf: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run(args) -> int:
     cfg = _base_config(args)
 
     if args.command == "improve":
@@ -113,10 +129,8 @@ def main(argv=None) -> int:
         gates = cfg.gates if args.gate is None else [args.gate.lower()]
         all_rows = []
         for g in gates:
-            try:
+            if hasattr(cfg.params_for(g), args.param):
                 all_rows.extend(experiments.run_sweep(cfg, args.param, g))
-            except ValueError:
-                continue  # parameter not defined for this gate
         if not all_rows:
             print(f"parameter {args.param!r} applies to none of the gates",
                   file=sys.stderr)

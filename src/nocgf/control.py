@@ -6,6 +6,14 @@ All quantities are dimensionless.  A sweep runs over tau in
 transverse field twists with the quartic phase phi4(tau).  One- and
 two-qubit systems share the same twist profile; the two-qubit Hamiltonian
 adds Ising coupling and a degeneracy-breaking shift of strength c4.
+
+The propagators consume the generator A = -i (H0 + sum_j dF_j G_j) from
+`generator`, which writes each matrix entry straight from the few scalar
+series that define it (the twist phase with its noise, the longitudinal
+ramps and the control modification), in the component-major layout of the
+integrator.  The dense forms -- sweep_hamiltonian, two_qubit_hamiltonian,
+coupling_matrices -- stay for the drive matrix, the "instantaneous"
+projector and as the reference the generator is tested against.
 """
 
 from __future__ import annotations
@@ -217,6 +225,98 @@ def sweep_hamiltonian(tau, p, noise=None) -> np.ndarray:
     return two_qubit_hamiltonian(tau, p, noise)
 
 
+def generator(tau, p, dfi=None, phase=None) -> np.ndarray:
+    """Generator A = -i (H0 + sum_j dfi_j G_j) of i U' = H U, component-major.
+
+    tau has shape (T,); dfi, the control modification at those times, has
+    shape (T, 3) or is None; phase is the twist phase with any noise already
+    added, shape (T, *batch), and defaults to the noise-free twist_phase.
+    Returns a contiguous (n, n, T, *batch) array: entry (i, k) of A is the
+    vector out[i, k] over the times (see propagate, which consumes this
+    layout without a copy).
+
+    The entries are written straight from the scalar series that define the
+    operator, with no dense per-term stacks.  One qubit: A = i f.sigma with
+    f = f0 + dfi, whose off-diagonal is built from f1 + i f2 =
+    exp(-i phi)/lam + (dfi_1 + i dfi_2).  Two qubits (basis index
+    2 q1 + q2): four real diagonal series, the qubit-1 flips (2,0), (3,1)
+    with L1 = -(d3/lam) e^{i phi} + d3 w e^{i th1 tau}, the qubit-2 flips
+    (1,0), (3,2) with L2 = -(1/lam) e^{i phi} + w e^{i th2 tau}, where
+    w = dfi_1 + i dfi_2 and th1, th2 are the coupling_matrices angles; the
+    upper entries are conjugates and (0,3), (1,2), (2,1), (3,0) are 0.
+    Noise enters only through phase, so a batch of realizations costs one
+    (T, B) phase array.  Agrees with -1j * (sweep_hamiltonian(tau, p, noise)
+    + einsum(dfi, coupling_matrices(p, tau))) to roundoff.
+    """
+    tau = np.asarray(tau, dtype=float)
+    phase = twist_phase(tau, p) if phase is None else np.asarray(phase, dtype=float)
+    shape = phase.shape
+    t = tau.reshape(tau.shape + (1,) * (phase.ndim - tau.ndim))
+    df = None
+    if dfi is not None:
+        dfi = np.asarray(dfi, dtype=float)
+        df = [dfi[..., j].reshape(t.shape) for j in range(3)]
+    c, s = np.cos(phase), np.sin(phase)
+    n = p.dim
+    out = np.empty((n, n, *shape), dtype=complex)
+    re, im = out.real, out.imag
+
+    if p.qubits == 1:
+        # f1 + i f2 and f3; A00 = i f3, A10 = i (f1 + i f2), A01 = i conj(.)
+        f1, f2, f3 = c / p.lam, -(s / p.lam), t / p.lam
+        if df is not None:
+            f1, f2, f3 = f1 + df[0], f2 + df[1], f3 + df[2]
+        re[0, 0] = re[1, 1] = 0.0
+        im[0, 0] = f3
+        im[1, 1] = -f3
+        re[1, 0] = -f2
+        re[0, 1] = f2
+        im[1, 0] = im[0, 1] = f1
+        return out
+
+    # two qubits: H = diag(h) + sum over flips of L |lower><upper| + h.c.
+    z1 = -(p.d1 + p.d2) / 2.0 + t / p.lam
+    z2 = -p.d2 / 2.0 + t / p.lam
+    zz = np.pi * p.d4 / 2.0
+    diag = [(z1 + z2) - zz, (z1 - z2) + zz, ((-z1 + z2) + zz) + p.c4,
+            (-z1 - z2) - zz]
+    a1 = p.d3 / p.lam
+    a2 = 1.0 / p.lam
+    l1 = [-(a1 * c), -(a1 * s)]        # (re, im) of L1
+    l2 = [-(a2 * c), -(a2 * s)]        # (re, im) of L2
+    if df is not None:
+        sz = (p.d3 + 1.0, p.d3 - 1.0, 1.0 - p.d3, -p.d3 - 1.0)
+        diag = [d + k * df[2] for d, k in zip(diag, sz)]
+        th1, th2 = _coupling_angles(p)
+        for scale, th, lx in ((p.d3, th1, l1), (1.0, th2, l2)):
+            ct, st = np.cos(th * t), np.sin(th * t)
+            wr = df[0] * ct - df[1] * st      # w e^{i th tau}
+            wi = df[0] * st + df[1] * ct
+            lx[0] = lx[0] + scale * wr
+            lx[1] = lx[1] + scale * wi
+    for k in range(4):
+        re[k, k] = 0.0
+        im[k, k] = -diag[k]
+    for r, col in ((2, 0), (3, 1), (1, 0), (3, 2)):
+        lr, li = l1 if r - col == 2 else l2
+        # A = -i H: lower entry -i L, upper entry -i conj(L)
+        re[r, col] = li
+        im[r, col] = -lr
+        re[col, r] = -li
+        im[col, r] = -lr
+    for r, col in ((0, 3), (1, 2), (2, 1), (3, 0)):
+        out[r, col] = 0.0
+    return out
+
+
+def _coupling_angles(p: SweepParams2Q):
+    """Frame rotation rates (th1, th2) of the two-qubit couplings."""
+    if p.d3 == 1.0:
+        raise ValueError("two-qubit couplings are singular at d3 = 1")
+    th2 = p.d1 / (p.d3 - 1.0)
+    return th2 + p.d1, th2
+
+
 def coupling_matrices(p, tau=None) -> np.ndarray:
     """Control coupling matrices G_j = dH/dF_j, stacked as (..., 3, n, n).
 
@@ -233,11 +333,8 @@ def coupling_matrices(p, tau=None) -> np.ndarray:
         ).copy()
     if tau is None:
         raise ValueError("two-qubit couplings are time dependent; pass tau")
-    if p.d3 == 1.0:
-        raise ValueError("two-qubit couplings are singular at d3 = 1")
+    th1, th2 = _coupling_angles(p)
     tau = np.asarray(tau, dtype=float)
-    th2 = p.d1 / (p.d3 - 1.0)
-    th1 = th2 + p.d1
     c1, s1 = np.cos(th1 * tau)[..., None, None], np.sin(th1 * tau)[..., None, None]
     c2, s2 = np.cos(th2 * tau)[..., None, None], np.sin(th2 * tau)[..., None, None]
     g1 = p.d3 * (c1 * SX1 + s1 * SY1) + (c2 * SX2 + s2 * SY2)

@@ -50,13 +50,25 @@ def max_norm(m: np.ndarray) -> float:
 
 
 def unitarity_defect(u: np.ndarray) -> float:
-    """max-norm of U†U - I; zero for exactly unitary input."""
+    """max-norm of U†U - I; zero for exactly unitary input.
+
+    U†U is Hermitian, so only its upper triangle is formed, one entry at a
+    time across the whole stack: batched `@` is slow on stacks of 2x2 and
+    4x4 matrices.  A NaN anywhere in U gives a NaN defect.
+    """
     u = np.asarray(u)
     n = u.shape[-1]
-    g = np.conj(np.swapaxes(u, -1, -2)) @ u
-    idx = np.arange(n)
-    g[..., idx, idx] -= 1.0
-    return float(np.abs(g).max())
+    ubar = np.conj(u)
+    worst = []
+    for i in range(n):
+        for j in range(i, n):
+            g = ubar[..., 0, i] * u[..., 0, j]
+            for k in range(1, n):
+                g += ubar[..., k, i] * u[..., k, j]
+            if i == j:
+                g -= 1.0
+            worst.append(np.abs(g).max())
+    return float(np.max(worst))
 
 
 def hermitian_eigensystem(m: np.ndarray):

@@ -25,6 +25,7 @@ from .propagate import TimeGrid, Trajectory
 ANSATZ_DECAY = 10.0        # dimensionless decay constant of the costate ansatz
 WEIGHT_DIVISOR = 20.0
 IMAG_RESIDUE_TOL = 1e-6
+DRIVE_CHUNK = 4096         # samples per drive-matrix chunk (even)
 
 
 class ConsistencyError(RuntimeError):
@@ -180,11 +181,32 @@ def _strategy_for(gate: GateTarget, strategy: int | None) -> int:
 
 
 def drive_samples(p, traj: Trajectory, half: bool = False) -> np.ndarray:
-    """Drive matrix G sampled along a trajectory (grid or grid+midpoints)."""
-    us = traj.half_unitaries() if half else traj.unitaries
+    """Drive matrix G sampled along a trajectory (grid or grid+midpoints).
+
+    Returns shape (points, n², 3).  The couplings and drive matrices are
+    formed DRIVE_CHUNK samples at a time into the preallocated result, and
+    the propagator samples are read straight from the trajectory, so the
+    peak memory is the result plus chunk-sized temporaries instead of a
+    full coupling stack and its products.
+    """
+    if half and traj.midpoints is None:
+        raise ValueError("trajectory was integrated without midpoint storage")
     taus = traj.grid.half_points() if half else traj.grid.points()
-    gj = control.coupling_matrices(p, taus)
-    return control.drive_matrix(us, gj)
+    n = traj.unitaries.shape[-1]
+    out = np.empty((len(taus), n * n, 3), dtype=complex)
+    for c0 in range(0, len(taus), DRIVE_CHUNK):
+        c1 = min(c0 + DRIVE_CHUNK, len(taus))
+        if half:
+            # half index k: grid sample k/2 when even, midpoint (k-1)/2 when
+            # odd; c0 is even because DRIVE_CHUNK is
+            us = np.empty((c1 - c0, n, n), dtype=complex)
+            us[0::2] = traj.unitaries[c0 // 2:(c1 + 1) // 2]
+            us[1::2] = traj.midpoints[c0 // 2:c1 // 2]
+        else:
+            us = traj.unitaries[c0:c1]
+        out[c0:c1] = control.drive_matrix(
+            us, control.coupling_matrices(p, taus[c0:c1]))
+    return out
 
 
 def improve_gate(gate: GateTarget, p, grid: TimeGrid | None = None,

@@ -74,37 +74,39 @@ class NoiseRealization:
         return len(self.centers)
 
     def evaluate(self, tau) -> np.ndarray:
-        """delta_phi at tau: scale * sum_i x_i [sgn(tau-l_i) - sgn(tau-r_i)]/2."""
+        """delta_phi at tau: scale * sum_i x_i [sgn(tau-l_i) - sgn(tau-r_i)]/2.
+
+        The pulse sum is piecewise constant between the sorted edges, so it
+        is the cumulative level over the edges below tau, found by binary
+        search.  A sample exactly on an edge takes the mean of the levels
+        just below and just above it, which is the sgn(0) = 0 half value.
+        """
         tau = np.asarray(tau, dtype=float)
         if self.count == 0 or self.scale == 0.0:
             return np.zeros_like(tau)
-        left = self.centers - self.tau_f
-        right = self.centers + self.tau_f
-        out = np.zeros_like(tau)
-        # chunk the pulse sum to bound the broadcast size
-        flat = tau.reshape(-1)
-        acc = np.zeros_like(flat)
-        for c0 in range(0, len(flat), 65536):
-            seg = flat[c0:c0 + 65536, None]
-            pulses = 0.5 * (np.sign(seg - left) - np.sign(seg - right))
-            acc[c0:c0 + 65536] = pulses @ self.amplitudes
-        out = acc.reshape(tau.shape)
-        return self.scale * out
+        edges, levels = _edge_levels(self.centers - self.tau_f,
+                                     self.centers + self.tau_f, self.amplitudes)
+        below = levels[np.searchsorted(edges, tau, side="left")]
+        above = levels[np.searchsorted(edges, tau, side="right")]
+        return self.scale * (0.5 * (below + above))
+
+
+def _edge_levels(left, right, amplitudes):
+    """Sorted pulse edges and the pulse-sum level after each: levels[k] is
+    the sum over the first k edges of +x_i (left edge) or -x_i (right edge),
+    so levels[0] = 0 lies before every edge."""
+    edges = np.concatenate([left, right])
+    deltas = np.concatenate([amplitudes, -amplitudes])
+    order = np.argsort(edges, kind="stable")
+    return edges[order], np.concatenate([[0.0], np.cumsum(deltas[order])])
 
 
 def _raw_power(centers, amplitudes, tau_f, tau0) -> float:
     """Interval-averaged power of the raw pulse sum, pulses clipped to the sweep."""
     lo, hi = -tau0 / 2.0, tau0 / 2.0
-    edges = np.concatenate([
-        np.clip(centers - tau_f, lo, hi),
-        np.clip(centers + tau_f, lo, hi),
-    ])
-    deltas = np.concatenate([amplitudes, -amplitudes])
-    order = np.argsort(edges, kind="stable")
-    edges = edges[order]
-    deltas = deltas[order]
+    edges, levels = _edge_levels(np.clip(centers - tau_f, lo, hi),
+                                 np.clip(centers + tau_f, lo, hi), amplitudes)
     points = np.concatenate([[lo], edges, [hi]])
-    levels = np.concatenate([[0.0], np.cumsum(deltas)])
     seg = np.diff(points)
     return float(np.sum(levels**2 * seg) / tau0)
 
@@ -144,11 +146,6 @@ def realized_power(r: NoiseRealization) -> float:
     if r.count == 0:
         return 0.0
     return r.scale**2 * _raw_power(r.centers, r.amplitudes, r.tau_f, r.tau0)
-
-
-def evaluate_phase_noise(r: NoiseRealization, tau) -> np.ndarray:
-    """Module-level alias of NoiseRealization.evaluate."""
-    return r.evaluate(tau)
 
 
 @dataclass(frozen=True)

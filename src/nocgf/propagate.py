@@ -14,7 +14,10 @@ Memory layout.  The propagators are 2x2 or 4x4, far too small for batched
 chunk's generator samples live in one (n, n, times, *batch) buffer, and
 every matrix entry is one contiguous vector across the chunk's times.  The
 step maps and the products between them are formed by entry arithmetic on
-those vectors.  The 16x16 maps of the feedback equation keep `@`.
+those vectors.  The 16x16 maps of the feedback equation keep `@`.  The
+propagators' generator comes from control.generator already in that
+layout, from scalar series (twist phase, ramps, interpolated control
+modification); a noise batch adds only one phase series per realization.
 
 Product order.  Within a chunk the grid-step maps are multiplied by a
 blocked scan (see _blocked_scan): local prefix products inside about
@@ -300,36 +303,47 @@ def _finish(grid, out, mid, ufinal, budget) -> Trajectory:
     return traj
 
 
+def _generator_fun(p, grid: TimeGrid, delta_f=None, noise=None, batched=False):
+    """The afun of _integrate: A(tau) from control.generator, matrix-major.
+
+    delta_f (grid samples, shape (steps + 1, 3)) is linearly interpolated to
+    the requested times.  With batched, noise is a sequence of noise
+    realizations and A gains a batch axis after the time axis; otherwise it
+    is a single noise argument of control.twist_phase.  The returned views
+    are component-major underneath, so _integrate copies nothing.
+    """
+    if delta_f is not None:
+        taus_grid = grid.points()
+        delta_f = np.asarray(delta_f, dtype=float)
+        if delta_f.shape != (grid.steps + 1, 3):
+            raise ValueError(
+                f"delta_f must have shape ({grid.steps + 1}, 3), got {delta_f.shape}"
+            )
+
+    def afun(taus):
+        dfi = None
+        if delta_f is not None:
+            dfi = np.stack(
+                [np.interp(taus, taus_grid, delta_f[:, j]) for j in range(3)], axis=-1
+            )
+        if batched:
+            phase = np.stack([control.twist_phase(taus, p, nz) for nz in noise],
+                             axis=-1)
+        else:
+            phase = control.twist_phase(taus, p, noise)
+        return _matrix_major(control.generator(taus, p, dfi, phase))
+
+    return afun
+
+
 def propagate_nominal(p, grid: TimeGrid | None = None, noise=None, *,
                       refine=DEFAULT_REFINE, store: str = "grid",
                       unitarity_budget: float | None = UNITARITY_BUDGET) -> Trajectory:
     """Integrate i U' = H0(tau) U over the sweep for the nominal control."""
     grid = grid or TimeGrid.default_for(p)
-
-    def afun(taus):
-        return -1j * control.sweep_hamiltonian(taus, p, noise)
-
+    afun = _generator_fun(p, grid, noise=noise)
     out, mid, u = _integrate(afun, grid, p.dim, refine=refine, store=store)
     return _finish(grid, out, mid, u, unitarity_budget)
-
-
-def _modified_afun(p, grid, delta_f, noise):
-    taus_grid = grid.points()
-    delta_f = np.asarray(delta_f, dtype=float)
-    if delta_f.shape != (grid.steps + 1, 3):
-        raise ValueError(
-            f"delta_f must have shape ({grid.steps + 1}, 3), got {delta_f.shape}"
-        )
-
-    def afun(taus):
-        h0 = control.sweep_hamiltonian(taus, p, noise)
-        dfi = np.stack(
-            [np.interp(taus, taus_grid, delta_f[:, j]) for j in range(3)], axis=-1
-        )
-        gj = control.coupling_matrices(p, taus)
-        return -1j * (h0 + np.einsum("...j,...jab->...ab", dfi, gj, optimize=True))
-
-    return afun
 
 
 def propagate_modified(p, grid: TimeGrid, delta_f, noise=None, *,
@@ -340,7 +354,7 @@ def propagate_modified(p, grid: TimeGrid, delta_f, noise=None, *,
     delta_f holds the three real field-modification components at the grid
     points; substage values are linearly interpolated.
     """
-    afun = _modified_afun(p, grid, delta_f, noise)
+    afun = _generator_fun(p, grid, delta_f, noise)
     out, mid, u = _integrate(afun, grid, p.dim, refine=refine, store=store)
     return _finish(grid, out, mid, u, unitarity_budget)
 
@@ -357,19 +371,8 @@ def propagate_modified_batch(p, grid: TimeGrid, delta_f, noises, *,
     """
     if refine is None:
         refine = DEFAULT_REFINE if p.qubits == 1 else 4 * DEFAULT_REFINE
-    taus_grid = grid.points()
-    delta_f = np.asarray(delta_f, dtype=float)
     noises = list(noises)
-
-    def afun(taus):
-        hs = np.stack([control.sweep_hamiltonian(taus, p, nz) for nz in noises], axis=1)
-        dfi = np.stack(
-            [np.interp(taus, taus_grid, delta_f[:, j]) for j in range(3)], axis=-1
-        )
-        gj = control.coupling_matrices(p, taus)
-        hmod = np.einsum("tj,tjab->tab", dfi, gj, optimize=True)
-        return -1j * (hs + hmod[:, None])
-
+    afun = _generator_fun(p, grid, delta_f, noises, batched=True)
     _, _, u = _integrate(afun, grid, p.dim, batch=(len(noises),),
                          refine=refine, store="final")
     defect = unitarity_defect(u)

@@ -10,6 +10,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import metrics, noc, propagate
+from .config import ConfigError
 from .propagate import TimeGrid
 
 # unit-in-last-place of each printed nominal parameter
@@ -35,7 +36,7 @@ def parameter_ulp(gate_name: str, parameter: str) -> float:
     try:
         return ULP[gate_name][parameter]
     except KeyError:
-        raise ValueError(
+        raise ConfigError(
             f"no printed-precision entry for {parameter!r} of gate {gate_name!r}"
         ) from None
 
@@ -51,11 +52,11 @@ def run_sensitivity(gate: metrics.GateTarget, p, parameter: str,
     """
     if not hasattr(p, parameter):
         raise ValueError(f"unknown sweep parameter {parameter!r}")
+    ulp = parameter_ulp(gate.name, parameter)
     grid = grid or TimeGrid.default_for(p)
     if improved is None:
         improved = noc.improve_gate(gate, p, grid)
     delta_f = improved.control.samples
-    ulp = parameter_ulp(gate.name, parameter)
     base = getattr(p, parameter)
 
     rows = []

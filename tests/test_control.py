@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nocgf.control import (
     NOMINAL_PARAMS,
@@ -7,9 +9,11 @@ from nocgf.control import (
     SweepParams2Q,
     coupling_matrices,
     drive_matrix,
+    generator,
     one_qubit_field,
     one_qubit_hamiltonian,
     resonance_times,
+    sweep_hamiltonian,
     twist_phase,
     two_qubit_hamiltonian,
 )
@@ -171,3 +175,63 @@ def test_resonance_times():
         root = 1.0 / np.sqrt(p.eta4)
         cond = lambda tau: tau * (1 - p.eta4 * tau**2)
         assert cond(root - 1e-3) * cond(root + 1e-3) < 0
+
+
+def dense_generator(tau, p, dfi=None, noise=None):
+    """-i (H0 + sum_j dfi_j G_j) from the dense Hamiltonian and couplings."""
+    h = sweep_hamiltonian(tau, p, noise)
+    if dfi is not None:
+        h = h + np.einsum("tj,tjab->tab", dfi, coupling_matrices(p, tau))
+    return -1j * h
+
+
+unit = st.floats(-1.0, 1.0)
+params_1q = st.builds(SweepParams1Q, lam=st.floats(1.0, 12.0),
+                      eta4=st.floats(1e-5, 1e-3), tau0=st.floats(10.0, 200.0))
+params_2q = st.builds(
+    SweepParams2Q, lam=st.floats(1.0, 12.0), eta4=st.floats(1e-5, 1e-3),
+    tau0=st.floats(10.0, 200.0), d1=st.floats(-20.0, 20.0),
+    d2=st.floats(-5.0, 5.0),
+    d3=st.one_of(st.floats(-2.0, 0.8), st.floats(1.2, 3.0)),
+    d4=st.floats(-10.0, 10.0), c4=st.floats(-10.0, 10.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.one_of(params_1q, params_2q), seed=st.integers(0, 2**32 - 1),
+       with_dfi=st.booleans(), batch=st.integers(0, 3))
+@example(p=HAD, seed=0, with_dfi=False, batch=0)
+@example(p=HAD, seed=1, with_dfi=True, batch=2)
+@example(p=CP, seed=2, with_dfi=False, batch=0)
+@example(p=CP, seed=3, with_dfi=True, batch=3)
+def test_generator_matches_dense_oracle(p, seed, with_dfi, batch):
+    rng = np.random.default_rng(seed)
+    tau = np.sort(rng.uniform(-p.tau0 / 2, p.tau0 / 2, 257))
+    dfi = 0.05 * rng.normal(size=(len(tau), 3)) if with_dfi else None
+    n = p.dim
+    if batch:
+        # one constant phase offset per realization, as a noise batch
+        offsets = rng.normal(size=batch)
+        phase = np.stack([twist_phase(tau, p, x) for x in offsets], axis=-1)
+        got = generator(tau, p, dfi, phase)
+        assert got.shape == (n, n, len(tau), batch)
+        refs = [dense_generator(tau, p, dfi, x) for x in offsets]
+    else:
+        got = generator(tau, p, dfi)
+        assert got.shape == (n, n, len(tau))
+        got = got[..., None]
+        refs = [dense_generator(tau, p, dfi)]
+    assert got.flags.c_contiguous
+    for b, ref in enumerate(refs):
+        a = np.moveaxis(got[..., b], (0, 1), (-2, -1))
+        assert np.abs(a - ref).max() <= 1e-14 * max(1.0, np.abs(ref).max())
+    if n == 4:
+        for i, k in ((0, 3), (1, 2), (2, 1), (3, 0)):
+            assert np.all(got[i, k] == 0.0)
+
+
+@pytest.mark.parametrize("p", [HAD, CP], ids=["hadamard", "cphase"])
+def test_generator_nominal_is_the_dense_form_exactly(p):
+    # no modification: the same arithmetic as -1j * sweep_hamiltonian
+    tau = np.linspace(-p.tau0 / 2, p.tau0 / 2, 1001)
+    a = np.moveaxis(generator(tau, p), (0, 1), (-2, -1))
+    assert np.array_equal(a, -1j * sweep_hamiltonian(tau, p))

@@ -215,3 +215,35 @@ def test_cli_jitter(tmp_path):
     lines = out_csv.read_text().splitlines()
     assert lines[1].split(",")[0] == "gate"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["improve", "--gate", "nope"], "unknown gate"),
+    (["improve", "--gate", "hadamard", "--steps", "0"], "steps"),
+    (["jitter", "--powers", "1e-3", "--gate", "hadamard", "--realizations", "0"],
+     "realizations"),
+    (["improve", "--gate", "hadamard", "--steps", "500"], "unitarity defect"),
+    (["sweep", "--param", "tau0", "--gate", "hadamard", "--steps", "40000"],
+     "no printed-precision entry"),
+])
+def test_cli_errors_are_one_line_with_exit_code_2(capsys, argv, message):
+    rc = cli.main(argv)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nocgf: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_cli_sweep_skips_only_gates_without_the_parameter(capsys):
+    rc = cli.main(["sweep", "--param", "d1", "--gate", "hadamard"])
+    assert rc == 2
+    assert "applies to none" in capsys.readouterr().err
+
+
+def test_cli_sweep_does_not_hide_other_errors(monkeypatch):
+    def failing(cfg, parameter, gate_name, results=None):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(experiments, "run_sweep", failing)
+    with pytest.raises(ValueError, match="boom"):
+        cli.main(["sweep", "--param", "lam", "--gate", "hadamard"])

@@ -90,3 +90,26 @@ def test_max_norm(rng):
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         assert max_norm(a + b) <= max_norm(a) + max_norm(b) + 1e-14
+
+
+def matmul_defect(u):
+    """max-norm of U†U - I with batched `@`, the reference formula."""
+    g = np.conj(np.swapaxes(u, -1, -2)) @ u
+    idx = np.arange(u.shape[-1])
+    g[..., idx, idx] -= 1.0
+    return float(np.abs(g).max())
+
+
+@pytest.mark.parametrize("n", [2, 4, 16])
+@pytest.mark.parametrize("batch", [(), (7,), (3, 5)])
+def test_unitarity_defect_matches_matmul_formula(rng, n, batch):
+    shape = (*batch, n, n)
+    for scale in (1e-9, 0.3):
+        z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        q = np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))[0]
+        u = q + scale * z
+        assert unitarity_defect(u) == pytest.approx(matmul_defect(u),
+                                                    rel=1e-12, abs=1e-15)
+    u = np.array(q)
+    u[(0,) * len(batch) + (n - 1, 0)] = np.nan
+    assert np.isnan(unitarity_defect(u))

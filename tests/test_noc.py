@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from nocgf.noc import (
     strategy1_weights,
     strategy2_solve,
 )
-from nocgf.propagate import TimeGrid, propagate_nominal
+from nocgf.propagate import TimeGrid, Trajectory, propagate_nominal
 from nocgf import noc
 from tests.conftest import random_unitary
 
@@ -131,3 +133,27 @@ def test_control_reality_residue(improved_all):
     # the stored samples are exactly real
     for res in improved_all.values():
         assert res.control.samples.dtype.kind == "f"
+
+
+@pytest.mark.parametrize("name,steps,half", [("hadamard", 10_000, False),
+                                             ("cphase", 5_000, True)])
+def test_chunked_drive_samples_match_one_drive_matrix_call(name, steps, half):
+    # 10,001 samples: two full chunks and a partial one; a shortened sweep
+    # keeps this coarse grid accurate enough for drive_matrix's check
+    p = dataclasses.replace(NOMINAL_PARAMS[name], tau0=20.0)
+    grid = TimeGrid(p.tau0, steps)
+    traj = propagate_nominal(p, grid, store="half" if half else "grid")
+    us = traj.half_unitaries() if half else traj.unitaries
+    taus = grid.half_points() if half else grid.points()
+    assert len(taus) == 10_001 > 2 * noc.DRIVE_CHUNK
+    want = drive_matrix(us, coupling_matrices(p, taus))
+    got = noc.drive_samples(p, traj, half=half)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def test_drive_samples_half_needs_midpoints():
+    grid = TimeGrid(HAD.tau0, 10)
+    traj = Trajectory(grid, np.tile(np.eye(2, dtype=complex), (11, 1, 1)))
+    with pytest.raises(ValueError, match="midpoint"):
+        noc.drive_samples(HAD, traj, half=True)

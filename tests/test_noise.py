@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nocgf.noise import (
     DegenerateRealizationError,
     NoiseParams,
+    NoiseRealization,
     default_noise_params,
     jitter_report,
     realized_power,
@@ -117,3 +120,49 @@ def test_ensemble_statistics_moments():
     amp_sq = np.asarray(amp_sq)
     se_var = p.sigma**2 * np.sqrt(2.0 / len(amp_sq))
     assert abs(amp_sq.mean() - p.sigma**2) < 3 * se_var
+
+
+def sign_sum(r, tau):
+    """scale * sum_i x_i [sgn(tau - l_i) - sgn(tau - r_i)] / 2, pulse by pulse."""
+    tau = np.asarray(tau, dtype=float)[..., None]
+    left, right = r.centers - r.tau_f, r.centers + r.tau_f
+    pulses = 0.5 * (np.sign(tau - left) - np.sign(tau - right))
+    return r.scale * np.sum(pulses * r.amplitudes, axis=-1)
+
+
+# centers and half widths on a 1/8 lattice, so pulses often share edges
+eighths = st.integers(-400, 400).map(lambda k: k / 8.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(centers=st.lists(eighths, min_size=1, max_size=30),
+       tau_f=st.integers(1, 16).map(lambda k: k / 8.0),
+       seed=st.integers(0, 2**32 - 1))
+@example(centers=[0.0, 0.5], tau_f=0.25, seed=0)      # r_0 == l_1
+@example(centers=[3.0, 3.0], tau_f=0.125, seed=1)     # identical pulses
+def test_evaluate_matches_sign_sum(centers, tau_f, seed):
+    rng = np.random.default_rng(seed)
+    centers = np.asarray(centers)
+    amplitudes = rng.normal(size=len(centers))
+    r = NoiseRealization(centers=centers, amplitudes=amplitudes, scale=1.7,
+                         tau_f=tau_f, tau0=120.0, mean_power=1.0)
+    edges = np.concatenate([centers - tau_f, centers + tau_f])
+    tau = np.concatenate([rng.uniform(-60.0, 60.0, 500), edges,
+                          np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)])
+    got = r.evaluate(tau)
+    assert got.shape == tau.shape
+    bound = 1e-14 * r.scale * np.sum(np.abs(amplitudes))
+    assert np.abs(got - sign_sum(r, tau)).max() <= bound
+    assert r.evaluate(float(edges[0])) == pytest.approx(sign_sum(r, edges[0]),
+                                                        abs=bound)
+
+
+def test_evaluate_on_a_shared_edge_is_the_half_values():
+    # pulse 0 ends where pulse 1 starts: each contributes half its amplitude
+    r = NoiseRealization(centers=np.array([0.0, 0.5]),
+                         amplitudes=np.array([0.2, -0.6]),
+                         scale=1.0, tau_f=0.25, tau0=120.0, mean_power=1.0)
+    assert r.evaluate(0.25) == pytest.approx(0.5 * (0.2 - 0.6), abs=1e-16)
+    assert r.evaluate(-0.25) == pytest.approx(0.1, abs=1e-16)
+    assert np.allclose(r.evaluate([0.1, 0.4, 0.75, 1.0]), [0.2, -0.6, -0.3, 0.0],
+                       atol=1e-16)
