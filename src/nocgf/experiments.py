@@ -8,35 +8,11 @@ the timestamp.
 
 from __future__ import annotations
 
-import concurrent.futures
 import io
-import os
 import time
 
 from . import __version__, metrics, noc, noise, sensitivity, spectral
 from .config import ExperimentConfig
-
-
-def worker_count() -> int:
-    """Parallelism cap from NOCGF_THREADS (0 = auto, default 1)."""
-    raw = os.environ.get("NOCGF_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"NOCGF_THREADS must be an integer, got {raw!r}") from None
-    if n == 0:
-        return os.cpu_count() or 1
-    return max(1, n)
-
-
-def _map_ordered(fn, items):
-    """Apply fn over items, possibly in a thread pool; preserves item order."""
-    n = worker_count()
-    items = list(items)
-    if n <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 def format_value(v) -> str:
@@ -97,7 +73,7 @@ def run_ideal_table(cfg: ExperimentConfig, results=None):
             __version__,
         )
 
-    rows = _map_ordered(one, cfg.gates)
+    rows = [one(name) for name in cfg.gates]
     return sorted(rows, key=lambda r: metrics.GATE_ORDER.index(r[0]))
 
 
@@ -119,7 +95,7 @@ def run_bandwidth_table(cfg: ExperimentConfig, results=None):
             cfg.grid_for(p).steps, cfg.seed, __version__,
         )
 
-    rows = _map_ordered(one, cfg.gates)
+    rows = [one(name) for name in cfg.gates]
     return sorted(rows, key=lambda r: metrics.GATE_ORDER.index(r[0]))
 
 
@@ -142,8 +118,7 @@ def run_jitter_sweep(cfg: ExperimentConfig, powers, results=None):
         for g in cfg.gates for pw in powers
     ]
     names = list(dict.fromkeys(name for name, _ in jobs))
-    improved = dict(zip(names, _map_ordered(
-        lambda g: results.get(g) or improve_for(cfg, g), names)))
+    improved = {g: results.get(g) or improve_for(cfg, g) for g in names}
 
     def one(job):
         name, np_ = job
@@ -160,7 +135,7 @@ def run_jitter_sweep(cfg: ExperimentConfig, powers, results=None):
             grid.steps, cfg.noise_seed(), __version__,
         )
 
-    rows = _map_ordered(one, jobs)
+    rows = [one(job) for job in jobs]
     return sorted(rows, key=lambda r: (metrics.GATE_ORDER.index(r[0]), r[1]))
 
 

@@ -51,27 +51,20 @@ class ControlModification:
 
 @dataclass
 class Strategy2Solution:
-    """Feedback solution: state samples, drive samples and the control law.
+    """Feedback solution: state samples and the control law.
 
     The gain is C(tau) = G†(tau); riccati_s and weight_r are the constant
-    identity choices that make the Riccati residual vanish identically, and
-    the state weight is Q(tau) = G(tau) G†(tau) (available per grid index
-    through weight_q).  riccati_residual_max records the verified residual.
+    identity choices that make the Riccati residual vanish identically, with
+    state weight Q(tau) = G(tau) G†(tau).  riccati_residual_max records the
+    verified residual.  The drive samples are not kept: the (2 steps + 1,
+    n², 3) stack is the largest array of the pipeline.
     """
 
     delta_y: np.ndarray
-    g_grid: np.ndarray
     control: ControlModification
     riccati_s: np.ndarray
     weight_r: np.ndarray
     riccati_residual_max: float
-
-    def gain(self, k: int) -> np.ndarray:
-        return np.conj(self.g_grid[k].T)
-
-    def weight_q(self, k: int) -> np.ndarray:
-        g = self.g_grid[k]
-        return g @ np.conj(g.T)
 
 
 @dataclass
@@ -85,13 +78,6 @@ class ImprovedGateResult:
     strategy: int
     weights: Strategy1Weights | None = None
     feedback: Strategy2Solution | None = None
-
-
-def lambda_ansatz(tau, w: np.ndarray, tau0: float, decay: float = ANSATZ_DECAY):
-    """Costate ansatz -exp(-(tau + tau0/2)/decay) w."""
-    tau = np.asarray(tau, dtype=float)
-    env = np.exp(-(tau + tau0 / 2.0) / decay)
-    return -env[..., None] * np.asarray(w)
 
 
 def strategy1_weights(offset: TargetOffset) -> Strategy1Weights:
@@ -160,7 +146,6 @@ def strategy2_solve(g_half: np.ndarray, offset: TargetOffset,
         raise ConsistencyError(f"Riccati residual {residual:.3e} not identically zero")
     return Strategy2Solution(
         delta_y=delta_y,
-        g_grid=g_grid,
         control=ctrl,
         riccati_s=s_mat,
         weight_r=r_mat,

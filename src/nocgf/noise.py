@@ -73,6 +73,10 @@ class NoiseRealization:
     def count(self) -> int:
         return len(self.centers)
 
+    def edges(self) -> np.ndarray:
+        """The 2 count pulse edges (left edges first), where the noise jumps."""
+        return np.concatenate([self.centers - self.tau_f, self.centers + self.tau_f])
+
     def evaluate(self, tau) -> np.ndarray:
         """delta_phi at tau: scale * sum_i x_i [sgn(tau-l_i) - sgn(tau-r_i)]/2.
 
@@ -177,7 +181,12 @@ def noise_ensemble(gate: metrics.GateTarget, p, noise_params: NoiseParams,
 
     The control modification is the one computed for the jitter-free sweep;
     each trial adds an independent phase-noise realization to the twist
-    phase.  Returns (mean, std, per-trial list); std uses divisor count-1.
+    phase.  All trials are one propagate_modified_batch call: its steps are
+    the grid's split at every pulse edge of the trials, so the noise is
+    constant inside each step, and it fails with AccuracyError unless its
+    step-doubling error estimate (refine 2 against refine 1 on the same
+    nodes) and unitarity defect stay within budget.  Returns (mean, std,
+    per-trial list); std uses divisor count-1.
     """
     grid = grid or TimeGrid.default_for(p)
     if improved is None:
@@ -191,7 +200,7 @@ def noise_ensemble(gate: metrics.GateTarget, p, noise_params: NoiseParams,
         value = metrics.trace_p(improved.improved_unitary, gate.sweep_unitary)
         return value, 0.0, [value] * realizations
     finals = propagate.propagate_modified_batch(p, grid, delta_f, samples)
-    values = [metrics.trace_p(u, gate.sweep_unitary) for u in finals]
+    values = [metrics.trace_p(u, gate.sweep_unitary) for u in finals.unitaries]
     mean = float(np.mean(values))
     std = float(np.std(values, ddof=1)) if realizations > 1 else 0.0
     return mean, std, values

@@ -1,5 +1,5 @@
 """Fixed-step time-ordered integration of the sweep propagators and of the
-feedback state equation, on a uniform grid over [-tau0/2, +tau0/2].
+feedback state equation over [-tau0/2, +tau0/2].
 
 The one-step map is the classical fourth-order Runge-Kutta transfer matrix
 completed with the degree-5..7 powers of the Simpson-averaged generator.
@@ -9,24 +9,42 @@ modulus on the imaginary axis is 1 + O(z^10).  At production step sizes the
 unitarity defect of the propagator then stays near roundoff without any
 re-unitarization, so integration error remains a measurable diagnostic.
 
+Step nodes.  One integrator (_integrate) steps over an array of nodes.  A
+TimeGrid is the uniform special case: its steps share their endpoint
+samples.  Noisy propagation steps over StepNodes, the grid points plus
+every pulse edge of the noise batch clipped to the sweep.  The phase noise
+is piecewise constant, so on those nodes it is constant inside every step;
+it is evaluated once per step, at the step midpoint, and each step gets its
+own endpoint samples because the generator may jump at a node.  The
+fourth-order rate, which a step straddling a jump loses, is then kept.
+
+Error estimate.  The unitarity defect does not track accuracy at such
+jumps, so every noisy propagation is also a step-doubling pair: the same
+samples are integrated at refine 2 (reported) and at refine 1, and
+max|U_2 - U_1| is the error estimate of the refine-1 result, which bounds
+the reported one (about 1/16 of it at fourth order).  It must stay within
+DOUBLING_BUDGET, as the defect must within UNITARITY_BUDGET; either check
+raises AccuracyError naming itself.
+
 Memory layout.  The propagators are 2x2 or 4x4, far too small for batched
 `@` to pay off, so the integrator works on component-major stacks: a
 chunk's generator samples live in one (n, n, times, *batch) buffer, and
 every matrix entry is one contiguous vector across the chunk's times.  The
 step maps and the products between them are formed by entry arithmetic on
-those vectors.  The 16x16 maps of the feedback equation keep `@`.  The
-propagators' generator comes from control.generator already in that
-layout, from scalar series (twist phase, ramps, interpolated control
-modification); a noise batch adds only one phase series per realization.
+those vectors (lincore.entry_matmul).  The 16x16 maps of the feedback
+equation keep `@`.  The propagators' generator comes from
+control.generator already in that layout, from scalar series (twist phase,
+ramps, interpolated control modification); a noise batch adds only one
+phase series per realization.
 
-Product order.  Within a chunk the grid-step maps are multiplied by a
-blocked scan (see _blocked_scan): local prefix products inside about
-sqrt(C) blocks of consecutive steps, then the block offsets carried from
-the chunk's start value.  This reassociates the sequential product
-M_k ... M_1 M_0 U.  For unitary factors both carry roundoff bounded by
-order (factors) x eps, about 1e-11 for a production sweep; measured at the
-production grids, the two differ by 1.5e-13 (hadamard) to 8e-13 (cphase)
-in max-norm, far below the 1e-10 unitarity budget.
+Product order.  Within a chunk the step maps are multiplied by a blocked
+scan (see _blocked_scan): local prefix products inside about sqrt(C) blocks
+of consecutive steps, then the block offsets carried from the chunk's start
+value.  This reassociates the sequential product M_k ... M_1 M_0 U.  For
+unitary factors both carry roundoff bounded by order (factors) x eps, about
+1e-11 for a production sweep; measured at the production grids, the two
+differ by 1.5e-13 (hadamard) to 8e-13 (cphase) in max-norm, far below the
+1e-10 unitarity budget.
 """
 
 from __future__ import annotations
@@ -37,25 +55,42 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import control
-from .lincore import unitarity_defect
+from .lincore import component_major, entry_matmul, matrix_major, unitarity_defect
 
 DEFAULT_STEPS_1Q = 160_000
 DEFAULT_STEPS_2Q = 120_000
 DEFAULT_REFINE = 2          # internal substeps per grid step
 UNITARITY_BUDGET = 1e-10
+# Budget on the step-doubling estimate max|U(refine 2) - U(refine 1)| of a
+# noisy propagation; the reported refine-2 result is about 16 times more
+# accurate than the estimate.  Edge-aligned runs measure 1.7e-10 to 2.8e-10
+# at the production grids and 4e-8 at a quarter of them; steps straddling the
+# noise jumps gave errors of 1e-6 to 8e-6 at the production grids.
+DOUBLING_BUDGET = 1e-6
 CHUNK = 4096
 
 
 class AccuracyError(RuntimeError):
-    """Integration accuracy budget exceeded; carries the measured defect."""
+    """An integration accuracy check exceeded its budget.
 
-    def __init__(self, defect: float, budget: float):
+    check names the failed check ("unitarity defect" or "step-doubling
+    error estimate"); value is what it measured.
+    """
+
+    def __init__(self, check: str, value: float, budget: float):
         super().__init__(
-            f"unitarity defect {defect:.3e} exceeds budget {budget:.3e}; "
+            f"{check} {value:.3e} exceeds budget {budget:.3e}; "
             "increase the step count"
         )
-        self.defect = defect
+        self.check = check
+        self.value = value
         self.budget = budget
+
+
+def _check_budget(check: str, value: float, budget: float | None) -> None:
+    # "not <=" also catches NaN from an unstable (too coarse) step size
+    if budget is not None and not (value <= budget):
+        raise AccuracyError(check, value, budget)
 
 
 @dataclass(frozen=True)
@@ -96,6 +131,32 @@ class TimeGrid:
         return TimeGrid(p.tau0, steps)
 
 
+@dataclass(frozen=True)
+class StepNodes:
+    """Explicit step nodes taus[0] < taus[1] < ... < taus[steps].
+
+    Unlike a TimeGrid's steps, these may be unequal, and the generator may
+    jump at any node (see _integrate).
+    """
+
+    taus: np.ndarray
+
+    @property
+    def steps(self) -> int:
+        return len(self.taus) - 1
+
+    @staticmethod
+    def with_edges(grid: TimeGrid, edges) -> "StepNodes":
+        """The grid points plus every edge clipped to the sweep.
+
+        A clipped edge outside the sweep lands on its first or last grid
+        point, and an edge on a grid point adds no node.
+        """
+        points = grid.points()
+        edges = np.clip(np.asarray(edges, dtype=float), points[0], points[-1])
+        return StepNodes(np.union1d(points, edges))
+
+
 @dataclass
 class Trajectory:
     """Propagator samples U(tau_k, -tau0/2) on a TimeGrid.
@@ -113,60 +174,21 @@ class Trajectory:
     def final(self) -> np.ndarray:
         return self.unitaries[-1]
 
-    def half_unitaries(self) -> np.ndarray:
-        """Interleaved samples at grid and midpoint times, shape (2K+1, n, n)."""
-        if self.midpoints is None:
-            raise ValueError("trajectory was integrated without midpoint storage")
-        k = self.grid.steps
-        n = self.unitaries.shape[-1]
-        out = np.empty((2 * k + 1, n, n), dtype=complex)
-        out[0::2] = self.unitaries
-        out[1::2] = self.midpoints
-        return out
+
+@dataclass(frozen=True)
+class NoisyFinals:
+    """Final propagators of a noise batch, shape (batch, n, n), with the
+    nodes they were integrated on and their two accuracy measures."""
+
+    unitaries: np.ndarray
+    nodes: StepNodes
+    defect: float
+    error_estimate: float
 
 
 # Largest matrix size whose products are formed by entry arithmetic on
 # component-major stacks; above it, batched `@` is faster.
 ENTRY_ARITHMETIC_MAX_DIM = 4
-# Crossover (measured on 2x2 and 4x4 stacks) between the two product forms
-# of _entry_matmul: 2**14 complex entries, 256 KiB per operand.
-ROW_PRODUCT_MAX_ENTRIES = 1 << 14
-
-
-def _component_major(a: np.ndarray) -> np.ndarray:
-    """View (..., n, n) as (n, n, ...); each entry a[..., i, k] becomes x[i, k]."""
-    return np.moveaxis(a, (-2, -1), (0, 1))
-
-
-def _matrix_major(x: np.ndarray) -> np.ndarray:
-    """Inverse of _component_major: view (n, n, ...) as (..., n, n)."""
-    return np.moveaxis(x, (0, 1), (-2, -1))
-
-
-def _entry_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of component-major stacks (n, n, ...), entry by entry.
-
-    Entry (i, j) is sum_k a[i, k] b[k, j], summed in k order; the stack axes
-    broadcast and the result is contiguous and component-major.  Small
-    stacks form whole rows per call (n calls), which keeps the per-call
-    overhead low; larger ones form one entry per call (n^3 calls), whose
-    temporaries stay in cache where whole-row temporaries do not.
-    """
-    n = a.shape[0]
-    lead = np.broadcast_shapes(a.shape[2:], b.shape[2:])
-    if n * n * math.prod(lead) <= ROW_PRODUCT_MAX_ENTRIES:
-        out = a[:, 0, None] * b[0]
-        for k in range(1, n):
-            out += a[:, k, None] * b[k]
-        return out
-    out = np.empty((n, n, *lead), dtype=np.result_type(a, b))
-    for i in range(n):
-        for j in range(n):
-            acc = a[i, 0] * b[0, j]
-            for k in range(1, n):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
 
 
 def _transfer(a1, a2, a3, dt, mm, eye):
@@ -182,22 +204,24 @@ def _transfer(a1, a2, a3, dt, mm, eye):
     return m + mm(p5, pbar / 720.0 + p2 / 5760.0 + eye / 120.0)
 
 
-def step_maps(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray, dt: float) -> np.ndarray:
+def step_maps(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray, dt) -> np.ndarray:
     """One-step transfer matrices for U' = A(tau) U on a batch of steps.
 
     a1, a2, a3 are A evaluated at the step start, midpoint and end
     (shape (..., n, n)); the returned M satisfies U(tau+dt) = M U(tau).
+    dt is a scalar or, up to ENTRY_ARITHMETIC_MAX_DIM, a per-step array
+    that broadcasts against the stack axes (...) of the inputs.
     Up to ENTRY_ARITHMETIC_MAX_DIM the products are formed entry by entry
     and M is a component-major view; the inputs should then be component-
-    major views too (see _component_major), or every entry is a strided
+    major views too (see component_major), or every entry is a strided
     gather.  Larger matrices use batched `@` in the input layout.
     """
     n = a1.shape[-1]
     if n > ENTRY_ARITHMETIC_MAX_DIM:
         return _transfer(a1, a2, a3, dt, np.matmul, np.eye(n))
-    x1, x2, x3 = (_component_major(a) for a in (a1, a2, a3))
+    x1, x2, x3 = (component_major(a) for a in (a1, a2, a3))
     eye = np.eye(n).reshape(n, n, *(1,) * (x1.ndim - 2))
-    return _matrix_major(_transfer(x1, x2, x3, dt, _entry_matmul, eye))
+    return matrix_major(_transfer(x1, x2, x3, dt, entry_matmul, eye))
 
 
 def _blocked_scan(x: np.ndarray, u: np.ndarray):
@@ -229,39 +253,90 @@ def _blocked_scan(x: np.ndarray, u: np.ndarray):
     y = np.ascontiguousarray(
         x.reshape(n, n, blocks, width, *rest).swapaxes(2, 3))
     for j in range(1, width):
-        y[:, :, j] = _entry_matmul(y[:, :, j], y[:, :, j - 1])
+        y[:, :, j] = entry_matmul(y[:, :, j], y[:, :, j - 1])
     # a single matrix per block: batched `@` beats entry arithmetic here
-    totals = _matrix_major(y[:, :, width - 1])
+    totals = matrix_major(y[:, :, width - 1])
     offsets = np.empty((blocks, *rest, n, n), dtype=complex)
     offsets[0] = u
     for b in range(1, blocks):
         offsets[b] = totals[b - 1] @ offsets[b - 1]
-    p = _entry_matmul(y, _component_major(offsets)[:, :, None])
-    p = _matrix_major(p).swapaxes(0, 1).reshape(blocks * width, *rest, n, n)
+    p = entry_matmul(y, component_major(offsets)[:, :, None])
+    p = matrix_major(p).swapaxes(0, 1).reshape(blocks * width, *rest, n, n)
     return p[:c]
 
 
-def _integrate(afun, grid: TimeGrid, dim: int, batch=(), refine=DEFAULT_REFINE,
+def _uniform_substep_maps(afun, grid: TimeGrid, c0: int, cs: int, refine: int):
+    """Substep maps of grid steps c0 .. c0 + cs - 1, component-major
+    (dim, dim, refine * cs, *batch); neighbouring substeps share samples."""
+    q = grid.h / refine
+    subs = refine * cs
+    taus = grid.tau_start + c0 * grid.h + np.arange(2 * subs + 1) * (q / 2.0)
+    a = matrix_major(np.ascontiguousarray(component_major(
+        afun(np.concatenate([taus[0::2], taus[1::2]])))))
+    return component_major(step_maps(a[:subs], a[subs + 1:], a[1:subs + 1], q))
+
+
+def _node_step_maps(afun, t: np.ndarray, refine: int):
+    """Step maps over the nodes t (cs + 1 of them) at refine // 2 and at
+    refine, from one set of samples; component-major (dim, dim, cs, 2, *batch).
+
+    Row j of the (2 refine + 1, cs) sample times is j/(2 refine) of the way
+    through each step.  At refine r a substep spans 2 w rows, w = refine / r,
+    so the coarse level reads every other sample of the fine one.
+    """
+    dt = np.diff(t)
+    rows = np.arange(2 * refine + 1)[:, None] / (2 * refine)
+    x = np.ascontiguousarray(component_major(afun(t[:-1] + rows * dt)))
+    dt = dt.reshape(dt.shape + (1,) * (x.ndim - 4))
+    levels = []
+    for r in (refine // 2, refine):
+        w = refine // r
+        m = component_major(step_maps(matrix_major(x[:, :, 0:-1:2 * w]),
+                                      matrix_major(x[:, :, w::2 * w]),
+                                      matrix_major(x[:, :, 2 * w::2 * w]), dt / r))
+        g = m[:, :, 0]
+        for i in range(1, r):
+            g = entry_matmul(m[:, :, i], g)
+        levels.append(g)
+    return np.stack(levels, axis=3)
+
+
+def _integrate(afun, grid, dim: int, batch=(), refine=DEFAULT_REFINE,
                store: str = "grid", chunk: int = CHUNK):
     """Core fixed-step integrator for U' = A(tau) U, U(tau_start) = I.
 
-    afun(taus) must return A at the requested times with shape
-    (len(taus), *batch, dim, dim).  store is one of "grid" (grid points),
-    "half" (grid plus midpoints; requires refine == 2) or "final".
-    Returns (grid_samples | None, midpoint_samples | None, U_final).
+    grid gives the step nodes: a TimeGrid or StepNodes.  Every step is split
+    into `refine` equal substeps.  Returns (grid_samples | None,
+    midpoint_samples | None, U_final).
 
-    Each chunk's generator samples are held component-major (dim, dim,
-    times, *batch), and the step-start and step-end samples are requested
-    ahead of the midpoints, so every matrix entry of the three stage
-    inputs is one contiguous vector.  The ordered products over the
-    chunk's steps come from _blocked_scan.
+    On a TimeGrid the steps are uniform and share their endpoint samples:
+    afun(taus) receives a chunk's substep nodes and midpoints as one 1-D
+    array and returns A at them, shape (len(taus), *batch, dim, dim).  store
+    is "grid" (grid points), "half" (grid plus midpoints; requires
+    refine == 2) or "final".  The substep-start and -end samples are
+    requested ahead of the midpoints, so every matrix entry of the three
+    stage inputs is one contiguous vector of the component-major buffer.
+
+    On StepNodes the generator may jump at any node, so every step is
+    sampled on its own: afun(taus) receives a (2 refine + 1, steps) array
+    whose column k runs from node k to node k + 1 in half-substep
+    increments, so its middle row is the step midpoint, where afun
+    evaluates the inputs that are constant inside a step.  It returns A with
+    shape (*taus.shape, *batch, dim, dim).  Only store="final" applies: the
+    same samples are integrated at refine // 2 and at refine (refine must
+    be even), and U_final has shape (2, *batch, dim, dim), in that order.
+
+    The ordered products over a chunk's steps come from _blocked_scan.
     """
+    nodes = isinstance(grid, StepNodes)
+    if nodes and (store != "final" or refine % 2):
+        raise ValueError("step nodes integrate final propagators at an even refine")
     if store == "half" and refine != 2:
         raise ValueError("midpoint storage requires refine == 2")
-    h = grid.h
-    q = h / refine
     steps = grid.steps
-    u = np.broadcast_to(np.eye(dim, dtype=complex), (*batch, dim, dim)).copy()
+    levels = (2,) if nodes else ()
+    u = np.broadcast_to(np.eye(dim, dtype=complex),
+                        (*levels, *batch, dim, dim)).copy()
     out = mid = None
     if store in ("grid", "half"):
         out = np.empty((steps + 1, *batch, dim, dim), dtype=complex)
@@ -270,19 +345,20 @@ def _integrate(afun, grid: TimeGrid, dim: int, batch=(), refine=DEFAULT_REFINE,
         mid = np.empty((steps, *batch, dim, dim), dtype=complex)
     for c0 in range(0, steps, chunk):
         cs = min(chunk, steps - c0)
-        subs = refine * cs
-        taus = grid.tau_start + c0 * h + np.arange(2 * subs + 1) * (q / 2.0)
-        a = _matrix_major(np.ascontiguousarray(_component_major(
-            afun(np.concatenate([taus[0::2], taus[1::2]])))))
-        m = _component_major(step_maps(a[:subs], a[subs + 1:], a[1:subs + 1], q))
+        if nodes:
+            m = _node_step_maps(afun, grid.taus[c0:c0 + cs + 1], refine)
+            per_step = 1
+        else:
+            m = _uniform_substep_maps(afun, grid, c0, cs, refine)
+            per_step = refine
         if store == "half":
             p = _blocked_scan(m, u)
             mid[c0:c0 + cs] = p[0::2]
             out[c0 + 1:c0 + cs + 1] = p[1::2]
         else:
-            mg = m[:, :, 0::refine]
-            for r in range(1, refine):
-                mg = _entry_matmul(m[:, :, r::refine], mg)
+            mg = m[:, :, 0::per_step]
+            for r in range(1, per_step):
+                mg = entry_matmul(m[:, :, r::per_step], mg)
             p = _blocked_scan(mg, u)
             if store == "grid":
                 out[c0 + 1:c0 + cs + 1] = p
@@ -295,22 +371,19 @@ def _finish(grid, out, mid, ufinal, budget) -> Trajectory:
     defect = unitarity_defect(samples)
     if mid is not None:
         defect = max(defect, unitarity_defect(mid))
-    if budget is not None and not (defect <= budget):
-        # "not <=" also catches NaN from an unstable (too coarse) step size
-        raise AccuracyError(defect, budget)
-    traj = Trajectory(grid, out if out is not None else ufinal[None],
-                      midpoints=mid, defect=defect)
-    return traj
+    _check_budget("unitarity defect", defect, budget)
+    return Trajectory(grid, samples, midpoints=mid, defect=defect)
 
 
-def _generator_fun(p, grid: TimeGrid, delta_f=None, noise=None, batched=False):
+def _generator_fun(p, grid: TimeGrid, delta_f=None, noises=None):
     """The afun of _integrate: A(tau) from control.generator, matrix-major.
 
     delta_f (grid samples, shape (steps + 1, 3)) is linearly interpolated to
-    the requested times.  With batched, noise is a sequence of noise
-    realizations and A gains a batch axis after the time axis; otherwise it
-    is a single noise argument of control.twist_phase.  The returned views
-    are component-major underneath, so _integrate copies nothing.
+    the requested times.  noises, a sequence of noise realizations, adds a
+    batch axis after the time axes; it is meant for StepNodes sample arrays,
+    and each realization's noise is held at its value at the step midpoint
+    (the middle row) throughout the step.  The returned views are
+    component-major underneath, so _integrate copies nothing.
     """
     if delta_f is not None:
         taus_grid = grid.points()
@@ -326,27 +399,27 @@ def _generator_fun(p, grid: TimeGrid, delta_f=None, noise=None, batched=False):
             dfi = np.stack(
                 [np.interp(taus, taus_grid, delta_f[:, j]) for j in range(3)], axis=-1
             )
-        if batched:
-            phase = np.stack([control.twist_phase(taus, p, nz) for nz in noise],
-                             axis=-1)
-        else:
-            phase = control.twist_phase(taus, p, noise)
-        return _matrix_major(control.generator(taus, p, dfi, phase))
+        phase = None
+        if noises is not None:
+            held = np.stack([nz.evaluate(taus[len(taus) // 2]) for nz in noises],
+                            axis=-1)
+            phase = control.twist_phase(taus, p)[..., None] + held
+        return matrix_major(control.generator(taus, p, dfi, phase))
 
     return afun
 
 
-def propagate_nominal(p, grid: TimeGrid | None = None, noise=None, *,
+def propagate_nominal(p, grid: TimeGrid | None = None, *,
                       refine=DEFAULT_REFINE, store: str = "grid",
                       unitarity_budget: float | None = UNITARITY_BUDGET) -> Trajectory:
     """Integrate i U' = H0(tau) U over the sweep for the nominal control."""
     grid = grid or TimeGrid.default_for(p)
-    afun = _generator_fun(p, grid, noise=noise)
-    out, mid, u = _integrate(afun, grid, p.dim, refine=refine, store=store)
+    out, mid, u = _integrate(_generator_fun(p, grid), grid, p.dim,
+                             refine=refine, store=store)
     return _finish(grid, out, mid, u, unitarity_budget)
 
 
-def propagate_modified(p, grid: TimeGrid, delta_f, noise=None, *,
+def propagate_modified(p, grid: TimeGrid, delta_f, *,
                        refine=DEFAULT_REFINE, store: str = "grid",
                        unitarity_budget: float | None = UNITARITY_BUDGET) -> Trajectory:
     """Integrate the sweep with control modification samples delta_f.
@@ -354,31 +427,34 @@ def propagate_modified(p, grid: TimeGrid, delta_f, noise=None, *,
     delta_f holds the three real field-modification components at the grid
     points; substage values are linearly interpolated.
     """
-    afun = _generator_fun(p, grid, delta_f, noise)
-    out, mid, u = _integrate(afun, grid, p.dim, refine=refine, store=store)
+    out, mid, u = _integrate(_generator_fun(p, grid, delta_f), grid, p.dim,
+                             refine=refine, store=store)
     return _finish(grid, out, mid, u, unitarity_budget)
 
 
-def propagate_modified_batch(p, grid: TimeGrid, delta_f, noises, *,
-                             refine: int | None = None) -> np.ndarray:
+def propagate_modified_batch(p, grid: TimeGrid, delta_f, noises) -> NoisyFinals:
     """Final propagators for a batch of noise realizations sharing one delta_f.
 
-    Returns an array (len(noises), n, n); used by the jitter ensemble where
-    only the final gate is needed.  The noise pulses have discontinuous
-    edges, which costs the one-step scheme some of its smooth-case accuracy;
-    the default refinement is therefore raised (strongly for the stiffer
-    two-qubit system) to keep the unitarity defect inside budget.
+    Used by the jitter ensemble, where only the final gate is needed.  The
+    steps run between the grid points and every pulse edge of the batch
+    (StepNodes.with_edges of each realization's edges()), so the noise is
+    constant inside each step and is evaluated once per step, at its
+    midpoint.  The batch is integrated at refine 1 and refine 2 from one set
+    of generator samples; the refine-2 propagators are returned, and
+    max|U_2 - U_1| over the batch is their step-doubling error estimate.
+    Raises AccuracyError when the estimate exceeds DOUBLING_BUDGET or the
+    unitarity defect exceeds UNITARITY_BUDGET.
     """
-    if refine is None:
-        refine = DEFAULT_REFINE if p.qubits == 1 else 4 * DEFAULT_REFINE
     noises = list(noises)
-    afun = _generator_fun(p, grid, delta_f, noises, batched=True)
-    _, _, u = _integrate(afun, grid, p.dim, batch=(len(noises),),
-                         refine=refine, store="final")
-    defect = unitarity_defect(u)
-    if defect > UNITARITY_BUDGET:
-        raise AccuracyError(defect, UNITARITY_BUDGET)
-    return u
+    nodes = StepNodes.with_edges(grid, np.concatenate([nz.edges() for nz in noises]))
+    _, _, (coarse, fine) = _integrate(
+        _generator_fun(p, grid, delta_f, noises), nodes, p.dim,
+        batch=(len(noises),), refine=DEFAULT_REFINE, store="final")
+    defect = unitarity_defect(fine)
+    estimate = float(np.abs(fine - coarse).max())
+    _check_budget("unitarity defect", defect, UNITARITY_BUDGET)
+    _check_budget("step-doubling error estimate", estimate, DOUBLING_BUDGET)
+    return NoisyFinals(fine, nodes, defect, estimate)
 
 
 def integrate_delta_y(g_half: np.ndarray, delta_b: np.ndarray,

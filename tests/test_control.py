@@ -161,6 +161,26 @@ def test_drive_matrix_rejects_nonunitary():
         drive_matrix(2.0 * np.eye(2), coupling_matrices(HAD))
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_drive_matrix_matches_matmul_formula(rng, n):
+    points = 64
+    u = np.stack([random_unitary(rng, n) for _ in range(points)])
+    shape = (points, 3, n, n)
+    generic = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    physical = coupling_matrices(HAD if n == 2 else CP,
+                                 np.linspace(-50.0, 50.0, points))
+    for couplings in (generic, physical):
+        want = np.swapaxes(vectorize(
+            np.conj(np.swapaxes(u, -1, -2))[:, None] @ couplings @ u[:, None]), -1, -2)
+        got = drive_matrix(u, couplings)
+        assert got.shape == want.shape == (points, n * n, 3)
+        assert np.abs(got - want).max() <= 1e-14
+    # a single propagator against an unbatched coupling triple
+    one = drive_matrix(u[0], generic[0])
+    assert one.shape == (n * n, 3)
+    assert np.abs(one - drive_matrix(u[:1], generic[:1])[0]).max() <= 1e-15
+
+
 def test_resonance_times():
     t, inside = resonance_times(SweepParams1Q(lam=1.0, eta4=1.0, tau0=10.0))
     assert np.allclose(t, [-1, 0, 1])

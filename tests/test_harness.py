@@ -1,6 +1,6 @@
 import pytest
 
-from nocgf import cli, experiments
+from nocgf import cli, experiments, propagate
 from nocgf.config import (
     ConfigError,
     config_from_dict,
@@ -162,18 +162,6 @@ def test_cli_jitter_rejects_bad_powers(monkeypatch, capsys, powers):
     assert calls == []
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("NOCGF_THREADS", raising=False)
-    assert experiments.worker_count() == 1
-    monkeypatch.setenv("NOCGF_THREADS", "3")
-    assert experiments.worker_count() == 3
-    monkeypatch.setenv("NOCGF_THREADS", "0")
-    assert experiments.worker_count() >= 1
-    monkeypatch.setenv("NOCGF_THREADS", "x")
-    with pytest.raises(ValueError):
-        experiments.worker_count()
-
-
 def test_cli_improve_and_tables(tmp_path, capsys):
     rc = cli.main(["improve", "--gate", "hadamard", "--steps", "40000"])
     assert rc == 0
@@ -232,6 +220,16 @@ def test_cli_errors_are_one_line_with_exit_code_2(capsys, argv, message):
     err = capsys.readouterr().err
     assert err.startswith("nocgf: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_cli_jitter_reports_an_exceeded_step_doubling_budget(capsys, monkeypatch):
+    monkeypatch.setattr(propagate, "DOUBLING_BUDGET", 0.0)
+    rc = cli.main(["jitter", "--powers", "1e-3", "--gate", "hadamard",
+                   "--steps", "40000", "--realizations", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nocgf: step-doubling error estimate ")
+    assert err.count("\n") == 1 and "exceeds budget 0.000e+00" in err
 
 
 def test_cli_sweep_skips_only_gates_without_the_parameter(capsys):

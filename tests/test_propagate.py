@@ -1,15 +1,25 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nocgf import propagate
 from nocgf.control import NOMINAL_PARAMS, coupling_matrices, sweep_hamiltonian
 from nocgf.lincore import SIGMA_Z, hermitize, vectorize
+from nocgf.noise import NoiseRealization
 from nocgf.propagate import (
     AccuracyError,
+    StepNodes,
     TimeGrid,
+    _generator_fun,
     _integrate,
     integrate_delta_y,
     propagate_modified,
+    propagate_modified_batch,
     propagate_nominal,
+    step_maps,
 )
 from nocgf import drive_matrix
 
@@ -138,8 +148,9 @@ def test_delta_y_zero_offset():
     p = NOMINAL_PARAMS["cphase"]
     grid = TimeGrid(p.tau0, 30000)
     traj = propagate_nominal(p, grid, store="half", unitarity_budget=None)
-    g_half = drive_matrix(traj.half_unitaries(), coupling_matrices(
-        p, grid.half_points()))
+    us = np.empty((2 * grid.steps + 1, 4, 4), dtype=complex)
+    us[0::2], us[1::2] = traj.unitaries, traj.midpoints
+    g_half = drive_matrix(us, coupling_matrices(p, grid.half_points()))
     y = integrate_delta_y(g_half, np.zeros(16, dtype=complex), grid)
     assert np.abs(y).max() == 0.0
 
@@ -148,8 +159,9 @@ def test_delta_y_monotone_and_hermitian_subspace():
     p = NOMINAL_PARAMS["cphase"]
     grid = TimeGrid(p.tau0, 30000)
     traj = propagate_nominal(p, grid, store="half", unitarity_budget=None)
-    g_half = drive_matrix(traj.half_unitaries(),
-                          coupling_matrices(p, grid.half_points()))
+    us = np.empty((2 * grid.steps + 1, 4, 4), dtype=complex)
+    us[0::2], us[1::2] = traj.unitaries, traj.midpoints
+    g_half = drive_matrix(us, coupling_matrices(p, grid.half_points()))
     rng = np.random.default_rng(11)
     beta = hermitize(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))) * 0.01
     delta_b = vectorize(beta)
@@ -169,3 +181,115 @@ def test_delta_y_shape_mismatch():
     with pytest.raises(ValueError):
         integrate_delta_y(np.zeros((7, 16, 3), dtype=complex),
                           np.zeros(16, dtype=complex), grid)
+
+
+@pytest.mark.parametrize("refine", [1, 2])
+def test_uniform_nodes_match_a_sequential_step_map_product(refine):
+    # three chunks, the last one partial
+    steps, chunk = 2500, 1000
+    grid = TimeGrid(HAD.tau0, steps)
+    afun = _generator_fun(HAD, grid)
+    out, _, u = _integrate(afun, grid, 2, refine=refine, chunk=chunk)
+    q = grid.h / refine
+    taus = grid.tau_start + np.arange(2 * refine * steps + 1) * (q / 2.0)
+    a = afun(taus)
+    maps = step_maps(a[0:-1:2], a[1::2], a[2::2], q)
+    want = [np.eye(2, dtype=complex)]
+    for k in range(steps):
+        v = want[-1]
+        for r in range(refine):
+            v = maps[refine * k + r] @ v
+        want.append(v)
+    want = np.stack(want)
+    assert np.abs(out - want).max() <= 1e-12 * steps
+    assert np.array_equal(u, out[-1])
+
+
+# a short sweep at a coarse grid, so the discretization error is far above
+# roundoff; two hand-placed realizations: overlapping pulses, edges on grid
+# points, pulses reaching past both sweep ends and a shared edge
+SHORT_HAD = dataclasses.replace(HAD, tau0=20.0)
+
+
+def _hand_placed_noise():
+    kw = dict(tau_f=0.5, tau0=SHORT_HAD.tau0, mean_power=1e-3)
+    return [
+        NoiseRealization(centers=np.array([-3.01, -2.7, 4.5, 9.9]),
+                         amplitudes=np.array([0.4, -0.25, 0.3, 0.2]), scale=1.0, **kw),
+        NoiseRealization(centers=np.array([-9.8, 0.123, 1.123]),
+                         amplitudes=np.array([-0.3, 0.5, -0.2]), scale=1.0, **kw),
+    ]
+
+
+def test_edge_aligned_batch_error_stays_within_its_estimate():
+    grid = TimeGrid(SHORT_HAD.tau0, 400)
+    taus = grid.points()
+    delta_f = 0.02 * np.stack([np.cos(taus / 3.0), np.sin(taus / 5.0),
+                               np.exp(-taus**2 / 20.0)], axis=-1)
+    noises = _hand_placed_noise()
+    res = propagate_modified_batch(SHORT_HAD, grid, delta_f, noises)
+    assert res.unitaries.shape == (2, 2, 2)
+    assert res.nodes.steps > grid.steps
+
+    afun = _generator_fun(SHORT_HAD, grid, delta_f, noises)
+    _, _, (r1, r2) = _integrate(afun, res.nodes, 2, batch=(2,), refine=2,
+                                store="final")
+    _, _, (_, ref) = _integrate(afun, res.nodes, 2, batch=(2,), refine=16,
+                                store="final")
+    assert np.array_equal(r2, res.unitaries)
+    assert res.error_estimate == np.abs(r2 - r1).max()
+    err1 = np.abs(r1 - ref).max()
+    err2 = np.abs(r2 - ref).max()
+    # the estimate measures the refine-1 error and bounds the reported one
+    assert 0.5 * err1 <= res.error_estimate <= 2.0 * err1
+    assert err2 <= res.error_estimate
+    assert err2 <= err1 / 8.0
+
+
+def test_step_doubling_budget_is_enforced(monkeypatch):
+    grid = TimeGrid(SHORT_HAD.tau0, 400)
+    delta_f = np.zeros((grid.steps + 1, 3))
+    monkeypatch.setattr(propagate, "DOUBLING_BUDGET", 0.0)
+    with pytest.raises(AccuracyError, match="step-doubling error estimate") as err:
+        propagate_modified_batch(SHORT_HAD, grid, delta_f, _hand_placed_noise())
+    assert err.value.check == "step-doubling error estimate"
+    assert err.value.value > 0.0 == err.value.budget
+
+
+def test_step_nodes_need_final_storage_and_even_refine():
+    nodes = StepNodes(np.linspace(-1.0, 1.0, 5))
+
+    def afun(taus):
+        return np.zeros((*taus.shape, 2, 2), dtype=complex)
+
+    for kw in ({"refine": 2, "store": "grid"}, {"refine": 1, "store": "final"}):
+        with pytest.raises(ValueError, match="even refine"):
+            _integrate(afun, nodes, 2, **kw)
+    _, _, u = _integrate(afun, nodes, 2, refine=2, store="final")
+    assert u.shape == (2, 2, 2)
+    assert np.array_equal(u, np.broadcast_to(np.eye(2), u.shape))
+
+
+@settings(max_examples=60, deadline=None)
+@given(steps=st.integers(1, 40),
+       centers=st.lists(st.floats(-12.0, 12.0), min_size=0, max_size=8),
+       tau_f=st.floats(0.01, 3.0))
+def test_step_nodes_hold_the_noise_constant_inside_each_step(steps, centers, tau_f):
+    grid = TimeGrid(20.0, steps)
+    centers = np.array(centers, dtype=float)
+    amplitudes = np.linspace(0.1, 0.7, len(centers)) * (-1.0) ** np.arange(len(centers))
+    r = NoiseRealization(centers=centers, amplitudes=amplitudes, scale=1.0,
+                         tau_f=tau_f, tau0=grid.tau0, mean_power=1.0)
+    nodes = StepNodes.with_edges(grid, r.edges()).taus
+    points = grid.points()
+    assert np.all(np.diff(nodes) > 0.0)
+    assert nodes[0] == points[0] and nodes[-1] == points[-1]
+    assert np.all(np.isin(points, nodes))
+    assert np.all(np.isin(np.clip(r.edges(), points[0], points[-1]), nodes))
+    # every sample strictly inside a step sees the step's midpoint value
+    lo, hi = nodes[:-1], nodes[1:]
+    held = r.evaluate(0.5 * (lo + hi))
+    for frac in (1e-9, 0.1, 0.37, 0.9, 1.0 - 1e-9):
+        inner = lo + frac * (hi - lo)
+        inside = (inner > lo) & (inner < hi)
+        assert np.array_equal(r.evaluate(inner)[inside], held[inside])
