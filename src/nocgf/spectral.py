@@ -37,8 +37,31 @@ class BandwidthReport:
     t_phys: float
 
 
+def smooth_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n (n >= 1).
+
+    The FFT of such a length runs on small radices; a length with a large
+    prime factor falls back to Bluestein's algorithm.  For the one-qubit
+    control, 8 x 160,001 points (160,001 is prime) took 0.59 s and 221 MiB
+    peak RSS in a bare process, against 0.043 s and 65 MiB at 1,296,000.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # times the smallest power of two that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def control_spectrum(ctrl: ControlModification, component: str = "x") -> Spectrum:
-    """DFT magnitude of one control component, zero-padded 8x, omega >= 0.
+    """DFT magnitude of one control component, omega >= 0; n samples are
+    zero-padded to smooth_length(8 n) points, at least 8x.
 
     omega is the dimensionless angular frequency 2 pi f; the absolute
     normalization is arbitrary but fixed (the bandwidth uses only ratios).
@@ -52,7 +75,7 @@ def control_spectrum(ctrl: ControlModification, component: str = "x") -> Spectru
         raise ValueError("control samples do not match their grid")
     x = samples[:, COMPONENTS[component]]
     n = len(x)
-    nfft = PAD_FACTOR * n
+    nfft = smooth_length(PAD_FACTOR * n)
     mag = np.abs(np.fft.rfft(x, n=nfft))
     omega = 2.0 * np.pi * np.fft.rfftfreq(nfft, d=ctrl.grid.h)
     return Spectrum(omega=omega, magnitude=mag, component=component)

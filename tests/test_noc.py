@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from nocgf.control import NOMINAL_PARAMS, coupling_matrices, drive_matrix
 from nocgf.metrics import GateTarget, gate_target, target_offset
 from nocgf.noc import (
     ConfigurationError,
+    ConsistencyError,
     contracted_drive,
     improve_gate,
     strategy1_control,
@@ -16,6 +18,7 @@ from nocgf.noc import (
 from nocgf.propagate import TimeGrid, Trajectory, propagate_nominal
 from nocgf import noc
 from tests.conftest import random_unitary
+from tests.test_propagate_kernels import reference_step_maps
 
 HAD = NOMINAL_PARAMS["hadamard"]
 
@@ -88,25 +91,83 @@ def test_improve_gate_strategy_mismatch():
 def test_strategy2_requires_two_qubit_offset(rng):
     g = gate_target("hadamard")
     off = target_offset(random_unitary(rng, 2), g)
+    grid = TimeGrid(1.0, 1)
+    eye = np.tile(np.eye(4, dtype=complex), (2, 1, 1))
+    traj = Trajectory(grid, eye, midpoints=eye[:1])
     with pytest.raises(ConfigurationError):
-        strategy2_solve(np.zeros((3, 16, 3), dtype=complex), off, TimeGrid(1.0, 1))
+        strategy2_solve(NOMINAL_PARAMS["cphase"], traj, off)
 
 
-def test_strategy2_small_grid_properties(rng):
+@pytest.fixture(scope="module")
+def cphase_30k():
+    """A 30,000-step nominal cphase sweep with midpoints, and its offset."""
     p = NOMINAL_PARAMS["cphase"]
     grid = TimeGrid(p.tau0, 30000)
     traj = propagate_nominal(p, grid, store="half", unitarity_budget=None)
-    us = np.empty((2 * grid.steps + 1, 4, 4), dtype=complex)
-    us[0::2], us[1::2] = traj.unitaries, traj.midpoints
-    g_half = drive_matrix(us, coupling_matrices(p, grid.half_points()))
-    gate = gate_target("cphase")
-    off = target_offset(traj.final, gate)
-    sol = strategy2_solve(g_half, off, grid)
+    return p, traj, target_offset(traj.final, gate_target("cphase"))
+
+
+def test_strategy2_small_grid_properties(cphase_30k):
+    p, traj, off = cphase_30k
+    sol = strategy2_solve(p, traj, off)
     assert sol.riccati_residual_max <= 1e-14
     norms = np.linalg.norm(sol.delta_y, axis=1)
     assert norms[-1] <= norms[0]
+    assert sol.norm_increase_max == np.diff(norms).max() <= 1e-12
     assert np.allclose(sol.riccati_s, np.eye(16))
     assert np.allclose(sol.weight_r, np.eye(3))
+
+
+def test_strategy2_streamed_pass_matches_an_unstreamed_reference(cphase_30k):
+    p, traj, off = cphase_30k
+    grid = traj.grid
+    sol = strategy2_solve(p, traj, off)
+    # the whole drive stack, the batched-`@` maps of B = -G G† and one
+    # matvec per step
+    g_half = noc.drive_samples(p, traj, half=True)
+    y = -off.delta_b.astype(complex)
+    want = [y]
+    for c0 in range(0, grid.steps, 1000):
+        g = g_half[2 * c0:2 * (c0 + 1000) + 1]
+        b = -(g @ np.conj(np.swapaxes(g, -1, -2)))
+        for m in reference_step_maps(b[0:-1:2], b[1::2], b[2::2], grid.h):
+            y = m @ y
+            want.append(y)
+    want = np.stack(want)
+    ctrl = -np.einsum("kmj,km->kj", np.conj(g_half[0::2]), want)
+    assert np.abs(sol.delta_y - want).max() <= 1e-13
+    assert np.abs(sol.control.samples - ctrl.real).max() <= 1e-13
+
+
+def test_strategy2_never_holds_the_drive_stack(cphase_30k):
+    p, traj, off = cphase_30k
+    stack_bytes = (2 * traj.grid.steps + 1) * 16 * 3 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        strategy2_solve(p, traj, off)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < stack_bytes / 2
+
+
+@pytest.mark.parametrize("steps,stable", [(100, False), (300, True)])
+def test_strategy2_rejects_an_unstable_step_size(steps, stable):
+    # identity propagators are exactly unitary, and then G G† has the
+    # eigenvalue 4.6724 throughout; the one-step map is stable for
+    # h lambda up to about 4.18, so 100 steps (h lambda = 5.6) make ||y||
+    # grow and 300 steps (1.9) do not
+    p = NOMINAL_PARAMS["cphase"]
+    grid = TimeGrid(p.tau0, steps)
+    eye = np.tile(np.eye(4, dtype=complex), (steps + 1, 1, 1))
+    traj = Trajectory(grid, eye, midpoints=eye[:-1])
+    off = target_offset(random_unitary(np.random.default_rng(7), 4),
+                        gate_target("cphase"))
+    if stable:
+        assert strategy2_solve(p, traj, off).norm_increase_max <= noc.NORM_INCREASE_TOL
+    else:
+        with pytest.raises(ConsistencyError, match="increases"):
+            strategy2_solve(p, traj, off)
 
 
 def test_improvement_is_strict_and_large(improved_all):

@@ -144,28 +144,30 @@ def test_convergence_order_on_hadamard_sweep():
     assert e2 < e1
 
 
-def test_delta_y_zero_offset():
+@pytest.fixture(scope="module")
+def cphase_half_drive():
+    """Drive samples at grid plus midpoint times of a 30,000-step cphase sweep."""
     p = NOMINAL_PARAMS["cphase"]
     grid = TimeGrid(p.tau0, 30000)
     traj = propagate_nominal(p, grid, store="half", unitarity_budget=None)
     us = np.empty((2 * grid.steps + 1, 4, 4), dtype=complex)
     us[0::2], us[1::2] = traj.unitaries, traj.midpoints
-    g_half = drive_matrix(us, coupling_matrices(p, grid.half_points()))
-    y = integrate_delta_y(g_half, np.zeros(16, dtype=complex), grid)
+    return grid, drive_matrix(us, coupling_matrices(p, grid.half_points()))
+
+
+def test_delta_y_zero_offset(cphase_half_drive):
+    grid, g_half = cphase_half_drive
+    y = integrate_delta_y(g_half, np.zeros(16, dtype=complex), grid.h)
+    assert y.shape == (grid.steps + 1, 16)
     assert np.abs(y).max() == 0.0
 
 
-def test_delta_y_monotone_and_hermitian_subspace():
-    p = NOMINAL_PARAMS["cphase"]
-    grid = TimeGrid(p.tau0, 30000)
-    traj = propagate_nominal(p, grid, store="half", unitarity_budget=None)
-    us = np.empty((2 * grid.steps + 1, 4, 4), dtype=complex)
-    us[0::2], us[1::2] = traj.unitaries, traj.midpoints
-    g_half = drive_matrix(us, coupling_matrices(p, grid.half_points()))
+def test_delta_y_monotone_and_hermitian_subspace(cphase_half_drive):
+    grid, g_half = cphase_half_drive
     rng = np.random.default_rng(11)
     beta = hermitize(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))) * 0.01
     delta_b = vectorize(beta)
-    y = integrate_delta_y(g_half, delta_b, grid)
+    y = integrate_delta_y(g_half, -delta_b, grid.h)
     norms = np.linalg.norm(y, axis=1)
     assert np.all(np.diff(norms) <= 1e-12)
     assert norms[-1] <= norms[0] == pytest.approx(np.linalg.norm(delta_b))
@@ -173,14 +175,22 @@ def test_delta_y_monotone_and_hermitian_subspace():
     for k in (0, grid.steps // 2, grid.steps):
         m = y[k].reshape(4, 4).T
         assert np.abs(m - hermitize(m)).max() < 1e-8
+    # integrating in two runs of samples that share the middle node is the
+    # same computation
+    half = grid.steps // 2
+    first = integrate_delta_y(g_half[:2 * half + 1], -delta_b, grid.h)
+    second = integrate_delta_y(g_half[2 * half:], first[-1], grid.h)
+    assert np.array_equal(np.concatenate([first, second[1:]]), y)
 
 
 def test_delta_y_shape_mismatch():
-    p = NOMINAL_PARAMS["cphase"]
-    grid = TimeGrid(p.tau0, 100)
+    h = NOMINAL_PARAMS["cphase"].tau0 / 100
+    y0 = np.zeros(16, dtype=complex)
+    for shape in [(8, 16, 3), (1, 16, 3), (7, 9, 3), (7, 16, 2), (7, 16)]:
+        with pytest.raises(ValueError):
+            integrate_delta_y(np.zeros(shape, dtype=complex), y0, h)
     with pytest.raises(ValueError):
-        integrate_delta_y(np.zeros((7, 16, 3), dtype=complex),
-                          np.zeros(16, dtype=complex), grid)
+        integrate_delta_y(np.zeros((7, 16, 3), dtype=complex), np.zeros((1, 16)), h)
 
 
 @pytest.mark.parametrize("refine", [1, 2])

@@ -1,12 +1,13 @@
-"""Property tests of the integrator kernels: the component-major step maps
-and the blocked scan, each against a plain reference kept here as the oracle.
+"""Property tests of the integrator kernels: the component-major step maps,
+the rank-3 feedback maps and the blocked scan, each against a plain
+reference kept here as the oracle.
 """
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nocgf.propagate import _blocked_scan, step_maps
+from nocgf.propagate import _blocked_scan, feedback_maps, step_maps
 from tests.conftest import random_unitary
 
 EPS_BOUND = 1e-12
@@ -77,7 +78,7 @@ def test_blocked_scan_matches_sequential_and_tree(seed, n, length, batch):
 
 
 @settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 4, 16]),
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 4]),
        steps=st.integers(1, 300), batch=st.sampled_from([(), (2,)]),
        dt=st.floats(1e-3, 0.3), component_major=st.booleans())
 def test_step_maps_matches_matmul_reference(seed, n, steps, batch, dt,
@@ -93,3 +94,21 @@ def test_step_maps_matches_matmul_reference(seed, n, steps, batch, dt,
     ref = reference_step_maps(*(np.ascontiguousarray(x) for x in a), dt)
     assert m.shape == ref.shape
     assert np.abs(m - ref).max() <= EPS_BOUND * max(1.0, np.abs(ref).max())
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 300),
+       log_z=st.floats(-4.0, 0.0))
+@example(seed=5, steps=1, log_z=-4.0)
+@example(seed=6, steps=2, log_z=0.0)
+def test_feedback_maps_match_matmul_reference(seed, steps, log_z):
+    # random drive samples, with h ||G G†|| = 10^log_z at the largest sample
+    rng = np.random.default_rng(seed)
+    shape = (2 * steps + 1, 16, 3)
+    g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    b = -(g @ np.conj(np.swapaxes(g, -1, -2)))
+    h = 10.0**log_z / np.linalg.norm(b, ord=2, axis=(-2, -1)).max()
+    m = feedback_maps(g, h)
+    ref = reference_step_maps(b[0:-1:2], b[1::2], b[2::2], h)
+    assert m.shape == ref.shape == (steps, 16, 16)
+    assert np.abs(m - ref).max() <= 1e-14 * np.abs(ref).max()

@@ -8,6 +8,7 @@ from nocgf.spectral import (
     bandwidth_w01,
     control_spectrum,
     export_spectrum,
+    smooth_length,
     to_dimensionful,
 )
 
@@ -16,6 +17,26 @@ def _ctrl(grid, x):
     samples = np.zeros((grid.steps + 1, 3))
     samples[:, 0] = x
     return ControlModification(grid=grid, samples=samples)
+
+
+def _is_smooth(m):
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+def test_smooth_length():
+    hand_checked = {1: 1, 2: 2, 7: 8, 11: 12, 13: 15, 17: 18, 31: 32, 97: 100,
+                    121: 125, 1_280_008: 1_296_000}
+    for n, want in hand_checked.items():
+        assert smooth_length(n) == want
+    for n in range(1, 2000):
+        got = smooth_length(n)
+        assert got >= n and _is_smooth(got)
+        assert not any(_is_smooth(m) for m in range(n, got))
+    with pytest.raises(ValueError):
+        smooth_length(0)
 
 
 def test_constant_signal_is_dc_dominated():
