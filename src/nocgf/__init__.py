@@ -45,8 +45,7 @@ from .propagate import (
     TimeGrid,
     Trajectory,
     integrate_delta_y,
-    propagate_modified,
-    propagate_nominal,
+    propagate_sweep,
 )
 from .sensitivity import SensitivityRow, run_sensitivity
 from .spectral import Spectrum, bandwidth_w01, control_spectrum, to_dimensionful
@@ -62,8 +61,7 @@ __all__ = [
     "ImprovedGateResult", "improve_gate",
     "NoiseParams", "NoiseRealization", "jitter_report", "noise_ensemble",
     "sample_realization",
-    "TimeGrid", "Trajectory", "integrate_delta_y", "propagate_modified",
-    "propagate_nominal",
+    "TimeGrid", "Trajectory", "integrate_delta_y", "propagate_sweep",
     "SensitivityRow", "run_sensitivity",
     "Spectrum", "bandwidth_w01", "control_spectrum", "to_dimensionful",
 ]

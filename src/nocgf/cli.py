@@ -15,6 +15,7 @@ from .config import ConfigError, apply_overrides, default_config, load_config
 from .noc import ConsistencyError
 from .noise import DegenerateRealizationError
 from .propagate import AccuracyError
+from .sensitivity import ULP
 
 
 def _base_config(args):
@@ -64,8 +65,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("sweep", help="finite-precision sensitivity sweep")
+    params = dict.fromkeys(name for ulps in ULP.values() for name in ulps)
     p.add_argument("--param", required=True,
-                   help="sweep parameter name (lam, eta4, d1, d4, c4)")
+                   help=f"sweep parameter name ({', '.join(params)})")
     _add_common(p)
 
     p = sub.add_parser("jitter", help="phase-jitter ensemble sweep")
@@ -126,9 +128,8 @@ def _run(args) -> int:
         return 0
 
     if args.command == "sweep":
-        gates = cfg.gates if args.gate is None else [args.gate.lower()]
         all_rows = []
-        for g in gates:
+        for g in cfg.gates:
             if hasattr(cfg.params_for(g), args.param):
                 all_rows.extend(experiments.run_sweep(cfg, args.param, g))
         if not all_rows:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 from .control import NOMINAL_PARAMS
@@ -64,32 +65,60 @@ def _merged(raw: dict) -> dict:
     return cfg
 
 
+def _is_real(value) -> bool:
+    """A finite int or float; bools and strings are not numbers here."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _check_number(value, path: str, allow_zero: bool = False):
+    if not (_is_real(value) and (value >= 0 if allow_zero else value > 0)):
+        bound = ">= 0" if allow_zero else "> 0"
+        raise ConfigError(f"{path} must be a finite number {bound}, got {value!r}")
+
+
+def _check_int(value, path: str, minimum: int):
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{path} must be an integer >= {minimum}, got {value!r}")
+
+
 def _validate(cfg: dict) -> None:
+    if not isinstance(cfg["gates"], list):
+        raise ConfigError("gates must be a list of gate names")
     for g in cfg["gates"]:
         if g not in GATE_ORDER:
             raise ConfigError(f"unknown gate {g!r} in gates")
     for key in ("one_qubit", "two_qubit"):
-        steps = cfg["steps"][key]
-        if not isinstance(steps, int) or steps < 1:
-            raise ConfigError(f"steps.{key} must be a positive integer")
-        if cfg["t_phys_us"][key] <= 0:
-            raise ConfigError(f"t_phys_us.{key} must be > 0")
+        _check_int(cfg["steps"][key], f"steps.{key}", 1)
+        _check_number(cfg["t_phys_us"][key], f"t_phys_us.{key}")
     nz = cfg["noise"]
-    if nz["power"] < 0:
-        raise ConfigError("noise.power must be >= 0")
-    if nz["sigma"] <= 0:
-        raise ConfigError("noise.sigma must be > 0")
-    if nz["tau_f"] is not None and nz["tau_f"] <= 0:
-        raise ConfigError("noise.tau_f must be > 0")
-    if not isinstance(nz["realizations"], int) or nz["realizations"] < 1:
-        raise ConfigError("noise.realizations must be a positive integer")
-    if nz["f_clock_hz"] <= 0:
-        raise ConfigError("noise.f_clock_hz must be > 0")
+    _check_number(nz["power"], "noise.power", allow_zero=True)
+    _check_number(nz["sigma"], "noise.sigma")
+    if nz["tau_f"] is not None:
+        _check_number(nz["tau_f"], "noise.tau_f")
+    _check_int(nz["realizations"], "noise.realizations", 1)
+    if nz["seed"] is not None:
+        _check_int(nz["seed"], "noise.seed", 0)
+    _check_number(nz["f_clock_hz"], "noise.f_clock_hz")
+    _check_int(cfg["seed"], "seed", 0)
+    if not isinstance(cfg["sweep_overrides"], dict):
+        raise ConfigError("sweep_overrides must be an object")
     for gname, over in cfg["sweep_overrides"].items():
         if gname not in GATE_ORDER:
             raise ConfigError(f"sweep_overrides for unknown gate {gname!r}")
+        path = f"sweep_overrides.{gname}"
+        if not isinstance(over, dict):
+            raise ConfigError(f"{path} must be an object")
         allowed = _SWEEP_KEYS_1Q if gname != "cphase" else _SWEEP_KEYS_2Q
-        _check_keys(over, allowed, f"sweep_overrides.{gname}")
+        _check_keys(over, allowed, path)
+        for key, value in over.items():
+            if not _is_real(value):
+                raise ConfigError(f"{path}.{key} must be a finite number, got {value!r}")
+        # the SweepParams constructor checks the ranges
+        try:
+            dataclasses.replace(NOMINAL_PARAMS[gname], **over)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)

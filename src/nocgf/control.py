@@ -12,8 +12,8 @@ The propagators consume the generator A = -i (H0 + sum_j dF_j G_j) from
 series that define it (the twist phase with its noise, the longitudinal
 ramps and the control modification), in the component-major layout of the
 integrator.  The dense forms -- sweep_hamiltonian, two_qubit_hamiltonian,
-coupling_matrices -- stay for the drive matrix, the "instantaneous"
-projector and as the reference the generator is tested against.
+coupling_matrices -- stay for the drive matrix and as the reference the
+generator is tested against.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .lincore import (
     SIGMA_Z,
     component_major,
     entry_matmul,
-    hermitian_eigensystem,
     unitarity_defect,
 )
 
@@ -47,12 +46,6 @@ ZZ = np.kron(SIGMA_Z, SIGMA_Z)
 # two_qubit_hamiltonian)
 P_E4_DIABATIC = np.zeros((4, 4), dtype=complex)
 P_E4_DIABATIC[2, 2] = 1.0
-
-DEGENERACY_GAP = 1e-10
-
-
-class DegeneracyError(RuntimeError):
-    """Top two sweep levels are degenerate; the eigenprojector is undefined."""
 
 
 @dataclass(frozen=True)
@@ -106,6 +99,8 @@ class SweepParams2Q:
         for name in ("d1", "d2", "d3", "d4", "c4"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        if self.d3 == 1.0:
+            raise ValueError("d3 = 1 is a pole of the two-qubit couplings")
 
     @property
     def qubits(self) -> int:
@@ -128,24 +123,14 @@ NOMINAL_PARAMS = {
 }
 
 
-def _noise_offset(tau, noise):
-    """Phase-noise offset at tau: scalar, callable, or realization-like."""
-    if noise is None:
-        return 0.0
-    if hasattr(noise, "evaluate"):
-        return noise.evaluate(tau)
-    if callable(noise):
-        return noise(tau)
-    return noise  # constant offset
-
-
-def twist_phase(tau, p, noise=None):
-    """Quartic twist phase phi4(tau) = (eta4 / 2 lam) tau^4, plus optional noise."""
+def twist_phase(tau, p, noise=0.0):
+    """Quartic twist phase phi4(tau) = (eta4 / 2 lam) tau^4 plus noise, an
+    additive phase offset (a scalar or an array broadcasting against tau)."""
     tau = np.asarray(tau, dtype=float)
-    return (p.eta4 / (2.0 * p.lam)) * tau**4 + _noise_offset(tau, noise)
+    return (p.eta4 / (2.0 * p.lam)) * tau**4 + noise
 
 
-def one_qubit_field(tau, p: SweepParams1Q, noise=None) -> np.ndarray:
+def one_qubit_field(tau, p: SweepParams1Q, noise=0.0) -> np.ndarray:
     """Control field (cos phi4, -sin phi4, tau)/lam; shape (..., 3).
 
     The transverse twist sense is the one for which the sweep crosses
@@ -171,7 +156,13 @@ def one_qubit_hamiltonian(f: np.ndarray) -> np.ndarray:
     )
 
 
-def _two_qubit_bare(tau, p: SweepParams2Q, noise=None) -> np.ndarray:
+def two_qubit_hamiltonian(tau, p: SweepParams2Q, noise=0.0) -> np.ndarray:
+    """Two-qubit sweep Hamiltonian including the c4 degeneracy-breaking term.
+
+    The term is c4 |10><10|: it shifts the z-basis state the top sweep level
+    is connected to away from the edge anticrossings, which reproduces the
+    reference controlled-phase gate.
+    """
     tau = np.asarray(tau, dtype=float)
     phi = twist_phase(tau, p, noise)
     c, s = np.cos(phi), np.sin(phi)
@@ -185,41 +176,10 @@ def _two_qubit_bare(tau, p: SweepParams2Q, noise=None) -> np.ndarray:
         - (p.d3 / p.lam) * (c * SX1 + s * SY1)
         - (1.0 / p.lam) * (c * SX2 + s * SY2)
         - (np.pi * p.d4 / 2.0) * ZZ
-    )
+    ) + p.c4 * P_E4_DIABATIC
 
 
-def two_qubit_hamiltonian(
-    tau, p: SweepParams2Q, noise=None, projector: str = "diabatic"
-) -> np.ndarray:
-    """Two-qubit sweep Hamiltonian including the c4 degeneracy-breaking term.
-
-    projector selects how the shifted level E4 is identified:
-      "diabatic"       c4 |10><10|, the z-basis state the top sweep level is
-                       connected to away from the edge anticrossings.  This is
-                       the production default; it reproduces the reference
-                       controlled-phase gate.
-      "instantaneous"  c4 |E4(tau)><E4(tau)| with |E4> the top eigenvector of
-                       the bare Hamiltonian at each tau.  Near the sweep edges
-                       the top two levels anticross and |E4> hybridizes, which
-                       measurably degrades the gate; kept for comparison.
-    """
-    h = _two_qubit_bare(tau, p, noise)
-    if projector == "diabatic":
-        return h + p.c4 * P_E4_DIABATIC
-    if projector == "instantaneous":
-        w, v = hermitian_eigensystem(h)
-        gap = w[..., 3] - w[..., 2]
-        if np.any(gap < DEGENERACY_GAP):
-            raise DegeneracyError(
-                f"top eigenvalue pair closes to {float(np.min(gap)):.3e}"
-            )
-        top = v[..., :, 3]
-        p4 = top[..., :, None] * np.conj(top[..., None, :])
-        return h + p.c4 * p4
-    raise ValueError(f"unknown projector mode {projector!r}")
-
-
-def sweep_hamiltonian(tau, p, noise=None) -> np.ndarray:
+def sweep_hamiltonian(tau, p, noise=0.0) -> np.ndarray:
     """Nominal sweep Hamiltonian for either system at times tau (...,)."""
     if p.qubits == 1:
         return one_qubit_hamiltonian(one_qubit_field(tau, p, noise))
@@ -312,8 +272,6 @@ def generator(tau, p, dfi=None, phase=None) -> np.ndarray:
 
 def _coupling_angles(p: SweepParams2Q):
     """Frame rotation rates (th1, th2) of the two-qubit couplings."""
-    if p.d3 == 1.0:
-        raise ValueError("two-qubit couplings are singular at d3 = 1")
     th2 = p.d1 / (p.d3 - 1.0)
     return th2 + p.d1, th2
 
@@ -323,7 +281,8 @@ def coupling_matrices(p, tau=None) -> np.ndarray:
 
     One qubit: the constant triple (-sx, -sy, -sz).  Two qubits: the
     tau-dependent triple with the inter-qubit frame rotation angles fixed by
-    d1 and d3 (d3 = 1 is a pole of that parametrization and is rejected).
+    d1 and d3 (d3 = 1 is a pole of that parametrization, which SweepParams2Q
+    rejects).
     """
     if p.qubits == 1:
         g = np.stack([-SIGMA_X, -SIGMA_Y, -SIGMA_Z])

@@ -18,9 +18,6 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
-ID4 = np.eye(4, dtype=complex)
-
-HERMITICITY_TOL = 1e-12
 
 
 def vectorize(m: np.ndarray) -> np.ndarray:
@@ -116,28 +113,3 @@ def unitarity_defect(u: np.ndarray) -> float:
             worst.append(np.abs(g).max())
     return float(np.max(worst))
 
-
-def hermitian_eigensystem(m: np.ndarray):
-    """Eigenvalues (ascending) and phase-fixed orthonormal eigenvectors.
-
-    The input must be Hermitian to within HERMITICITY_TOL relative to its
-    max-norm (hermitize first otherwise).  Each eigenvector is gauged so its
-    largest-magnitude component is real and positive, which keeps the columns
-    deterministic and continuous along smooth non-degenerate matrix paths.
-    Supports stacked input (..., n, n).
-    """
-    m = np.asarray(m)
-    scale = max(1.0, float(np.abs(m).max()))
-    defect = float(np.abs(m - np.conj(np.swapaxes(m, -1, -2))).max())
-    if defect > HERMITICITY_TOL * scale:
-        raise ValueError(
-            f"matrix is not Hermitian (defect {defect:.3e}); hermitize first"
-        )
-    w, v = np.linalg.eigh(m)
-    # gauge: largest-|component| of each column made real positive
-    mags = np.abs(v)
-    pick = np.argmax(mags, axis=-2)                       # (..., n) column-wise index
-    anchor = np.take_along_axis(v, pick[..., None, :], axis=-2)  # (..., 1, n)
-    phases = anchor / np.abs(anchor)
-    v = v * np.conj(phases)
-    return w, v

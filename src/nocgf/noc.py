@@ -1,10 +1,13 @@
 """The two neighboring-optimal-control strategies and the end-to-end
 improve-gate pipeline.
 
+Each system has one correction, and improve_gate picks it from the gate's
+qubit count.
+
 Strategy 1 (one qubit) fixes the costate by an exponential-decay ansatz;
 the weight vector w = delta_b / 20 then yields the control modification
-delta_f(tau) = exp(-(tau + tau0/2)/10) G†(tau) w directly, without ever
-constructing the state-weight matrix.
+delta_f(tau) = exp(-(tau + tau0/2)/ANSATZ_DECAY) G†(tau) w directly, with
+ANSATZ_DECAY = 10, without ever constructing the state-weight matrix.
 
 Strategy 2 (two qubits) uses the constant-identity Riccati matrix: with
 R = I3 and S = I16, the Riccati equation forces Q = G G† and the gain is
@@ -21,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import control, metrics, propagate
+from .config import ConfigError
 from .metrics import ErrorReport, GateTarget, TargetOffset
 from .propagate import TimeGrid, Trajectory
 
@@ -37,15 +41,6 @@ NORM_INCREASE_TOL = 1e-12
 
 class ConsistencyError(RuntimeError):
     """A quantity that must be real carries a non-negligible imaginary part."""
-
-
-class ConfigurationError(ValueError):
-    """Strategy/system mismatch or similar configuration problem."""
-
-
-@dataclass(frozen=True)
-class Strategy1Weights:
-    w: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -89,15 +84,15 @@ class ImprovedGateResult:
     improved_unitary: np.ndarray
     nominal_unitary: np.ndarray
     strategy: int
-    weights: Strategy1Weights | None = None
+    weights: np.ndarray | None = None
     feedback: Strategy2Solution | None = None
 
 
-def strategy1_weights(offset: TargetOffset) -> Strategy1Weights:
+def strategy1_weights(offset: TargetOffset) -> np.ndarray:
     """Weight vector w = delta_b / 20 of the one-qubit ansatz."""
     if offset.dim != 2:
-        raise ConfigurationError("strategy 1 weights are defined for one qubit only")
-    return Strategy1Weights(w=offset.delta_b / WEIGHT_DIVISOR)
+        raise ConfigError("strategy 1 weights are defined for one qubit only")
+    return offset.delta_b / WEIGHT_DIVISOR
 
 
 def _real_control(raw: np.ndarray, grid: TimeGrid) -> ControlModification:
@@ -109,12 +104,12 @@ def _real_control(raw: np.ndarray, grid: TimeGrid) -> ControlModification:
     return ControlModification(grid=grid, samples=np.ascontiguousarray(raw.real))
 
 
-def strategy1_control(g_grid: np.ndarray, weights: Strategy1Weights,
-                      grid: TimeGrid, decay: float = ANSATZ_DECAY) -> ControlModification:
-    """delta_f(tau_k) = exp(-(tau_k + tau0/2)/decay) G†(tau_k) w, made real."""
+def strategy1_control(g_grid: np.ndarray, w: np.ndarray,
+                      grid: TimeGrid) -> ControlModification:
+    """delta_f(tau_k) = exp(-(tau_k + tau0/2)/ANSATZ_DECAY) G†(tau_k) w, made real."""
     taus = grid.points()
-    env = np.exp(-(taus + grid.tau0 / 2.0) / decay)
-    raw = env[:, None] * np.einsum("kmj,m->kj", np.conj(g_grid), weights.w)
+    env = np.exp(-(taus + grid.tau0 / 2.0) / ANSATZ_DECAY)
+    raw = env[:, None] * np.einsum("kmj,m->kj", np.conj(g_grid), w)
     return _real_control(raw, grid)
 
 
@@ -161,7 +156,7 @@ def strategy2_solve(p, nominal: Trajectory, offset: TargetOffset) -> Strategy2So
     control carries an imaginary residue.
     """
     if offset.dim != 4:
-        raise ConfigurationError("strategy 2 expects a two-qubit offset")
+        raise ConfigError("strategy 2 expects a two-qubit offset")
     grid = nominal.grid
     s_mat = np.eye(16, dtype=complex)
     r_mat = np.eye(3, dtype=complex)
@@ -198,18 +193,6 @@ def strategy2_solve(p, nominal: Trajectory, offset: TargetOffset) -> Strategy2So
         riccati_residual_max=residual,
         norm_increase_max=increase,
     )
-
-
-def _strategy_for(gate: GateTarget, strategy: int | None) -> int:
-    if strategy is None:
-        return 1 if gate.qubits == 1 else 2
-    if strategy == 1 and gate.qubits != 1:
-        raise ConfigurationError("strategy 1 applies to one-qubit gates")
-    if strategy == 2 and gate.qubits != 2:
-        raise ConfigurationError("strategy 2 applies to the two-qubit gate")
-    if strategy not in (1, 2):
-        raise ConfigurationError(f"unknown strategy {strategy}")
-    return strategy
 
 
 def drive_samples(p, traj: Trajectory, half: bool = False, start: int = 0,
@@ -249,18 +232,19 @@ def drive_samples(p, traj: Trajectory, half: bool = False, start: int = 0,
     return out
 
 
-def improve_gate(gate: GateTarget, p, grid: TimeGrid | None = None,
-                 strategy: int | None = None, *,
-                 refine=propagate.DEFAULT_REFINE) -> ImprovedGateResult:
+def improve_gate(gate: GateTarget, p, grid: TimeGrid | None = None) -> ImprovedGateResult:
     """Run the full pipeline: nominal sweep, offset, control correction,
-    modified sweep, and error reports for both gates."""
-    strategy = _strategy_for(gate, strategy)
+    modified sweep, and error reports for both gates.
+
+    One-qubit gates take strategy 1, the two-qubit gate strategy 2.
+    """
     if p.qubits != gate.qubits:
-        raise ConfigurationError("sweep parameters do not match the gate's system")
+        raise ConfigError("sweep parameters do not match the gate's system")
+    strategy = 1 if gate.qubits == 1 else 2
     grid = grid or TimeGrid.default_for(p)
 
     store = "half" if strategy == 2 else "grid"
-    nominal = propagate.propagate_nominal(p, grid, refine=refine, store=store)
+    nominal = propagate.propagate_sweep(p, grid, store=store)
     offset = metrics.target_offset(nominal.final, gate)
 
     weights = None
@@ -273,7 +257,7 @@ def improve_gate(gate: GateTarget, p, grid: TimeGrid | None = None,
         feedback = strategy2_solve(p, nominal, offset)
         ctrl = feedback.control
 
-    improved = propagate.propagate_modified(p, grid, ctrl.samples, refine=refine)
+    improved = propagate.propagate_sweep(p, grid, ctrl.samples)
     return ImprovedGateResult(
         gate=gate,
         nominal_report=metrics.error_report(nominal.final, gate),

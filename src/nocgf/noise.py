@@ -39,10 +39,10 @@ class NoiseParams:
     def __post_init__(self):
         if not (np.isfinite(self.mean_power) and self.mean_power >= 0):
             raise ValueError(f"mean_power must be finite and >= 0, got {self.mean_power}")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be > 0")
-        if self.tau_f <= 0:
-            raise ValueError("tau_f must be > 0")
+        for name in ("sigma", "tau_f"):
+            v = getattr(self, name)
+            if not (np.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {v}")
 
     @property
     def rate(self) -> float:

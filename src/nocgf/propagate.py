@@ -95,9 +95,9 @@ class AccuracyError(RuntimeError):
         self.budget = budget
 
 
-def _check_budget(check: str, value: float, budget: float | None) -> None:
+def _check_budget(check: str, value: float, budget: float) -> None:
     # "not <=" also catches NaN from an unstable (too coarse) step size
-    if budget is not None and not (value <= budget):
+    if not (value <= budget):
         raise AccuracyError(check, value, budget)
 
 
@@ -361,12 +361,12 @@ def _integrate(afun, grid, dim: int, batch=(), refine=DEFAULT_REFINE,
     return out, mid, u
 
 
-def _finish(grid, out, mid, ufinal, budget) -> Trajectory:
+def _finish(grid, out, mid, ufinal) -> Trajectory:
     samples = out if out is not None else ufinal[None]
     defect = unitarity_defect(samples)
     if mid is not None:
         defect = max(defect, unitarity_defect(mid))
-    _check_budget("unitarity defect", defect, budget)
+    _check_budget("unitarity defect", defect, UNITARITY_BUDGET)
     return Trajectory(grid, samples, midpoints=mid, defect=defect)
 
 
@@ -404,27 +404,20 @@ def _generator_fun(p, grid: TimeGrid, delta_f=None, noises=None):
     return afun
 
 
-def propagate_nominal(p, grid: TimeGrid | None = None, *,
-                      refine=DEFAULT_REFINE, store: str = "grid",
-                      unitarity_budget: float | None = UNITARITY_BUDGET) -> Trajectory:
-    """Integrate i U' = H0(tau) U over the sweep for the nominal control."""
-    grid = grid or TimeGrid.default_for(p)
-    out, mid, u = _integrate(_generator_fun(p, grid), grid, p.dim,
-                             refine=refine, store=store)
-    return _finish(grid, out, mid, u, unitarity_budget)
+def propagate_sweep(p, grid: TimeGrid | None = None, delta_f=None, *,
+                    store: str = "grid") -> Trajectory:
+    """Integrate i U' = H(tau) U over the sweep.
 
-
-def propagate_modified(p, grid: TimeGrid, delta_f, *,
-                       refine=DEFAULT_REFINE, store: str = "grid",
-                       unitarity_budget: float | None = UNITARITY_BUDGET) -> Trajectory:
-    """Integrate the sweep with control modification samples delta_f.
-
-    delta_f holds the three real field-modification components at the grid
-    points; substage values are linearly interpolated.
+    H is the nominal sweep Hamiltonian, plus the control modification when
+    delta_f is given: the three real field-modification components at the
+    grid points, linearly interpolated to the substage times.  store is
+    "grid" or "half" (see _integrate).  Raises AccuracyError when the
+    unitarity defect exceeds UNITARITY_BUDGET.
     """
+    grid = grid or TimeGrid.default_for(p)
     out, mid, u = _integrate(_generator_fun(p, grid, delta_f), grid, p.dim,
-                             refine=refine, store=store)
-    return _finish(grid, out, mid, u, unitarity_budget)
+                             store=store)
+    return _finish(grid, out, mid, u)
 
 
 def propagate_modified_batch(p, grid: TimeGrid, delta_f, noises) -> NoisyFinals:

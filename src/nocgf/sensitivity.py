@@ -7,8 +7,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from . import metrics, noc, propagate
 from .config import ConfigError
 from .propagate import TimeGrid
@@ -66,8 +64,8 @@ def run_sensitivity(gate: metrics.GateTarget, p, parameter: str,
             with_noc, without = improved.improved_unitary, improved.nominal_unitary
         else:
             pp = replace(p, **{parameter: value})
-            with_noc = propagate.propagate_modified(pp, grid, delta_f).final
-            without = propagate.propagate_nominal(pp, grid).final
+            with_noc = propagate.propagate_sweep(pp, grid, delta_f).final
+            without = propagate.propagate_sweep(pp, grid).final
         rows.append(
             SensitivityRow(
                 parameter=parameter,

@@ -119,12 +119,12 @@ def test_criterion_4_riccati_consistency(improved_all):
 
 
 def test_criterion_5_unitarity_and_convergence(improved_all):
-    from nocgf.propagate import propagate_nominal
+    from nocgf.propagate import propagate_sweep
 
     checks = []
     worst = 0.0
     for name in GATE_ORDER:
-        traj = propagate_nominal(NOMINAL_PARAMS[name])   # budget enforced inside
+        traj = propagate_sweep(NOMINAL_PARAMS[name])   # budget enforced inside
         worst = max(worst, traj.defect,
                     unitarity_defect(improved_all[name].improved_unitary))
     checks.append((worst <= 1e-10,

@@ -1,0 +1,46 @@
+"""The benchmark's span tracer (perfbench/tracer.py) wraps nocgf functions at
+the bindings their callers look up, by name.  A renamed or deleted binding
+breaks a traced benchmark run, so this runs a small traced pipeline and
+checks that the layers it counts recorded work."""
+
+import dataclasses
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from nocgf import noc, propagate
+from nocgf.control import NOMINAL_PARAMS
+from nocgf.metrics import gate_target
+from nocgf.noise import default_noise_params, sample_realization
+from nocgf.propagate import TimeGrid
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_bindings_record_every_layer():
+    tracing = _load_tracer()
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        tracer.iteration = 0
+        p = dataclasses.replace(NOMINAL_PARAMS["hadamard"], tau0=20.0)
+        noc.improve_gate(gate_target("hadamard"), p, TimeGrid(p.tau0, 10_000))
+        grid = TimeGrid(p.tau0, 400)
+        trial = sample_realization(default_noise_params(1, 1e-3, seed=3), p.tau0)
+        propagate.propagate_modified_batch(
+            p, grid, np.zeros((grid.steps + 1, 3)), [trial])
+    finally:
+        tracer.restore()
+    metrics = tracing.layer_metrics(tracer.spans, 0)
+    assert metrics["propagate.propagations"] == 3
+    assert metrics["propagate.step_maps"] > 0
+    assert metrics["noise.evaluate_points"] > 0
+    assert metrics["noc.improve_calls_per_gate"] == 1.0

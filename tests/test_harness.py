@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from nocgf import cli, experiments, propagate
@@ -49,6 +51,65 @@ def test_range_validation():
         config_from_dict({"steps": {"one_qubit": 0}})
     with pytest.raises(ConfigError):
         config_from_dict({"gates": ["toffoli"]})
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("raw,path", [
+    ({"sweep_overrides": {"hadamard": {"lam": -1}}}, "sweep_overrides.hadamard"),
+    ({"sweep_overrides": {"hadamard": {"lam": "x"}}}, "sweep_overrides.hadamard"),
+    ({"sweep_overrides": {"hadamard": {"tau0": True}}}, "sweep_overrides.hadamard"),
+    ({"sweep_overrides": {"cphase": {"d1": NAN}}}, "sweep_overrides.cphase"),
+    ({"sweep_overrides": {"cphase": {"eta4": 0.0}}}, "sweep_overrides.cphase"),
+    ({"sweep_overrides": {"cphase": {"d3": 1.0}}}, "sweep_overrides.cphase"),
+    ({"sweep_overrides": {"not": [1.0]}}, "sweep_overrides.not"),
+    ({"sweep_overrides": []}, "sweep_overrides"),
+    ({"noise": {"sigma": "x"}}, "noise.sigma"),
+    ({"noise": {"sigma": NAN}}, "noise.sigma"),
+    ({"noise": {"tau_f": INF}}, "noise.tau_f"),
+    ({"noise": {"tau_f": 0}}, "noise.tau_f"),
+    ({"noise": {"power": NAN}}, "noise.power"),
+    ({"noise": {"f_clock_hz": None}}, "noise.f_clock_hz"),
+    ({"noise": {"realizations": "3"}}, "noise.realizations"),
+    ({"noise": {"realizations": True}}, "noise.realizations"),
+    ({"noise": {"seed": 1.5}}, "noise.seed"),
+    ({"t_phys_us": {"one_qubit": "1"}}, "t_phys_us.one_qubit"),
+    ({"t_phys_us": {"two_qubit": -INF}}, "t_phys_us.two_qubit"),
+    ({"steps": {"two_qubit": 1.5}}, "steps.two_qubit"),
+    ({"steps": {"one_qubit": True}}, "steps.one_qubit"),
+    ({"seed": "7"}, "seed"),
+    ({"seed": False}, "seed"),
+    ({"gates": "hadamard"}, "gates"),
+])
+def test_config_values_are_validated_at_load(raw, path):
+    with pytest.raises(ConfigError, match=re.escape(path)):
+        config_from_dict(raw)
+
+
+def test_valid_numbers_pass_validation():
+    cfg = config_from_dict({
+        "sweep_overrides": {"cphase": {"d1": -3, "c4": 0.0}},
+        "noise": {"sigma": 1, "tau_f": 0.2, "power": 0, "seed": 0},
+        "t_phys_us": {"one_qubit": 2},
+        "seed": 0,
+    })
+    assert cfg.params_for("cphase").d1 == -3
+    assert cfg.noise_seed() == 0
+
+
+@pytest.mark.parametrize("text", [
+    '{"sweep_overrides": {"hadamard": {"lam": -1}}}',
+    '{"noise": {"sigma": "x"}}',
+    '{"noise": {"sigma": NaN}}',
+])
+def test_cli_reports_a_bad_config_value_in_one_line(tmp_path, capsys, text):
+    path = tmp_path / "f.json"
+    path.write_text(text)
+    rc = cli.main(["improve", "--gate", "hadamard", "--config", str(path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nocgf: ") and err.count("\n") == 1
 
 
 def test_sweep_override_changes_params():
@@ -236,6 +297,18 @@ def test_cli_sweep_skips_only_gates_without_the_parameter(capsys):
     rc = cli.main(["sweep", "--param", "d1", "--gate", "hadamard"])
     assert rc == 2
     assert "applies to none" in capsys.readouterr().err
+
+
+def test_cli_sweep_takes_the_gate_as_improve_does(monkeypatch):
+    gates = []
+
+    def recording(cfg, parameter, gate_name, results=None):
+        gates.append(gate_name)
+        return [(parameter, 0.0, 0.0, 0.0)]
+
+    monkeypatch.setattr(experiments, "run_sweep", recording)
+    assert cli.main(["sweep", "--param", "eta4", "--gate", " Hadamard"]) == 0
+    assert gates == ["hadamard"]
 
 
 def test_cli_sweep_does_not_hide_other_errors(monkeypatch):

@@ -2,10 +2,7 @@ import numpy as np
 import pytest
 
 from nocgf.lincore import (
-    SIGMA_X,
-    SIGMA_Z,
     devectorize,
-    hermitian_eigensystem,
     hermitize,
     max_norm,
     unitarity_defect,
@@ -47,31 +44,6 @@ def test_hermitize_distance_bound(rng):
         lhs = np.abs(hermitize(m) - m).max()
         rhs = np.abs(m - m.conj().T).max() / 2
         assert lhs <= rhs + 1e-14
-
-
-def test_eigensystem_pauli():
-    w, v = hermitian_eigensystem(SIGMA_Z)
-    assert np.allclose(w, [-1, 1])
-    w, v = hermitian_eigensystem(SIGMA_X)
-    assert np.allclose(w, [-1, 1])
-    # gauge: largest component real positive
-    assert np.allclose(np.abs(v), 1 / np.sqrt(2))
-    assert v[0, 0].imag == pytest.approx(0.0, abs=1e-15)
-
-
-def test_eigensystem_reconstruction(rng):
-    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    m = hermitize(m)
-    w, v = hermitian_eigensystem(m)
-    rebuilt = (v * w) @ v.conj().T
-    assert np.abs(rebuilt - m).max() < 1e-12
-    for k in range(4):
-        assert np.linalg.norm(m @ v[:, k] - w[k] * v[:, k]) <= 1e-10 * max_norm(m)
-
-
-def test_eigensystem_rejects_nonhermitian():
-    with pytest.raises(ValueError):
-        hermitian_eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_unitarity_defect(rng):

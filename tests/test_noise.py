@@ -29,6 +29,13 @@ def test_mean_power_must_be_finite_and_nonnegative(power):
         NoiseParams(mean_power=power)
 
 
+@pytest.mark.parametrize("name", ["sigma", "tau_f"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+def test_sigma_and_tau_f_must_be_finite_and_positive(name, value):
+    with pytest.raises(ValueError, match=name):
+        NoiseParams(mean_power=1e-3, **{name: value})
+
+
 def test_default_tau_f_per_system():
     assert default_noise_params(1, 1e-3).tau_f == 0.3
     assert default_noise_params(2, 1e-3).tau_f == 0.1

@@ -16,9 +16,8 @@ from nocgf.propagate import (
     _generator_fun,
     _integrate,
     integrate_delta_y,
-    propagate_modified,
     propagate_modified_batch,
-    propagate_nominal,
+    propagate_sweep,
     step_maps,
 )
 from nocgf import drive_matrix
@@ -61,11 +60,12 @@ def test_constant_hamiltonian_matches_exponential():
     assert np.abs(out - expected).max() < 1e-10
 
 
-def test_nominal_unitarity_and_budget():
-    traj = propagate_nominal(HAD, TimeGrid(HAD.tau0, 40000))
+def test_nominal_unitarity_and_budget(monkeypatch):
+    traj = propagate_sweep(HAD, TimeGrid(HAD.tau0, 40000))
     assert traj.defect <= 1e-10
+    monkeypatch.setattr(propagate, "UNITARITY_BUDGET", 1e-18)
     with pytest.raises(AccuracyError):
-        propagate_nominal(HAD, TimeGrid(HAD.tau0, 2000), unitarity_budget=1e-18)
+        propagate_sweep(HAD, TimeGrid(HAD.tau0, 2000))
 
 
 def test_composition_of_half_sweeps():
@@ -90,16 +90,19 @@ def test_composition_of_half_sweeps():
     assert np.abs(u_hi @ u_lo - u_full).max() < 1e-10
 
 
-def test_modified_zero_control_matches_nominal():
+# the 8,000-step grids below have a unitarity defect of 3.3e-8, above the
+# production budget
+def test_modified_zero_control_matches_nominal(monkeypatch):
+    monkeypatch.setattr(propagate, "UNITARITY_BUDGET", np.inf)
     grid = TimeGrid(HAD.tau0, 8000)
-    a = propagate_nominal(HAD, grid, unitarity_budget=None)
-    b = propagate_modified(HAD, grid, np.zeros((grid.steps + 1, 3)),
-                           unitarity_budget=None)
+    a = propagate_sweep(HAD, grid)
+    b = propagate_sweep(HAD, grid, np.zeros((grid.steps + 1, 3)))
     assert np.abs(a.final - b.final).max() < 1e-12
 
 
-def test_modified_dual_formulation():
+def test_modified_dual_formulation(monkeypatch):
     # adding delta_f through the couplings equals the field-sum form
+    monkeypatch.setattr(propagate, "UNITARITY_BUDGET", np.inf)
     grid = TimeGrid(HAD.tau0, 8000)
     taus = grid.points()
     df = 1e-3 * np.stack([
@@ -107,7 +110,7 @@ def test_modified_dual_formulation():
         0.5 * np.cos(taus / 40.0),
         np.zeros_like(taus),
     ], axis=-1)
-    a = propagate_modified(HAD, grid, df, unitarity_budget=None)
+    a = propagate_sweep(HAD, grid, df)
 
     from nocgf.control import one_qubit_field, one_qubit_hamiltonian
 
@@ -123,7 +126,7 @@ def test_modified_dual_formulation():
 def test_modified_grid_mismatch():
     grid = TimeGrid(HAD.tau0, 100)
     with pytest.raises(ValueError):
-        propagate_modified(HAD, grid, np.zeros((57, 3)))
+        propagate_sweep(HAD, grid, np.zeros((57, 3)))
 
 
 def test_convergence_order_on_hadamard_sweep():
@@ -149,7 +152,10 @@ def cphase_half_drive():
     """Drive samples at grid plus midpoint times of a 30,000-step cphase sweep."""
     p = NOMINAL_PARAMS["cphase"]
     grid = TimeGrid(p.tau0, 30000)
-    traj = propagate_nominal(p, grid, store="half", unitarity_budget=None)
+    # this coarse grid's defect, 3.4e-10, exceeds the production budget
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(propagate, "UNITARITY_BUDGET", np.inf)
+        traj = propagate_sweep(p, grid, store="half")
     us = np.empty((2 * grid.steps + 1, 4, 4), dtype=complex)
     us[0::2], us[1::2] = traj.unitaries, traj.midpoints
     return grid, drive_matrix(us, coupling_matrices(p, grid.half_points()))

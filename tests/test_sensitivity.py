@@ -56,9 +56,8 @@ def test_zero_row_reuses_improve_result_on_its_grid(monkeypatch, same_grid):
             return fn(pp, *args, **kwargs)
         return wrapped
 
-    for name in ("propagate_nominal", "propagate_modified"):
-        monkeypatch.setattr(sensitivity.propagate, name,
-                            counting(getattr(sensitivity.propagate, name)))
+    monkeypatch.setattr(sensitivity.propagate, "propagate_sweep",
+                        counting(sensitivity.propagate.propagate_sweep))
     rows = run_sensitivity(gate, p, "lam", sweep_grid, improved=res)
     assert [r.value for r in rows] == pytest.approx([7.819, 7.820, 7.821], abs=1e-12)
     assert propagated.count(p.lam) == (0 if same_grid else 2)
