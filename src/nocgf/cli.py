@@ -7,6 +7,7 @@ ideal|bandwidth, sweep --param, jitter --powers, spectrum --gate --out.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 
@@ -88,6 +89,24 @@ USER_ERRORS = (ConfigError, AccuracyError, ConsistencyError,
                DegenerateRealizationError)
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """Report a failed write to the configured output path as a ConfigError."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _emit(cfg, header, rows, meta: str) -> int:
+    """Write the rows as CSV to cfg.out, or print them when it is unset."""
+    with _writing(cfg.out):
+        text = experiments.write_csv(cfg.out, header, rows, meta)
+    if not cfg.out:
+        print(text, end="")
+    return 0
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -116,16 +135,10 @@ def _run(args) -> int:
 
     if args.command == "table":
         if args.kind == "ideal":
-            rows = experiments.run_ideal_table(cfg)
-            text = experiments.write_csv(cfg.out, experiments.IDEAL_HEADER, rows,
-                                         "table ideal")
-        else:
-            rows = experiments.run_bandwidth_table(cfg)
-            text = experiments.write_csv(cfg.out, experiments.BANDWIDTH_HEADER,
-                                         rows, "table bandwidth")
-        if not cfg.out:
-            print(text, end="")
-        return 0
+            return _emit(cfg, experiments.IDEAL_HEADER,
+                         experiments.run_ideal_table(cfg), "table ideal")
+        return _emit(cfg, experiments.BANDWIDTH_HEADER,
+                     experiments.run_bandwidth_table(cfg), "table bandwidth")
 
     if args.command == "sweep":
         all_rows = []
@@ -136,11 +149,7 @@ def _run(args) -> int:
             print(f"parameter {args.param!r} applies to none of the gates",
                   file=sys.stderr)
             return 2
-        text = experiments.write_csv(cfg.out, experiments.SWEEP_HEADER, all_rows,
-                                     f"sweep {args.param}")
-        if not cfg.out:
-            print(text, end="")
-        return 0
+        return _emit(cfg, experiments.SWEEP_HEADER, all_rows, f"sweep {args.param}")
 
     if args.command == "jitter":
         powers = _parse_powers(args.powers)
@@ -148,12 +157,8 @@ def _run(args) -> int:
             print(f"--powers must list finite mean powers >= 0, got {args.powers!r}",
                   file=sys.stderr)
             return 2
-        rows = experiments.run_jitter_sweep(cfg, powers)
-        text = experiments.write_csv(cfg.out, experiments.JITTER_HEADER, rows,
-                                     "jitter")
-        if not cfg.out:
-            print(text, end="")
-        return 0
+        return _emit(cfg, experiments.JITTER_HEADER,
+                     experiments.run_jitter_sweep(cfg, powers), "jitter")
 
     if args.command == "spectrum":
         if len(cfg.gates) != 1:
@@ -162,7 +167,8 @@ def _run(args) -> int:
         if not cfg.out:
             print("spectrum requires --out", file=sys.stderr)
             return 2
-        experiments.run_spectrum(cfg, cfg.gates[0], cfg.out, args.component)
+        with _writing(cfg.out):
+            experiments.run_spectrum(cfg, cfg.gates[0], cfg.out, args.component)
         return 0
 
     raise AssertionError(f"unhandled command {args.command}")

@@ -33,7 +33,6 @@ def _defaults() -> dict:
         "sweep_overrides": {},
         "t_phys_us": {"one_qubit": 1.0, "two_qubit": 5.0},
         "noise": {
-            "power": 0.001,
             "sigma": 0.1,
             "tau_f": None,          # None -> per-system default (0.3 / 0.1)
             "realizations": 10,
@@ -45,15 +44,16 @@ def _defaults() -> dict:
     }
 
 
-def _check_keys(section: dict, allowed, path: str):
-    unknown = set(section) - set(allowed)
+def _check_keys(section: dict, allowed, path: str = ""):
+    unknown = sorted(set(section) - set(allowed))
     if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {path}")
+        names = ", ".join(f"{path}.{key}" if path else key for key in unknown)
+        raise ConfigError(f"unknown key(s) {names}")
 
 
 def _merged(raw: dict) -> dict:
     cfg = _defaults()
-    _check_keys(raw, cfg, "config root")
+    _check_keys(raw, cfg)
     for key, value in raw.items():
         if isinstance(cfg[key], dict) and key != "sweep_overrides":
             if not isinstance(value, dict):
@@ -92,7 +92,6 @@ def _validate(cfg: dict) -> None:
         _check_int(cfg["steps"][key], f"steps.{key}", 1)
         _check_number(cfg["t_phys_us"][key], f"t_phys_us.{key}")
     nz = cfg["noise"]
-    _check_number(nz["power"], "noise.power", allow_zero=True)
     _check_number(nz["sigma"], "noise.sigma")
     if nz["tau_f"] is not None:
         _check_number(nz["tau_f"], "noise.tau_f")
@@ -178,9 +177,14 @@ def default_config() -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse, default and validate a JSON config file; empty file = defaults."""
-    with open(path, "r") as fh:
-        text = fh.read()
+    """Parse, default and validate a UTF-8 JSON config file; empty = defaults."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read config: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     if not text.strip():
         return default_config()
     try:

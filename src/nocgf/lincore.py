@@ -58,12 +58,12 @@ ROW_PRODUCT_MAX_ENTRIES = 1 << 14
 
 def component_major(a: np.ndarray) -> np.ndarray:
     """View (..., n, n) as (n, n, ...); each entry a[..., i, k] becomes x[i, k]."""
-    return np.moveaxis(a, (-2, -1), (0, 1))
+    return a.transpose(a.ndim - 2, a.ndim - 1, *range(a.ndim - 2))
 
 
 def matrix_major(x: np.ndarray) -> np.ndarray:
     """Inverse of component_major: view (n, n, ...) as (..., n, n)."""
-    return np.moveaxis(x, (0, 1), (-2, -1))
+    return x.transpose(*range(2, x.ndim), 0, 1)
 
 
 def entry_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -76,7 +76,9 @@ def entry_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     temporaries stay in cache where whole-row temporaries do not.
     """
     n = a.shape[0]
-    lead = np.broadcast_shapes(a.shape[2:], b.shape[2:])
+    lead = a.shape[2:]
+    if b.shape[2:] != lead:
+        lead = np.broadcast_shapes(lead, b.shape[2:])
     if n * n * math.prod(lead) <= ROW_PRODUCT_MAX_ENTRIES:
         out = a[:, 0, None] * b[0]
         for k in range(1, n):
@@ -101,13 +103,14 @@ def unitarity_defect(u: np.ndarray) -> float:
     """
     u = np.asarray(u)
     n = u.shape[-1]
-    ubar = np.conj(u)
     worst = []
     for i in range(n):
+        # one conjugated column at a time, not a trajectory-sized copy
+        ubar = np.conj(u[..., i])
         for j in range(i, n):
-            g = ubar[..., 0, i] * u[..., 0, j]
+            g = ubar[..., 0] * u[..., 0, j]
             for k in range(1, n):
-                g += ubar[..., k, i] * u[..., k, j]
+                g += ubar[..., k] * u[..., k, j]
             if i == j:
                 g -= 1.0
             worst.append(np.abs(g).max())

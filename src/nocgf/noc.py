@@ -84,7 +84,6 @@ class ImprovedGateResult:
     improved_unitary: np.ndarray
     nominal_unitary: np.ndarray
     strategy: int
-    weights: np.ndarray | None = None
     feedback: Strategy2Solution | None = None
 
 
@@ -141,7 +140,7 @@ def _riccati_residual(g: np.ndarray, s_mat: np.ndarray, r_inv: np.ndarray) -> fl
 def strategy2_solve(p, nominal: Trajectory, offset: TargetOffset) -> Strategy2Solution:
     """Solve the feedback problem for a two-qubit offset in one streamed pass.
 
-    nominal is the nominal trajectory, integrated with midpoint storage.
+    nominal is the nominal trajectory, integrated with half storage.
     The pass runs FEEDBACK_CHUNK steps at a time: the chunk's drive samples
     at grid points and midpoints (drive_samples), the state advanced through
     the rank-3 maps (propagate.integrate_delta_y), the control law
@@ -158,6 +157,8 @@ def strategy2_solve(p, nominal: Trajectory, offset: TargetOffset) -> Strategy2So
     if offset.dim != 4:
         raise ConfigError("strategy 2 expects a two-qubit offset")
     grid = nominal.grid
+    if len(nominal.unitaries) != 2 * grid.steps + 1:
+        raise ValueError("strategy 2 needs a trajectory with midpoint samples")
     s_mat = np.eye(16, dtype=complex)
     r_mat = np.eye(3, dtype=complex)
     r_inv = np.linalg.inv(r_mat)
@@ -168,7 +169,7 @@ def strategy2_solve(p, nominal: Trajectory, offset: TargetOffset) -> Strategy2So
     increase = -np.inf
     for s0 in range(0, grid.steps, FEEDBACK_CHUNK):
         s1 = min(s0 + FEEDBACK_CHUNK, grid.steps)
-        g_half = drive_samples(p, nominal, half=True, start=2 * s0, stop=2 * s1 + 1)
+        g_half = drive_samples(p, nominal, start=2 * s0, stop=2 * s1 + 1)
         ys = propagate.integrate_delta_y(g_half, y, grid.h)
         y = ys[-1]
         delta_y[s0:s1 + 1] = ys
@@ -195,40 +196,30 @@ def strategy2_solve(p, nominal: Trajectory, offset: TargetOffset) -> Strategy2So
     )
 
 
-def drive_samples(p, traj: Trajectory, half: bool = False, start: int = 0,
+def drive_samples(p, traj: Trajectory, start: int = 0,
                   stop: int | None = None) -> np.ndarray:
-    """Drive matrix G sampled along a trajectory (grid or grid+midpoints).
+    """Drive matrix G at the trajectory's samples start .. stop - 1 (by
+    default all of them), shape (points, n², 3).
 
-    Returns samples start .. stop - 1 (by default all of them), shape
-    (points, n², 3).  In half mode sample 2k is grid point k and sample
-    2k + 1 the midpoint of step k, and start must be even.  The couplings
-    and drive matrices are formed DRIVE_CHUNK samples at a time into the
-    preallocated result, and the propagator samples are read straight from
-    the trajectory, so the peak memory is the result plus chunk-sized
-    temporaries instead of a full coupling stack and its products.
+    The sample spacing follows from the count: h at grid samples, h/2 for a
+    half trajectory.  The couplings and drive matrices are formed
+    DRIVE_CHUNK samples at a time into the preallocated result, reading the
+    propagator samples in place, so the peak memory is the result plus
+    chunk-sized temporaries instead of a full coupling stack and its products.
     """
-    if half and traj.midpoints is None:
-        raise ValueError("trajectory was integrated without midpoint storage")
     grid = traj.grid
-    count, spacing = (2 * grid.steps + 1, grid.h / 2.0) if half else (grid.steps + 1, grid.h)
+    count = len(traj.unitaries)
+    spacing = grid.h / ((count - 1) // grid.steps)
     stop = count if stop is None else stop
-    if not (0 <= start <= stop <= count) or (half and start % 2):
+    if not (0 <= start <= stop <= count):
         raise ValueError(f"bad sample range {start}..{stop} of {count}")
     n = traj.unitaries.shape[-1]
     out = np.empty((stop - start, n * n, 3), dtype=complex)
     for c0 in range(start, stop, DRIVE_CHUNK):
         c1 = min(c0 + DRIVE_CHUNK, stop)
-        if half:
-            # half index k: grid sample k/2 when even, midpoint (k-1)/2 when
-            # odd; c0 is even because start and DRIVE_CHUNK are
-            us = np.empty((c1 - c0, n, n), dtype=complex)
-            us[0::2] = traj.unitaries[c0 // 2:(c1 + 1) // 2]
-            us[1::2] = traj.midpoints[c0 // 2:c1 // 2]
-        else:
-            us = traj.unitaries[c0:c1]
         taus = grid.tau_start + np.arange(c0, c1) * spacing
         out[c0 - start:c1 - start] = control.drive_matrix(
-            us, control.coupling_matrices(p, taus))
+            traj.unitaries[c0:c1], control.coupling_matrices(p, taus))
     return out
 
 
@@ -247,12 +238,10 @@ def improve_gate(gate: GateTarget, p, grid: TimeGrid | None = None) -> ImprovedG
     nominal = propagate.propagate_sweep(p, grid, store=store)
     offset = metrics.target_offset(nominal.final, gate)
 
-    weights = None
     feedback = None
     if strategy == 1:
-        weights = strategy1_weights(offset)
-        g_grid = drive_samples(p, nominal)
-        ctrl = strategy1_control(g_grid, weights, grid)
+        w = strategy1_weights(offset)
+        ctrl = strategy1_control(drive_samples(p, nominal), w, grid)
     else:
         feedback = strategy2_solve(p, nominal, offset)
         ctrl = feedback.control
@@ -266,6 +255,5 @@ def improve_gate(gate: GateTarget, p, grid: TimeGrid | None = None) -> ImprovedG
         improved_unitary=improved.final,
         nominal_unitary=nominal.final,
         strategy=strategy,
-        weights=weights,
         feedback=feedback,
     )

@@ -10,13 +10,16 @@ unitarity defect of the propagator then stays near roundoff without any
 re-unitarization, so integration error remains a measurable diagnostic.
 
 Step nodes.  One integrator (_integrate) steps over an array of nodes.  A
-TimeGrid is the uniform special case: its steps share their endpoint
-samples.  Noisy propagation steps over StepNodes, the grid points plus
-every pulse edge of the noise batch clipped to the sweep.  The phase noise
-is piecewise constant, so on those nodes it is constant inside every step;
-it is evaluated once per step, at the step midpoint, and each step gets its
-own endpoint samples because the generator may jump at a node.  The
-fourth-order rate, which a step straddling a jump loses, is then kept.
+chunk of steps is sampled as 2 refine + 1 rows, row j at j/(2 refine) of
+the way through every step, and one step-map path reads those rows; the
+kinds of nodes differ only in how the rows are taken.  A TimeGrid is the
+uniform special case: its steps share their end samples.  Noisy
+propagation steps over StepNodes, the grid points plus every pulse edge of
+the noise batch clipped to the sweep.  The phase noise is piecewise
+constant, so on those nodes it is constant inside every step; it is
+evaluated once per step, at the step midpoint, and each step gets its own
+end samples because the generator may jump at a node.  The fourth-order
+rate, which a step straddling a jump loses, is then kept.
 
 Error estimate.  The unitarity defect does not track accuracy at such
 jumps, so every noisy propagation is also a step-doubling pair: the same
@@ -57,6 +60,7 @@ differ by 1.5e-13 (hadamard) to 8e-13 (cphase) in max-norm, far below the
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -167,15 +171,13 @@ class StepNodes:
 
 @dataclass
 class Trajectory:
-    """Propagator samples U(tau_k, -tau0/2) on a TimeGrid.
-
-    midpoints holds U at tau_k + h/2 when the integration recorded them
-    (needed to sample the drive matrix at substage times).
+    """Propagator samples U(tau, -tau0/2) on a TimeGrid, in time order: the
+    steps + 1 grid points or, with half storage, the 2 steps + 1 grid points
+    and step midpoints (needed to sample the drive matrix at substage times).
     """
 
     grid: TimeGrid
     unitaries: np.ndarray
-    midpoints: np.ndarray | None = None
     defect: float = field(default=0.0)
 
     @property
@@ -260,40 +262,43 @@ def _blocked_scan(x: np.ndarray, u: np.ndarray):
     return p[:c]
 
 
-def _uniform_substep_maps(afun, grid: TimeGrid, c0: int, cs: int, refine: int):
-    """Substep maps of grid steps c0 .. c0 + cs - 1, component-major
-    (dim, dim, refine * cs, *batch); neighbouring substeps share samples."""
-    q = grid.h / refine
-    subs = refine * cs
-    taus = grid.tau_start + c0 * grid.h + np.arange(2 * subs + 1) * (q / 2.0)
-    a = matrix_major(np.ascontiguousarray(component_major(
-        afun(np.concatenate([taus[0::2], taus[1::2]])))))
-    return component_major(step_maps(a[:subs], a[subs + 1:], a[1:subs + 1], q))
+def _grid_rows(afun, grid: TimeGrid, c0: int, cs: int, refine: int):
+    """Sample rows of grid steps c0 .. c0 + cs - 1 (see _integrate), and h.
 
-
-def _node_step_maps(afun, t: np.ndarray, refine: int):
-    """Step maps over the nodes t (cs + 1 of them) at refine // 2 and at
-    refine, from one set of samples; component-major (dim, dim, cs, 2, *batch).
-
-    Row j of the (2 refine + 1, cs) sample times is j/(2 refine) of the way
-    through each step.  At refine r a substep spans 2 w rows, w = refine / r,
-    so the coarse level reads every other sample of the fine one.
+    The times are requested in the order [row 0 with the chunk's end node,
+    row 1, ..., row 2 refine - 1], so every row is one contiguous slice and
+    row 2 refine, the shared end samples, is row 0 shifted by one step.
     """
+    k = np.arange(cs + 1) * (2 * refine)
+    s = np.concatenate([k, (k[:-1] + np.arange(1, 2 * refine)[:, None]).ravel()])
+    taus = grid.tau_start + c0 * grid.h + s * (grid.h / refine / 2.0)
+    x = np.ascontiguousarray(component_major(afun(taus)))
+    rows = [x[:, :, j * cs + 1:(j + 1) * cs + 1] for j in range(2 * refine)]
+    return [x[:, :, :cs], *rows[1:], rows[0]], grid.h
+
+
+def _node_rows(afun, t: np.ndarray, refine: int):
+    """Sample rows of the steps between the nodes t (see _integrate), and
+    the step sizes shaped to broadcast against a row's stack axes."""
     dt = np.diff(t)
-    rows = np.arange(2 * refine + 1)[:, None] / (2 * refine)
-    x = np.ascontiguousarray(component_major(afun(t[:-1] + rows * dt)))
-    dt = dt.reshape(dt.shape + (1,) * (x.ndim - 4))
-    levels = []
-    for r in (refine // 2, refine):
-        w = refine // r
-        m = component_major(step_maps(matrix_major(x[:, :, 0:-1:2 * w]),
-                                      matrix_major(x[:, :, w::2 * w]),
-                                      matrix_major(x[:, :, 2 * w::2 * w]), dt / r))
-        g = m[:, :, 0]
-        for i in range(1, r):
-            g = entry_matmul(m[:, :, i], g)
-        levels.append(g)
-    return np.stack(levels, axis=3)
+    frac = np.arange(2 * refine + 1)[:, None] / (2 * refine)
+    x = np.ascontiguousarray(component_major(afun(t[:-1] + frac * dt)))
+    rows = [x[:, :, j] for j in range(2 * refine + 1)]
+    return rows, dt.reshape(dt.shape + (1,) * (x.ndim - 4))
+
+
+def _substep_maps(rows, dt, refine: int, r: int):
+    """Maps of the r substeps of every step (r divides refine), in time
+    order, each component-major (dim, dim, steps, *batch).
+
+    Substep i reads rows 2wi, 2wi + w and 2w(i + 1), w = refine / r, as its
+    start, midpoint and end: a coarser level reads every w-th row.
+    """
+    w = refine // r
+    return [component_major(step_maps(matrix_major(rows[2 * w * i]),
+                                      matrix_major(rows[2 * w * i + w]),
+                                      matrix_major(rows[2 * w * (i + 1)]), dt / r))
+            for i in range(r)]
 
 
 def _integrate(afun, grid, dim: int, batch=(), refine=DEFAULT_REFINE,
@@ -301,73 +306,65 @@ def _integrate(afun, grid, dim: int, batch=(), refine=DEFAULT_REFINE,
     """Core fixed-step integrator for U' = A(tau) U, U(tau_start) = I.
 
     grid gives the step nodes: a TimeGrid or StepNodes.  Every step is split
-    into `refine` equal substeps.  Returns (grid_samples | None,
-    midpoint_samples | None, U_final).
+    into `refine` equal substeps.  Returns (samples | None, U_final).
 
-    On a TimeGrid the steps are uniform and share their endpoint samples:
-    afun(taus) receives a chunk's substep nodes and midpoints as one 1-D
-    array and returns A at them, shape (len(taus), *batch, dim, dim).  store
-    is "grid" (grid points), "half" (grid plus midpoints; requires
-    refine == 2) or "final".  The substep-start and -end samples are
-    requested ahead of the midpoints, so every matrix entry of the three
-    stage inputs is one contiguous vector of the component-major buffer.
+    A chunk of steps is sampled as 2 refine + 1 rows: row j holds A at
+    j/(2 refine) of the way through every step, a component-major
+    (dim, dim, steps, *batch) view.  Only the sampling depends on the kind
+    of nodes.  A TimeGrid's steps share their end samples (row 2 refine of
+    a step is row 0 of the next), and afun receives the chunk's times as
+    one 1-D array (_grid_rows).  On StepNodes the generator may jump at a
+    node, so every step has its own end row, and afun receives the
+    (2 refine + 1, steps) row times, whose middle row is where it evaluates
+    the inputs that are constant inside a step (_node_rows).  afun returns
+    A with shape (*taus.shape, *batch, dim, dim).  The substep maps, their
+    product per step and the blocked scan over the chunk's steps are shared.
 
-    On StepNodes the generator may jump at any node, so every step is
-    sampled on its own: afun(taus) receives a (2 refine + 1, steps) array
-    whose column k runs from node k to node k + 1 in half-substep
-    increments, so its middle row is the step midpoint, where afun
-    evaluates the inputs that are constant inside a step.  It returns A with
-    shape (*taus.shape, *batch, dim, dim).  Only store="final" applies: the
-    same samples are integrated at refine // 2 and at refine (refine must
-    be even), and U_final has shape (2, *batch, dim, dim), in that order.
-
-    The ordered products over a chunk's steps come from _blocked_scan.
+    store is "grid" (steps + 1 samples at the nodes), "half" (2 steps + 1
+    samples at the nodes and step midpoints, in time order; requires
+    refine == 2) or "final".  StepNodes allow only "final": the same rows
+    are integrated at refine // 2 and at refine (refine must be even), and
+    U_final has shape (2, *batch, dim, dim), in that order.
     """
     nodes = isinstance(grid, StepNodes)
     if nodes and (store != "final" or refine % 2):
         raise ValueError("step nodes integrate final propagators at an even refine")
     if store == "half" and refine != 2:
         raise ValueError("midpoint storage requires refine == 2")
+    # step nodes carry their two levels along a leading axis of u
+    levels, lead = ((refine // 2, refine), (2,)) if nodes else ((refine,), ())
     steps = grid.steps
-    levels = (2,) if nodes else ()
-    u = np.broadcast_to(np.eye(dim, dtype=complex),
-                        (*levels, *batch, dim, dim)).copy()
-    out = mid = None
+    per_step = 2 if store == "half" else 1
+    u = np.broadcast_to(np.eye(dim, dtype=complex), (*lead, *batch, dim, dim)).copy()
+    out = None
     if store in ("grid", "half"):
-        out = np.empty((steps + 1, *batch, dim, dim), dtype=complex)
+        out = np.empty((per_step * steps + 1, *batch, dim, dim), dtype=complex)
         out[0] = u
-    if store == "half":
-        mid = np.empty((steps, *batch, dim, dim), dtype=complex)
     for c0 in range(0, steps, chunk):
         cs = min(chunk, steps - c0)
-        if nodes:
-            m = _node_step_maps(afun, grid.taus[c0:c0 + cs + 1], refine)
-            per_step = 1
-        else:
-            m = _uniform_substep_maps(afun, grid, c0, cs, refine)
-            per_step = refine
+        rows, dt = (_node_rows(afun, grid.taus[c0:c0 + cs + 1], refine) if nodes
+                    else _grid_rows(afun, grid, c0, cs, refine))
         if store == "half":
-            p = _blocked_scan(m, u)
-            mid[c0:c0 + cs] = p[0::2]
-            out[c0 + 1:c0 + cs + 1] = p[1::2]
+            # every substep map, in time order
+            m = np.stack(_substep_maps(rows, dt, refine, refine), axis=3)
+            m = m.reshape(dim, dim, 2 * cs, *batch)
         else:
-            mg = m[:, :, 0::per_step]
-            for r in range(1, per_step):
-                mg = entry_matmul(m[:, :, r::per_step], mg)
-            p = _blocked_scan(mg, u)
-            if store == "grid":
-                out[c0 + 1:c0 + cs + 1] = p
+            # each level's step maps: the product of its substep maps
+            m = [functools.reduce(lambda g, s: entry_matmul(s, g),
+                                  _substep_maps(rows, dt, refine, r)) for r in levels]
+            m = np.stack(m, axis=3) if lead else m[0]
+        p = _blocked_scan(m, u)
+        if out is not None:
+            out[per_step * c0 + 1:per_step * (c0 + cs) + 1] = p
         u = p[-1]
-    return out, mid, u
+    return out, u
 
 
-def _finish(grid, out, mid, ufinal) -> Trajectory:
+def _finish(grid, out, ufinal) -> Trajectory:
     samples = out if out is not None else ufinal[None]
     defect = unitarity_defect(samples)
-    if mid is not None:
-        defect = max(defect, unitarity_defect(mid))
     _check_budget("unitarity defect", defect, UNITARITY_BUDGET)
-    return Trajectory(grid, samples, midpoints=mid, defect=defect)
+    return Trajectory(grid, samples, defect=defect)
 
 
 def _generator_fun(p, grid: TimeGrid, delta_f=None, noises=None):
@@ -415,9 +412,8 @@ def propagate_sweep(p, grid: TimeGrid | None = None, delta_f=None, *,
     unitarity defect exceeds UNITARITY_BUDGET.
     """
     grid = grid or TimeGrid.default_for(p)
-    out, mid, u = _integrate(_generator_fun(p, grid, delta_f), grid, p.dim,
-                             store=store)
-    return _finish(grid, out, mid, u)
+    out, u = _integrate(_generator_fun(p, grid, delta_f), grid, p.dim, store=store)
+    return _finish(grid, out, u)
 
 
 def propagate_modified_batch(p, grid: TimeGrid, delta_f, noises) -> NoisyFinals:
@@ -435,7 +431,7 @@ def propagate_modified_batch(p, grid: TimeGrid, delta_f, noises) -> NoisyFinals:
     """
     noises = list(noises)
     nodes = StepNodes.with_edges(grid, np.concatenate([nz.edges() for nz in noises]))
-    _, _, (coarse, fine) = _integrate(
+    _, (coarse, fine) = _integrate(
         _generator_fun(p, grid, delta_f, noises), nodes, p.dim,
         batch=(len(noises),), refine=DEFAULT_REFINE, store="final")
     defect = unitarity_defect(fine)

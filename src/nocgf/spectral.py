@@ -110,9 +110,9 @@ def to_dimensionful(omega01: float, tau0: float, t_phys: float) -> float:
     return omega01 * (tau0 / t_phys) / 1e6
 
 
-def bandwidth_report(ctrl: ControlModification, t_phys: float,
-                     component: str = "x") -> BandwidthReport:
-    w01 = bandwidth_w01(control_spectrum(ctrl, component))
+def bandwidth_report(ctrl: ControlModification, t_phys: float) -> BandwidthReport:
+    """Bandwidth of the control modification's x component."""
+    w01 = bandwidth_w01(control_spectrum(ctrl))
     return BandwidthReport(
         omega01=w01,
         omega01_mhz=to_dimensionful(w01, ctrl.grid.tau0, t_phys),

@@ -138,7 +138,7 @@ def test_criterion_5_unitarity_and_convergence(improved_all):
         def afun(taus):
             return -1j * sweep_hamiltonian(taus, p)
 
-        _, _, u = _integrate(afun, grid, 2, refine=1, store="final")
+        _, u = _integrate(afun, grid, 2, refine=1, store="final")
         return u
 
     ref = final_at(320000)

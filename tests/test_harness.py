@@ -18,7 +18,7 @@ def test_default_config_roundtrip():
     assert cfg.gates == ("not", "hadamard", "pi8", "phase", "cphase")
     assert cfg.steps == {"one_qubit": 160000, "two_qubit": 120000}
     assert cfg.t_phys_us == {"one_qubit": 1.0, "two_qubit": 5.0}
-    assert cfg.noise["power"] == 0.001
+    assert "power" not in cfg.noise      # jitter takes its powers from --powers
     assert cfg.noise["f_clock_hz"] == 1.0e9
 
 
@@ -40,13 +40,13 @@ def test_unknown_keys_rejected():
         config_from_dict({"gatez": []})
     with pytest.raises(ConfigError, match="unknown key"):
         config_from_dict({"noise": {"powerr": 1.0}})
+    with pytest.raises(ConfigError, match=r"unknown key\(s\) noise\.power$"):
+        config_from_dict({"noise": {"power": 0.001}})
     with pytest.raises(ConfigError):
         config_from_dict({"sweep_overrides": {"hadamard": {"d9": 1.0}}})
 
 
 def test_range_validation():
-    with pytest.raises(ConfigError, match="noise.power"):
-        config_from_dict({"noise": {"power": -1.0}})
     with pytest.raises(ConfigError, match="steps"):
         config_from_dict({"steps": {"one_qubit": 0}})
     with pytest.raises(ConfigError):
@@ -69,7 +69,7 @@ NAN, INF = float("nan"), float("inf")
     ({"noise": {"sigma": NAN}}, "noise.sigma"),
     ({"noise": {"tau_f": INF}}, "noise.tau_f"),
     ({"noise": {"tau_f": 0}}, "noise.tau_f"),
-    ({"noise": {"power": NAN}}, "noise.power"),
+    ({"noise": {"power": 0.001}}, "noise.power"),     # no longer a key
     ({"noise": {"f_clock_hz": None}}, "noise.f_clock_hz"),
     ({"noise": {"realizations": "3"}}, "noise.realizations"),
     ({"noise": {"realizations": True}}, "noise.realizations"),
@@ -90,7 +90,7 @@ def test_config_values_are_validated_at_load(raw, path):
 def test_valid_numbers_pass_validation():
     cfg = config_from_dict({
         "sweep_overrides": {"cphase": {"d1": -3, "c4": 0.0}},
-        "noise": {"sigma": 1, "tau_f": 0.2, "power": 0, "seed": 0},
+        "noise": {"sigma": 1, "tau_f": 0.2, "seed": 0},
         "t_phys_us": {"one_qubit": 2},
         "seed": 0,
     })
@@ -110,6 +110,30 @@ def test_cli_reports_a_bad_config_value_in_one_line(tmp_path, capsys, text):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("nocgf: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case,message", [
+    ("missing config", "cannot read config"),
+    ("non-UTF-8 config", "not UTF-8"),
+    ("unwritable --out", "cannot write"),
+])
+def test_cli_file_errors_are_one_line_with_exit_code_2(tmp_path, capsys, case,
+                                                       message):
+    path = tmp_path / {"missing config": "missing.json",
+                       "non-UTF-8 config": "latin1.json",
+                       "unwritable --out": "nodir/x.csv"}[case]
+    if case == "unwritable --out":
+        argv = ["table", "ideal", "--gate", "not", "--steps", "40000",
+                "--out", str(path)]
+    else:
+        if case == "non-UTF-8 config":
+            path.write_bytes('{"gates": ["caf\u00e9"]}'.encode("latin-1"))
+        argv = ["improve", "--gate", "hadamard", "--config", str(path)]
+    rc = cli.main(argv)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nocgf: ") and err.count("\n") == 1
+    assert message in err and str(path) in err
 
 
 def test_sweep_override_changes_params():

@@ -93,8 +93,7 @@ def test_strategy2_requires_two_qubit_offset(rng):
     g = gate_target("hadamard")
     off = target_offset(random_unitary(rng, 2), g)
     grid = TimeGrid(1.0, 1)
-    eye = np.tile(np.eye(4, dtype=complex), (2, 1, 1))
-    traj = Trajectory(grid, eye, midpoints=eye[:1])
+    traj = Trajectory(grid, np.tile(np.eye(4, dtype=complex), (3, 1, 1)))
     with pytest.raises(ConfigError):
         strategy2_solve(NOMINAL_PARAMS["cphase"], traj, off)
 
@@ -128,7 +127,7 @@ def test_strategy2_streamed_pass_matches_an_unstreamed_reference(cphase_30k):
     sol = strategy2_solve(p, traj, off)
     # the whole drive stack, the batched-`@` maps of B = -G G† and one
     # matvec per step
-    g_half = noc.drive_samples(p, traj, half=True)
+    g_half = noc.drive_samples(p, traj)
     y = -off.delta_b.astype(complex)
     want = [y]
     for c0 in range(0, grid.steps, 1000):
@@ -163,8 +162,7 @@ def test_strategy2_rejects_an_unstable_step_size(steps, stable):
     # grow and 300 steps (1.9) do not
     p = NOMINAL_PARAMS["cphase"]
     grid = TimeGrid(p.tau0, steps)
-    eye = np.tile(np.eye(4, dtype=complex), (steps + 1, 1, 1))
-    traj = Trajectory(grid, eye, midpoints=eye[:-1])
+    traj = Trajectory(grid, np.tile(np.eye(4, dtype=complex), (2 * steps + 1, 1, 1)))
     off = target_offset(random_unitary(np.random.default_rng(7), 4),
                         gate_target("cphase"))
     if stable:
@@ -196,20 +194,16 @@ def test_chunked_drive_samples_match_one_drive_matrix_call(name, steps, half):
     p = dataclasses.replace(NOMINAL_PARAMS[name], tau0=20.0)
     grid = TimeGrid(p.tau0, steps)
     traj = propagate_sweep(p, grid, store="half" if half else "grid")
-    us = traj.unitaries
-    if half:
-        us = np.empty((2 * grid.steps + 1, *us.shape[1:]), dtype=complex)
-        us[0::2], us[1::2] = traj.unitaries, traj.midpoints
     taus = grid.half_points() if half else grid.points()
     assert len(taus) == 10_001 > 2 * noc.DRIVE_CHUNK
-    want = drive_matrix(us, coupling_matrices(p, taus))
-    got = noc.drive_samples(p, traj, half=half)
+    want = drive_matrix(traj.unitaries, coupling_matrices(p, taus))
+    got = noc.drive_samples(p, traj)
     assert got.shape == want.shape
     assert np.array_equal(got, want)
 
 
-def test_drive_samples_half_needs_midpoints():
-    grid = TimeGrid(HAD.tau0, 10)
-    traj = Trajectory(grid, np.tile(np.eye(2, dtype=complex), (11, 1, 1)))
+def test_strategy2_rejects_a_grid_only_trajectory(cphase_30k):
+    p, traj, off = cphase_30k
+    grid_only = Trajectory(traj.grid, traj.unitaries[0::2])
     with pytest.raises(ValueError, match="midpoint"):
-        noc.drive_samples(HAD, traj, half=True)
+        strategy2_solve(p, grid_only, off)

@@ -40,7 +40,7 @@ def test_zero_generator_gives_identity():
     def afun(taus):
         return np.zeros((len(taus), 2, 2), dtype=complex)
 
-    out, _, u = _integrate(afun, grid, 2)
+    out, u = _integrate(afun, grid, 2)
     assert np.allclose(out, np.eye(2))
     assert np.allclose(u, np.eye(2))
 
@@ -52,7 +52,7 @@ def test_constant_hamiltonian_matches_exponential():
     def afun(taus):
         return np.broadcast_to(1j * SIGMA_Z, (len(taus), 2, 2)).copy()
 
-    out, _, u = _integrate(afun, grid, 2)
+    out, u = _integrate(afun, grid, 2)
     taus = grid.points()
     expected = np.stack([
         np.diag([np.exp(1j * (t + 4.0)), np.exp(-1j * (t + 4.0))]) for t in taus
@@ -76,7 +76,7 @@ def test_composition_of_half_sweeps():
     def afun(taus):
         return -1j * sweep_hamiltonian(taus, HAD)
 
-    _, _, u_full = _integrate(afun, grid, 2)
+    _, u_full = _integrate(afun, grid, 2)
     half1 = TimeGrid(HAD.tau0 / 2, steps // 2)   # spans [-40, 40] shifted below
 
     def afun_lo(taus):
@@ -85,8 +85,8 @@ def test_composition_of_half_sweeps():
     def afun_hi(taus):
         return afun(taus + 40.0)
 
-    _, _, u_lo = _integrate(afun_lo, half1, 2)
-    _, _, u_hi = _integrate(afun_hi, half1, 2)
+    _, u_lo = _integrate(afun_lo, half1, 2)
+    _, u_hi = _integrate(afun_hi, half1, 2)
     assert np.abs(u_hi @ u_lo - u_full).max() < 1e-10
 
 
@@ -119,7 +119,7 @@ def test_modified_dual_formulation(monkeypatch):
         dfi = np.stack([np.interp(ts, taus, df[:, j]) for j in range(3)], axis=-1)
         return -1j * one_qubit_hamiltonian(f0 + dfi)
 
-    _, _, u = _integrate(afun, grid, 2)
+    _, u = _integrate(afun, grid, 2)
     assert np.abs(a.final - u).max() < 1e-12
 
 
@@ -136,7 +136,7 @@ def test_convergence_order_on_hadamard_sweep():
         def afun(taus):
             return -1j * sweep_hamiltonian(taus, HAD)
 
-        _, _, u = _integrate(afun, grid, 2, refine=refine, store="final")
+        _, u = _integrate(afun, grid, 2, refine=refine, store="final")
         return u
 
     ref = final_at(320000)
@@ -156,9 +156,7 @@ def cphase_half_drive():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(propagate, "UNITARITY_BUDGET", np.inf)
         traj = propagate_sweep(p, grid, store="half")
-    us = np.empty((2 * grid.steps + 1, 4, 4), dtype=complex)
-    us[0::2], us[1::2] = traj.unitaries, traj.midpoints
-    return grid, drive_matrix(us, coupling_matrices(p, grid.half_points()))
+    return grid, drive_matrix(traj.unitaries, coupling_matrices(p, grid.half_points()))
 
 
 def test_delta_y_zero_offset(cphase_half_drive):
@@ -205,7 +203,7 @@ def test_uniform_nodes_match_a_sequential_step_map_product(refine):
     steps, chunk = 2500, 1000
     grid = TimeGrid(HAD.tau0, steps)
     afun = _generator_fun(HAD, grid)
-    out, _, u = _integrate(afun, grid, 2, refine=refine, chunk=chunk)
+    out, u = _integrate(afun, grid, 2, refine=refine, chunk=chunk)
     q = grid.h / refine
     taus = grid.tau_start + np.arange(2 * refine * steps + 1) * (q / 2.0)
     a = afun(taus)
@@ -237,6 +235,37 @@ def _hand_placed_noise():
     ]
 
 
+def test_grid_and_its_points_as_step_nodes_give_the_same_propagator():
+    # a continuous generator, which both sample sources take at the same
+    # times up to rounding, so they feed the same maps (three chunks)
+    steps, chunk = 2500, 1000
+    grid = TimeGrid(SHORT_HAD.tau0, steps)
+    afun = _generator_fun(SHORT_HAD, grid)
+    _, levels = _integrate(afun, StepNodes(grid.points()), 2, refine=2,
+                           store="final", chunk=chunk)
+    for refine, u_nodes in zip((1, 2), levels):
+        _, u = _integrate(afun, grid, 2, refine=refine, store="final", chunk=chunk)
+        assert np.abs(u_nodes - u).max() <= 1e-12 * steps
+
+
+def test_half_storage_is_one_time_ordered_sample_array():
+    steps, chunk = 2500, 1000
+    grid = TimeGrid(SHORT_HAD.tau0, steps)
+    half, u = _integrate(_generator_fun(SHORT_HAD, grid), grid, 2, store="half",
+                         chunk=chunk)
+    assert half.shape == (2 * steps + 1, 2, 2)
+    assert np.array_equal(half[-1], u)
+    # the samples are the substep prefixes: a refine-1 run on twice the steps
+    fine = TimeGrid(SHORT_HAD.tau0, 2 * steps)
+    want, _ = _integrate(_generator_fun(SHORT_HAD, fine), fine, 2, refine=1,
+                         chunk=2 * chunk)
+    assert np.array_equal(half, want)
+    # the even samples are the grid points; grid storage multiplies whole
+    # steps, a different association of the same maps
+    at_grid, _ = _integrate(_generator_fun(SHORT_HAD, grid), grid, 2, chunk=chunk)
+    assert np.abs(half[0::2] - at_grid).max() <= 1e-15 * steps
+
+
 def test_edge_aligned_batch_error_stays_within_its_estimate():
     grid = TimeGrid(SHORT_HAD.tau0, 400)
     taus = grid.points()
@@ -248,10 +277,10 @@ def test_edge_aligned_batch_error_stays_within_its_estimate():
     assert res.nodes.steps > grid.steps
 
     afun = _generator_fun(SHORT_HAD, grid, delta_f, noises)
-    _, _, (r1, r2) = _integrate(afun, res.nodes, 2, batch=(2,), refine=2,
-                                store="final")
-    _, _, (_, ref) = _integrate(afun, res.nodes, 2, batch=(2,), refine=16,
-                                store="final")
+    _, (r1, r2) = _integrate(afun, res.nodes, 2, batch=(2,), refine=2,
+                             store="final")
+    _, (_, ref) = _integrate(afun, res.nodes, 2, batch=(2,), refine=16,
+                             store="final")
     assert np.array_equal(r2, res.unitaries)
     assert res.error_estimate == np.abs(r2 - r1).max()
     err1 = np.abs(r1 - ref).max()
@@ -281,7 +310,7 @@ def test_step_nodes_need_final_storage_and_even_refine():
     for kw in ({"refine": 2, "store": "grid"}, {"refine": 1, "store": "final"}):
         with pytest.raises(ValueError, match="even refine"):
             _integrate(afun, nodes, 2, **kw)
-    _, _, u = _integrate(afun, nodes, 2, refine=2, store="final")
+    _, u = _integrate(afun, nodes, 2, refine=2, store="final")
     assert u.shape == (2, 2, 2)
     assert np.array_equal(u, np.broadcast_to(np.eye(2), u.shape))
 
