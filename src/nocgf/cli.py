@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import os
 import sys
 
 from . import experiments
@@ -98,6 +99,21 @@ def _writing(path):
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
+def _check_out(path) -> None:
+    """Reject an output path that cannot be written, before any computation:
+    it must not be a directory, and its directory must exist and be writable."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        reason = "Is a directory"
+    elif not os.path.isdir(parent):
+        reason = "No such file or directory"
+    elif not os.access(parent, os.W_OK):
+        reason = "Permission denied"
+    else:
+        return
+    raise ConfigError(f"cannot write {path}: {reason}")
+
+
 def _emit(cfg, header, rows, meta: str) -> int:
     """Write the rows as CSV to cfg.out, or print them when it is unset."""
     with _writing(cfg.out):
@@ -118,6 +134,8 @@ def main(argv=None) -> int:
 
 def _run(args) -> int:
     cfg = _base_config(args)
+    if cfg.out and args.command != "improve":
+        _check_out(cfg.out)
 
     if args.command == "improve":
         if len(cfg.gates) != 1:

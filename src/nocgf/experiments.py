@@ -9,6 +9,7 @@ the timestamp.
 from __future__ import annotations
 
 import io
+import math
 import time
 
 from . import __version__, metrics, noc, noise, sensitivity, spectral
@@ -99,12 +100,13 @@ def run_bandwidth_table(cfg: ExperimentConfig, results=None):
     return sorted(rows, key=lambda r: metrics.GATE_ORDER.index(r[0]))
 
 
-JITTER_HEADER = ("gate", "power", "sigma_t_ps", "mean_trp", "std_trp",
+JITTER_HEADER = ("gate", "power", "sigma_t_ps", "mean_trp", "std_trp", "sem_trp",
                  "realizations", "steps", "seed", "version")
 
 
 def run_jitter_sweep(cfg: ExperimentConfig, powers, results=None):
-    """Noise-averaged Tr P per (gate, mean power).
+    """Noise-averaged Tr P per (gate, mean power), with the std of the
+    trials and the standard error std / sqrt(realizations) of their mean.
 
     Every power is validated before any gate is improved, and each gate is
     improved once and shared by all its powers.
@@ -130,8 +132,9 @@ def run_jitter_sweep(cfg: ExperimentConfig, powers, results=None):
         )
         power = np_.mean_power
         sigma_t_ps = noise.jitter_report(power, nz["f_clock_hz"]).sigma_t * 1e12
+        sem = std / math.sqrt(nz["realizations"])
         return (
-            name, power, sigma_t_ps, mean, std, nz["realizations"],
+            name, power, sigma_t_ps, mean, std, sem, nz["realizations"],
             grid.steps, cfg.noise_seed(), __version__,
         )
 

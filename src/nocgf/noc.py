@@ -77,14 +77,22 @@ class Strategy2Solution:
 
 @dataclass
 class ImprovedGateResult:
+    """improved_trajectory is the grid-stored sweep with the control
+    modification; the noisy runs of the jitter ensemble reuse it between
+    their noise pulses (propagate.propagate_modified_batch)."""
+
     gate: GateTarget
     nominal_report: ErrorReport
     improved_report: ErrorReport
     control: ControlModification
-    improved_unitary: np.ndarray
+    improved_trajectory: Trajectory
     nominal_unitary: np.ndarray
     strategy: int
     feedback: Strategy2Solution | None = None
+
+    @property
+    def improved_unitary(self) -> np.ndarray:
+        return self.improved_trajectory.final
 
 
 def strategy1_weights(offset: TargetOffset) -> np.ndarray:
@@ -252,7 +260,7 @@ def improve_gate(gate: GateTarget, p, grid: TimeGrid | None = None) -> ImprovedG
         nominal_report=metrics.error_report(nominal.final, gate),
         improved_report=metrics.error_report(improved.final, gate),
         control=ctrl,
-        improved_unitary=improved.final,
+        improved_trajectory=improved,
         nominal_unitary=nominal.final,
         strategy=strategy,
         feedback=feedback,

@@ -181,26 +181,28 @@ def noise_ensemble(gate: metrics.GateTarget, p, noise_params: NoiseParams,
 
     The control modification is the one computed for the jitter-free sweep;
     each trial adds an independent phase-noise realization to the twist
-    phase.  All trials are one propagate_modified_batch call: its steps are
-    the grid's split at every pulse edge of the trials, so the noise is
-    constant inside each step, and it fails with AccuracyError unless its
-    step-doubling error estimate (refine 2 against refine 1 on the same
-    nodes) and unitarity defect stay within budget.  Returns (mean, std,
-    per-trial list); std uses divisor count-1.
+    phase.  All trials are one propagate_modified_batch call on the improved
+    trajectory (whose grid is `improved`'s, or `grid` when improve_gate runs
+    here): each trial is integrated only over its noisy segments, on the
+    grid points plus its pulse edges, so the noise is constant inside each
+    step, and the improved trajectory supplies the steps between them.  It
+    fails with AccuracyError unless its step-doubling error estimate
+    (refine 2 against refine 1 on the noisy segments) and the unitarity
+    defect stay within budget.  A trial without pulses (zero power) is the
+    improved gate itself.  Returns (mean, std, per-trial list); std uses
+    divisor count-1.
     """
-    grid = grid or TimeGrid.default_for(p)
     if improved is None:
-        improved = noc.improve_gate(gate, p, grid)
-    delta_f = improved.control.samples
+        improved = noc.improve_gate(gate, p, grid or TimeGrid.default_for(p))
     samples = [
         sample_realization(noise_params, p.tau0, trial=k) for k in range(realizations)
     ]
-    if noise_params.mean_power == 0.0:
-        # every trial is the noise-free improved gate, so the spread is exactly 0
-        value = metrics.trace_p(improved.improved_unitary, gate.sweep_unitary)
-        return value, 0.0, [value] * realizations
-    finals = propagate.propagate_modified_batch(p, grid, delta_f, samples)
-    values = [metrics.trace_p(u, gate.sweep_unitary) for u in finals.unitaries]
-    mean = float(np.mean(values))
-    std = float(np.std(values, ddof=1)) if realizations > 1 else 0.0
-    return mean, std, values
+    finals = propagate.propagate_modified_batch(
+        p, improved.improved_trajectory, improved.control.samples, samples)
+    values = np.array([metrics.trace_p(u, gate.sweep_unitary) for u in finals.unitaries])
+    # moments of the offsets from the first trial: equal trials (zero power)
+    # give that trial's value and a spread of exactly 0
+    offsets = values - values[0]
+    mean = float(values[0] + offsets.mean())
+    std = float(offsets.std(ddof=1)) if realizations > 1 else 0.0
+    return mean, std, values.tolist()

@@ -14,20 +14,36 @@ chunk of steps is sampled as 2 refine + 1 rows, row j at j/(2 refine) of
 the way through every step, and one step-map path reads those rows; the
 kinds of nodes differ only in how the rows are taken.  A TimeGrid is the
 uniform special case: its steps share their end samples.  Noisy
-propagation steps over StepNodes, the grid points plus every pulse edge of
-the noise batch clipped to the sweep.  The phase noise is piecewise
+propagation steps over StepNodes, the grid points plus the pulse edges of
+a realization clipped to the sweep.  The phase noise is piecewise
 constant, so on those nodes it is constant inside every step; it is
 evaluated once per step, at the step midpoint, and each step gets its own
 end samples because the generator may jump at a node.  The fourth-order
 rate, which a step straddling a jump loses, is then kept.
 
-Error estimate.  The unitarity defect does not track accuracy at such
-jumps, so every noisy propagation is also a step-doubling pair: the same
-samples are integrated at refine 2 (reported) and at refine 1, and
-max|U_2 - U_1| is the error estimate of the refine-1 result, which bounds
-the reported one (about 1/16 of it at fourth order).  It must stay within
-DOUBLING_BUDGET, as the defect must within UNITARITY_BUDGET; either check
-raises AccuracyError naming itself.
+Noisy segments.  Shot noise is a set of short pulses, and outside them the
+noisy generator is the improved sweep's own.  So a realization is
+integrated only over its noisy segments: every pulse, clipped to the
+sweep, widened to the grid points around it, overlapping or touching
+intervals merged (noisy_segments).  Each segment is integrated from I on
+StepNodes, the segment's grid points plus the realization's edges inside
+it.  Every quiet stretch between segments is one factor
+Q = U(t_a) U(t_prev)^-1 of the stored improved trajectory, taken by an
+exact solve rather than with the adjoint, which would carry each sample's
+unitarity defect into the product.  The final propagator is the composite
+Q_M S_M ... Q_1 S_1 Q_0.
+
+Error estimate.  The unitarity defect does not track accuracy at noise
+jumps, so every noisy segment is also a step-doubling pair: the same
+samples are integrated at refine 2 (reported) and at refine 1, and both
+composites share the quiet factors.  max|U_2 - U_1| is then the error
+estimate of the refine-1 steps where the noisy generator differs from the
+improved one, and it bounds the reported refine-2 error there (about 1/16
+of it at fourth order).  The quiet steps are the improved sweep's own,
+checked by its unitarity defect, and the defect of the composite is
+checked again.  The estimate must stay within DOUBLING_BUDGET, as the
+defect must within UNITARITY_BUDGET; either check raises AccuracyError
+naming itself.
 
 Memory layout.  The propagators are 2x2 or 4x4, far too small for batched
 `@` to pay off, so the integrator works on component-major stacks: a
@@ -74,10 +90,11 @@ DEFAULT_STEPS_2Q = 120_000
 DEFAULT_REFINE = 2          # internal substeps per grid step
 UNITARITY_BUDGET = 1e-10
 # Budget on the step-doubling estimate max|U(refine 2) - U(refine 1)| of a
-# noisy propagation; the reported refine-2 result is about 16 times more
-# accurate than the estimate.  Edge-aligned runs measure 1.7e-10 to 2.8e-10
-# at the production grids and 4e-8 at a quarter of them; steps straddling the
-# noise jumps gave errors of 1e-6 to 8e-6 at the production grids.
+# noisy propagation over its noisy segments; the reported refine-2 result is
+# about 16 times more accurate than the estimate.  Edge-aligned segments
+# measure up to 2.5e-10 at the production grids and 2.1e-8 at a quarter of
+# the one-qubit grid; steps straddling the noise jumps gave errors of 1e-6 to
+# 8e-6 at the production grids.
 DOUBLING_BUDGET = 1e-6
 CHUNK = 4096
 
@@ -158,13 +175,12 @@ class StepNodes:
         return len(self.taus) - 1
 
     @staticmethod
-    def with_edges(grid: TimeGrid, edges) -> "StepNodes":
-        """The grid points plus every edge clipped to the sweep.
+    def with_edges(points: np.ndarray, edges) -> "StepNodes":
+        """The sorted points plus every edge clipped to their span.
 
-        A clipped edge outside the sweep lands on its first or last grid
-        point, and an edge on a grid point adds no node.
+        A clipped edge outside the span lands on the first or last point,
+        and an edge on a point adds no node.
         """
-        points = grid.points()
         edges = np.clip(np.asarray(edges, dtype=float), points[0], points[-1])
         return StepNodes(np.union1d(points, edges))
 
@@ -188,12 +204,38 @@ class Trajectory:
 @dataclass(frozen=True)
 class NoisyFinals:
     """Final propagators of a noise batch, shape (batch, n, n), with the
-    nodes they were integrated on and their two accuracy measures."""
+    steps integrated for each realization (its noisy segments' steps) and
+    their two accuracy measures."""
 
     unitaries: np.ndarray
-    nodes: StepNodes
+    steps: np.ndarray
     defect: float
     error_estimate: float
+
+
+def noisy_segments(grid: TimeGrid, edges) -> np.ndarray:
+    """Grid-index intervals [a, b] that hold a realization's pulses.
+
+    edges are the 2 count pulse edges, left edges first (as
+    NoiseRealization.edges() gives them).  Every pulse is clipped to the
+    sweep and widened to the grid points around it, pts[a] <= left and
+    pts[b] >= right, so a segment always contains its pulse, also when an
+    edge lands on a grid point.  Overlapping or touching intervals are
+    merged; a pulse outside the sweep clips to no interval.  Returns the
+    sorted, disjoint segments, shape (segments, 2).
+    """
+    pts = grid.points()
+    left, right = np.clip(np.reshape(edges, (2, -1)), pts[0], pts[-1])
+    a = np.searchsorted(pts, left, side="right") - 1
+    b = np.searchsorted(pts, right, side="left")
+    keep = b > a
+    order = np.argsort(a[keep], kind="stable")
+    a, b = a[keep][order], np.maximum.accumulate(b[keep][order])
+    # a segment starts at every interval that begins after all earlier ones
+    # end, and ends at the interval before the next start
+    first = np.ones(len(a), dtype=bool)
+    first[1:] = a[1:] > b[:-1]
+    return np.stack([a[first], b[np.roll(first, -1)]], axis=-1)
 
 
 def step_maps(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray, dt) -> np.ndarray:
@@ -416,29 +458,67 @@ def propagate_sweep(p, grid: TimeGrid | None = None, delta_f=None, *,
     return _finish(grid, out, u)
 
 
-def propagate_modified_batch(p, grid: TimeGrid, delta_f, noises) -> NoisyFinals:
+def _noisy_composite(p, improved: Trajectory, delta_f, noise,
+                     refine: int = DEFAULT_REFINE):
+    """One realization's final propagator at refine // 2 and refine, shape
+    (2, n, n), and the steps of its noisy segments.
+
+    Each segment is integrated from I on StepNodes (the segment's grid
+    points plus the realization's clipped edges inside it), and each quiet
+    stretch between segments is one factor of the improved trajectory
+    (_quiet_factor); both levels share the quiet factors.
+    """
+    grid = improved.grid
+    pts, u_imp, edges = grid.points(), improved.unitaries, noise.edges()
+    afun = _generator_fun(p, grid, delta_f, [noise])
+    u = np.broadcast_to(np.eye(p.dim, dtype=complex), (2, p.dim, p.dim))
+    steps, prev = 0, 0
+    for a, b in noisy_segments(grid, edges):
+        nodes = StepNodes.with_edges(pts[a:b + 1], edges)
+        _, seg = _integrate(afun, nodes, p.dim, batch=(1,), refine=refine, store="final")
+        u = seg[:, 0] @ (_quiet_factor(u_imp, prev, a) @ u)
+        steps += nodes.steps
+        prev = b
+    return _quiet_factor(u_imp, prev, -1) @ u, steps
+
+
+def _quiet_factor(u: np.ndarray, i: int, j: int) -> np.ndarray:
+    """The propagator u[j] u[i]^-1 from sample i to sample j, by an exact
+    solve: u[j] u[i]^dagger would add sample i's unitarity defect to the
+    product (at the production cphase grid, composite defects of 9.5e-10
+    to 1.2e-9, over the 1e-10 budget, against 1.9e-11 with the solve)."""
+    return np.linalg.solve(u[i].T, u[j].T).T
+
+
+def propagate_modified_batch(p, improved: Trajectory, delta_f, noises) -> NoisyFinals:
     """Final propagators for a batch of noise realizations sharing one delta_f.
 
-    Used by the jitter ensemble, where only the final gate is needed.  The
-    steps run between the grid points and every pulse edge of the batch
-    (StepNodes.with_edges of each realization's edges()), so the noise is
-    constant inside each step and is evaluated once per step, at its
-    midpoint.  The batch is integrated at refine 1 and refine 2 from one set
-    of generator samples; the refine-2 propagators are returned, and
-    max|U_2 - U_1| over the batch is their step-doubling error estimate.
-    Raises AccuracyError when the estimate exceeds DOUBLING_BUDGET or the
-    unitarity defect exceeds UNITARITY_BUDGET.
+    Used by the jitter ensemble, where only the final gate is needed.
+    improved is the grid-stored trajectory of the sweep with delta_f and
+    without noise (propagate_sweep(p, grid, delta_f)); its grid is the
+    grid of the noisy runs.  Each realization is integrated only over its
+    noisy segments (noisy_segments), on the grid points plus its pulse
+    edges, so the noise is constant inside each step and is evaluated once
+    per step, at its midpoint; the quiet stretches between segments are
+    factors of the improved trajectory.  The segments are integrated at
+    refine 1 and refine 2 from one set of generator samples; the refine-2
+    composites are returned, and max|U_2 - U_1| over the batch is their
+    step-doubling error estimate, which covers the noisy segments (the
+    quiet steps are the improved sweep's own).  A realization without
+    pulses returns the improved final propagator, with estimate 0.
+    Raises ValueError unless improved holds grid samples, and
+    AccuracyError when the estimate exceeds DOUBLING_BUDGET or the
+    unitarity defect of the composites exceeds UNITARITY_BUDGET.
     """
-    noises = list(noises)
-    nodes = StepNodes.with_edges(grid, np.concatenate([nz.edges() for nz in noises]))
-    _, (coarse, fine) = _integrate(
-        _generator_fun(p, grid, delta_f, noises), nodes, p.dim,
-        batch=(len(noises),), refine=DEFAULT_REFINE, store="final")
+    if len(improved.unitaries) != improved.grid.steps + 1:
+        raise ValueError("noisy propagation needs a grid-stored improved trajectory")
+    runs = [_noisy_composite(p, improved, delta_f, nz) for nz in noises]
+    coarse, fine = np.stack([u for u, _ in runs], axis=1)
     defect = unitarity_defect(fine)
     estimate = float(np.abs(fine - coarse).max())
     _check_budget("unitarity defect", defect, UNITARITY_BUDGET)
     _check_budget("step-doubling error estimate", estimate, DOUBLING_BUDGET)
-    return NoisyFinals(fine, nodes, defect, estimate)
+    return NoisyFinals(fine, np.array([steps for _, steps in runs]), defect, estimate)
 
 
 # Simpson weights of a feedback step's three drive samples: D = diag(1, 4, 1) x I3

@@ -34,13 +34,18 @@ def test_tracer_bindings_record_every_layer():
         p = dataclasses.replace(NOMINAL_PARAMS["hadamard"], tau0=20.0)
         noc.improve_gate(gate_target("hadamard"), p, TimeGrid(p.tau0, 10_000))
         grid = TimeGrid(p.tau0, 400)
+        delta_f = np.zeros((grid.steps + 1, 3))
+        improved = propagate.propagate_sweep(p, grid, delta_f)
         trial = sample_realization(default_noise_params(1, 1e-3, seed=3), p.tau0)
-        propagate.propagate_modified_batch(
-            p, grid, np.zeros((grid.steps + 1, 3)), [trial])
+        propagate.propagate_modified_batch(p, improved, delta_f, [trial])
     finally:
         tracer.restore()
+    segments = len(propagate.noisy_segments(grid, trial.edges()))
+    assert segments > 0
     metrics = tracing.layer_metrics(tracer.spans, 0)
-    assert metrics["propagate.propagations"] == 3
+    # the improve run's nominal and improved sweeps, the improved sweep the
+    # noisy run reuses, and one integration per noisy segment
+    assert metrics["propagate.propagations"] == 2 + 1 + segments
     assert metrics["propagate.step_maps"] > 0
     assert metrics["noise.evaluate_points"] > 0
     assert metrics["noc.improve_calls_per_gate"] == 1.0

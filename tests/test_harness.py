@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from nocgf import cli, experiments, propagate
+from nocgf import cli, experiments, noc, propagate
 from nocgf.config import (
     ConfigError,
     config_from_dict,
@@ -195,11 +195,26 @@ def test_jitter_zero_power_rows():
         "noise": {"realizations": 3},
     })
     rows = experiments.run_jitter_sweep(cfg, [0.0])
-    _, power, sigma_t, mean, std, nreal, *_ = rows[0]
+    _, power, sigma_t, mean, std, sem, nreal, *_ = rows[0]
     res = experiments.improve_for(cfg, "hadamard")
-    assert power == 0.0 and sigma_t == 0.0
-    assert mean == pytest.approx(res.improved_report.trace_p, rel=1e-12)
-    assert std == 0.0
+    assert power == 0.0 and sigma_t == 0.0 and nreal == 3
+    # every trial is the improved gate itself
+    assert mean == res.improved_report.trace_p
+    assert std == 0.0 and sem == 0.0
+
+
+def test_jitter_rows_carry_the_standard_error_of_the_mean():
+    cfg = config_from_dict({
+        "steps": {"one_qubit": 40000, "two_qubit": 60000},
+        "gates": ["hadamard"],
+        "noise": {"realizations": 4},
+    })
+    (row,) = experiments.run_jitter_sweep(cfg, [1e-3])
+    assert len(row) == len(experiments.JITTER_HEADER)
+    named = dict(zip(experiments.JITTER_HEADER, row))
+    assert named["std_trp"] > 0.0
+    assert named["sem_trp"] == named["std_trp"] / 2.0
+    assert named["realizations"] == 4
 
 
 def _count_improve_calls(monkeypatch, fail=False):
@@ -286,8 +301,32 @@ def test_cli_jitter(tmp_path):
                    "--out", str(out_csv)])
     assert rc == 0
     lines = out_csv.read_text().splitlines()
-    assert lines[1].split(",")[0] == "gate"
+    assert lines[1] == ("gate,power,sigma_t_ps,mean_trp,std_trp,sem_trp,"
+                        "realizations,steps,seed,version")
     assert len(lines) == 3
+    row = lines[2].split(",")
+    assert row[0] == "hadamard" and row[5] == "0" and row[6] == "2"
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "ideal"],
+    ["table", "bandwidth"],
+    ["sweep", "--param", "lam"],
+    ["jitter", "--powers", "1e-3"],
+    ["spectrum"],
+])
+@pytest.mark.parametrize("out", ["nodir/x.csv", "."])
+def test_cli_rejects_an_unwritable_out_before_computing(tmp_path, monkeypatch,
+                                                         capsys, argv, out):
+    def fail(*args, **kwargs):
+        raise AssertionError("improve_gate must not run")
+
+    monkeypatch.setattr(noc, "improve_gate", fail)
+    monkeypatch.chdir(tmp_path)
+    rc = cli.main([*argv, "--gate", "hadamard", "--out", out])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"nocgf: cannot write {out}: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv,message", [

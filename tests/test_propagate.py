@@ -15,7 +15,9 @@ from nocgf.propagate import (
     TimeGrid,
     _generator_fun,
     _integrate,
+    _noisy_composite,
     integrate_delta_y,
+    noisy_segments,
     propagate_modified_batch,
     propagate_sweep,
     step_maps,
@@ -266,21 +268,26 @@ def test_half_storage_is_one_time_ordered_sample_array():
     assert np.abs(half[0::2] - at_grid).max() <= 1e-15 * steps
 
 
+def _short_control(grid):
+    taus = grid.points()
+    return 0.02 * np.stack([np.cos(taus / 3.0), np.sin(taus / 5.0),
+                            np.exp(-taus**2 / 20.0)], axis=-1)
+
+
 def test_edge_aligned_batch_error_stays_within_its_estimate():
     grid = TimeGrid(SHORT_HAD.tau0, 400)
-    taus = grid.points()
-    delta_f = 0.02 * np.stack([np.cos(taus / 3.0), np.sin(taus / 5.0),
-                               np.exp(-taus**2 / 20.0)], axis=-1)
+    delta_f = _short_control(grid)
+    improved = propagate_sweep(SHORT_HAD, grid, delta_f)
     noises = _hand_placed_noise()
-    res = propagate_modified_batch(SHORT_HAD, grid, delta_f, noises)
+    res = propagate_modified_batch(SHORT_HAD, improved, delta_f, noises)
     assert res.unitaries.shape == (2, 2, 2)
-    assert res.nodes.steps > grid.steps
+    assert np.all((res.steps > 0) & (res.steps < grid.steps))
 
-    afun = _generator_fun(SHORT_HAD, grid, delta_f, noises)
-    _, (r1, r2) = _integrate(afun, res.nodes, 2, batch=(2,), refine=2,
-                             store="final")
-    _, (_, ref) = _integrate(afun, res.nodes, 2, batch=(2,), refine=16,
-                             store="final")
+    # the same segments and quiet factors, with the segments at refine 16
+    runs = [_noisy_composite(SHORT_HAD, improved, delta_f, nz) for nz in noises]
+    r1, r2 = np.stack([u for u, _ in runs], axis=1)
+    ref = np.stack([_noisy_composite(SHORT_HAD, improved, delta_f, nz, refine=16)[0][1]
+                    for nz in noises])
     assert np.array_equal(r2, res.unitaries)
     assert res.error_estimate == np.abs(r2 - r1).max()
     err1 = np.abs(r1 - ref).max()
@@ -291,12 +298,53 @@ def test_edge_aligned_batch_error_stays_within_its_estimate():
     assert err2 <= err1 / 8.0
 
 
+@pytest.mark.parametrize("level", [0, 1])
+def test_noisy_composite_matches_a_whole_sweep_edge_aligned_run(level):
+    # level 0 is refine 1, level 1 refine 2; the quiet factors come from an
+    # improved trajectory integrated at that level's refine
+    grid = TimeGrid(SHORT_HAD.tau0, 400)
+    delta_f = _short_control(grid)
+    refine = level + 1
+    out, _ = _integrate(_generator_fun(SHORT_HAD, grid, delta_f), grid, 2,
+                        refine=refine)
+    improved = propagate.Trajectory(grid, out)
+    for nz in _hand_placed_noise():
+        nodes = StepNodes.with_edges(grid.points(), nz.edges())
+        _, whole = _integrate(_generator_fun(SHORT_HAD, grid, delta_f, [nz]), nodes, 2,
+                              batch=(1,), refine=2, store="final")
+        composite, steps = _noisy_composite(SHORT_HAD, improved, delta_f, nz)
+        assert steps < nodes.steps
+        # roundoff of the solved quiet factors and of the sample times;
+        # measured at most 2.1e-15
+        assert np.abs(composite[level] - whole[level, 0]).max() <= 1e-13
+
+
+def test_a_realization_without_pulses_is_the_improved_gate():
+    grid = TimeGrid(SHORT_HAD.tau0, 400)
+    delta_f = _short_control(grid)
+    improved = propagate_sweep(SHORT_HAD, grid, delta_f)
+    quiet = NoiseRealization(centers=np.empty(0), amplitudes=np.empty(0), scale=0.0,
+                             tau_f=0.5, tau0=SHORT_HAD.tau0, mean_power=0.0)
+    res = propagate_modified_batch(SHORT_HAD, improved, delta_f, [quiet])
+    assert np.array_equal(res.unitaries[0], improved.final)
+    assert res.error_estimate == 0.0 and res.steps.tolist() == [0]
+
+
+def test_noisy_propagation_needs_a_grid_stored_trajectory():
+    grid = TimeGrid(SHORT_HAD.tau0, 400)
+    half = propagate_sweep(SHORT_HAD, grid, store="half")
+    with pytest.raises(ValueError, match="grid-stored"):
+        propagate_modified_batch(SHORT_HAD, half, np.zeros((grid.steps + 1, 3)),
+                                 _hand_placed_noise())
+
+
 def test_step_doubling_budget_is_enforced(monkeypatch):
     grid = TimeGrid(SHORT_HAD.tau0, 400)
     delta_f = np.zeros((grid.steps + 1, 3))
+    improved = propagate_sweep(SHORT_HAD, grid, delta_f)
     monkeypatch.setattr(propagate, "DOUBLING_BUDGET", 0.0)
     with pytest.raises(AccuracyError, match="step-doubling error estimate") as err:
-        propagate_modified_batch(SHORT_HAD, grid, delta_f, _hand_placed_noise())
+        propagate_modified_batch(SHORT_HAD, improved, delta_f, _hand_placed_noise())
     assert err.value.check == "step-doubling error estimate"
     assert err.value.value > 0.0 == err.value.budget
 
@@ -325,7 +373,7 @@ def test_step_nodes_hold_the_noise_constant_inside_each_step(steps, centers, tau
     amplitudes = np.linspace(0.1, 0.7, len(centers)) * (-1.0) ** np.arange(len(centers))
     r = NoiseRealization(centers=centers, amplitudes=amplitudes, scale=1.0,
                          tau_f=tau_f, tau0=grid.tau0, mean_power=1.0)
-    nodes = StepNodes.with_edges(grid, r.edges()).taus
+    nodes = StepNodes.with_edges(grid.points(), r.edges()).taus
     points = grid.points()
     assert np.all(np.diff(nodes) > 0.0)
     assert nodes[0] == points[0] and nodes[-1] == points[-1]
@@ -338,3 +386,28 @@ def test_step_nodes_hold_the_noise_constant_inside_each_step(steps, centers, tau
         inner = lo + frac * (hi - lo)
         inside = (inner > lo) & (inner < hi)
         assert np.array_equal(r.evaluate(inner)[inside], held[inside])
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=st.integers(1, 40),
+       centers=st.lists(st.floats(-12.0, 12.0), min_size=0, max_size=8),
+       on_grid=st.lists(st.integers(0, 40), max_size=4),
+       tau_f=st.floats(0.01, 3.0))
+def test_noisy_segments_are_disjoint_and_hold_every_pulse(steps, centers, on_grid,
+                                                          tau_f):
+    grid = TimeGrid(20.0, steps)
+    pts = grid.points()
+    # plus pulses with an edge exactly on a grid point, as left or right edge
+    on = pts[np.array(on_grid, dtype=int) % (steps + 1)]
+    odd = np.array(on_grid, dtype=int) % 2 == 1
+    left = np.concatenate([np.array(centers) - tau_f, np.where(odd, on, on - 2 * tau_f)])
+    right = np.concatenate([np.array(centers) + tau_f, np.where(odd, on + 2 * tau_f, on)])
+    seg = noisy_segments(grid, np.concatenate([left, right]))
+    assert seg.shape == (len(seg), 2) and np.all(seg[:, 0] < seg[:, 1])
+    # sorted and disjoint: a segment ends before the next one starts
+    assert np.all(seg[1:, 0] > seg[:-1, 1])
+    assert np.all((seg >= 0) & (seg <= steps))
+    lo, hi = np.clip(left, pts[0], pts[-1]), np.clip(right, pts[0], pts[-1])
+    # a pulse outside the sweep clips to a point and needs no segment
+    for l, r in zip(lo[lo < hi], hi[lo < hi]):
+        assert np.sum((pts[seg[:, 0]] <= l) & (pts[seg[:, 1]] >= r)) == 1
