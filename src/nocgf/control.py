@@ -189,12 +189,13 @@ def sweep_hamiltonian(tau, p, noise=0.0) -> np.ndarray:
 def generator(tau, p, dfi=None, phase=None) -> np.ndarray:
     """Generator A = -i (H0 + sum_j dfi_j G_j) of i U' = H U, component-major.
 
-    tau has shape (T,); dfi, the control modification at those times, has
-    shape (T, 3) or is None; phase is the twist phase with any noise already
-    added, shape (T, *batch), and defaults to the noise-free twist_phase.
-    Returns a contiguous (n, n, T, *batch) array: entry (i, k) of A is the
-    vector out[i, k] over the times (see propagate, which consumes this
-    layout without a copy).
+    tau has any shape T (the integrator passes (rows, steps)); dfi, the
+    control modification at those times, has shape (*T, 3) or is None;
+    phase is the twist phase with any noise already added, shape
+    (*T, *batch), and defaults to the noise-free twist_phase.  Returns a
+    contiguous (n, n, *T, *batch) array: entry (i, k) of A is the array
+    out[i, k] over the times (see propagate, which consumes this layout
+    without a copy).
 
     The entries are written straight from the scalar series that define the
     operator, with no dense per-term stacks.  One qubit: A = i f.sigma with

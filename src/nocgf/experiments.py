@@ -49,6 +49,12 @@ def improve_for(cfg: ExperimentConfig, gate_name: str) -> noc.ImprovedGateResult
     return noc.improve_gate(gate, p, cfg.grid_for(p))
 
 
+def _improved(cfg: ExperimentConfig, results, gate_name: str) -> noc.ImprovedGateResult:
+    """The caller's improve result for a gate (results maps gate names to
+    them), else a new improve_for run."""
+    return (results or {}).get(gate_name) or improve_for(cfg, gate_name)
+
+
 IDEAL_HEADER = (
     "gate", "trp_with_noc", "trp_without_noc", "dstar_with_noc",
     "fidelity_with_noc", "fidelity_without_noc", "steps", "seed", "version",
@@ -57,11 +63,9 @@ IDEAL_HEADER = (
 
 def run_ideal_table(cfg: ExperimentConfig, results=None):
     """One row per configured gate: Tr P with and without the correction."""
-    results = results or {}
 
     def one(name):
-        res = results.get(name) or improve_for(cfg, name)
-        p = cfg.params_for(name)
+        res = _improved(cfg, results, name)
         return (
             name,
             res.improved_report.trace_p,
@@ -69,7 +73,7 @@ def run_ideal_table(cfg: ExperimentConfig, results=None):
             res.improved_report.d_star,
             res.improved_report.fidelity,
             res.nominal_report.fidelity,
-            cfg.grid_for(p).steps,
+            res.control.grid.steps,
             cfg.seed,
             __version__,
         )
@@ -84,16 +88,15 @@ BANDWIDTH_HEADER = ("gate", "omega01", "omega01_mhz", "t_phys_us", "steps",
 
 def run_bandwidth_table(cfg: ExperimentConfig, results=None):
     """Per-gate 10%-threshold bandwidth of the control modification."""
-    results = results or {}
 
     def one(name):
-        res = results.get(name) or improve_for(cfg, name)
+        res = _improved(cfg, results, name)
         p = cfg.params_for(name)
         rep = spectral.bandwidth_report(res.control, cfg.t_phys_for(p))
         key = "one_qubit" if p.qubits == 1 else "two_qubit"
         return (
             name, rep.omega01, rep.omega01_mhz, cfg.t_phys_us[key],
-            cfg.grid_for(p).steps, cfg.seed, __version__,
+            res.control.grid.steps, cfg.seed, __version__,
         )
 
     rows = [one(name) for name in cfg.gates]
@@ -111,7 +114,6 @@ def run_jitter_sweep(cfg: ExperimentConfig, powers, results=None):
     Every power is validated before any gate is improved, and each gate is
     improved once and shared by all its powers.
     """
-    results = results or {}
     nz = cfg.noise
     jobs = [
         (g, noise.default_noise_params(
@@ -120,22 +122,20 @@ def run_jitter_sweep(cfg: ExperimentConfig, powers, results=None):
         for g in cfg.gates for pw in powers
     ]
     names = list(dict.fromkeys(name for name, _ in jobs))
-    improved = {g: results.get(g) or improve_for(cfg, g) for g in names}
+    improved = {g: _improved(cfg, results, g) for g in names}
 
     def one(job):
         name, np_ = job
-        gate = metrics.gate_target(name)
-        p = cfg.params_for(name)
-        grid = cfg.grid_for(p)
+        res = improved[name]
         mean, std, _ = noise.noise_ensemble(
-            gate, p, np_, nz["realizations"], grid, improved=improved[name]
+            res.gate, cfg.params_for(name), np_, nz["realizations"], improved=res
         )
         power = np_.mean_power
         sigma_t_ps = noise.jitter_report(power, nz["f_clock_hz"]).sigma_t * 1e12
         sem = std / math.sqrt(nz["realizations"])
         return (
             name, power, sigma_t_ps, mean, std, sem, nz["realizations"],
-            grid.steps, cfg.noise_seed(), __version__,
+            res.control.grid.steps, cfg.noise_seed(), __version__,
         )
 
     rows = [one(job) for job in jobs]
@@ -148,12 +148,9 @@ SWEEP_HEADER = ("parameter", "value", "trp_with_noc", "trp_without_noc")
 def run_sweep(cfg: ExperimentConfig, parameter: str, gate_name: str,
               results=None):
     """Finite-precision sensitivity rows for one gate and parameter."""
-    results = results or {}
-    gate = metrics.gate_target(gate_name)
-    p = cfg.params_for(gate_name)
-    res = results.get(gate_name) or improve_for(cfg, gate_name)
     rows = sensitivity.run_sensitivity(
-        gate, p, parameter, cfg.grid_for(p), improved=res
+        metrics.gate_target(gate_name), cfg.params_for(gate_name), parameter,
+        improved=_improved(cfg, results, gate_name),
     )
     return [(r.parameter, r.value, r.trp_with_noc, r.trp_without_noc) for r in rows]
 
@@ -161,8 +158,6 @@ def run_sweep(cfg: ExperimentConfig, parameter: str, gate_name: str,
 def run_spectrum(cfg: ExperimentConfig, gate_name: str, out,
                  component: str = "x", results=None):
     """Export the control-modification spectrum of one gate to CSV."""
-    results = results or {}
-    res = results.get(gate_name) or improve_for(cfg, gate_name)
-    s = spectral.control_spectrum(res.control, component)
+    s = spectral.control_spectrum(_improved(cfg, results, gate_name).control, component)
     spectral.export_spectrum(s, out)
     return s

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics, noc, propagate
-from .propagate import TimeGrid
 
 DEFAULT_SIGMA = 0.1
 DEFAULT_TAU_F_1Q = 0.3
@@ -174,26 +173,22 @@ def jitter_report(mean_power: float, f_clock: float) -> JitterReport:
 
 
 def noise_ensemble(gate: metrics.GateTarget, p, noise_params: NoiseParams,
-                   realizations: int = DEFAULT_REALIZATIONS,
-                   grid: TimeGrid | None = None, *,
-                   improved: noc.ImprovedGateResult | None = None):
+                   realizations: int = DEFAULT_REALIZATIONS, *,
+                   improved: noc.ImprovedGateResult):
     """Mean and std of Tr P over seeded noise trials with the frozen control.
 
-    The control modification is the one computed for the jitter-free sweep;
-    each trial adds an independent phase-noise realization to the twist
-    phase.  All trials are one propagate_modified_batch call on the improved
-    trajectory (whose grid is `improved`'s, or `grid` when improve_gate runs
-    here): each trial is integrated only over its noisy segments, on the
-    grid points plus its pulse edges, so the noise is constant inside each
-    step, and the improved trajectory supplies the steps between them.  It
-    fails with AccuracyError unless its step-doubling error estimate
-    (refine 2 against refine 1 on the noisy segments) and the unitarity
-    defect stay within budget.  A trial without pulses (zero power) is the
-    improved gate itself.  Returns (mean, std, per-trial list); std uses
-    divisor count-1.
+    The control modification is the one `improved` computed for the
+    jitter-free sweep, on its grid; each trial adds an independent
+    phase-noise realization to the twist phase.  All trials are one
+    propagate_modified_batch call on the improved trajectory: each trial is
+    integrated only over its noisy segments, on the grid points plus its
+    pulse edges, so the noise is constant inside each step, and the improved
+    trajectory supplies the steps between them.  It fails with
+    AccuracyError unless its step-doubling error estimate (refine 2 against
+    refine 1 on the noisy segments) and the unitarity defect stay within
+    budget.  A trial without pulses (zero power) is the improved gate
+    itself.  Returns (mean, std, per-trial list); std uses divisor count-1.
     """
-    if improved is None:
-        improved = noc.improve_gate(gate, p, grid or TimeGrid.default_for(p))
     samples = [
         sample_realization(noise_params, p.tau0, trial=k) for k in range(realizations)
     ]

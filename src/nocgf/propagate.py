@@ -9,17 +9,20 @@ modulus on the imaginary axis is 1 + O(z^10).  At production step sizes the
 unitarity defect of the propagator then stays near roundoff without any
 re-unitarization, so integration error remains a measurable diagnostic.
 
-Step nodes.  One integrator (_integrate) steps over an array of nodes.  A
-chunk of steps is sampled as 2 refine + 1 rows, row j at j/(2 refine) of
-the way through every step, and one step-map path reads those rows; the
-kinds of nodes differ only in how the rows are taken.  A TimeGrid is the
-uniform special case: its steps share their end samples.  Noisy
-propagation steps over StepNodes, the grid points plus the pulse edges of
-a realization clipped to the sweep.  The phase noise is piecewise
-constant, so on those nodes it is constant inside every step; it is
-evaluated once per step, at the step midpoint, and each step gets its own
-end samples because the generator may jump at a node.  The fourth-order
-rate, which a step straddling a jump loses, is then kept.
+Step nodes.  One integrator (_integrate) steps over an array of nodes, on
+one path for every kind of node and storage mode.  One sampler
+(_sample_rows) hands the generator a (rows, steps) time array whose row j
+lies j/(2 refine) of the way through every step of a chunk, so row
+`refine` is the step midpoint, and one step-map path reads those rows.  A
+TimeGrid is the uniform special case: its steps share their end samples,
+so it takes 2 refine rows over one step more than the chunk and reads the
+end row as row 0 shifted by one step.  Noisy propagation steps over
+StepNodes, the grid points plus the pulse edges of a realization clipped
+to the sweep.  The phase noise is piecewise constant, so on those nodes it
+is constant inside every step; it is evaluated once per step, at the
+midpoint row, and each step samples its own end row (row 2 refine)
+because the generator may jump at a node.  The fourth-order rate, which a
+step straddling a jump loses, is then kept.
 
 Noisy segments.  Shot noise is a set of short pulses, and outside them the
 noisy generator is the improved sweep's own.  So a realization is
@@ -64,19 +67,24 @@ match the batched-`@` form of step_maps to about 1e-16.
 integrate_delta_y advances y over the steps of a run of drive samples, so
 the caller can stream the samples chunk by chunk (noc.strategy2_solve).
 
-Product order.  Within a chunk the step maps are multiplied by a blocked
-scan (see _blocked_scan): local prefix products inside about sqrt(C) blocks
-of consecutive steps, then the block offsets carried from the chunk's start
+Product order.  A step's map is the product of its substep maps, and
+within a chunk the step maps are multiplied by a blocked scan (see
+_blocked_scan): local prefix products inside about sqrt(C) blocks of
+consecutive steps, then the block offsets carried from the chunk's start
 value.  This reassociates the sequential product M_k ... M_1 M_0 U.  For
 unitary factors both carry roundoff bounded by order (factors) x eps, about
 1e-11 for a production sweep; measured at the production grids, the two
 differ by 1.5e-13 (hadamard) to 8e-13 (cphase) in max-norm, far below the
-1e-10 unitarity budget.
+1e-10 unitarity budget.  The scan is the same for every storage mode, which
+only chooses what is written: grid and half storage hold the same grid
+samples bit for bit, and the final propagator is the last of them.  A
+half-storage midpoint is the product of its step's first refine / 2
+substep maps times the sample at the step's start.
 """
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -304,43 +312,45 @@ def _blocked_scan(x: np.ndarray, u: np.ndarray):
     return p[:c]
 
 
-def _grid_rows(afun, grid: TimeGrid, c0: int, cs: int, refine: int):
-    """Sample rows of grid steps c0 .. c0 + cs - 1 (see _integrate), and h.
+def _sample_rows(afun, grid, c0: int, cs: int, refine: int):
+    """Sample rows of steps c0 .. c0 + cs - 1 (see _integrate), and their
+    step sizes, a scalar or shaped to broadcast against a row's stack axes.
 
-    The times are requested in the order [row 0 with the chunk's end node,
-    row 1, ..., row 2 refine - 1], so every row is one contiguous slice and
-    row 2 refine, the shared end samples, is row 0 shifted by one step.
+    afun receives a (rows, steps) time array, row j at j/(2 refine) of the
+    way through every step.  A TimeGrid's steps share their end samples:
+    its 2 refine rows span cs + 1 steps, and the end row is row 0 shifted
+    by one step.  StepNodes sample their own end row, row 2 refine.
     """
-    k = np.arange(cs + 1) * (2 * refine)
-    s = np.concatenate([k, (k[:-1] + np.arange(1, 2 * refine)[:, None]).ravel()])
-    taus = grid.tau_start + c0 * grid.h + s * (grid.h / refine / 2.0)
+    nodes = isinstance(grid, StepNodes)
+    if nodes:
+        t = grid.taus[c0:c0 + cs + 1]
+        dt = np.diff(t)
+        taus = t[:-1] + np.arange(2 * refine + 1)[:, None] / (2 * refine) * dt
+    else:
+        s = np.arange(cs + 1) * (2 * refine) + np.arange(2 * refine)[:, None]
+        taus = grid.tau_start + c0 * grid.h + s * (grid.h / refine / 2.0)
     x = np.ascontiguousarray(component_major(afun(taus)))
-    rows = [x[:, :, j * cs + 1:(j + 1) * cs + 1] for j in range(2 * refine)]
-    return [x[:, :, :cs], *rows[1:], rows[0]], grid.h
+    rows = [x[:, :, j, :cs] for j in range(2 * refine)]
+    if nodes:
+        return [*rows, x[:, :, 2 * refine]], dt.reshape(dt.shape + (1,) * (x.ndim - 4))
+    return [*rows, x[:, :, 0, 1:]], grid.h
 
 
-def _node_rows(afun, t: np.ndarray, refine: int):
-    """Sample rows of the steps between the nodes t (see _integrate), and
-    the step sizes shaped to broadcast against a row's stack axes."""
-    dt = np.diff(t)
-    frac = np.arange(2 * refine + 1)[:, None] / (2 * refine)
-    x = np.ascontiguousarray(component_major(afun(t[:-1] + frac * dt)))
-    rows = [x[:, :, j] for j in range(2 * refine + 1)]
-    return rows, dt.reshape(dt.shape + (1,) * (x.ndim - 4))
-
-
-def _substep_maps(rows, dt, refine: int, r: int):
-    """Maps of the r substeps of every step (r divides refine), in time
-    order, each component-major (dim, dim, steps, *batch).
+def _step_prefixes(rows, dt, refine: int, r: int):
+    """Prefix products of the r substep maps of every step (r divides
+    refine), in time order, each component-major (dim, dim, steps, *batch):
+    entry i maps the step's start to the end of its substep i, so the last
+    one is the step map.
 
     Substep i reads rows 2wi, 2wi + w and 2w(i + 1), w = refine / r, as its
     start, midpoint and end: a coarser level reads every w-th row.
     """
     w = refine // r
-    return [component_major(step_maps(matrix_major(rows[2 * w * i]),
+    maps = (component_major(step_maps(matrix_major(rows[2 * w * i]),
                                       matrix_major(rows[2 * w * i + w]),
                                       matrix_major(rows[2 * w * (i + 1)]), dt / r))
-            for i in range(r)]
+            for i in range(r))
+    return list(itertools.accumulate(maps, lambda g, s: entry_matmul(s, g)))
 
 
 def _integrate(afun, grid, dim: int, batch=(), refine=DEFAULT_REFINE,
@@ -350,54 +360,51 @@ def _integrate(afun, grid, dim: int, batch=(), refine=DEFAULT_REFINE,
     grid gives the step nodes: a TimeGrid or StepNodes.  Every step is split
     into `refine` equal substeps.  Returns (samples | None, U_final).
 
-    A chunk of steps is sampled as 2 refine + 1 rows: row j holds A at
-    j/(2 refine) of the way through every step, a component-major
-    (dim, dim, steps, *batch) view.  Only the sampling depends on the kind
-    of nodes.  A TimeGrid's steps share their end samples (row 2 refine of
-    a step is row 0 of the next), and afun receives the chunk's times as
-    one 1-D array (_grid_rows).  On StepNodes the generator may jump at a
-    node, so every step has its own end row, and afun receives the
-    (2 refine + 1, steps) row times, whose middle row is where it evaluates
-    the inputs that are constant inside a step (_node_rows).  afun returns
-    A with shape (*taus.shape, *batch, dim, dim).  The substep maps, their
-    product per step and the blocked scan over the chunk's steps are shared.
+    A chunk of steps is sampled by _sample_rows: afun receives a
+    (rows, steps) time array, row j at j/(2 refine) of the way through every
+    step, so row `refine` is the step midpoint for both kinds of nodes, and
+    returns A with shape (*taus.shape, *batch, dim, dim).  Every step's map
+    is the product of its substep maps, and a blocked scan over the chunk's
+    step maps gives the propagator at every node; this path is the same for
+    every storage mode, which only chooses what is written.
 
     store is "grid" (steps + 1 samples at the nodes), "half" (2 steps + 1
-    samples at the nodes and step midpoints, in time order; requires
-    refine == 2) or "final".  StepNodes allow only "final": the same rows
-    are integrated at refine // 2 and at refine (refine must be even), and
-    U_final has shape (2, *batch, dim, dim), in that order.
+    samples at the nodes and step midpoints, in time order; a midpoint is
+    the product of its step's first refine / 2 substep maps times the
+    sample at the step's start) or "final".  StepNodes allow only "final":
+    the same rows are integrated at refine // 2 and at refine, and U_final
+    has shape (2, *batch, dim, dim), in that order.  Step nodes and half
+    storage need an even refine.
     """
+    if store not in ("grid", "half", "final"):
+        raise ValueError(f"store must be 'grid', 'half' or 'final', got {store!r}")
     nodes = isinstance(grid, StepNodes)
-    if nodes and (store != "final" or refine % 2):
+    if nodes and store != "final":
         raise ValueError("step nodes integrate final propagators at an even refine")
-    if store == "half" and refine != 2:
-        raise ValueError("midpoint storage requires refine == 2")
+    if (nodes or store == "half") and refine % 2:
+        raise ValueError(f"step nodes and half storage need an even refine, got {refine}")
     # step nodes carry their two levels along a leading axis of u
     levels, lead = ((refine // 2, refine), (2,)) if nodes else ((refine,), ())
     steps = grid.steps
-    per_step = 2 if store == "half" else 1
     u = np.broadcast_to(np.eye(dim, dtype=complex), (*lead, *batch, dim, dim)).copy()
     out = None
-    if store in ("grid", "half"):
-        out = np.empty((per_step * steps + 1, *batch, dim, dim), dtype=complex)
+    if store != "final":
+        out = np.empty(((2 if store == "half" else 1) * steps + 1, *batch, dim, dim),
+                       dtype=complex)
         out[0] = u
     for c0 in range(0, steps, chunk):
         cs = min(chunk, steps - c0)
-        rows, dt = (_node_rows(afun, grid.taus[c0:c0 + cs + 1], refine) if nodes
-                    else _grid_rows(afun, grid, c0, cs, refine))
-        if store == "half":
-            # every substep map, in time order
-            m = np.stack(_substep_maps(rows, dt, refine, refine), axis=3)
-            m = m.reshape(dim, dim, 2 * cs, *batch)
-        else:
-            # each level's step maps: the product of its substep maps
-            m = [functools.reduce(lambda g, s: entry_matmul(s, g),
-                                  _substep_maps(rows, dt, refine, r)) for r in levels]
-            m = np.stack(m, axis=3) if lead else m[0]
-        p = _blocked_scan(m, u)
-        if out is not None:
-            out[per_step * c0 + 1:per_step * (c0 + cs) + 1] = p
+        rows, dt = _sample_rows(afun, grid, c0, cs, refine)
+        prefixes = [_step_prefixes(rows, dt, refine, r) for r in levels]
+        m = [q[-1] for q in prefixes]
+        p = _blocked_scan(np.stack(m, axis=3) if lead else m[0], u)
+        if store == "grid":
+            out[c0 + 1:c0 + cs + 1] = p
+        elif store == "half":
+            out[2 * c0 + 2:2 * (c0 + cs) + 1:2] = p
+            start = component_major(out[2 * c0:2 * (c0 + cs):2])
+            half = prefixes[0][refine // 2 - 1]
+            out[2 * c0 + 1:2 * (c0 + cs):2] = matrix_major(entry_matmul(half, start))
         u = p[-1]
     return out, u
 
@@ -414,10 +421,11 @@ def _generator_fun(p, grid: TimeGrid, delta_f=None, noises=None):
 
     delta_f (grid samples, shape (steps + 1, 3)) is linearly interpolated to
     the requested times.  noises, a sequence of noise realizations, adds a
-    batch axis after the time axes; it is meant for StepNodes sample arrays,
-    and each realization's noise is held at its value at the step midpoint
-    (the middle row) throughout the step.  The returned views are
-    component-major underneath, so _integrate copies nothing.
+    batch axis after the time axes; each realization's noise is held at its
+    value at the step midpoint, the middle row of _integrate's (rows, steps)
+    time array, throughout the step (meant for StepNodes, where the noise
+    is constant inside every step).  The returned views are component-major
+    underneath, so _integrate copies nothing.
     """
     if delta_f is not None:
         taus_grid = grid.points()

@@ -9,7 +9,6 @@ from dataclasses import dataclass, replace
 
 from . import metrics, noc, propagate
 from .config import ConfigError
-from .propagate import TimeGrid
 
 # unit-in-last-place of each printed nominal parameter
 ULP = {
@@ -39,28 +38,25 @@ def parameter_ulp(gate_name: str, parameter: str) -> float:
         ) from None
 
 
-def run_sensitivity(gate: metrics.GateTarget, p, parameter: str,
-                    grid: TimeGrid | None = None, *,
-                    improved: noc.ImprovedGateResult | None = None):
+def run_sensitivity(gate: metrics.GateTarget, p, parameter: str, *,
+                    improved: noc.ImprovedGateResult):
     """Tr P with and without the frozen control correction at -1/0/+1 ULP.
 
-    The zero row is the ideal pipeline output: it takes the two final
-    propagators of `improved` when that result was computed on this grid,
-    and re-propagates with the unperturbed parameters otherwise.
+    The sweeps run on the grid of `improved`, whose control correction is
+    frozen.  The zero row is the ideal pipeline output: the two final
+    propagators of `improved`.
     """
     if not hasattr(p, parameter):
         raise ValueError(f"unknown sweep parameter {parameter!r}")
     ulp = parameter_ulp(gate.name, parameter)
-    grid = grid or TimeGrid.default_for(p)
-    if improved is None:
-        improved = noc.improve_gate(gate, p, grid)
+    grid = improved.control.grid
     delta_f = improved.control.samples
     base = getattr(p, parameter)
 
     rows = []
     for shift in (-1, 0, 1):
         value = base + shift * ulp
-        if shift == 0 and improved.control.grid == grid:
+        if shift == 0:
             with_noc, without = improved.improved_unitary, improved.nominal_unitary
         else:
             pp = replace(p, **{parameter: value})

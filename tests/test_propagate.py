@@ -40,7 +40,7 @@ def test_zero_generator_gives_identity():
     grid = TimeGrid(10.0, 100)
 
     def afun(taus):
-        return np.zeros((len(taus), 2, 2), dtype=complex)
+        return np.zeros((*taus.shape, 2, 2), dtype=complex)
 
     out, u = _integrate(afun, grid, 2)
     assert np.allclose(out, np.eye(2))
@@ -52,7 +52,7 @@ def test_constant_hamiltonian_matches_exponential():
     grid = TimeGrid(8.0, 2000)
 
     def afun(taus):
-        return np.broadcast_to(1j * SIGMA_Z, (len(taus), 2, 2)).copy()
+        return np.broadcast_to(1j * SIGMA_Z, (*taus.shape, 2, 2)).copy()
 
     out, u = _integrate(afun, grid, 2)
     taus = grid.points()
@@ -253,19 +253,43 @@ def test_grid_and_its_points_as_step_nodes_give_the_same_propagator():
 def test_half_storage_is_one_time_ordered_sample_array():
     steps, chunk = 2500, 1000
     grid = TimeGrid(SHORT_HAD.tau0, steps)
-    half, u = _integrate(_generator_fun(SHORT_HAD, grid), grid, 2, store="half",
-                         chunk=chunk)
+    afun = _generator_fun(SHORT_HAD, grid)
+    half, u = _integrate(afun, grid, 2, store="half", chunk=chunk)
     assert half.shape == (2 * steps + 1, 2, 2)
     assert np.array_equal(half[-1], u)
-    # the samples are the substep prefixes: a refine-1 run on twice the steps
+    # the even samples are grid storage's, from the same scan
+    at_grid, _ = _integrate(afun, grid, 2, chunk=chunk)
+    assert np.array_equal(half[0::2], at_grid)
+    # the samples are the substep prefixes: a refine-1 run on twice the
+    # steps, up to the association of the product
     fine = TimeGrid(SHORT_HAD.tau0, 2 * steps)
     want, _ = _integrate(_generator_fun(SHORT_HAD, fine), fine, 2, refine=1,
                          chunk=2 * chunk)
-    assert np.array_equal(half, want)
-    # the even samples are the grid points; grid storage multiplies whole
-    # steps, a different association of the same maps
-    at_grid, _ = _integrate(_generator_fun(SHORT_HAD, grid), grid, 2, chunk=chunk)
-    assert np.abs(half[0::2] - at_grid).max() <= 1e-15 * steps
+    assert np.abs(half[1::2] - want[1::2]).max() <= 1e-15 * steps
+
+
+@settings(max_examples=40, deadline=None)
+@given(steps=st.integers(1, 60), chunk=st.integers(1, 25),
+       refine=st.sampled_from([2, 4, 6]))
+def test_storage_modes_write_one_product(steps, chunk, refine):
+    grid = TimeGrid(SHORT_HAD.tau0, steps)
+    afun = _generator_fun(SHORT_HAD, grid)
+    kw = dict(refine=refine, chunk=chunk)
+    at_grid, u_grid = _integrate(afun, grid, 2, store="grid", **kw)
+    half, u_half = _integrate(afun, grid, 2, store="half", **kw)
+    none, u_final = _integrate(afun, grid, 2, store="final", **kw)
+    assert none is None and half.shape == (2 * steps + 1, 2, 2)
+    assert np.array_equal(half[0::2], at_grid)
+    assert np.array_equal(u_final, at_grid[-1])
+    assert np.array_equal(u_grid, u_final) and np.array_equal(u_half, u_final)
+
+
+def test_unknown_storage_mode_is_rejected():
+    grid = TimeGrid(SHORT_HAD.tau0, 40)
+    with pytest.raises(ValueError, match="store must be"):
+        propagate_sweep(SHORT_HAD, grid, store="Half")
+    with pytest.raises(ValueError, match="even refine"):
+        _integrate(_generator_fun(SHORT_HAD, grid), grid, 2, refine=3, store="half")
 
 
 def _short_control(grid):

@@ -18,12 +18,16 @@ def test_ulp_table():
         parameter_ulp("hadamard", "d1")
 
 
-def test_perturbed_values_and_zero_row():
+@pytest.fixture(scope="module")
+def hadamard_40k():
     p = NOMINAL_PARAMS["hadamard"]
     gate = gate_target("hadamard")
-    grid = TimeGrid(p.tau0, 40000)
-    res = improve_gate(gate, p, grid)
-    rows = run_sensitivity(gate, p, "lam", grid, improved=res)
+    return gate, p, improve_gate(gate, p, TimeGrid(p.tau0, 40000))
+
+
+def test_perturbed_values_and_zero_row(hadamard_40k):
+    gate, p, res = hadamard_40k
+    rows = run_sensitivity(gate, p, "lam", improved=res)
     values = [r.value for r in rows]
     assert values == pytest.approx([7.819, 7.820, 7.821], abs=1e-12)
     # the unperturbed row reproduces the ideal pipeline bit for bit
@@ -34,31 +38,27 @@ def test_perturbed_values_and_zero_row():
     assert rows[2].trp_with_noc > 10 * rows[1].trp_with_noc
 
 
-def test_unknown_parameter_rejected():
-    p = NOMINAL_PARAMS["hadamard"]
+def test_unknown_parameter_rejected(hadamard_40k):
+    gate, p, res = hadamard_40k
     with pytest.raises(ValueError):
-        run_sensitivity(gate_target("hadamard"), p, "zeta", TimeGrid(p.tau0, 100))
+        run_sensitivity(gate, p, "zeta", improved=res)
 
 
-@pytest.mark.parametrize("same_grid", [True, False])
-def test_zero_row_reuses_improve_result_on_its_grid(monkeypatch, same_grid):
-    p = NOMINAL_PARAMS["hadamard"]
-    gate = gate_target("hadamard")
-    grid = TimeGrid(p.tau0, 40000)
-    res = improve_gate(gate, p, grid)
-    # same step count, so the frozen control still fits the other grid
-    sweep_grid = grid if same_grid else TimeGrid(p.tau0 - 1.0, grid.steps)
+def test_zero_row_reuses_improve_result_on_its_grid(monkeypatch, hadamard_40k):
+    gate, p, res = hadamard_40k
     propagated = []
 
     def counting(fn):
-        def wrapped(pp, *args, **kwargs):
-            propagated.append(pp.lam)
-            return fn(pp, *args, **kwargs)
+        def wrapped(pp, grid, *args, **kwargs):
+            propagated.append((pp.lam, grid))
+            return fn(pp, grid, *args, **kwargs)
         return wrapped
 
     monkeypatch.setattr(sensitivity.propagate, "propagate_sweep",
                         counting(sensitivity.propagate.propagate_sweep))
-    rows = run_sensitivity(gate, p, "lam", sweep_grid, improved=res)
+    rows = run_sensitivity(gate, p, "lam", improved=res)
     assert [r.value for r in rows] == pytest.approx([7.819, 7.820, 7.821], abs=1e-12)
-    assert propagated.count(p.lam) == (0 if same_grid else 2)
-    assert len(propagated) == (4 if same_grid else 6)
+    # two sweeps per perturbed row, all on the improve result's grid
+    assert [lam for lam, _ in propagated].count(p.lam) == 0
+    assert len(propagated) == 4
+    assert all(grid == res.control.grid for _, grid in propagated)
