@@ -12,7 +12,14 @@ ANSATZ_DECAY = 10, without ever constructing the state-weight matrix.
 Strategy 2 (two qubits) uses the constant-identity Riccati matrix: with
 R = I3 and S = I16, the Riccati equation forces Q = G G† and the gain is
 C = G†, so the state obeys dy/dtau = -G G† y from y = -delta_b and the
-feedback law is delta_f = -Re[G† y].  G G† has rank 3, which the feedback
+feedback law is delta_f = -G† y.  The solve runs in the orthonormal basis
+P_a/2 of the 16 two-qubit Pauli products (lincore.pauli_coordinates).
+delta_b and every drive column vec(U0† G_j U0) are column-stacked Hermitian
+matrices, so their coordinates are real, and the change of basis is
+unitary: ||y|| is unchanged and G† y = G_rᵀ y_r.  The state, its maps, the
+control law and the Riccati check are therefore real arrays, and what the
+projection discards, the imaginary parts of the coordinates, is the check
+that the inputs are Hermitian.  G G† has rank 3, which the feedback
 integration exploits (propagate.feedback_maps), and the solve streams the
 drive samples along the nominal trajectory instead of storing them.
 """
@@ -25,6 +32,7 @@ import numpy as np
 
 from . import control, metrics, propagate
 from .config import ConfigError
+from .lincore import pauli_coordinates
 from .metrics import ErrorReport, GateTarget, TargetOffset
 from .propagate import TimeGrid, Trajectory
 
@@ -40,7 +48,8 @@ NORM_INCREASE_TOL = 1e-12
 
 
 class ConsistencyError(RuntimeError):
-    """A quantity that must be real carries a non-negligible imaginary part."""
+    """A check of the feedback solution or of its inputs failed: an imaginary
+    residue, the Riccati residual or the growth of ||delta_y||."""
 
 
 @dataclass(frozen=True)
@@ -55,16 +64,23 @@ class ControlModification:
 class Strategy2Solution:
     """Feedback solution: state samples and the control law.
 
-    The gain is C(tau) = G†(tau); riccati_s and weight_r are the constant
-    identity choices that make the Riccati residual vanish identically, with
-    state weight Q(tau) = G(tau) G†(tau).  riccati_residual_max records the
-    verified residual.  norm_increase_max is the largest one-step increase
-    max_k (||y_{k+1}|| - ||y_k||) of the state: the exact flow never
-    increases ||y||, so a positive value beyond roundoff means the step size
-    lies outside the stability interval of the one-step map (at the
-    production grid it reads -8.1e-13).  delta_y comes from the rank-3 maps
-    of propagate.feedback_maps, which match the batched-`@` maps of -G G†
-    to 1.1e-16; the drive samples are not kept: strategy2_solve streams them.
+    delta_y holds the state at the grid points in real Pauli coordinates,
+    shape (steps + 1, 16): y_a = tr(P_a Y) / 2 for the 4x4 matrix Y of
+    the column-stacked state, so Y = sum_a y_a P_a / 2 (lincore.
+    PAULI_PRODUCTS).  The gain is C(tau) = G†(tau); riccati_s and weight_r
+    are the constant identity choices (in either basis) that make the
+    Riccati residual vanish identically, with state weight Q(tau) = G(tau)
+    G†(tau).  riccati_residual_max records the verified residual.
+    norm_increase_max is the largest one-step increase max_k (||y_{k+1}|| -
+    ||y_k||) of the state: the exact flow never increases ||y||, so a
+    positive value beyond roundoff means the step size lies outside the
+    stability interval of the one-step map (at the production grid it reads
+    -8.1e-13).  imag_residue_max is the largest imaginary part of the Pauli
+    coordinates of delta_b and of the drive samples, discarded by the
+    projection; it measures how far they are from Hermitian (4.4e-16 at the
+    production grid).  delta_y comes from the rank-3 maps of
+    propagate.feedback_maps, which match the batched-`@` maps of -G G† to
+    1.1e-16; the drive samples are not kept: strategy2_solve streams them.
     """
 
     delta_y: np.ndarray
@@ -73,6 +89,7 @@ class Strategy2Solution:
     weight_r: np.ndarray
     riccati_residual_max: float
     norm_increase_max: float
+    imag_residue_max: float
 
 
 @dataclass
@@ -135,13 +152,14 @@ def contracted_drive(couplings_bar: np.ndarray, g: np.ndarray,
 
 
 def _riccati_residual(g: np.ndarray, s_mat: np.ndarray, r_inv: np.ndarray) -> float:
-    """max |-G G† + S G R^-1 G† S| over drive samples g, (points, n², 3).
+    """max |-G G† + S G R^-1 G† S| over drive samples g, (points, n², 3),
+    real or complex.
 
     Associated as (S G) R^-1 (S G)†, which S = S† allows.
     """
     sg = s_mat @ g
-    res = (sg @ r_inv) @ np.conj(np.swapaxes(sg, -1, -2))
-    res -= g @ np.conj(np.swapaxes(g, -1, -2))
+    res = (sg @ r_inv) @ np.swapaxes(sg, -1, -2).conj()
+    res -= g @ np.swapaxes(g, -1, -2).conj()
     return float(np.abs(res).max())
 
 
@@ -149,43 +167,58 @@ def strategy2_solve(p, nominal: Trajectory, offset: TargetOffset) -> Strategy2So
     """Solve the feedback problem for a two-qubit offset in one streamed pass.
 
     nominal is the nominal trajectory, integrated with half storage.
-    The pass runs FEEDBACK_CHUNK steps at a time: the chunk's drive samples
-    at grid points and midpoints (drive_samples), the state advanced through
-    the rank-3 maps (propagate.integrate_delta_y), the control law
-    -Re[G† y], and the Riccati residual and the one-step increase of ||y||
-    at the chunk's grid samples.  Only chunk-sized drive samples are held;
-    the whole (2 steps + 1, 16, 3) stack never is.  Against the batched-`@`
-    maps on the whole stack, at the production grid, delta_y differs by
-    2.7e-14 and the control by 9.1e-16 in max-norm.
+    Everything runs in real Pauli coordinates (lincore.pauli_coordinates):
+    y starts at the projection of -delta_b, and the pass runs
+    FEEDBACK_CHUNK steps at a time: the chunk's drive samples at grid
+    points and midpoints (drive_samples) and their projection G_r, the
+    state advanced through the rank-3 maps (propagate.integrate_delta_y),
+    the control law -G_rᵀ y, and the Riccati residual and the one-step
+    increase of ||y|| at the chunk's grid samples.  Only chunk-sized drive
+    samples are held; the whole (2 steps + 1, 16, 3) stack never is.
+    Against the batched-`@` maps on the whole complex stack, at the
+    production grid, delta_y differs by 2.7e-14 and the control by 9.1e-16
+    in max-norm; against the same streamed pass on complex arrays, by
+    5.7e-16 and 9.0e-17.
 
-    Raises ConsistencyError when ||y|| grows by more than NORM_INCREASE_TOL
-    in one step, when the Riccati residual is not zero to 1e-14, or when the
-    control carries an imaginary residue.
+    Raises ConsistencyError when the projections of delta_b or of the drive
+    samples discard an imaginary residue above IMAG_RESIDUE_TOL, when ||y||
+    grows by more than NORM_INCREASE_TOL in one step, or when the Riccati
+    residual is not zero to 1e-14.
     """
     if offset.dim != 4:
         raise ConfigError("strategy 2 expects a two-qubit offset")
     grid = nominal.grid
     if len(nominal.unitaries) != 2 * grid.steps + 1:
         raise ValueError("strategy 2 needs a trajectory with midpoint samples")
-    s_mat = np.eye(16, dtype=complex)
-    r_mat = np.eye(3, dtype=complex)
+    s_mat = np.eye(16)
+    r_mat = np.eye(3)
     r_inv = np.linalg.inv(r_mat)
-    delta_y = np.empty((grid.steps + 1, 16), dtype=complex)
-    raw = np.empty((grid.steps + 1, 3), dtype=complex)
-    y = -np.asarray(offset.delta_b, dtype=complex)
+    delta_y = np.empty((grid.steps + 1, 16))
+    raw = np.empty((grid.steps + 1, 3))
+    b_r, imag_residue = pauli_coordinates(offset.delta_b)
+    y = -b_r
     residual = 0.0
     increase = -np.inf
     for s0 in range(0, grid.steps, FEEDBACK_CHUNK):
         s1 = min(s0 + FEEDBACK_CHUNK, grid.steps)
+        # each drive column vec(U0† G_j U0) in Pauli coordinates
         g_half = drive_samples(p, nominal, start=2 * s0, stop=2 * s1 + 1)
+        g_half, chunk_residue = pauli_coordinates(np.swapaxes(g_half, -1, -2))
+        g_half = np.swapaxes(g_half, -1, -2)
+        imag_residue = max(imag_residue, chunk_residue)
         ys = propagate.integrate_delta_y(g_half, y, grid.h)
         y = ys[-1]
         delta_y[s0:s1 + 1] = ys
         # np.maximum keeps a NaN from an unstable step
         increase = np.maximum(increase, np.diff(np.linalg.norm(ys, axis=1)).max())
         g = g_half[0::2]
-        raw[s0:s1 + 1] = -np.einsum("kmj,km->kj", np.conj(g), ys)
+        raw[s0:s1 + 1] = -np.einsum("kmj,km->kj", g, ys)
         residual = max(residual, _riccati_residual(g, s_mat, r_inv))
+    if imag_residue > IMAG_RESIDUE_TOL:
+        raise ConsistencyError(
+            f"imaginary residue {imag_residue:.3e} of the Pauli coordinates of "
+            f"delta_b and the drive samples exceeds {IMAG_RESIDUE_TOL:.0e}"
+        )
     increase = float(increase)
     if not (increase <= NORM_INCREASE_TOL):
         raise ConsistencyError(
@@ -196,11 +229,12 @@ def strategy2_solve(p, nominal: Trajectory, offset: TargetOffset) -> Strategy2So
         raise ConsistencyError(f"Riccati residual {residual:.3e} not identically zero")
     return Strategy2Solution(
         delta_y=delta_y,
-        control=_real_control(raw, grid),
+        control=ControlModification(grid=grid, samples=raw),
         riccati_s=s_mat,
         weight_r=r_mat,
         riccati_residual_max=residual,
         norm_increase_max=increase,
+        imag_residue_max=imag_residue,
     )
 
 
@@ -210,13 +244,19 @@ def drive_samples(p, traj: Trajectory, start: int = 0,
     default all of them), shape (points, n², 3).
 
     The sample spacing follows from the count: h at grid samples, h/2 for a
-    half trajectory.  The couplings and drive matrices are formed
-    DRIVE_CHUNK samples at a time into the preallocated result, reading the
-    propagator samples in place, so the peak memory is the result plus
-    chunk-sized temporaries instead of a full coupling stack and its products.
+    half trajectory; any other count raises ValueError.  The couplings and
+    drive matrices are formed DRIVE_CHUNK samples at a time into the
+    preallocated result, reading the propagator samples in place, so the
+    peak memory is the result plus chunk-sized temporaries instead of a full
+    coupling stack and its products.
     """
     grid = traj.grid
     count = len(traj.unitaries)
+    if count not in (grid.steps + 1, 2 * grid.steps + 1):
+        raise ValueError(
+            f"a trajectory of {count} samples holds neither the {grid.steps + 1} "
+            f"grid samples nor the {2 * grid.steps + 1} half-grid samples"
+        )
     spacing = grid.h / ((count - 1) // grid.steps)
     stop = count if stop is None else stop
     if not (0 <= start <= stop <= count):

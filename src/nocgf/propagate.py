@@ -66,6 +66,10 @@ No n² x n² generator or product besides W C W† itself is formed; the maps
 match the batched-`@` form of step_maps to about 1e-16.
 integrate_delta_y advances y over the steps of a run of drive samples, so
 the caller can stream the samples chunk by chunk (noc.strategy2_solve).
+Both follow the dtype of their input on one code path.  Strategy 2 passes
+real arrays: G and y in the orthonormal basis P_a/2 of the two-qubit Pauli
+products (lincore.pauli_coordinates), a unitary change of basis in which
+every Hermitian column is real, so the maps are real 16x16 matrices.
 
 Product order.  A step's map is the product of its substep maps, and
 within a chunk the step maps are multiplied by a blocked scan (see
@@ -549,19 +553,21 @@ def feedback_maps(g_half: np.ndarray, h: float) -> np.ndarray:
       L = K D, and the degree-5..7 completion is
       W D L^4 (-c^5/120 + c^6/720 L - c^7/5760 L^2) W†.
 
-    Returns (steps, N, N).  Measured against the batched-`@` form on the
-    production cphase drive samples (|M - I| about 2e-3), the two agree to
-    1.1e-16 in max-norm.
+    Returns (steps, N, N), real for real samples and complex for complex
+    ones.  Measured against the batched-`@` form on the production cphase
+    drive samples (|M - I| about 2e-3), the two agree to 1.1e-16 in
+    max-norm.
     """
     w = np.concatenate([g_half[0:-1:2], g_half[1::2], g_half[2::2]], axis=-1)
-    wh = np.conj(np.swapaxes(w, -1, -2))
+    # conj() is a no-op on real samples
+    wh = np.swapaxes(w, -1, -2).conj()
     k = wh @ w
     steps = len(k)
     c = h / 6.0
     eye3 = np.eye(3)
     # stage row blocks: a1, k2 = a2 + (h/2) a2 a1, k3 = a2 + (h/2) a2 k2,
     # k4 = a3 + h a3 k3
-    x1 = np.zeros((steps, 3, 9), dtype=complex)
+    x1 = np.zeros((steps, 3, 9), dtype=k.dtype)
     x1[:, :, 0:3] = -eye3
     x2 = (-h / 2.0) * (k[:, 3:6, 0:3] @ x1)
     x2[:, :, 3:6] -= eye3
@@ -569,7 +575,7 @@ def feedback_maps(g_half: np.ndarray, h: float) -> np.ndarray:
     x3[:, :, 3:6] -= eye3
     x4 = -h * (k[:, 6:9, 3:6] @ x3)
     x4[:, :, 6:9] -= eye3
-    core = np.empty((steps, 9, 9), dtype=complex)
+    core = np.empty((steps, 9, 9), dtype=k.dtype)
     core[:, 0:3] = c * x1
     core[:, 3:6] = (2.0 * c) * (x2 + x3)
     core[:, 6:9] = c * x4
@@ -592,10 +598,12 @@ def integrate_delta_y(g_half: np.ndarray, y0: np.ndarray, h: float) -> np.ndarra
     steps of size h, shape (2 steps + 1, N, 3), and y0 (length N) is y at
     the first node.  The steps use the rank-3 maps of feedback_maps, the
     one-step scheme of the propagators in vector form.  Returns y at the
-    steps + 1 nodes, shape (steps + 1, N), starting with y0.
+    steps + 1 nodes, shape (steps + 1, N), starting with y0; it is real
+    when the samples and y0 are (Pauli coordinates, noc.strategy2_solve)
+    and complex otherwise.
     """
     g_half = np.asarray(g_half)
-    y = np.asarray(y0, dtype=complex)
+    y = np.asarray(y0)
     if (y.ndim != 1 or g_half.ndim != 3 or g_half.shape[0] < 3
             or g_half.shape[0] % 2 == 0 or g_half.shape[1:] != (len(y), 3)):
         raise ValueError(
@@ -603,9 +611,9 @@ def integrate_delta_y(g_half: np.ndarray, y0: np.ndarray, h: float) -> np.ndarra
             f"samples (steps >= 1) of an (N, 3) drive matrix for y0 of shape {y.shape}"
         )
     m = feedback_maps(g_half, h)
-    out = np.empty((len(m) + 1, len(y)), dtype=complex)
+    out = np.empty((len(m) + 1, len(y)), dtype=np.result_type(m, y))
     out[0] = y
-    for k in range(len(m)):
-        y = m[k] @ y
-        out[k + 1] = y
+    # one matrix-vector product per step, written in place
+    for m_k, y_k, y_next in zip(m, out, out[1:]):
+        np.dot(m_k, y_k, out=y_next)
     return out

@@ -1,8 +1,8 @@
 """The benchmark's span tracer (perfbench/tracer.py) wraps nocgf functions at
 the bindings their callers look up, by name.  A renamed or deleted binding
 breaks a traced benchmark run, so this runs a small traced pipeline (a
-one-qubit and a two-qubit improve and a noisy propagation) and checks that
-the layers it counts recorded work."""
+one-qubit improve and a noisy propagation, then a two-qubit improve as an
+iteration of its own) and checks that the layers it counts recorded work."""
 
 import dataclasses
 import importlib.util
@@ -34,25 +34,32 @@ def test_tracer_bindings_record_every_layer():
         tracer.iteration = 0
         p = dataclasses.replace(NOMINAL_PARAMS["hadamard"], tau0=20.0)
         noc.improve_gate(gate_target("hadamard"), p, TimeGrid(p.tau0, 10_000))
-        # the two-qubit improve: a half-stored nominal sweep and Strategy 2
-        p2 = dataclasses.replace(NOMINAL_PARAMS["cphase"], tau0=20.0)
-        noc.improve_gate(gate_target("cphase"), p2, TimeGrid(p2.tau0, 5_000))
         grid = TimeGrid(p.tau0, 400)
         delta_f = np.zeros((grid.steps + 1, 3))
         improved = propagate.propagate_sweep(p, grid, delta_f)
         trial = sample_realization(default_noise_params(1, 1e-3, seed=3), p.tau0)
         propagate.propagate_modified_batch(p, improved, delta_f, [trial])
+        # the two-qubit improve alone: a half-stored nominal sweep and
+        # Strategy 2, whose drive samples and feedback integration must
+        # pass through the traced bindings
+        tracer.iteration = 1
+        p2 = dataclasses.replace(NOMINAL_PARAMS["cphase"], tau0=20.0)
+        noc.improve_gate(gate_target("cphase"), p2, TimeGrid(p2.tau0, 5_000))
     finally:
         tracer.restore()
     segments = len(propagate.noisy_segments(grid, trial.edges()))
     assert segments > 0
     metrics = tracing.layer_metrics(tracer.spans, 0)
-    # each improve run's nominal and improved sweeps, the improved sweep the
+    # the improve run's nominal and improved sweeps, the improved sweep the
     # noisy run reuses, and one integration per noisy segment
-    assert metrics["propagate.propagations"] == 2 * 2 + 1 + segments
+    assert metrics["propagate.propagations"] == 2 + 1 + segments
     assert metrics["propagate.step_maps"] > 0
     assert metrics["noise.evaluate_points"] > 0
     assert metrics["noc.improve_calls_per_gate"] == 1.0
-    assert metrics["noc.strategy2_solve_self_s"] > 0.0
-    assert metrics["propagate.integrate_delta_y_s"] > 0.0
     assert metrics["control.drive_matrix_s"] > 0.0
+    metrics = tracing.layer_metrics(tracer.spans, 1)
+    assert metrics["propagate.propagations"] == 2
+    assert metrics["noc.improve_calls_per_gate"] == 1.0
+    assert metrics["control.drive_matrix_s"] > 0.0
+    assert metrics["propagate.integrate_delta_y_s"] > 0.0
+    assert metrics["noc.strategy2_solve_self_s"] > 0.0

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nocgf.lincore import (
+    PAULI_PRODUCTS,
     devectorize,
     hermitize,
     max_norm,
+    pauli_coordinates,
     unitarity_defect,
     vectorize,
 )
@@ -85,3 +89,57 @@ def test_unitarity_defect_matches_matmul_formula(rng, n, batch):
     u = np.array(q)
     u[(0,) * len(batch) + (n - 1, 0)] = np.nan
     assert np.isnan(unitarity_defect(u))
+
+
+def _from_pauli(x):
+    """Column-stacked vec(X) of X = sum_a x_a P_a / 2."""
+    return vectorize(np.einsum("...a,aij->...ij", x, PAULI_PRODUCTS) / 2.0)
+
+
+def test_pauli_products_are_an_orthogonal_hermitian_basis():
+    gram = np.einsum("aji,bjk->abik", PAULI_PRODUCTS.conj(), PAULI_PRODUCTS)
+    assert np.array_equal(np.trace(gram, axis1=-2, axis2=-1), 4.0 * np.eye(16))
+    assert np.array_equal(PAULI_PRODUCTS, hermitize(PAULI_PRODUCTS))
+    # every product has four nonzero entries, each +-1 or +-i
+    nonzero = PAULI_PRODUCTS[PAULI_PRODUCTS != 0]
+    assert nonzero.size == 64 and np.all(np.abs(nonzero) == 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       batch=st.sampled_from([(), (1,), (5,), (3, 7)]))
+def test_pauli_coordinates_isometry_and_roundtrip(seed, batch):
+    rng = np.random.default_rng(seed)
+    shape = (*batch, 2, 4, 4)
+    z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    v = vectorize(hermitize(z))
+    a, b = v[..., 0, :], v[..., 1, :]
+    x, residue = pauli_coordinates(a)
+    y, _ = pauli_coordinates(b)
+    assert x.shape == a.shape and x.dtype == np.float64
+    assert residue <= 1e-15
+    # a unitary change of basis: norms and inner products are kept
+    assert np.allclose(np.linalg.norm(x, axis=-1), np.linalg.norm(a, axis=-1),
+                       rtol=1e-15, atol=0.0)
+    assert np.abs(np.sum(x * y, axis=-1)
+                  - np.sum(a.conj() * b, axis=-1)).max(initial=0.0) <= 1e-14
+    assert np.abs(_from_pauli(x) - a).max() <= 1e-15
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-12.0, 0.0))
+def test_pauli_coordinates_report_an_anti_hermitian_part(seed, log_scale):
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
+    h, k = hermitize(z[:3]), hermitize(z[3:]) * 10.0**log_scale
+    x, residue = pauli_coordinates(vectorize(h + 1j * k))
+    # the coordinates of H + iK are x_H + i x_K: K is what is discarded
+    x_k, _ = pauli_coordinates(vectorize(k))
+    x_h, _ = pauli_coordinates(vectorize(h))
+    assert residue == pytest.approx(np.abs(x_k).max(), rel=1e-12, abs=1e-15)
+    assert np.abs(x - x_h).max() <= 1e-15
+
+
+def test_pauli_coordinates_reject_other_lengths():
+    with pytest.raises(ValueError, match="4x4"):
+        pauli_coordinates(np.zeros((3, 4), dtype=complex))

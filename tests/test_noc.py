@@ -7,7 +7,8 @@ import pytest
 from nocgf import propagate
 from nocgf.config import ConfigError
 from nocgf.control import NOMINAL_PARAMS, coupling_matrices, drive_matrix
-from nocgf.metrics import GateTarget, gate_target, target_offset
+from nocgf.lincore import hermitize, pauli_coordinates, vectorize
+from nocgf.metrics import GateTarget, TargetOffset, gate_target, target_offset
 from nocgf.noc import (
     ConsistencyError,
     contracted_drive,
@@ -117,6 +118,8 @@ def test_strategy2_small_grid_properties(cphase_30k):
     norms = np.linalg.norm(sol.delta_y, axis=1)
     assert norms[-1] <= norms[0]
     assert sol.norm_increase_max == np.diff(norms).max() <= 1e-12
+    assert sol.delta_y.dtype == sol.control.samples.dtype == np.float64
+    assert sol.imag_residue_max <= 1e-15
     assert np.allclose(sol.riccati_s, np.eye(16))
     assert np.allclose(sol.weight_r, np.eye(3))
 
@@ -138,7 +141,9 @@ def test_strategy2_streamed_pass_matches_an_unstreamed_reference(cphase_30k):
             want.append(y)
     want = np.stack(want)
     ctrl = -np.einsum("kmj,km->kj", np.conj(g_half[0::2]), want)
-    assert np.abs(sol.delta_y - want).max() <= 1e-13
+    # the solve's state is in Pauli coordinates
+    want_r, _ = pauli_coordinates(want)
+    assert np.abs(sol.delta_y - want_r).max() <= 1e-13
     assert np.abs(sol.control.samples - ctrl.real).max() <= 1e-13
 
 
@@ -207,3 +212,30 @@ def test_strategy2_rejects_a_grid_only_trajectory(cphase_30k):
     grid_only = Trajectory(traj.grid, traj.unitaries[0::2])
     with pytest.raises(ValueError, match="midpoint"):
         strategy2_solve(p, grid_only, off)
+
+
+def test_drive_samples_reject_a_final_only_trajectory():
+    p = dataclasses.replace(NOMINAL_PARAMS["hadamard"], tau0=20.0)
+    final = propagate_sweep(p, TimeGrid(p.tau0, 400), store="final")
+    with pytest.raises(ValueError, match="neither"):
+        noc.drive_samples(p, final)
+
+
+@pytest.mark.parametrize("scale,ok", [(1e-9, True), (1e-4, False)])
+def test_strategy2_rejects_a_non_hermitian_offset(scale, ok):
+    # exactly unitary identity propagators at a stable step size (see
+    # test_strategy2_rejects_an_unstable_step_size); an anti-Hermitian part
+    # i K of delta_beta is the imaginary part of its Pauli coordinates
+    p = NOMINAL_PARAMS["cphase"]
+    grid = TimeGrid(p.tau0, 300)
+    traj = Trajectory(grid, np.tile(np.eye(4, dtype=complex), (2 * grid.steps + 1, 1, 1)))
+    rng = np.random.default_rng(3)
+    z = rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4))
+    beta = 0.01 * hermitize(z[0]) + 1j * scale * hermitize(z[1])
+    off = TargetOffset(delta_beta=beta, delta_b=vectorize(beta))
+    if ok:
+        sol = strategy2_solve(p, traj, off)
+        assert 0.0 < sol.imag_residue_max <= noc.IMAG_RESIDUE_TOL
+    else:
+        with pytest.raises(ConsistencyError, match="imaginary residue"):
+            strategy2_solve(p, traj, off)

@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nocgf.propagate import _blocked_scan, feedback_maps, step_maps
+from nocgf.propagate import _blocked_scan, feedback_maps, integrate_delta_y, step_maps
 from tests.conftest import random_unitary
 
 EPS_BOUND = 1e-12
@@ -112,3 +112,27 @@ def test_feedback_maps_match_matmul_reference(seed, steps, log_z):
     ref = reference_step_maps(b[0:-1:2], b[1::2], b[2::2], h)
     assert m.shape == ref.shape == (steps, 16, 16)
     assert np.abs(m - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 300),
+       log_z=st.floats(-4.0, 0.0))
+@example(seed=3, steps=1, log_z=0.0)
+def test_feedback_on_real_samples_stays_real(seed, steps, log_z):
+    # real samples (Pauli coordinates) take the complex path's arithmetic in
+    # real dtype: the same maps, and states that follow the complex maps to
+    # roundoff at every step (the two runs then drift apart by about 1e-16
+    # per step, the roundoff of one matrix-vector product)
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(2 * steps + 1, 16, 3))
+    b = -(g @ np.swapaxes(g, -1, -2))
+    h = 10.0**log_z / np.linalg.norm(b, ord=2, axis=(-2, -1)).max()
+    y0 = rng.normal(size=16)
+    y0 /= np.linalg.norm(y0)
+    m, m_c = feedback_maps(g, h), feedback_maps(g.astype(complex), h)
+    y, y_c = integrate_delta_y(g, y0, h), integrate_delta_y(g.astype(complex), y0, h)
+    assert m.dtype == y.dtype == np.float64
+    assert m_c.dtype == y_c.dtype == np.complex128
+    assert np.abs(m - m_c).max() <= 1e-15
+    assert np.array_equal(y[0], y_c[0])
+    assert np.abs(y[1:] - np.einsum("kij,kj->ki", m_c, y[:-1])).max() <= 1e-15
