@@ -37,7 +37,6 @@ def _add_common(p):
     p.add_argument("--gate", help="restrict to one gate")
     p.add_argument("--steps", type=int, help="grid steps for both systems")
     p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--out", help="output CSV path")
 
 
 def _parse_powers(text: str):
@@ -82,6 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--component", default="x", choices=["x", "y", "z"])
 
+    # improve only prints its report; every other command writes --out
+    for name in ("table", "sweep", "jitter", "spectrum"):
+        sub.choices[name].add_argument("--out", help="output CSV path")
     return ap
 
 

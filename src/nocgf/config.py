@@ -100,6 +100,8 @@ def _validate(cfg: dict) -> None:
         _check_int(nz["seed"], "noise.seed", 0)
     _check_number(nz["f_clock_hz"], "noise.f_clock_hz")
     _check_int(cfg["seed"], "seed", 0)
+    if cfg["out"] is not None and not isinstance(cfg["out"], str):
+        raise ConfigError(f"out must be a path string or null, got {cfg['out']!r}")
     if not isinstance(cfg["sweep_overrides"], dict):
         raise ConfigError("sweep_overrides must be an object")
     for gname, over in cfg["sweep_overrides"].items():

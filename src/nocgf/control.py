@@ -12,8 +12,8 @@ The propagators consume the generator A = -i (H0 + sum_j dF_j G_j) from
 series that define it (the twist phase with its noise, the longitudinal
 ramps and the control modification), in the component-major layout of the
 integrator.  The dense forms -- sweep_hamiltonian, two_qubit_hamiltonian,
-coupling_matrices -- stay for the drive matrix and as the reference the
-generator is tested against.
+coupling_matrices -- stay for the drive matrix, one entry-arithmetic
+conjugation for both system sizes, and as the generator's tested reference.
 """
 
 from __future__ import annotations
@@ -308,20 +308,15 @@ def drive_matrix(u0: np.ndarray, couplings: np.ndarray) -> np.ndarray:
     """Drive matrix G with column j = vec(U0† G_j U0); shape (..., n², 3).
 
     u0 must be unitary to a defect of 1e-8; couplings has shape (..., 3, n, n).
-    The conjugation is entry arithmetic, not batched `@`, which is slow on
-    stacks of matrices this small.  One qubit: with G_j = g0 I + g.sigma,
-    U0† G_j U0 = g0 I + sum_k g_k (R_kx sigma_x + R_ky sigma_y + R_kz sigma_z),
-    where R is the SO(3) rotation of U0 in closed form from its entries (this
-    uses U0† U0 = I, so it differs from the product form by the defect).
-    Larger systems: the component-major products of lincore.entry_matmul.
+    The conjugation is the component-major products of
+    lincore.entry_matmul, not batched `@`, which is slow on stacks of
+    matrices this small.
     """
     u0 = np.asarray(u0)
     if not (unitarity_defect(u0) <= 1e-8):
         raise ValueError("drive_matrix requires a unitary propagator")
     couplings = np.asarray(couplings)
     n = u0.shape[-1]
-    if n == 2:
-        return _drive_matrix_2x2(u0, couplings)
     # contiguous (n, n, 1 or 3, *lead) operands: every entry one vector
     lead = np.broadcast_shapes(u0.shape[:-2], couplings.shape[:-3])
     u = np.ascontiguousarray(component_major(
@@ -331,26 +326,6 @@ def drive_matrix(u0: np.ndarray, couplings: np.ndarray) -> np.ndarray:
     gbar = entry_matmul(np.conj(np.swapaxes(u, 0, 1)), entry_matmul(g, u))
     # column stacking: vec index col * n + row
     return np.moveaxis(gbar, (1, 0, 2), (-3, -2, -1)).reshape(*lead, n * n, 3)
-
-
-def _drive_matrix_2x2(u0: np.ndarray, couplings: np.ndarray) -> np.ndarray:
-    """drive_matrix for one qubit, through the SO(3) rotation of u0."""
-    a, b, c, d = (u0[..., i, j, None] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
-    # row k of R: R_kz = u_0† sigma_k u_0 and R_kx + i R_ky = u_1† sigma_k u_0,
-    # for the columns u_0 = (a, c) and u_1 = (b, d) of u0
-    ac = np.conj(a) * c
-    bc, da = np.conj(b) * c, np.conj(d) * a
-    rz = (2.0 * ac.real, 2.0 * ac.imag, (a * np.conj(a)).real - (c * np.conj(c)).real)
-    rw = (bc + da, 1j * (da - bc), np.conj(b) * a - np.conj(d) * c)
-    g00, g01 = couplings[..., 0, 0], couplings[..., 0, 1]
-    g10, g11 = couplings[..., 1, 0], couplings[..., 1, 1]
-    g0 = 0.5 * (g00 + g11)
-    gk = (0.5 * (g01 + g10), 0.5j * (g01 - g10), 0.5 * (g00 - g11))
-    sz = gk[0] * rz[0] + gk[1] * rz[1] + gk[2] * rz[2]
-    sw = gk[0] * rw[0] + gk[1] * rw[1] + gk[2] * rw[2]
-    swc = gk[0] * np.conj(rw[0]) + gk[1] * np.conj(rw[1]) + gk[2] * np.conj(rw[2])
-    # column stacking: (00, 10, 01, 11)
-    return np.stack([g0 + sz, sw, swc, g0 - sz], axis=-2)
 
 
 def resonance_times(p) -> tuple[np.ndarray, np.ndarray]:

@@ -6,8 +6,8 @@ arbitrary leading axes) and on length-N^2 column-stacked vectors.  Batched
 `@` is slow on stacks of matrices this small, so products of long stacks are
 formed by entry arithmetic on component-major views (entry_matmul), where
 every matrix entry is one vector across the stack.  pauli_coordinates
-takes column-stacked 4x4 matrices to the real coordinates of their
-Hermitian part in the two-qubit Pauli basis.
+takes column-stacked 2x2 or 4x4 matrices to the real coordinates of their
+Hermitian part in the one- or two-qubit Pauli basis.
 """
 
 from __future__ import annotations
@@ -23,29 +23,34 @@ ID2 = np.eye(2, dtype=complex)
 
 # The two-qubit Pauli products P_a = s_i (x) s_j, a = 4 i + j, with
 # s_0 = I, s_1..3 = sigma_x, y, z, formed as one outer product; the P_a / 2
-# are an orthonormal basis of the 4x4 matrices.
+# are an orthonormal basis of the 4x4 matrices, as the s_a / sqrt(2) are of
+# the 2x2 ones.
 _PAULIS = np.stack([ID2, SIGMA_X, SIGMA_Y, SIGMA_Z])
 PAULI_PRODUCTS = np.einsum("sij,tkl->stikjl", _PAULIS, _PAULIS).reshape(16, 4, 4)
 
 
-def _pauli_table() -> np.ndarray:
-    """Real (32, 32) form of the projection onto Pauli coordinates.
+def _pauli_table(basis: np.ndarray) -> np.ndarray:
+    """Real (2 m, 2 m) form of the projection onto Pauli coordinates, for
+    the m = n² Pauli matrices of an n x n system, shape (m, n, n).
 
-    Coordinate a of the column-stacked vec(X) is tr(P_a X) / 2, whose row
-    t[a] is P_a in row-major order over 2.  Every P_a has four nonzero
-    entries of +-1 or +-i, so each coordinate is half a signed sum of four
-    real or imaginary parts.  On the interleaved (re, im) view of vec(X),
-    output columns 0..15 are the real parts of the coordinates and
-    columns 16..31 their imaginary parts.
+    Coordinate a of the column-stacked vec(X) is tr(B_a X) for the
+    orthonormal basis B_a = P_a / sqrt(n), whose row t[a] is B_a in
+    row-major order.  Every P_a has n nonzero entries of +-1 or +-i, so
+    each coordinate is a signed sum of n real or imaginary parts over
+    sqrt(n).  On the interleaved (re, im) view of vec(X), output columns
+    0..m-1 are the real parts of the coordinates and columns m..2m-1 their
+    imaginary parts.
     """
-    t = PAULI_PRODUCTS.reshape(16, 16) / 2.0
-    table = np.empty((32, 32))
-    table[0::2, :16], table[0::2, 16:] = t.real.T, t.imag.T
-    table[1::2, :16], table[1::2, 16:] = -t.imag.T, t.real.T
+    m, n, _ = basis.shape
+    t = basis.reshape(m, m) / math.sqrt(n)
+    table = np.empty((2 * m, 2 * m))
+    table[0::2, :m], table[0::2, m:] = t.real.T, t.imag.T
+    table[1::2, :m], table[1::2, m:] = -t.imag.T, t.real.T
     return table
 
 
-_PAULI_TABLE = _pauli_table()
+# projection tables by vector length: 2x2 and 4x4 matrices
+_PAULI_TABLES = {4: _pauli_table(_PAULIS), 16: _pauli_table(PAULI_PRODUCTS)}
 
 
 def vectorize(m: np.ndarray) -> np.ndarray:
@@ -80,22 +85,25 @@ def max_norm(m: np.ndarray) -> float:
 
 
 def pauli_coordinates(v: np.ndarray) -> tuple[np.ndarray, float]:
-    """Real coordinates x_a = tr(P_a X) / 2 of column-stacked 4x4 matrices.
+    """Real Pauli coordinates of column-stacked 2x2 or 4x4 matrices.
 
-    v has shape (..., 16).  The change of basis is unitary, so ||x|| =
-    ||vec(X)|| and inner products are kept; X = sum_a x_a P_a / 2.  The
+    v has shape (..., m), m = 4 or 16: x_a = tr(s_a X) / sqrt(2) on the
+    basis s_a / sqrt(2) of the 2x2 matrices, x_a = tr(P_a X) / 2 on the
+    basis P_a / 2 of the 4x4 ones (PAULI_PRODUCTS).  The change of basis is
+    unitary, so ||x|| = ||vec(X)|| and inner products are kept.  The
     coordinates of a Hermitian X are real: returns their real parts, shape
-    (..., 16), and the largest imaginary part discarded, which measures
-    how far X is from Hermitian.  One real matrix product on the (re, im)
-    view: a complex product with the basis costs several times more.
+    (..., m), and the largest imaginary part discarded, which measures how
+    far X is from Hermitian.  One real matrix product on the (re, im) view:
+    a complex product with the basis costs several times more.
     """
     v = np.asarray(v)
-    if v.shape[-1] != 16:
-        raise ValueError(f"vector length {v.shape[-1]} is not that of a 4x4 matrix")
-    parts = np.ascontiguousarray(v, dtype=complex).view(float).reshape(-1, 32)
-    out = parts @ _PAULI_TABLE
-    residue = float(np.abs(out[:, 16:]).max(initial=0.0))
-    return out[:, :16].reshape(v.shape), residue
+    m = v.shape[-1]
+    if m not in _PAULI_TABLES:
+        raise ValueError(f"vector length {m} is not that of a 2x2 or 4x4 matrix")
+    parts = np.ascontiguousarray(v, dtype=complex).view(float).reshape(-1, 2 * m)
+    out = parts @ _PAULI_TABLES[m]
+    residue = float(np.abs(out[:, m:]).max(initial=0.0))
+    return out[:, :m].reshape(v.shape), residue
 
 
 # Crossover (measured on 2x2 and 4x4 stacks) between the two product forms

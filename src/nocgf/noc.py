@@ -2,26 +2,28 @@
 improve-gate pipeline.
 
 Each system has one correction, and improve_gate picks it from the gate's
-qubit count.
+qubit count.  Both are linear laws on the drive matrix G(tau), and both
+read it in real Pauli coordinates (drive_samples): delta_b and every drive
+column vec(U0† G_j U0) are column-stacked Hermitian matrices, so their
+coordinates on an orthonormal Pauli basis (lincore.pauli_coordinates) are
+real, and the change of basis is unitary: norms are unchanged and
+G† v = G_rᵀ v_r.  What the projection discards, the imaginary parts of the
+coordinates, is the one check that the inputs are Hermitian.
 
 Strategy 1 (one qubit) fixes the costate by an exponential-decay ansatz;
 the weight vector w = delta_b / 20 then yields the control modification
-delta_f(tau) = exp(-(tau + tau0/2)/ANSATZ_DECAY) G†(tau) w directly, with
-ANSATZ_DECAY = 10, without ever constructing the state-weight matrix.
+delta_f(tau) = exp(-(tau + tau0/2)/ANSATZ_DECAY) G_rᵀ(tau) w_r directly,
+with ANSATZ_DECAY = 10, without ever constructing the state-weight matrix;
+the control is real by construction.
 
 Strategy 2 (two qubits) uses the constant-identity Riccati matrix: with
 R = I3 and S = I16, the Riccati equation forces Q = G G† and the gain is
 C = G†, so the state obeys dy/dtau = -G G† y from y = -delta_b and the
-feedback law is delta_f = -G† y.  The solve runs in the orthonormal basis
-P_a/2 of the 16 two-qubit Pauli products (lincore.pauli_coordinates).
-delta_b and every drive column vec(U0† G_j U0) are column-stacked Hermitian
-matrices, so their coordinates are real, and the change of basis is
-unitary: ||y|| is unchanged and G† y = G_rᵀ y_r.  The state, its maps, the
-control law and the Riccati check are therefore real arrays, and what the
-projection discards, the imaginary parts of the coordinates, is the check
-that the inputs are Hermitian.  G G† has rank 3, which the feedback
-integration exploits (propagate.feedback_maps), and the solve streams the
-drive samples along the nominal trajectory instead of storing them.
+feedback law is delta_f = -G† y.  The state, its maps, the control law and
+the Riccati check are real arrays in the basis P_a/2 of the 16 two-qubit
+Pauli products.  G G† has rank 3, which the feedback integration exploits
+(propagate.feedback_maps), and the solve streams the drive samples along
+the nominal trajectory instead of storing them.
 """
 
 from __future__ import annotations
@@ -119,22 +121,22 @@ def strategy1_weights(offset: TargetOffset) -> np.ndarray:
     return offset.delta_b / WEIGHT_DIVISOR
 
 
-def _real_control(raw: np.ndarray, grid: TimeGrid) -> ControlModification:
-    residue = float(np.abs(raw.imag).max())
-    if residue > IMAG_RESIDUE_TOL:
-        raise ConsistencyError(
-            f"control modification has imaginary residue {residue:.3e}"
-        )
-    return ControlModification(grid=grid, samples=np.ascontiguousarray(raw.real))
-
-
 def strategy1_control(g_grid: np.ndarray, w: np.ndarray,
                       grid: TimeGrid) -> ControlModification:
-    """delta_f(tau_k) = exp(-(tau_k + tau0/2)/ANSATZ_DECAY) G†(tau_k) w, made real."""
+    """delta_f(tau_k) = exp(-(tau_k + tau0/2)/ANSATZ_DECAY) G_rᵀ(tau_k) w_r,
+    from the drive samples and the weights in real Pauli coordinates."""
     taus = grid.points()
     env = np.exp(-(taus + grid.tau0 / 2.0) / ANSATZ_DECAY)
-    raw = env[:, None] * np.einsum("kmj,m->kj", np.conj(g_grid), w)
-    return _real_control(raw, grid)
+    return ControlModification(
+        grid=grid, samples=env[:, None] * np.einsum("kmj,m->kj", g_grid, w))
+
+
+def _check_imag_residue(residue: float) -> None:
+    if residue > IMAG_RESIDUE_TOL:
+        raise ConsistencyError(
+            f"imaginary residue {residue:.3e} of the Pauli coordinates of "
+            f"the offset and the drive samples exceeds {IMAG_RESIDUE_TOL:.0e}"
+        )
 
 
 def contracted_drive(couplings_bar: np.ndarray, g: np.ndarray,
@@ -169,11 +171,11 @@ def strategy2_solve(p, nominal: Trajectory, offset: TargetOffset) -> Strategy2So
     nominal is the nominal trajectory, integrated with half storage.
     Everything runs in real Pauli coordinates (lincore.pauli_coordinates):
     y starts at the projection of -delta_b, and the pass runs
-    FEEDBACK_CHUNK steps at a time: the chunk's drive samples at grid
-    points and midpoints (drive_samples) and their projection G_r, the
-    state advanced through the rank-3 maps (propagate.integrate_delta_y),
-    the control law -G_rᵀ y, and the Riccati residual and the one-step
-    increase of ||y|| at the chunk's grid samples.  Only chunk-sized drive
+    FEEDBACK_CHUNK steps at a time: the chunk's drive samples G_r at grid
+    points and midpoints (drive_samples), the state advanced through the
+    rank-3 maps (propagate.integrate_delta_y), the control law -G_rᵀ y, and
+    the Riccati residual and the one-step increase of ||y|| at the chunk's
+    grid samples.  Only chunk-sized drive
     samples are held; the whole (2 steps + 1, 16, 3) stack never is.
     Against the batched-`@` maps on the whole complex stack, at the
     production grid, delta_y differs by 2.7e-14 and the control by 9.1e-16
@@ -201,10 +203,8 @@ def strategy2_solve(p, nominal: Trajectory, offset: TargetOffset) -> Strategy2So
     increase = -np.inf
     for s0 in range(0, grid.steps, FEEDBACK_CHUNK):
         s1 = min(s0 + FEEDBACK_CHUNK, grid.steps)
-        # each drive column vec(U0† G_j U0) in Pauli coordinates
-        g_half = drive_samples(p, nominal, start=2 * s0, stop=2 * s1 + 1)
-        g_half, chunk_residue = pauli_coordinates(np.swapaxes(g_half, -1, -2))
-        g_half = np.swapaxes(g_half, -1, -2)
+        g_half, chunk_residue = drive_samples(p, nominal, start=2 * s0,
+                                              stop=2 * s1 + 1)
         imag_residue = max(imag_residue, chunk_residue)
         ys = propagate.integrate_delta_y(g_half, y, grid.h)
         y = ys[-1]
@@ -214,11 +214,7 @@ def strategy2_solve(p, nominal: Trajectory, offset: TargetOffset) -> Strategy2So
         g = g_half[0::2]
         raw[s0:s1 + 1] = -np.einsum("kmj,km->kj", g, ys)
         residual = max(residual, _riccati_residual(g, s_mat, r_inv))
-    if imag_residue > IMAG_RESIDUE_TOL:
-        raise ConsistencyError(
-            f"imaginary residue {imag_residue:.3e} of the Pauli coordinates of "
-            f"delta_b and the drive samples exceeds {IMAG_RESIDUE_TOL:.0e}"
-        )
+    _check_imag_residue(imag_residue)
     increase = float(increase)
     if not (increase <= NORM_INCREASE_TOL):
         raise ConsistencyError(
@@ -239,16 +235,19 @@ def strategy2_solve(p, nominal: Trajectory, offset: TargetOffset) -> Strategy2So
 
 
 def drive_samples(p, traj: Trajectory, start: int = 0,
-                  stop: int | None = None) -> np.ndarray:
+                  stop: int | None = None) -> tuple[np.ndarray, float]:
     """Drive matrix G at the trajectory's samples start .. stop - 1 (by
-    default all of them), shape (points, n², 3).
+    default all of them) in real Pauli coordinates, shape (points, n², 3),
+    and the largest imaginary part the projection discarded.
 
-    The sample spacing follows from the count: h at grid samples, h/2 for a
-    half trajectory; any other count raises ValueError.  The couplings and
-    drive matrices are formed DRIVE_CHUNK samples at a time into the
-    preallocated result, reading the propagator samples in place, so the
-    peak memory is the result plus chunk-sized temporaries instead of a full
-    coupling stack and its products.
+    This is the one place where drive samples enter Pauli coordinates:
+    every column vec(U0† G_j U0) of control.drive_matrix is projected by
+    lincore.pauli_coordinates.  The sample spacing follows from the count:
+    h at grid samples, h/2 for a half trajectory; any other count raises
+    ValueError.  The couplings, drive matrices and projections are formed
+    DRIVE_CHUNK samples at a time into the preallocated real result,
+    reading the propagator samples in place, so the peak memory is the
+    result plus chunk-sized temporaries.
     """
     grid = traj.grid
     count = len(traj.unitaries)
@@ -262,20 +261,27 @@ def drive_samples(p, traj: Trajectory, start: int = 0,
     if not (0 <= start <= stop <= count):
         raise ValueError(f"bad sample range {start}..{stop} of {count}")
     n = traj.unitaries.shape[-1]
-    out = np.empty((stop - start, n * n, 3), dtype=complex)
+    # filled in pauli_coordinates' (points, 3, n²) layout, returned as a view
+    out = np.empty((stop - start, 3, n * n))
+    residue = 0.0
     for c0 in range(start, stop, DRIVE_CHUNK):
         c1 = min(c0 + DRIVE_CHUNK, stop)
         taus = grid.tau_start + np.arange(c0, c1) * spacing
-        out[c0 - start:c1 - start] = control.drive_matrix(
-            traj.unitaries[c0:c1], control.coupling_matrices(p, taus))
-    return out
+        g = control.drive_matrix(traj.unitaries[c0:c1],
+                                 control.coupling_matrices(p, taus))
+        out[c0 - start:c1 - start], chunk_residue = pauli_coordinates(
+            np.swapaxes(g, -1, -2))
+        residue = max(residue, chunk_residue)
+    return np.swapaxes(out, -1, -2), residue
 
 
 def improve_gate(gate: GateTarget, p, grid: TimeGrid | None = None) -> ImprovedGateResult:
     """Run the full pipeline: nominal sweep, offset, control correction,
     modified sweep, and error reports for both gates.
 
-    One-qubit gates take strategy 1, the two-qubit gate strategy 2.
+    One-qubit gates take strategy 1, the two-qubit gate strategy 2.  Both
+    raise ConsistencyError when the Pauli projections of the offset or of
+    the drive samples discard an imaginary residue above IMAG_RESIDUE_TOL.
     """
     if p.qubits != gate.qubits:
         raise ConfigError("sweep parameters do not match the gate's system")
@@ -288,8 +294,10 @@ def improve_gate(gate: GateTarget, p, grid: TimeGrid | None = None) -> ImprovedG
 
     feedback = None
     if strategy == 1:
-        w = strategy1_weights(offset)
-        ctrl = strategy1_control(drive_samples(p, nominal), w, grid)
+        w_r, residue = pauli_coordinates(strategy1_weights(offset))
+        g_r, g_residue = drive_samples(p, nominal)
+        _check_imag_residue(max(residue, g_residue))
+        ctrl = strategy1_control(g_r, w_r, grid)
     else:
         feedback = strategy2_solve(p, nominal, offset)
         ctrl = feedback.control

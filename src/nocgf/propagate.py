@@ -55,8 +55,8 @@ every matrix entry is one contiguous vector across the chunk's times.  The
 step maps and the products between them are formed by entry arithmetic on
 those vectors (lincore.entry_matmul).  The propagators' generator comes
 from control.generator already in that layout, from scalar series (twist
-phase, ramps, interpolated control modification); a noise batch adds only
-one phase series per realization.
+phase, ramps, interpolated control modification); noise enters only
+through the phase series.
 
 Feedback equation.  dy/dtau = -G G† y (G the n² x 3 drive matrix) uses the
 same one-step map in vector form, but its generator has rank 3, so every
@@ -420,12 +420,11 @@ def _finish(grid, out, ufinal) -> Trajectory:
     return Trajectory(grid, samples, defect=defect)
 
 
-def _generator_fun(p, grid: TimeGrid, delta_f=None, noises=None):
+def _generator_fun(p, grid: TimeGrid, delta_f=None, noise=None):
     """The afun of _integrate: A(tau) from control.generator, matrix-major.
 
     delta_f (grid samples, shape (steps + 1, 3)) is linearly interpolated to
-    the requested times.  noises, a sequence of noise realizations, adds a
-    batch axis after the time axes; each realization's noise is held at its
+    the requested times.  noise, one noise realization, is held at its
     value at the step midpoint, the middle row of _integrate's (rows, steps)
     time array, throughout the step (meant for StepNodes, where the noise
     is constant inside every step).  The returned views are component-major
@@ -446,10 +445,8 @@ def _generator_fun(p, grid: TimeGrid, delta_f=None, noises=None):
                 [np.interp(taus, taus_grid, delta_f[:, j]) for j in range(3)], axis=-1
             )
         phase = None
-        if noises is not None:
-            held = np.stack([nz.evaluate(taus[len(taus) // 2]) for nz in noises],
-                            axis=-1)
-            phase = control.twist_phase(taus, p)[..., None] + held
+        if noise is not None:
+            phase = control.twist_phase(taus, p) + noise.evaluate(taus[len(taus) // 2])
         return matrix_major(control.generator(taus, p, dfi, phase))
 
     return afun
@@ -482,13 +479,13 @@ def _noisy_composite(p, improved: Trajectory, delta_f, noise,
     """
     grid = improved.grid
     pts, u_imp, edges = grid.points(), improved.unitaries, noise.edges()
-    afun = _generator_fun(p, grid, delta_f, [noise])
+    afun = _generator_fun(p, grid, delta_f, noise)
     u = np.broadcast_to(np.eye(p.dim, dtype=complex), (2, p.dim, p.dim))
     steps, prev = 0, 0
     for a, b in noisy_segments(grid, edges):
         nodes = StepNodes.with_edges(pts[a:b + 1], edges)
-        _, seg = _integrate(afun, nodes, p.dim, batch=(1,), refine=refine, store="final")
-        u = seg[:, 0] @ (_quiet_factor(u_imp, prev, a) @ u)
+        _, seg = _integrate(afun, nodes, p.dim, refine=refine, store="final")
+        u = seg @ (_quiet_factor(u_imp, prev, a) @ u)
         steps += nodes.steps
         prev = b
     return _quiet_factor(u_imp, prev, -1) @ u, steps

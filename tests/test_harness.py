@@ -81,6 +81,7 @@ NAN, INF = float("nan"), float("inf")
     ({"seed": "7"}, "seed"),
     ({"seed": False}, "seed"),
     ({"gates": "hadamard"}, "gates"),
+    ({"out": 5}, "out"),
 ])
 def test_config_values_are_validated_at_load(raw, path):
     with pytest.raises(ConfigError, match=re.escape(path)):
@@ -102,6 +103,7 @@ def test_valid_numbers_pass_validation():
     '{"sweep_overrides": {"hadamard": {"lam": -1}}}',
     '{"noise": {"sigma": "x"}}',
     '{"noise": {"sigma": NaN}}',
+    '{"out": 5}',
 ])
 def test_cli_reports_a_bad_config_value_in_one_line(tmp_path, capsys, text):
     path = tmp_path / "f.json"
@@ -276,6 +278,16 @@ def test_cli_improve_and_tables(tmp_path, capsys):
     assert lines[0].startswith("# nocgf")
     assert lines[1].split(",")[0] == "gate"
     assert lines[2].split(",")[0] == "not"
+
+
+def test_cli_improve_rejects_out(tmp_path, capsys):
+    # improve prints its report and writes no file, so --out is a usage error
+    out_csv = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["improve", "--gate", "hadamard", "--out", str(out_csv)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --out" in capsys.readouterr().err
+    assert not out_csv.exists()
 
 
 def test_cli_sweep_and_spectrum(tmp_path):

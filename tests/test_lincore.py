@@ -4,7 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nocgf.lincore import (
+    ID2,
     PAULI_PRODUCTS,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     devectorize,
     hermitize,
     max_norm,
@@ -91,9 +95,15 @@ def test_unitarity_defect_matches_matmul_formula(rng, n, batch):
     assert np.isnan(unitarity_defect(u))
 
 
-def _from_pauli(x):
-    """Column-stacked vec(X) of X = sum_a x_a P_a / 2."""
-    return vectorize(np.einsum("...a,aij->...ij", x, PAULI_PRODUCTS) / 2.0)
+# the orthonormal Pauli bases: s_a / sqrt(2) of the 2x2 matrices, P_a / 2
+# of the 4x4 ones
+PAULI_BASES = {2: np.stack([ID2, SIGMA_X, SIGMA_Y, SIGMA_Z]) / np.sqrt(2.0),
+               4: PAULI_PRODUCTS / 2.0}
+
+
+def _from_pauli(x, n):
+    """Column-stacked vec(X) of X = sum_a x_a B_a on the n x n basis B_a."""
+    return vectorize(np.einsum("...a,aij->...ij", x, PAULI_BASES[n]))
 
 
 def test_pauli_products_are_an_orthogonal_hermitian_basis():
@@ -107,10 +117,11 @@ def test_pauli_products_are_an_orthogonal_hermitian_basis():
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
-       batch=st.sampled_from([(), (1,), (5,), (3, 7)]))
-def test_pauli_coordinates_isometry_and_roundtrip(seed, batch):
+       batch=st.sampled_from([(), (1,), (5,), (3, 7)]),
+       n=st.sampled_from([2, 4]))
+def test_pauli_coordinates_isometry_and_roundtrip(seed, batch, n):
     rng = np.random.default_rng(seed)
-    shape = (*batch, 2, 4, 4)
+    shape = (*batch, 2, n, n)
     z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     v = vectorize(hermitize(z))
     a, b = v[..., 0, :], v[..., 1, :]
@@ -123,14 +134,15 @@ def test_pauli_coordinates_isometry_and_roundtrip(seed, batch):
                        rtol=1e-15, atol=0.0)
     assert np.abs(np.sum(x * y, axis=-1)
                   - np.sum(a.conj() * b, axis=-1)).max(initial=0.0) <= 1e-14
-    assert np.abs(_from_pauli(x) - a).max() <= 1e-15
+    assert np.abs(_from_pauli(x, n) - a).max() <= 1e-15
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-12.0, 0.0))
-def test_pauli_coordinates_report_an_anti_hermitian_part(seed, log_scale):
+@given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-12.0, 0.0),
+       n=st.sampled_from([2, 4]))
+def test_pauli_coordinates_report_an_anti_hermitian_part(seed, log_scale, n):
     rng = np.random.default_rng(seed)
-    z = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
+    z = rng.normal(size=(6, n, n)) + 1j * rng.normal(size=(6, n, n))
     h, k = hermitize(z[:3]), hermitize(z[3:]) * 10.0**log_scale
     x, residue = pauli_coordinates(vectorize(h + 1j * k))
     # the coordinates of H + iK are x_H + i x_K: K is what is discarded
@@ -142,4 +154,4 @@ def test_pauli_coordinates_report_an_anti_hermitian_part(seed, log_scale):
 
 def test_pauli_coordinates_reject_other_lengths():
     with pytest.raises(ValueError, match="4x4"):
-        pauli_coordinates(np.zeros((3, 4), dtype=complex))
+        pauli_coordinates(np.zeros((3, 9), dtype=complex))

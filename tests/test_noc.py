@@ -61,13 +61,50 @@ def test_contracted_drive_closed_form(rng):
 def test_strategy1_control_structure():
     grid = TimeGrid(HAD.tau0, 40000)
     traj = propagate_sweep(HAD, grid)
-    g_grid = noc.drive_samples(HAD, traj)
+    g_grid, _ = noc.drive_samples(HAD, traj)
     zero = strategy1_control(g_grid, np.zeros(4), grid)
     assert np.abs(zero.samples).max() == 0.0
-    # at tau = -tau0/2 (U0 = I) the third component is -w1 + w4
-    w = np.array([0.3, 0.1 - 0.2j, 0.1 + 0.2j, -0.3])
+    # weights in Pauli coordinates on (s_0, s_x, s_y, s_z) / sqrt(2): at
+    # tau = -tau0/2 (U0 = I) drive column j is vec(-s_j), with coordinates
+    # -sqrt(2) e_j, so component j is -sqrt(2) w_j and w_0 does not enter.
+    # The complex weights (0.3, 0.1 - 0.2i, 0.1 + 0.2i, -0.3) have x, y, z
+    # coordinates (0.1, -0.2, 0.3) sqrt(2) and third component -w1 + w4.
+    w = np.array([0.5, 0.1, -0.2, 0.3]) * np.sqrt(2.0)
     ctrl = strategy1_control(g_grid, w, grid)
-    assert ctrl.samples[0, 2] == pytest.approx((-w[0] + w[3]).real, abs=1e-12)
+    assert ctrl.samples.dtype == np.float64
+    assert np.abs(ctrl.samples[0] - [-0.2, 0.4, -0.6]).max() <= 1e-12
+
+
+def test_strategy1_control_matches_the_complex_drive_law():
+    # the real-coordinate law env G_r^T w_r against env Re(G† w) on the
+    # complex drive matrix, along the nominal hadamard sweep
+    grid = TimeGrid(HAD.tau0, 40000)
+    res = improve_gate(gate_target("hadamard"), HAD, grid)
+    traj = propagate_sweep(HAD, grid)
+    w = strategy1_weights(target_offset(traj.final, res.gate))
+    g = drive_matrix(traj.unitaries, coupling_matrices(HAD, grid.points()))
+    env = np.exp(-(grid.points() + grid.tau0 / 2.0) / noc.ANSATZ_DECAY)
+    want = env[:, None] * np.einsum("kmj,m->kj", g.conj(), w).real
+    assert np.abs(want).max() > 1e-4
+    assert np.abs(res.control.samples - want).max() <= 1e-15
+
+
+@pytest.mark.parametrize("scale,ok", [(1e-9, True), (1e-3, False)])
+def test_strategy1_rejects_non_hermitian_weights(monkeypatch, scale, ok):
+    # strategy 1 shares strategy 2's residue check: an anti-Hermitian part
+    # i K of the weights is the imaginary part of their Pauli coordinates
+    p = dataclasses.replace(HAD, tau0=20.0)
+    rng = np.random.default_rng(3)
+    z = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
+    w = vectorize(0.01 * hermitize(z[0]) + 1j * scale * hermitize(z[1]))
+    monkeypatch.setattr(noc, "strategy1_weights", lambda offset: w)
+    grid = TimeGrid(p.tau0, 10_000)
+    if ok:
+        ctrl = improve_gate(gate_target("hadamard"), p, grid).control
+        assert ctrl.samples.dtype == np.float64
+    else:
+        with pytest.raises(ConsistencyError, match="imaginary residue"):
+            improve_gate(gate_target("hadamard"), p, grid)
 
 
 def test_improve_gate_synthetic_zero_offset():
@@ -128,9 +165,9 @@ def test_strategy2_streamed_pass_matches_an_unstreamed_reference(cphase_30k):
     p, traj, off = cphase_30k
     grid = traj.grid
     sol = strategy2_solve(p, traj, off)
-    # the whole drive stack, the batched-`@` maps of B = -G G† and one
-    # matvec per step
-    g_half = noc.drive_samples(p, traj)
+    # the whole complex drive stack, the batched-`@` maps of B = -G G† and
+    # one matvec per step
+    g_half = drive_matrix(traj.unitaries, coupling_matrices(p, grid.half_points()))
     y = -off.delta_b.astype(complex)
     want = [y]
     for c0 in range(0, grid.steps, 1000):
@@ -201,10 +238,14 @@ def test_chunked_drive_samples_match_one_drive_matrix_call(name, steps, half):
     traj = propagate_sweep(p, grid, store="half" if half else "grid")
     taus = grid.half_points() if half else grid.points()
     assert len(taus) == 10_001 > 2 * noc.DRIVE_CHUNK
-    want = drive_matrix(traj.unitaries, coupling_matrices(p, taus))
-    got = noc.drive_samples(p, traj)
-    assert got.shape == want.shape
+    # the Pauli projection of one drive_matrix call
+    want, want_residue = pauli_coordinates(np.swapaxes(
+        drive_matrix(traj.unitaries, coupling_matrices(p, taus)), -1, -2))
+    want = np.swapaxes(want, -1, -2)
+    got, residue = noc.drive_samples(p, traj)
+    assert got.shape == want.shape and got.dtype == np.float64
     assert np.array_equal(got, want)
+    assert residue == want_residue
 
 
 def test_strategy2_rejects_a_grid_only_trajectory(cphase_30k):

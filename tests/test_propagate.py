@@ -334,13 +334,13 @@ def test_noisy_composite_matches_a_whole_sweep_edge_aligned_run(level):
     improved = propagate.Trajectory(grid, out)
     for nz in _hand_placed_noise():
         nodes = StepNodes.with_edges(grid.points(), nz.edges())
-        _, whole = _integrate(_generator_fun(SHORT_HAD, grid, delta_f, [nz]), nodes, 2,
-                              batch=(1,), refine=2, store="final")
+        _, whole = _integrate(_generator_fun(SHORT_HAD, grid, delta_f, nz), nodes, 2,
+                              refine=2, store="final")
         composite, steps = _noisy_composite(SHORT_HAD, improved, delta_f, nz)
         assert steps < nodes.steps
         # roundoff of the solved quiet factors and of the sample times;
         # measured at most 2.1e-15
-        assert np.abs(composite[level] - whole[level, 0]).max() <= 1e-13
+        assert np.abs(composite[level] - whole[level]).max() <= 1e-13
 
 
 def test_a_realization_without_pulses_is_the_improved_gate():
