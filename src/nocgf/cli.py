@@ -141,8 +141,7 @@ def _run(args) -> int:
 
     if args.command == "improve":
         if len(cfg.gates) != 1:
-            print("improve requires a single --gate", file=sys.stderr)
-            return 2
+            raise ConfigError("improve requires a single --gate")
         name = cfg.gates[0]
         res = experiments.improve_for(cfg, name)
         nom, imp = res.nominal_report, res.improved_report
@@ -166,27 +165,22 @@ def _run(args) -> int:
             if hasattr(cfg.params_for(g), args.param):
                 all_rows.extend(experiments.run_sweep(cfg, args.param, g))
         if not all_rows:
-            print(f"parameter {args.param!r} applies to none of the gates",
-                  file=sys.stderr)
-            return 2
+            raise ConfigError(f"parameter {args.param!r} applies to none of the gates")
         return _emit(cfg, experiments.SWEEP_HEADER, all_rows, f"sweep {args.param}")
 
     if args.command == "jitter":
         powers = _parse_powers(args.powers)
         if powers is None:
-            print(f"--powers must list finite mean powers >= 0, got {args.powers!r}",
-                  file=sys.stderr)
-            return 2
+            raise ConfigError(
+                f"--powers must list finite mean powers >= 0, got {args.powers!r}")
         return _emit(cfg, experiments.JITTER_HEADER,
                      experiments.run_jitter_sweep(cfg, powers), "jitter")
 
     if args.command == "spectrum":
         if len(cfg.gates) != 1:
-            print("spectrum requires a single --gate", file=sys.stderr)
-            return 2
+            raise ConfigError("spectrum requires a single --gate")
         if not cfg.out:
-            print("spectrum requires --out", file=sys.stderr)
-            return 2
+            raise ConfigError("spectrum requires --out")
         with _writing(cfg.out):
             experiments.run_spectrum(cfg, cfg.gates[0], cfg.out, args.component)
         return 0

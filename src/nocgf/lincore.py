@@ -65,23 +65,10 @@ def vectorize(m: np.ndarray) -> np.ndarray:
     return np.swapaxes(m, -1, -2).reshape(*m.shape[:-2], n * n)
 
 
-def devectorize(v: np.ndarray, dim: int) -> np.ndarray:
-    """Inverse of vectorize: rebuild the (dim, dim) matrix from column stacking."""
-    v = np.asarray(v)
-    if v.shape[-1] != dim * dim:
-        raise ValueError(f"vector length {v.shape[-1]} does not match dim {dim}")
-    return np.swapaxes(v.reshape(*v.shape[:-1], dim, dim), -1, -2)
-
-
 def hermitize(m: np.ndarray) -> np.ndarray:
     """Return the Hermitian part (M + M†)/2."""
     m = np.asarray(m)
     return 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
-
-
-def max_norm(m: np.ndarray) -> float:
-    """Largest entry magnitude, max_ij |M_ij|."""
-    return float(np.abs(np.asarray(m)).max())
 
 
 def pauli_coordinates(v: np.ndarray) -> tuple[np.ndarray, float]:

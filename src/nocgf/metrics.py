@@ -161,7 +161,8 @@ class TargetOffset:
 def target_offset(u0_final: np.ndarray, gate: GateTarget) -> TargetOffset:
     """delta_beta = hermitized i(U0† U_tgt - I) and delta_b = vec(delta_beta)."""
     u0_final = np.asarray(u0_final)
-    if unitarity_defect(u0_final) > 1e-8:
+    # "not <=" also rejects NaN
+    if not (unitarity_defect(u0_final) <= 1e-8):
         raise ValueError("target_offset requires a unitary final propagator")
     db = 1j * (np.conj(u0_final.T) @ gate.sweep_unitary - np.eye(gate.dim))
     db = hermitize(db)

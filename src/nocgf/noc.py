@@ -47,6 +47,11 @@ DRIVE_CHUNK = 4096         # samples per drive-matrix chunk (even)
 FEEDBACK_CHUNK = 512
 # largest one-step increase of ||delta_y|| accepted as roundoff
 NORM_INCREASE_TOL = 1e-12
+# largest Riccati residual accepted as roundoff
+RICCATI_TOL = 1e-14
+# Strategy 2's constant Riccati choices S = I16 and R = I3, in either basis
+RICCATI_S = np.eye(16)
+RICCATI_R_INV = np.eye(3)
 
 
 class ConsistencyError(RuntimeError):
@@ -69,10 +74,10 @@ class Strategy2Solution:
     delta_y holds the state at the grid points in real Pauli coordinates,
     shape (steps + 1, 16): y_a = tr(P_a Y) / 2 for the 4x4 matrix Y of
     the column-stacked state, so Y = sum_a y_a P_a / 2 (lincore.
-    PAULI_PRODUCTS).  The gain is C(tau) = G†(tau); riccati_s and weight_r
-    are the constant identity choices (in either basis) that make the
-    Riccati residual vanish identically, with state weight Q(tau) = G(tau)
-    G†(tau).  riccati_residual_max records the verified residual.
+    PAULI_PRODUCTS).  The gain is C(tau) = G†(tau); the constant identity
+    choices RICCATI_S and R = I3 make the Riccati residual vanish
+    identically, with state weight Q(tau) = G(tau) G†(tau).
+    riccati_residual_max records the verified residual.
     norm_increase_max is the largest one-step increase max_k (||y_{k+1}|| -
     ||y_k||) of the state: the exact flow never increases ||y||, so a
     positive value beyond roundoff means the step size lies outside the
@@ -87,8 +92,6 @@ class Strategy2Solution:
 
     delta_y: np.ndarray
     control: ControlModification
-    riccati_s: np.ndarray
-    weight_r: np.ndarray
     riccati_residual_max: float
     norm_increase_max: float
     imag_residue_max: float
@@ -132,7 +135,8 @@ def strategy1_control(g_grid: np.ndarray, w: np.ndarray,
 
 
 def _check_imag_residue(residue: float) -> None:
-    if residue > IMAG_RESIDUE_TOL:
+    # "not <=" also catches NaN
+    if not (residue <= IMAG_RESIDUE_TOL):
         raise ConsistencyError(
             f"imaginary residue {residue:.3e} of the Pauli coordinates of "
             f"the offset and the drive samples exceeds {IMAG_RESIDUE_TOL:.0e}"
@@ -153,14 +157,14 @@ def contracted_drive(couplings_bar: np.ndarray, g: np.ndarray,
     return np.einsum("j,jab->ab", coeff, couplings_bar)
 
 
-def _riccati_residual(g: np.ndarray, s_mat: np.ndarray, r_inv: np.ndarray) -> float:
-    """max |-G G† + S G R^-1 G† S| over drive samples g, (points, n², 3),
-    real or complex.
+def _riccati_residual(g: np.ndarray) -> float:
+    """max |-G G† + S G R^-1 G† S| over drive samples g, (points, 16, 3),
+    real or complex, for S = RICCATI_S and R^-1 = RICCATI_R_INV.
 
     Associated as (S G) R^-1 (S G)†, which S = S† allows.
     """
-    sg = s_mat @ g
-    res = (sg @ r_inv) @ np.swapaxes(sg, -1, -2).conj()
+    sg = RICCATI_S @ g
+    res = (sg @ RICCATI_R_INV) @ np.swapaxes(sg, -1, -2).conj()
     res -= g @ np.swapaxes(g, -1, -2).conj()
     return float(np.abs(res).max())
 
@@ -168,69 +172,69 @@ def _riccati_residual(g: np.ndarray, s_mat: np.ndarray, r_inv: np.ndarray) -> fl
 def strategy2_solve(p, nominal: Trajectory, offset: TargetOffset) -> Strategy2Solution:
     """Solve the feedback problem for a two-qubit offset in one streamed pass.
 
-    nominal is the nominal trajectory, integrated with half storage.
+    nominal is the nominal trajectory on twice the feedback steps: every
+    feedback step of size h reads the drive matrix at its start, midpoint
+    and end, nominal samples 2k, 2k + 1 and 2k + 2, and the control is
+    returned on the feedback grid TimeGrid(tau0, nominal.grid.steps // 2).
     Everything runs in real Pauli coordinates (lincore.pauli_coordinates):
     y starts at the projection of -delta_b, and the pass runs
-    FEEDBACK_CHUNK steps at a time: the chunk's drive samples G_r at grid
-    points and midpoints (drive_samples), the state advanced through the
-    rank-3 maps (propagate.integrate_delta_y), the control law -G_rᵀ y, and
-    the Riccati residual and the one-step increase of ||y|| at the chunk's
-    grid samples.  Only chunk-sized drive
-    samples are held; the whole (2 steps + 1, 16, 3) stack never is.
-    Against the batched-`@` maps on the whole complex stack, at the
-    production grid, delta_y differs by 2.7e-14 and the control by 9.1e-16
-    in max-norm; against the same streamed pass on complex arrays, by
-    5.7e-16 and 9.0e-17.
+    FEEDBACK_CHUNK steps at a time: the chunk's drive samples G_r
+    (drive_samples), the state advanced through the rank-3 maps
+    (propagate.integrate_delta_y), the control law -G_rᵀ y, and the
+    Riccati residual and the one-step increase of ||y|| at the chunk's
+    feedback grid samples.  Only chunk-sized drive samples are held; the
+    whole (2 steps + 1, 16, 3) stack never is.  Against the batched-`@`
+    maps on the whole complex stack, at the production grid, delta_y
+    differs by 2.7e-14 and the control by 9.1e-16 in max-norm; against the
+    same streamed pass on complex arrays, by 5.7e-16 and 9.0e-17.
 
-    Raises ConsistencyError when the projections of delta_b or of the drive
+    Raises ValueError when the nominal step count is odd, and
+    ConsistencyError when the projections of delta_b or of the drive
     samples discard an imaginary residue above IMAG_RESIDUE_TOL, when ||y||
     grows by more than NORM_INCREASE_TOL in one step, or when the Riccati
-    residual is not zero to 1e-14.
+    residual exceeds RICCATI_TOL.
     """
     if offset.dim != 4:
         raise ConfigError("strategy 2 expects a two-qubit offset")
-    grid = nominal.grid
-    if len(nominal.unitaries) != 2 * grid.steps + 1:
-        raise ValueError("strategy 2 needs a trajectory with midpoint samples")
-    s_mat = np.eye(16)
-    r_mat = np.eye(3)
-    r_inv = np.linalg.inv(r_mat)
+    if nominal.grid.steps % 2:
+        raise ValueError(
+            f"strategy 2 needs a nominal trajectory on an even step count, "
+            f"got {nominal.grid.steps}"
+        )
+    grid = TimeGrid(nominal.grid.tau0, nominal.grid.steps // 2)
     delta_y = np.empty((grid.steps + 1, 16))
     raw = np.empty((grid.steps + 1, 3))
     b_r, imag_residue = pauli_coordinates(offset.delta_b)
     y = -b_r
     residual = 0.0
     increase = -np.inf
+    # np.maximum keeps a NaN, which Python's max drops after a number
     for s0 in range(0, grid.steps, FEEDBACK_CHUNK):
         s1 = min(s0 + FEEDBACK_CHUNK, grid.steps)
         g_half, chunk_residue = drive_samples(p, nominal, start=2 * s0,
                                               stop=2 * s1 + 1)
-        imag_residue = max(imag_residue, chunk_residue)
+        imag_residue = np.maximum(imag_residue, chunk_residue)
         ys = propagate.integrate_delta_y(g_half, y, grid.h)
         y = ys[-1]
         delta_y[s0:s1 + 1] = ys
-        # np.maximum keeps a NaN from an unstable step
         increase = np.maximum(increase, np.diff(np.linalg.norm(ys, axis=1)).max())
         g = g_half[0::2]
         raw[s0:s1 + 1] = -np.einsum("kmj,km->kj", g, ys)
-        residual = max(residual, _riccati_residual(g, s_mat, r_inv))
+        residual = np.maximum(residual, _riccati_residual(g))
     _check_imag_residue(imag_residue)
-    increase = float(increase)
     if not (increase <= NORM_INCREASE_TOL):
         raise ConsistencyError(
             f"||delta_y|| increases by {increase:.3e} in one step "
             f"(tolerance {NORM_INCREASE_TOL:.0e}); the step size is unstable"
         )
-    if residual > 1e-14:
+    if not (residual <= RICCATI_TOL):
         raise ConsistencyError(f"Riccati residual {residual:.3e} not identically zero")
     return Strategy2Solution(
         delta_y=delta_y,
         control=ControlModification(grid=grid, samples=raw),
-        riccati_s=s_mat,
-        weight_r=r_mat,
-        riccati_residual_max=residual,
-        norm_increase_max=increase,
-        imag_residue_max=imag_residue,
+        riccati_residual_max=float(residual),
+        norm_increase_max=float(increase),
+        imag_residue_max=float(imag_residue),
     )
 
 
@@ -242,21 +246,14 @@ def drive_samples(p, traj: Trajectory, start: int = 0,
 
     This is the one place where drive samples enter Pauli coordinates:
     every column vec(U0† G_j U0) of control.drive_matrix is projected by
-    lincore.pauli_coordinates.  The sample spacing follows from the count:
-    h at grid samples, h/2 for a half trajectory; any other count raises
-    ValueError.  The couplings, drive matrices and projections are formed
+    lincore.pauli_coordinates.  The sample times are the trajectory grid's
+    points.  The couplings, drive matrices and projections are formed
     DRIVE_CHUNK samples at a time into the preallocated real result,
     reading the propagator samples in place, so the peak memory is the
     result plus chunk-sized temporaries.
     """
     grid = traj.grid
     count = len(traj.unitaries)
-    if count not in (grid.steps + 1, 2 * grid.steps + 1):
-        raise ValueError(
-            f"a trajectory of {count} samples holds neither the {grid.steps + 1} "
-            f"grid samples nor the {2 * grid.steps + 1} half-grid samples"
-        )
-    spacing = grid.h / ((count - 1) // grid.steps)
     stop = count if stop is None else stop
     if not (0 <= start <= stop <= count):
         raise ValueError(f"bad sample range {start}..{stop} of {count}")
@@ -266,13 +263,14 @@ def drive_samples(p, traj: Trajectory, start: int = 0,
     residue = 0.0
     for c0 in range(start, stop, DRIVE_CHUNK):
         c1 = min(c0 + DRIVE_CHUNK, stop)
-        taus = grid.tau_start + np.arange(c0, c1) * spacing
+        # grid.points()[c0:c1]
+        taus = grid.tau_start + np.arange(c0, c1) * grid.h
         g = control.drive_matrix(traj.unitaries[c0:c1],
                                  control.coupling_matrices(p, taus))
         out[c0 - start:c1 - start], chunk_residue = pauli_coordinates(
             np.swapaxes(g, -1, -2))
-        residue = max(residue, chunk_residue)
-    return np.swapaxes(out, -1, -2), residue
+        residue = np.maximum(residue, chunk_residue)
+    return np.swapaxes(out, -1, -2), float(residue)
 
 
 def improve_gate(gate: GateTarget, p, grid: TimeGrid | None = None) -> ImprovedGateResult:
@@ -288,28 +286,39 @@ def improve_gate(gate: GateTarget, p, grid: TimeGrid | None = None) -> ImprovedG
     strategy = 1 if gate.qubits == 1 else 2
     grid = grid or TimeGrid.default_for(p)
 
-    store = "half" if strategy == 2 else "grid"
-    nominal = propagate.propagate_sweep(p, grid, store=store)
-    offset = metrics.target_offset(nominal.final, gate)
+    if strategy == 1:
+        nominal = propagate.propagate_sweep(p, grid)
+    else:
+        # each feedback step reads the drive matrix at its midpoint: the
+        # nominal sweep runs on twice the steps at one substep each, the
+        # sample times and substep size of the grid at DEFAULT_REFINE = 2
+        nominal = propagate.propagate_sweep(
+            p, TimeGrid(grid.tau0, 2 * grid.steps), refine=1)
+    nominal_unitary = nominal.final.copy()
+    offset = metrics.target_offset(nominal_unitary, gate)
 
     feedback = None
     if strategy == 1:
         w_r, residue = pauli_coordinates(strategy1_weights(offset))
         g_r, g_residue = drive_samples(p, nominal)
-        _check_imag_residue(max(residue, g_residue))
+        _check_imag_residue(np.maximum(residue, g_residue))
         ctrl = strategy1_control(g_r, w_r, grid)
+        del g_r
     else:
         feedback = strategy2_solve(p, nominal, offset)
         ctrl = feedback.control
+    # free the nominal trajectory before the improved sweep; the result keeps
+    # a copy of its final propagator
+    del nominal
 
     improved = propagate.propagate_sweep(p, grid, ctrl.samples)
     return ImprovedGateResult(
         gate=gate,
-        nominal_report=metrics.error_report(nominal.final, gate),
+        nominal_report=metrics.error_report(nominal_unitary, gate),
         improved_report=metrics.error_report(improved.final, gate),
         control=ctrl,
         improved_trajectory=improved,
-        nominal_unitary=nominal.final,
+        nominal_unitary=nominal_unitary,
         strategy=strategy,
         feedback=feedback,
     )

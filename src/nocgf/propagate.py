@@ -79,16 +79,16 @@ value.  This reassociates the sequential product M_k ... M_1 M_0 U.  For
 unitary factors both carry roundoff bounded by order (factors) x eps, about
 1e-11 for a production sweep; measured at the production grids, the two
 differ by 1.5e-13 (hadamard) to 8e-13 (cphase) in max-norm, far below the
-1e-10 unitarity budget.  The scan is the same for every storage mode, which
-only chooses what is written: grid and half storage hold the same grid
-samples bit for bit, and the final propagator is the last of them.  A
-half-storage midpoint is the product of its step's first refine / 2
-substep maps times the sample at the step's start.
+1e-10 unitarity budget.  The scan is the same for both storage modes, which
+only choose what is written: the grid samples, or the final propagator,
+the last of them.  Strategy 2's nominal sweep, which needs samples at the
+half steps, runs on twice the steps at one substep each: the same sample
+times and substep size as the grid at two substeps.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -152,19 +152,11 @@ class TimeGrid:
         return -self.tau0 / 2.0
 
     @property
-    def tau_end(self) -> float:
-        return self.tau0 / 2.0
-
-    @property
     def h(self) -> float:
         return self.tau0 / self.steps
 
     def points(self) -> np.ndarray:
         return self.tau_start + np.arange(self.steps + 1) * self.h
-
-    def half_points(self) -> np.ndarray:
-        """Grid plus midpoints, spacing h/2 (2*steps + 1 values)."""
-        return self.tau_start + np.arange(2 * self.steps + 1) * (self.h / 2.0)
 
     @staticmethod
     def default_for(p) -> "TimeGrid":
@@ -199,14 +191,19 @@ class StepNodes:
 
 @dataclass
 class Trajectory:
-    """Propagator samples U(tau, -tau0/2) on a TimeGrid, in time order: the
-    steps + 1 grid points or, with half storage, the 2 steps + 1 grid points
-    and step midpoints (needed to sample the drive matrix at substage times).
-    """
+    """Propagator samples U(tau, -tau0/2) at the steps + 1 points of a
+    TimeGrid, in time order."""
 
     grid: TimeGrid
     unitaries: np.ndarray
     defect: float = field(default=0.0)
+
+    def __post_init__(self):
+        if len(self.unitaries) != self.grid.steps + 1:
+            raise ValueError(
+                f"a trajectory on {self.grid.steps} steps holds {self.grid.steps + 1} "
+                f"samples, got {len(self.unitaries)}"
+            )
 
     @property
     def final(self) -> np.ndarray:
@@ -340,11 +337,9 @@ def _sample_rows(afun, grid, c0: int, cs: int, refine: int):
     return [*rows, x[:, :, 0, 1:]], grid.h
 
 
-def _step_prefixes(rows, dt, refine: int, r: int):
-    """Prefix products of the r substep maps of every step (r divides
-    refine), in time order, each component-major (dim, dim, steps, *batch):
-    entry i maps the step's start to the end of its substep i, so the last
-    one is the step map.
+def _step_map(rows, dt, refine: int, r: int):
+    """The map of every step, the product of its r substep maps (r divides
+    refine), component-major (dim, dim, steps, *batch).
 
     Substep i reads rows 2wi, 2wi + w and 2w(i + 1), w = refine / r, as its
     start, midpoint and end: a coarser level reads every w-th row.
@@ -354,7 +349,7 @@ def _step_prefixes(rows, dt, refine: int, r: int):
                                       matrix_major(rows[2 * w * i + w]),
                                       matrix_major(rows[2 * w * (i + 1)]), dt / r))
             for i in range(r))
-    return list(itertools.accumulate(maps, lambda g, s: entry_matmul(s, g)))
+    return functools.reduce(lambda g, s: entry_matmul(s, g), maps)
 
 
 def _integrate(afun, grid, dim: int, batch=(), refine=DEFAULT_REFINE,
@@ -370,51 +365,38 @@ def _integrate(afun, grid, dim: int, batch=(), refine=DEFAULT_REFINE,
     returns A with shape (*taus.shape, *batch, dim, dim).  Every step's map
     is the product of its substep maps, and a blocked scan over the chunk's
     step maps gives the propagator at every node; this path is the same for
-    every storage mode, which only chooses what is written.
+    both storage modes, which only choose what is written.
 
-    store is "grid" (steps + 1 samples at the nodes), "half" (2 steps + 1
-    samples at the nodes and step midpoints, in time order; a midpoint is
-    the product of its step's first refine / 2 substep maps times the
-    sample at the step's start) or "final".  StepNodes allow only "final":
-    the same rows are integrated at refine // 2 and at refine, and U_final
-    has shape (2, *batch, dim, dim), in that order.  Step nodes and half
-    storage need an even refine.
+    store is "grid" (steps + 1 samples at the nodes) or "final".  StepNodes
+    allow only "final", at an even refine: the same rows are integrated at
+    refine // 2 and at refine, and U_final has shape (2, *batch, dim, dim),
+    in that order.
     """
-    if store not in ("grid", "half", "final"):
-        raise ValueError(f"store must be 'grid', 'half' or 'final', got {store!r}")
+    if store not in ("grid", "final"):
+        raise ValueError(f"store must be 'grid' or 'final', got {store!r}")
     nodes = isinstance(grid, StepNodes)
-    if nodes and store != "final":
+    if nodes and (store != "final" or refine % 2):
         raise ValueError("step nodes integrate final propagators at an even refine")
-    if (nodes or store == "half") and refine % 2:
-        raise ValueError(f"step nodes and half storage need an even refine, got {refine}")
     # step nodes carry their two levels along a leading axis of u
     levels, lead = ((refine // 2, refine), (2,)) if nodes else ((refine,), ())
     steps = grid.steps
     u = np.broadcast_to(np.eye(dim, dtype=complex), (*lead, *batch, dim, dim)).copy()
     out = None
-    if store != "final":
-        out = np.empty(((2 if store == "half" else 1) * steps + 1, *batch, dim, dim),
-                       dtype=complex)
+    if store == "grid":
+        out = np.empty((steps + 1, *batch, dim, dim), dtype=complex)
         out[0] = u
     for c0 in range(0, steps, chunk):
         cs = min(chunk, steps - c0)
         rows, dt = _sample_rows(afun, grid, c0, cs, refine)
-        prefixes = [_step_prefixes(rows, dt, refine, r) for r in levels]
-        m = [q[-1] for q in prefixes]
+        m = [_step_map(rows, dt, refine, r) for r in levels]
         p = _blocked_scan(np.stack(m, axis=3) if lead else m[0], u)
-        if store == "grid":
+        if out is not None:
             out[c0 + 1:c0 + cs + 1] = p
-        elif store == "half":
-            out[2 * c0 + 2:2 * (c0 + cs) + 1:2] = p
-            start = component_major(out[2 * c0:2 * (c0 + cs):2])
-            half = prefixes[0][refine // 2 - 1]
-            out[2 * c0 + 1:2 * (c0 + cs):2] = matrix_major(entry_matmul(half, start))
         u = p[-1]
     return out, u
 
 
-def _finish(grid, out, ufinal) -> Trajectory:
-    samples = out if out is not None else ufinal[None]
+def _finish(grid, samples) -> Trajectory:
     defect = unitarity_defect(samples)
     _check_budget("unitarity defect", defect, UNITARITY_BUDGET)
     return Trajectory(grid, samples, defect=defect)
@@ -453,18 +435,18 @@ def _generator_fun(p, grid: TimeGrid, delta_f=None, noise=None):
 
 
 def propagate_sweep(p, grid: TimeGrid | None = None, delta_f=None, *,
-                    store: str = "grid") -> Trajectory:
-    """Integrate i U' = H(tau) U over the sweep.
+                    refine: int = DEFAULT_REFINE) -> Trajectory:
+    """Integrate i U' = H(tau) U over the sweep, storing the grid samples.
 
     H is the nominal sweep Hamiltonian, plus the control modification when
     delta_f is given: the three real field-modification components at the
-    grid points, linearly interpolated to the substage times.  store is
-    "grid" or "half" (see _integrate).  Raises AccuracyError when the
+    grid points, linearly interpolated to the substage times.  refine is
+    the number of substeps per grid step.  Raises AccuracyError when the
     unitarity defect exceeds UNITARITY_BUDGET.
     """
     grid = grid or TimeGrid.default_for(p)
-    out, u = _integrate(_generator_fun(p, grid, delta_f), grid, p.dim, store=store)
-    return _finish(grid, out, u)
+    out, _ = _integrate(_generator_fun(p, grid, delta_f), grid, p.dim, refine=refine)
+    return _finish(grid, out)
 
 
 def _noisy_composite(p, improved: Trajectory, delta_f, noise,
@@ -515,12 +497,9 @@ def propagate_modified_batch(p, improved: Trajectory, delta_f, noises) -> NoisyF
     step-doubling error estimate, which covers the noisy segments (the
     quiet steps are the improved sweep's own).  A realization without
     pulses returns the improved final propagator, with estimate 0.
-    Raises ValueError unless improved holds grid samples, and
-    AccuracyError when the estimate exceeds DOUBLING_BUDGET or the
+    Raises AccuracyError when the estimate exceeds DOUBLING_BUDGET or the
     unitarity defect of the composites exceeds UNITARITY_BUDGET.
     """
-    if len(improved.unitaries) != improved.grid.steps + 1:
-        raise ValueError("noisy propagation needs a grid-stored improved trajectory")
     runs = [_noisy_composite(p, improved, delta_f, nz) for nz in noises]
     coarse, fine = np.stack([u for u, _ in runs], axis=1)
     defect = unitarity_defect(fine)

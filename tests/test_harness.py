@@ -260,7 +260,7 @@ def test_cli_jitter_rejects_bad_powers(monkeypatch, capsys, powers):
     rc = cli.main(["jitter", "--powers", powers, "--gate", "hadamard"])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("--powers") and err.count("\n") == 1
+    assert err.startswith("nocgf: --powers") and err.count("\n") == 1
     assert calls == []
 
 
@@ -349,6 +349,10 @@ def test_cli_rejects_an_unwritable_out_before_computing(tmp_path, monkeypatch,
     (["improve", "--gate", "hadamard", "--steps", "500"], "unitarity defect"),
     (["sweep", "--param", "tau0", "--gate", "hadamard", "--steps", "40000"],
      "no printed-precision entry"),
+    (["improve"], "improve requires a single --gate"),
+    (["spectrum"], "spectrum requires a single --gate"),
+    (["spectrum", "--gate", "hadamard"], "spectrum requires --out"),
+    (["sweep", "--param", "d1", "--gate", "hadamard"], "applies to none"),
 ])
 def test_cli_errors_are_one_line_with_exit_code_2(capsys, argv, message):
     rc = cli.main(argv)

@@ -89,7 +89,7 @@ def test_strategy1_control_matches_the_complex_drive_law():
     assert np.abs(res.control.samples - want).max() <= 1e-15
 
 
-@pytest.mark.parametrize("scale,ok", [(1e-9, True), (1e-3, False)])
+@pytest.mark.parametrize("scale,ok", [(1e-9, True), (1e-3, False), (np.nan, False)])
 def test_strategy1_rejects_non_hermitian_weights(monkeypatch, scale, ok):
     # strategy 1 shares strategy 2's residue check: an anti-Hermitian part
     # i K of the weights is the imaginary part of their Pauli coordinates
@@ -118,6 +118,13 @@ def test_improve_gate_synthetic_zero_offset():
     assert res.improved_report.trace_p < 1e-24
 
 
+def test_improve_result_keeps_only_the_nominal_final_propagator(improved_all):
+    # a copy, not a view that would keep the whole nominal trajectory alive
+    for res in improved_all.values():
+        assert res.nominal_unitary.flags.owndata
+        assert res.nominal_unitary.shape == (res.gate.dim, res.gate.dim)
+
+
 def test_improve_gate_strategy_mismatch():
     # the strategy follows the gate, so parameters of the other system are
     # rejected before anything is integrated
@@ -130,7 +137,7 @@ def test_improve_gate_strategy_mismatch():
 def test_strategy2_requires_two_qubit_offset(rng):
     g = gate_target("hadamard")
     off = target_offset(random_unitary(rng, 2), g)
-    grid = TimeGrid(1.0, 1)
+    grid = TimeGrid(1.0, 2)
     traj = Trajectory(grid, np.tile(np.eye(4, dtype=complex), (3, 1, 1)))
     with pytest.raises(ConfigError):
         strategy2_solve(NOMINAL_PARAMS["cphase"], traj, off)
@@ -138,36 +145,37 @@ def test_strategy2_requires_two_qubit_offset(rng):
 
 @pytest.fixture(scope="module")
 def cphase_30k():
-    """A 30,000-step nominal cphase sweep with midpoints, and its offset."""
+    """The nominal cphase sweep of 30,000 feedback steps (60,000 steps at one
+    substep each), and its offset."""
     p = NOMINAL_PARAMS["cphase"]
-    grid = TimeGrid(p.tau0, 30000)
+    grid = TimeGrid(p.tau0, 60000)
     # this coarse grid's defect, 3.4e-10, exceeds the production budget
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(propagate, "UNITARITY_BUDGET", np.inf)
-        traj = propagate_sweep(p, grid, store="half")
+        traj = propagate_sweep(p, grid, refine=1)
     return p, traj, target_offset(traj.final, gate_target("cphase"))
 
 
 def test_strategy2_small_grid_properties(cphase_30k):
     p, traj, off = cphase_30k
     sol = strategy2_solve(p, traj, off)
+    assert sol.control.grid == TimeGrid(p.tau0, 30000)
+    assert sol.delta_y.shape == (30001, 16)
     assert sol.riccati_residual_max <= 1e-14
     norms = np.linalg.norm(sol.delta_y, axis=1)
     assert norms[-1] <= norms[0]
     assert sol.norm_increase_max == np.diff(norms).max() <= 1e-12
     assert sol.delta_y.dtype == sol.control.samples.dtype == np.float64
     assert sol.imag_residue_max <= 1e-15
-    assert np.allclose(sol.riccati_s, np.eye(16))
-    assert np.allclose(sol.weight_r, np.eye(3))
 
 
 def test_strategy2_streamed_pass_matches_an_unstreamed_reference(cphase_30k):
     p, traj, off = cphase_30k
-    grid = traj.grid
+    grid = TimeGrid(p.tau0, traj.grid.steps // 2)
     sol = strategy2_solve(p, traj, off)
     # the whole complex drive stack, the batched-`@` maps of B = -G G† and
     # one matvec per step
-    g_half = drive_matrix(traj.unitaries, coupling_matrices(p, grid.half_points()))
+    g_half = drive_matrix(traj.unitaries, coupling_matrices(p, traj.grid.points()))
     y = -off.delta_b.astype(complex)
     want = [y]
     for c0 in range(0, grid.steps, 1000):
@@ -186,7 +194,7 @@ def test_strategy2_streamed_pass_matches_an_unstreamed_reference(cphase_30k):
 
 def test_strategy2_never_holds_the_drive_stack(cphase_30k):
     p, traj, off = cphase_30k
-    stack_bytes = (2 * traj.grid.steps + 1) * 16 * 3 * np.dtype(complex).itemsize
+    stack_bytes = len(traj.unitaries) * 16 * 3 * np.dtype(complex).itemsize
     tracemalloc.start()
     try:
         strategy2_solve(p, traj, off)
@@ -203,7 +211,7 @@ def test_strategy2_rejects_an_unstable_step_size(steps, stable):
     # h lambda up to about 4.18, so 100 steps (h lambda = 5.6) make ||y||
     # grow and 300 steps (1.9) do not
     p = NOMINAL_PARAMS["cphase"]
-    grid = TimeGrid(p.tau0, steps)
+    grid = TimeGrid(p.tau0, 2 * steps)
     traj = Trajectory(grid, np.tile(np.eye(4, dtype=complex), (2 * steps + 1, 1, 1)))
     off = target_offset(random_unitary(np.random.default_rng(7), 4),
                         gate_target("cphase"))
@@ -228,15 +236,20 @@ def test_control_reality_residue(improved_all):
         assert res.control.samples.dtype.kind == "f"
 
 
-@pytest.mark.parametrize("name,steps,half", [("hadamard", 10_000, False),
-                                             ("cphase", 5_000, True)])
-def test_chunked_drive_samples_match_one_drive_matrix_call(name, steps, half):
+@pytest.mark.parametrize("name,steps,doubled", [("hadamard", 10_000, False),
+                                                ("cphase", 5_000, True)])
+def test_chunked_drive_samples_match_one_drive_matrix_call(name, steps, doubled):
     # 10,001 samples: two full chunks and a partial one; a shortened sweep
-    # keeps this coarse grid accurate enough for drive_matrix's check
+    # keeps this coarse grid accurate enough for drive_matrix's check.  The
+    # cphase sweep is Strategy 2's nominal: twice the steps at one substep
     p = dataclasses.replace(NOMINAL_PARAMS[name], tau0=20.0)
-    grid = TimeGrid(p.tau0, steps)
-    traj = propagate_sweep(p, grid, store="half" if half else "grid")
-    taus = grid.half_points() if half else grid.points()
+    if doubled:
+        grid = TimeGrid(p.tau0, 2 * steps)
+        traj = propagate_sweep(p, grid, refine=1)
+    else:
+        grid = TimeGrid(p.tau0, steps)
+        traj = propagate_sweep(p, grid)
+    taus = grid.points()
     assert len(taus) == 10_001 > 2 * noc.DRIVE_CHUNK
     # the Pauli projection of one drive_matrix call
     want, want_residue = pauli_coordinates(np.swapaxes(
@@ -248,28 +261,25 @@ def test_chunked_drive_samples_match_one_drive_matrix_call(name, steps, half):
     assert residue == want_residue
 
 
-def test_strategy2_rejects_a_grid_only_trajectory(cphase_30k):
-    p, traj, off = cphase_30k
-    grid_only = Trajectory(traj.grid, traj.unitaries[0::2])
-    with pytest.raises(ValueError, match="midpoint"):
-        strategy2_solve(p, grid_only, off)
+def test_strategy2_rejects_an_odd_nominal_step_count():
+    # every feedback step reads two nominal steps
+    p = NOMINAL_PARAMS["cphase"]
+    traj = Trajectory(TimeGrid(p.tau0, 601), np.tile(np.eye(4, dtype=complex), (602, 1, 1)))
+    off = target_offset(random_unitary(np.random.default_rng(7), 4),
+                        gate_target("cphase"))
+    with pytest.raises(ValueError, match="even step count"):
+        strategy2_solve(p, traj, off)
 
 
-def test_drive_samples_reject_a_final_only_trajectory():
-    p = dataclasses.replace(NOMINAL_PARAMS["hadamard"], tau0=20.0)
-    final = propagate_sweep(p, TimeGrid(p.tau0, 400), store="final")
-    with pytest.raises(ValueError, match="neither"):
-        noc.drive_samples(p, final)
-
-
-@pytest.mark.parametrize("scale,ok", [(1e-9, True), (1e-4, False)])
+@pytest.mark.parametrize("scale,ok", [(1e-9, True), (1e-4, False), (np.nan, False)])
 def test_strategy2_rejects_a_non_hermitian_offset(scale, ok):
     # exactly unitary identity propagators at a stable step size (see
     # test_strategy2_rejects_an_unstable_step_size); an anti-Hermitian part
-    # i K of delta_beta is the imaginary part of its Pauli coordinates
+    # i K of delta_beta is the imaginary part of its Pauli coordinates, and
+    # a NaN offset is caught by the same check
     p = NOMINAL_PARAMS["cphase"]
-    grid = TimeGrid(p.tau0, 300)
-    traj = Trajectory(grid, np.tile(np.eye(4, dtype=complex), (2 * grid.steps + 1, 1, 1)))
+    grid = TimeGrid(p.tau0, 600)
+    traj = Trajectory(grid, np.tile(np.eye(4, dtype=complex), (grid.steps + 1, 1, 1)))
     rng = np.random.default_rng(3)
     z = rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4))
     beta = 0.01 * hermitize(z[0]) + 1j * scale * hermitize(z[1])

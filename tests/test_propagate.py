@@ -31,7 +31,7 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         TimeGrid(160.0, 0)
     g = TimeGrid(160.0, 1000)
-    assert g.tau_start == -80.0 and g.tau_end == 80.0
+    assert g.tau_start == -80.0
     pts = g.points()
     assert len(pts) == 1001 and pts[0] == -80.0 and pts[-1] == pytest.approx(80.0)
 
@@ -151,14 +151,16 @@ def test_convergence_order_on_hadamard_sweep():
 
 @pytest.fixture(scope="module")
 def cphase_half_drive():
-    """Drive samples at grid plus midpoint times of a 30,000-step cphase sweep."""
+    """Drive samples at the grid points and midpoints of 30,000 steps: a
+    cphase sweep on 60,000 steps at one substep each."""
     p = NOMINAL_PARAMS["cphase"]
     grid = TimeGrid(p.tau0, 30000)
+    fine = TimeGrid(p.tau0, 2 * grid.steps)
     # this coarse grid's defect, 3.4e-10, exceeds the production budget
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(propagate, "UNITARITY_BUDGET", np.inf)
-        traj = propagate_sweep(p, grid, store="half")
-    return grid, drive_matrix(traj.unitaries, coupling_matrices(p, grid.half_points()))
+        traj = propagate_sweep(p, fine, refine=1)
+    return grid, drive_matrix(traj.unitaries, coupling_matrices(p, fine.points()))
 
 
 def test_delta_y_zero_offset(cphase_half_drive):
@@ -250,46 +252,47 @@ def test_grid_and_its_points_as_step_nodes_give_the_same_propagator():
         assert np.abs(u_nodes - u).max() <= 1e-12 * steps
 
 
-def test_half_storage_is_one_time_ordered_sample_array():
+def test_doubled_grid_at_refine_1_matches_the_grid_at_refine_2():
+    # the same sample times and substep maps (Strategy 2's nominal sweep);
+    # only the association of the scan product differs
     steps, chunk = 2500, 1000
     grid = TimeGrid(SHORT_HAD.tau0, steps)
-    afun = _generator_fun(SHORT_HAD, grid)
-    half, u = _integrate(afun, grid, 2, store="half", chunk=chunk)
-    assert half.shape == (2 * steps + 1, 2, 2)
-    assert np.array_equal(half[-1], u)
-    # the even samples are grid storage's, from the same scan
-    at_grid, _ = _integrate(afun, grid, 2, chunk=chunk)
-    assert np.array_equal(half[0::2], at_grid)
-    # the samples are the substep prefixes: a refine-1 run on twice the
-    # steps, up to the association of the product
     fine = TimeGrid(SHORT_HAD.tau0, 2 * steps)
-    want, _ = _integrate(_generator_fun(SHORT_HAD, fine), fine, 2, refine=1,
-                         chunk=2 * chunk)
-    assert np.abs(half[1::2] - want[1::2]).max() <= 1e-15 * steps
+    assert np.array_equal(fine.points()[0::2], grid.points())
+    at_grid, _ = _integrate(_generator_fun(SHORT_HAD, grid), grid, 2, chunk=chunk)
+    doubled, u = _integrate(_generator_fun(SHORT_HAD, fine), fine, 2, refine=1,
+                            chunk=2 * chunk)
+    assert doubled.shape == (2 * steps + 1, 2, 2)
+    assert np.array_equal(doubled[-1], u)
+    assert np.abs(doubled[0::2] - at_grid).max() <= 1e-15 * steps
 
 
 @settings(max_examples=40, deadline=None)
-@given(steps=st.integers(1, 60), chunk=st.integers(1, 25),
-       refine=st.sampled_from([2, 4, 6]))
+@given(steps=st.integers(1, 60), chunk=st.integers(1, 25), refine=st.integers(1, 6))
 def test_storage_modes_write_one_product(steps, chunk, refine):
     grid = TimeGrid(SHORT_HAD.tau0, steps)
     afun = _generator_fun(SHORT_HAD, grid)
     kw = dict(refine=refine, chunk=chunk)
     at_grid, u_grid = _integrate(afun, grid, 2, store="grid", **kw)
-    half, u_half = _integrate(afun, grid, 2, store="half", **kw)
     none, u_final = _integrate(afun, grid, 2, store="final", **kw)
-    assert none is None and half.shape == (2 * steps + 1, 2, 2)
-    assert np.array_equal(half[0::2], at_grid)
+    assert none is None and at_grid.shape == (steps + 1, 2, 2)
     assert np.array_equal(u_final, at_grid[-1])
-    assert np.array_equal(u_grid, u_final) and np.array_equal(u_half, u_final)
+    assert np.array_equal(u_grid, u_final)
 
 
 def test_unknown_storage_mode_is_rejected():
     grid = TimeGrid(SHORT_HAD.tau0, 40)
     with pytest.raises(ValueError, match="store must be"):
-        propagate_sweep(SHORT_HAD, grid, store="Half")
-    with pytest.raises(ValueError, match="even refine"):
-        _integrate(_generator_fun(SHORT_HAD, grid), grid, 2, refine=3, store="half")
+        _integrate(_generator_fun(SHORT_HAD, grid), grid, 2, store="half")
+
+
+def test_trajectory_holds_one_sample_per_grid_point():
+    grid = TimeGrid(SHORT_HAD.tau0, 4)
+    for count in (1, 4, 9):
+        with pytest.raises(ValueError, match="holds 5 samples, got"):
+            propagate.Trajectory(grid, np.tile(np.eye(2, dtype=complex), (count, 1, 1)))
+    traj = propagate.Trajectory(grid, np.tile(np.eye(2, dtype=complex), (5, 1, 1)))
+    assert np.array_equal(traj.final, np.eye(2))
 
 
 def _short_control(grid):
@@ -352,14 +355,6 @@ def test_a_realization_without_pulses_is_the_improved_gate():
     res = propagate_modified_batch(SHORT_HAD, improved, delta_f, [quiet])
     assert np.array_equal(res.unitaries[0], improved.final)
     assert res.error_estimate == 0.0 and res.steps.tolist() == [0]
-
-
-def test_noisy_propagation_needs_a_grid_stored_trajectory():
-    grid = TimeGrid(SHORT_HAD.tau0, 400)
-    half = propagate_sweep(SHORT_HAD, grid, store="half")
-    with pytest.raises(ValueError, match="grid-stored"):
-        propagate_modified_batch(SHORT_HAD, half, np.zeros((grid.steps + 1, 3)),
-                                 _hand_placed_noise())
 
 
 def test_step_doubling_budget_is_enforced(monkeypatch):
