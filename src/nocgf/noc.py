@@ -189,10 +189,11 @@ def strategy2_solve(p, nominal: Trajectory, offset: TargetOffset) -> Strategy2So
     same streamed pass on complex arrays, by 5.7e-16 and 9.0e-17.
 
     Raises ValueError when the nominal step count is odd, and
-    ConsistencyError when the projections of delta_b or of the drive
-    samples discard an imaginary residue above IMAG_RESIDUE_TOL, when ||y||
-    grows by more than NORM_INCREASE_TOL in one step, or when the Riccati
-    residual exceeds RICCATI_TOL.
+    ConsistencyError when the projections of delta_b (checked before the
+    pass) or of the drive samples (checked with delta_b's after it) discard
+    an imaginary residue above IMAG_RESIDUE_TOL, when ||y|| grows by more
+    than NORM_INCREASE_TOL in one step, or when the Riccati residual
+    exceeds RICCATI_TOL.
     """
     if offset.dim != 4:
         raise ConfigError("strategy 2 expects a two-qubit offset")
@@ -205,6 +206,8 @@ def strategy2_solve(p, nominal: Trajectory, offset: TargetOffset) -> Strategy2So
     delta_y = np.empty((grid.steps + 1, 16))
     raw = np.empty((grid.steps + 1, 3))
     b_r, imag_residue = pauli_coordinates(offset.delta_b)
+    # the offset's own residue is known before the first chunk
+    _check_imag_residue(imag_residue)
     y = -b_r
     residual = 0.0
     increase = -np.inf

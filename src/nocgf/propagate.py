@@ -16,13 +16,18 @@ lies j/(2 refine) of the way through every step of a chunk, so row
 `refine` is the step midpoint, and one step-map path reads those rows.  A
 TimeGrid is the uniform special case: its steps share their end samples,
 so it takes 2 refine rows over one step more than the chunk and reads the
-end row as row 0 shifted by one step.  Noisy propagation steps over
+end row as row 0 shifted by one step.  The sampler also hands over the
+chunk's first grid step, so the generator interpolates the control
+modification with fixed row weights on contiguous slices of its grid
+samples, with no search (_generator_fun).  Noisy propagation steps over
 StepNodes, the grid points plus the pulse edges of a realization clipped
 to the sweep.  The phase noise is piecewise constant, so on those nodes it
 is constant inside every step; it is evaluated once per step, at the
 midpoint row, and each step samples its own end row (row 2 refine)
 because the generator may jump at a node.  The fourth-order rate, which a
-step straddling a jump loses, is then kept.
+step straddling a jump loses, is then kept.  These nodes are not grid
+steps, so the control modification is interpolated there by np.interp on
+the grid points.
 
 Noisy segments.  Shot noise is a set of short pulses, and outside them the
 noisy generator is the improved sweep's own.  So a realization is
@@ -318,9 +323,10 @@ def _sample_rows(afun, grid, c0: int, cs: int, refine: int):
     step sizes, a scalar or shaped to broadcast against a row's stack axes.
 
     afun receives a (rows, steps) time array, row j at j/(2 refine) of the
-    way through every step.  A TimeGrid's steps share their end samples:
-    its 2 refine rows span cs + 1 steps, and the end row is row 0 shifted
-    by one step.  StepNodes sample their own end row, row 2 refine.
+    way through every step, and the first step's grid index c0 on a
+    TimeGrid (None on StepNodes).  A TimeGrid's steps share their end
+    samples: its 2 refine rows span cs + 1 steps, and the end row is row 0
+    shifted by one step.  StepNodes sample their own end row, row 2 refine.
     """
     nodes = isinstance(grid, StepNodes)
     if nodes:
@@ -330,7 +336,7 @@ def _sample_rows(afun, grid, c0: int, cs: int, refine: int):
     else:
         s = np.arange(cs + 1) * (2 * refine) + np.arange(2 * refine)[:, None]
         taus = grid.tau_start + c0 * grid.h + s * (grid.h / refine / 2.0)
-    x = np.ascontiguousarray(component_major(afun(taus)))
+    x = np.ascontiguousarray(component_major(afun(taus, None if nodes else c0)))
     rows = [x[:, :, j, :cs] for j in range(2 * refine)]
     if nodes:
         return [*rows, x[:, :, 2 * refine]], dt.reshape(dt.shape + (1,) * (x.ndim - 4))
@@ -359,13 +365,15 @@ def _integrate(afun, grid, dim: int, batch=(), refine=DEFAULT_REFINE,
     grid gives the step nodes: a TimeGrid or StepNodes.  Every step is split
     into `refine` equal substeps.  Returns (samples | None, U_final).
 
-    A chunk of steps is sampled by _sample_rows: afun receives a
+    A chunk of steps is sampled by _sample_rows: afun(taus, c0) receives a
     (rows, steps) time array, row j at j/(2 refine) of the way through every
     step, so row `refine` is the step midpoint for both kinds of nodes, and
-    returns A with shape (*taus.shape, *batch, dim, dim).  Every step's map
-    is the product of its substep maps, and a blocked scan over the chunk's
-    step maps gives the propagator at every node; this path is the same for
-    both storage modes, which only choose what is written.
+    the grid index c0 of the chunk's first step on a TimeGrid (None on
+    StepNodes); it returns A with shape (*taus.shape, *batch, dim, dim).
+    Every step's map is the product of its substep maps, and a blocked scan
+    over the chunk's step maps gives the propagator at every node; this
+    path is the same for both storage modes, which only choose what is
+    written.
 
     store is "grid" (steps + 1 samples at the nodes) or "final".  StepNodes
     allow only "final", at an even refine: the same rows are integrated at
@@ -406,26 +414,47 @@ def _generator_fun(p, grid: TimeGrid, delta_f=None, noise=None):
     """The afun of _integrate: A(tau) from control.generator, matrix-major.
 
     delta_f (grid samples, shape (steps + 1, 3)) is linearly interpolated to
-    the requested times.  noise, one noise realization, is held at its
-    value at the step midpoint, the middle row of _integrate's (rows, steps)
-    time array, throughout the step (meant for StepNodes, where the noise
-    is constant inside every step).  The returned views are component-major
-    underneath, so _integrate copies nothing.
+    the requested times.  On a chunk of grid steps from c0, row j of the
+    (rows, steps) time array lies j/rows of the way through step c0 + s, so
+    there delta_f is f[c0 + s] + (j/rows)(f[c0 + s + 1] - f[c0 + s]): fixed
+    row weights on contiguous slices of the samples, with no search.  The
+    last chunk's end column has no next sample; it takes weight 0, and its
+    rows j > 0 are never read.  StepNodes (c0 None) need not lie on grid
+    steps, so there np.interp on the grid points takes the general path.
+
+    noise, one noise realization, is held at its value at the step
+    midpoint, the middle row of the time array, throughout the step (meant
+    for StepNodes, where the noise is constant inside every step).  The
+    returned views are component-major underneath, so _integrate copies
+    nothing.
     """
     if delta_f is not None:
-        taus_grid = grid.points()
         delta_f = np.asarray(delta_f, dtype=float)
         if delta_f.shape != (grid.steps + 1, 3):
             raise ValueError(
                 f"delta_f must have shape ({grid.steps + 1}, 3), got {delta_f.shape}"
             )
+    points = None       # the grid points, for np.interp on StepNodes
 
-    def afun(taus):
-        dfi = None
-        if delta_f is not None:
-            dfi = np.stack(
-                [np.interp(taus, taus_grid, delta_f[:, j]) for j in range(3)], axis=-1
-            )
+    def interpolate(taus, c0):
+        """delta_f at taus, shape (*taus.shape, 3), component-contiguous."""
+        nonlocal points
+        if c0 is None:
+            if points is None:
+                points = grid.points()
+            comps = np.stack([np.interp(taus, points, delta_f[:, j]) for j in range(3)])
+        else:
+            rows, cols = taus.shape
+            lo = delta_f[c0:c0 + cols]
+            hi = delta_f[c0 + 1:c0 + cols + 1]
+            diff = np.zeros_like(lo)
+            np.subtract(hi, lo[:len(hi)], out=diff[:len(hi)])
+            comps = diff.T[:, None, :] * (np.arange(rows) / rows)[:, None]
+            comps += lo.T[:, None, :]
+        return np.moveaxis(comps, 0, -1)
+
+    def afun(taus, c0):
+        dfi = None if delta_f is None else interpolate(taus, c0)
         phase = None
         if noise is not None:
             phase = control.twist_phase(taus, p) + noise.evaluate(taus[len(taus) // 2])
@@ -440,9 +469,10 @@ def propagate_sweep(p, grid: TimeGrid | None = None, delta_f=None, *,
 
     H is the nominal sweep Hamiltonian, plus the control modification when
     delta_f is given: the three real field-modification components at the
-    grid points, linearly interpolated to the substage times.  refine is
-    the number of substeps per grid step.  Raises AccuracyError when the
-    unitarity defect exceeds UNITARITY_BUDGET.
+    grid points, linearly interpolated to the substep sample times by fixed
+    row weights (see _generator_fun).  refine is the number of substeps per
+    grid step.  Raises AccuracyError when the unitarity defect exceeds
+    UNITARITY_BUDGET.
     """
     grid = grid or TimeGrid.default_for(p)
     out, _ = _integrate(_generator_fun(p, grid, delta_f), grid, p.dim, refine=refine)

@@ -135,7 +135,7 @@ def test_criterion_5_unitarity_and_convergence(improved_all):
     def final_at(steps):
         grid = TimeGrid(p.tau0, steps)
 
-        def afun(taus):
+        def afun(taus, c0):
             return -1j * sweep_hamiltonian(taus, p)
 
         _, u = _integrate(afun, grid, 2, refine=1, store="final")

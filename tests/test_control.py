@@ -41,7 +41,36 @@ def test_twist_phase_values():
     assert twist_phase(80.0, HAD) == pytest.approx(expected, rel=1e-12)
     assert expected == pytest.approx(469.33, rel=1e-3)
     taus = np.linspace(-80, 80, 7)
-    assert np.allclose(twist_phase(taus, HAD), twist_phase(-taus, HAD))
+    assert np.array_equal(twist_phase(taus, HAD), twist_phase(-taus, HAD))
+
+
+EPS = np.finfo(float).eps
+_any_params = st.sampled_from(list(NOMINAL_PARAMS.values()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=_any_params, data=st.data())
+def test_twist_phase_is_exactly_even(p, data):
+    half = p.tau0 / 2.0
+    taus = np.array(data.draw(st.lists(st.floats(-half, half), min_size=1, max_size=20)))
+    assert np.array_equal(twist_phase(-taus, p), twist_phase(taus, p))
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=_any_params, data=st.data(), noise=st.one_of(st.just(0.0), st.floats(-50.0, 50.0)))
+def test_twist_phase_matches_the_fourth_power(p, data, noise):
+    # (tau tau)(tau tau) is within 3u of tau^4 (u = eps/2), pow within
+    # 1 ulp (2u), and the coefficient product rounds once on each side:
+    # 7u < 4 eps of coef tau**4 (measured up to 2.8 eps), plus one eps of
+    # the result for the two rounded noise sums; below the smallest normal
+    # number no relative bound holds, so tiny is an absolute floor
+    half = p.tau0 / 2.0
+    taus = np.array(data.draw(st.lists(st.floats(-half, half), min_size=1, max_size=20)))
+    quartic = (p.eta4 / (2.0 * p.lam)) * taus**4
+    ref = quartic + noise
+    got = twist_phase(taus, p, noise)
+    bound = 4.0 * EPS * np.abs(quartic) + EPS * np.abs(ref) + np.finfo(float).tiny
+    assert np.all(np.abs(got - ref) <= bound)
 
 
 def test_twist_phase_noise_offset():

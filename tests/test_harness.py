@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -360,6 +364,18 @@ def test_cli_errors_are_one_line_with_exit_code_2(capsys, argv, message):
     err = capsys.readouterr().err
     assert err.startswith("nocgf: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_python_m_nocgf_runs_the_cli_from_a_checkout():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-m", "nocgf", "improve", "--gate", "nope"],
+                         cwd=root, env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 2
+    assert run.stderr.startswith("nocgf: ") and run.stderr.count("\n") == 1
+    assert "unknown gate" in run.stderr and run.stdout == ""
 
 
 def test_cli_jitter_reports_an_exceeded_step_doubling_budget(capsys, monkeypatch):

@@ -290,3 +290,23 @@ def test_strategy2_rejects_a_non_hermitian_offset(scale, ok):
     else:
         with pytest.raises(ConsistencyError, match="imaginary residue"):
             strategy2_solve(p, traj, off)
+
+
+@pytest.mark.parametrize("kind", ["nan", "anti-hermitian"])
+def test_strategy2_rejects_a_bad_offset_before_any_drive_sample(monkeypatch, kind):
+    # the offset's own imaginary residue fails before the streamed pass
+    def no_drive_samples(*args, **kwargs):
+        raise AssertionError("drive samples formed for a rejected offset")
+
+    monkeypatch.setattr(noc, "drive_samples", no_drive_samples)
+    p = NOMINAL_PARAMS["cphase"]
+    grid = TimeGrid(p.tau0, 600)
+    traj = Trajectory(grid, np.tile(np.eye(4, dtype=complex), (grid.steps + 1, 1, 1)))
+    z = np.random.default_rng(5).normal(size=(2, 4, 4))
+    if kind == "nan":
+        beta = np.full((4, 4), np.nan, dtype=complex)
+    else:
+        beta = 1j * hermitize(z[0] + 1j * z[1])
+    off = TargetOffset(delta_beta=beta, delta_b=vectorize(beta))
+    with pytest.raises(ConsistencyError, match="imaginary residue"):
+        strategy2_solve(p, traj, off)

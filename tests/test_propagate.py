@@ -39,7 +39,7 @@ def test_grid_validation():
 def test_zero_generator_gives_identity():
     grid = TimeGrid(10.0, 100)
 
-    def afun(taus):
+    def afun(taus, c0):
         return np.zeros((*taus.shape, 2, 2), dtype=complex)
 
     out, u = _integrate(afun, grid, 2)
@@ -51,7 +51,7 @@ def test_constant_hamiltonian_matches_exponential():
     # H = -sigma_z: U(tau) = exp(+i sigma_z (tau + tau0/2))
     grid = TimeGrid(8.0, 2000)
 
-    def afun(taus):
+    def afun(taus, c0):
         return np.broadcast_to(1j * SIGMA_Z, (*taus.shape, 2, 2)).copy()
 
     out, u = _integrate(afun, grid, 2)
@@ -75,17 +75,17 @@ def test_composition_of_half_sweeps():
     steps = 20000
     grid = TimeGrid(HAD.tau0, steps)
 
-    def afun(taus):
+    def afun(taus, c0):
         return -1j * sweep_hamiltonian(taus, HAD)
 
     _, u_full = _integrate(afun, grid, 2)
     half1 = TimeGrid(HAD.tau0 / 2, steps // 2)   # spans [-40, 40] shifted below
 
-    def afun_lo(taus):
-        return afun(taus - 40.0)
+    def afun_lo(taus, c0):
+        return afun(taus - 40.0, c0)
 
-    def afun_hi(taus):
-        return afun(taus + 40.0)
+    def afun_hi(taus, c0):
+        return afun(taus + 40.0, c0)
 
     _, u_lo = _integrate(afun_lo, half1, 2)
     _, u_hi = _integrate(afun_hi, half1, 2)
@@ -116,7 +116,7 @@ def test_modified_dual_formulation(monkeypatch):
 
     from nocgf.control import one_qubit_field, one_qubit_hamiltonian
 
-    def afun(ts):
+    def afun(ts, c0):
         f0 = one_qubit_field(ts, HAD)
         dfi = np.stack([np.interp(ts, taus, df[:, j]) for j in range(3)], axis=-1)
         return -1j * one_qubit_hamiltonian(f0 + dfi)
@@ -135,7 +135,7 @@ def test_convergence_order_on_hadamard_sweep():
     def final_at(steps, refine=1):
         grid = TimeGrid(HAD.tau0, steps)
 
-        def afun(taus):
+        def afun(taus, c0):
             return -1j * sweep_hamiltonian(taus, HAD)
 
         _, u = _integrate(afun, grid, 2, refine=refine, store="final")
@@ -210,7 +210,7 @@ def test_uniform_nodes_match_a_sequential_step_map_product(refine):
     out, u = _integrate(afun, grid, 2, refine=refine, chunk=chunk)
     q = grid.h / refine
     taus = grid.tau_start + np.arange(2 * refine * steps + 1) * (q / 2.0)
-    a = afun(taus)
+    a = afun(taus, None)
     maps = step_maps(a[0:-1:2], a[1::2], a[2::2], q)
     want = [np.eye(2, dtype=complex)]
     for k in range(steps):
@@ -278,6 +278,45 @@ def test_storage_modes_write_one_product(steps, chunk, refine):
     assert none is None and at_grid.shape == (steps + 1, 2, 2)
     assert np.array_equal(u_final, at_grid[-1])
     assert np.array_equal(u_grid, u_final)
+
+
+@settings(max_examples=60, deadline=None)
+@given(steps=st.integers(1, 60), chunk=st.integers(1, 25),
+       refine=st.sampled_from([1, 2, 4]), seed=st.integers(0, 2**32 - 1))
+def test_row_weights_match_interpolation_on_the_grid_points(steps, chunk, refine, seed):
+    grid = TimeGrid(SHORT_HAD.tau0, steps)
+    delta_f = 0.05 * np.random.default_rng(seed).normal(size=(steps + 1, 3))
+    points = grid.points()
+    weighted = _generator_fun(SHORT_HAD, grid, delta_f)
+
+    def reference(taus, c0):
+        dfi = np.stack([np.interp(taus, points, delta_f[:, j]) for j in range(3)], axis=-1)
+        return -1j * (sweep_hamiltonian(taus, SHORT_HAD) + np.einsum(
+            "...j,jkl->...kl", dfi, coupling_matrices(SHORT_HAD)))
+
+    # every sample, read or not, against the reference at the same times;
+    # np.interp holds the last sample beyond the final grid point, as the
+    # last chunk's end column does with weight 0
+    errors, sampled = [], []
+
+    def compared(taus, c0):
+        a = weighted(taus, c0)
+        errors.append(np.abs(a - reference(taus, c0)).max())
+        sampled.append(taus)
+        return a
+
+    out, _ = _integrate(compared, grid, 2, refine=refine, chunk=chunk)
+    want, _ = _integrate(reference, grid, 2, refine=refine, chunk=chunk)
+    assert len(sampled) == -(-steps // chunk)
+    # rows j > 0 of the last chunk's end column lie past the final grid point
+    assert np.all(sampled[-1][1:, -1] > points[-1])
+    # a sample time carries roundoff of about eps |tau| <= 1.1e-15, that is
+    # a fraction of at most 3.3e-15 of a step of h >= 1/3, times a sample
+    # difference below 0.5: the generator samples agree to 1e-14.  Grids
+    # this coarse are far from unitary (entries up to 8e2 at 3 steps), so
+    # the propagators agree to 1e-14 of their size (measured 1e-15)
+    assert max(errors) <= 1e-14
+    assert np.abs(out - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
 
 
 def test_unknown_storage_mode_is_rejected():
@@ -371,7 +410,7 @@ def test_step_doubling_budget_is_enforced(monkeypatch):
 def test_step_nodes_need_final_storage_and_even_refine():
     nodes = StepNodes(np.linspace(-1.0, 1.0, 5))
 
-    def afun(taus):
+    def afun(taus, c0):
         return np.zeros((*taus.shape, 2, 2), dtype=complex)
 
     for kw in ({"refine": 2, "store": "grid"}, {"refine": 1, "store": "final"}):
