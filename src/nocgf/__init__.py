@@ -18,7 +18,6 @@ from .control import (
     drive_matrix,
     one_qubit_field,
     one_qubit_hamiltonian,
-    resonance_times,
     twist_phase,
     two_qubit_hamiltonian,
 )
@@ -54,7 +53,7 @@ __all__ = [
     "__version__",
     "NOMINAL_PARAMS", "SweepParams1Q", "SweepParams2Q",
     "coupling_matrices", "drive_matrix", "one_qubit_field",
-    "one_qubit_hamiltonian", "resonance_times", "twist_phase",
+    "one_qubit_hamiltonian", "twist_phase",
     "two_qubit_hamiltonian",
     "GATES", "ErrorReport", "GateTarget", "d_star", "error_report",
     "fidelity", "gate_target", "target_offset", "trace_p",

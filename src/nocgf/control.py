@@ -331,13 +331,3 @@ def drive_matrix(u0: np.ndarray, couplings: np.ndarray) -> np.ndarray:
     gbar = entry_matmul(np.conj(np.swapaxes(u, 0, 1)), entry_matmul(g, u))
     # column stacking: vec index col * n + row
     return np.moveaxis(gbar, (1, 0, 2), (-3, -2, -1)).reshape(*lead, n * n, 3)
-
-
-def resonance_times(p) -> tuple[np.ndarray, np.ndarray]:
-    """Sweep resonance times {0, ±1/sqrt(eta4)} and an inside-sweep mask."""
-    if p.eta4 <= 0:
-        raise ValueError("eta4 must be positive")
-    r = 1.0 / np.sqrt(p.eta4)
-    times = np.array([-r, 0.0, r])
-    inside = np.abs(times) <= p.tau0 / 2.0
-    return times, inside

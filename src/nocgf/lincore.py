@@ -5,7 +5,11 @@ Everything here acts on 2x2 or 4x4 complex matrices (or stacks of them with
 arbitrary leading axes) and on length-N^2 column-stacked vectors.  Batched
 `@` is slow on stacks of matrices this small, so products of long stacks are
 formed by entry arithmetic on component-major views (entry_matmul), where
-every matrix entry is one vector across the stack.  pauli_coordinates
+every matrix entry is one vector across the stack.  One-qubit propagators
+also have a Cayley-Klein form (cayley_klein_matmul): a matrix in the real
+span of I, i sigma_x, i sigma_y, i sigma_z is [[alpha, -conj(beta)],
+[beta, conj(alpha)]], fixed by its first column, and products of such
+matrices stay in that span.  pauli_coordinates
 takes column-stacked 2x2 or 4x4 matrices to the real coordinates of their
 Hermitian part in the one- or two-qubit Pauli basis.
 """
@@ -134,6 +138,65 @@ def entry_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                 acc += a[i, k] * b[k, j]
             out[i, j] = acc
     return out
+
+
+def cayley_klein_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of one-qubit matrices in Cayley-Klein form, by first columns.
+
+    a and b are component-major first columns (2, 1, ...) of matrices
+    [[alpha, -conj(beta)], [beta, conj(alpha)]]; the product's first column
+    is (a0 b0 - conj(a1) b1, a1 b0 + conj(a0) b1), 4 complex multiplies
+    where entry_matmul on the whole matrices takes 8.  The stack axes
+    broadcast, and the result is a contiguous complex (2, 1, ...) array.
+    """
+    a0, a1, b0, b1 = a[0, 0], a[1, 0], b[0, 0], b[1, 0]
+    first = a0 * b0         # shaped like the broadcast stack axes
+    out = np.empty((2, 1, *first.shape), dtype=complex)
+    alpha, beta = out[0, 0], out[1, 0]
+    # the other terms are written in place: a temporary per operation costs
+    # as much as the operation on a chunk-sized stack
+    np.conj(a0, out=alpha)
+    alpha *= b1
+    np.multiply(a1, b0, out=beta)
+    beta += alpha
+    np.conj(a1, out=alpha)
+    alpha *= b1
+    np.subtract(first, alpha, out=alpha)
+    return out
+
+
+def cayley_klein_expand(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The matrices [[alpha, -conj(beta)], [beta, conj(alpha)]] of
+    component-major first columns x (2, 1, *stack), written to out (or a new
+    array) of shape (*stack, 2, 2)."""
+    alpha, beta = x[:, 0]
+    if out is None:
+        out = np.empty((*alpha.shape, 2, 2), dtype=complex)
+    out[..., 0, 0] = alpha
+    out[..., 1, 0] = beta
+    np.negative(beta.real, out=out[..., 0, 1].real)
+    out[..., 0, 1].imag = beta.imag
+    out[..., 1, 1].real = alpha.real
+    np.negative(alpha.imag, out=out[..., 1, 1].imag)
+    return out
+
+
+def cayley_klein_defect(x: np.ndarray) -> float:
+    """max | |alpha|^2 + |beta|^2 - 1 | over first columns x (2, 1, ...).
+
+    For [[alpha, -conj(beta)], [beta, conj(alpha)]], U†U - I is
+    (|alpha|^2 + |beta|^2 - 1) I, so this equals unitarity_defect of the
+    expanded matrices to within eps, which rounds its complex products
+    differently (9e-24 apart on the production hadamard sweep).
+    A NaN gives a NaN defect.
+    """
+    alpha, beta = x[:, 0]
+    norm = alpha.real * alpha.real
+    norm += alpha.imag * alpha.imag
+    norm += beta.real * beta.real
+    norm += beta.imag * beta.imag
+    norm -= 1.0
+    return float(np.abs(norm).max())
 
 
 def unitarity_defect(u: np.ndarray) -> float:

@@ -143,20 +143,6 @@ def _check_imag_residue(residue: float) -> None:
         )
 
 
-def contracted_drive(couplings_bar: np.ndarray, g: np.ndarray,
-                     w: np.ndarray) -> np.ndarray:
-    """Sum_j Gbar_j (G† w)_j for a single qubit.
-
-    For any unitary conjugation of the Pauli couplings this contraction
-    collapses to [[w1 - w4, 2 w3], [2 w2, w4 - w1]].
-    """
-    couplings_bar = np.asarray(couplings_bar)
-    if couplings_bar.shape != (3, 2, 2):
-        raise ValueError("contracted_drive expects the three 2x2 conjugated couplings")
-    coeff = np.conj(g.T) @ np.asarray(w)
-    return np.einsum("j,jab->ab", coeff, couplings_bar)
-
-
 def _riccati_residual(g: np.ndarray) -> float:
     """max |-G G† + S G R^-1 G† S| over drive samples g, (points, 16, 3),
     real or complex, for S = RICCATI_S and R^-1 = RICCATI_R_INV.

@@ -27,7 +27,7 @@ midpoint row, and each step samples its own end row (row 2 refine)
 because the generator may jump at a node.  The fourth-order rate, which a
 step straddling a jump loses, is then kept.  These nodes are not grid
 steps, so the control modification is interpolated there by np.interp on
-the grid points.
+the grid points around them.
 
 Noisy segments.  Shot noise is a set of short pulses, and outside them the
 noisy generator is the improved sweep's own.  So a realization is
@@ -57,11 +57,29 @@ Memory layout.  The propagators are 2x2 or 4x4, far too small for batched
 `@` to pay off, so the integrator works on component-major stacks: a
 chunk's generator samples live in one (n, n, times, *batch) buffer, and
 every matrix entry is one contiguous vector across the chunk's times.  The
-step maps and the products between them are formed by entry arithmetic on
-those vectors (lincore.entry_matmul).  The propagators' generator comes
-from control.generator already in that layout, from scalar series (twist
-phase, ramps, interpolated control modification); noise enters only
-through the phase series.
+propagators' generator comes from control.generator already in that
+layout, from scalar series (twist phase, ramps, interpolated control
+modification); noise enters only through the phase series.  The step maps
+and the products between them are formed in an algebra (Algebra): a
+product and an identity on the first k columns of the matrices, one
+contiguous vector per entry.  Two instances share the one step-map formula
+and the one scan:
+
+- whole matrices, k = n, by entry arithmetic (lincore.entry_matmul), for
+  the 4x4 propagators;
+- one-qubit matrices in Cayley-Klein form, k = 1.  A = i f.sigma lies in
+  the real span of I, i sigma_x, i sigma_y, i sigma_z, which is closed
+  under products and real combinations, so every step map, prefix product
+  and propagator is exactly [[alpha, -conj(beta)], [beta, conj(alpha)]]
+  and is fixed by its first column (alpha, beta), the generator's entries
+  [0, 0] and [1, 0].  The product (lincore.cayley_klein_matmul) takes 4
+  complex multiplies where entry arithmetic takes 8, and the unitarity
+  defect is max | |alpha|^2 + |beta|^2 - 1 |.
+
+_integrate chooses the algebra from the dimension, and expands elements to
+n x n matrices at one boundary only: when it writes the grid samples or the
+final propagator.  Trajectories, the drive matrix, the metrics and the
+quiet factors of noisy runs all read complex (..., n, n) arrays.
 
 Feedback equation.  dy/dtau = -G G† y (G the n² x 3 drive matrix) uses the
 same one-step map in vector form, but its generator has rank 3, so every
@@ -80,11 +98,14 @@ Product order.  A step's map is the product of its substep maps, and
 within a chunk the step maps are multiplied by a blocked scan (see
 _blocked_scan): local prefix products inside about sqrt(C) blocks of
 consecutive steps, then the block offsets carried from the chunk's start
-value.  This reassociates the sequential product M_k ... M_1 M_0 U.  For
-unitary factors both carry roundoff bounded by order (factors) x eps, about
-1e-11 for a production sweep; measured at the production grids, the two
-differ by 1.5e-13 (hadamard) to 8e-13 (cphase) in max-norm, far below the
-1e-10 unitarity budget.  The scan is the same for both storage modes, which
+value.  The in-block products are the algebra's; the block totals are
+expanded to matrices once per chunk and carried onto the offsets by one
+small `@` per block.  This reassociates the sequential product
+M_k ... M_1 M_0 U.  For unitary factors both carry roundoff bounded by
+order (factors) x eps, about 1e-11 for a production sweep; measured at the
+production grids, the two differ by 1.8e-14 (hadamard nominal, in
+Cayley-Klein form) to 8e-13 (cphase) in max-norm, far below the 1e-10
+unitarity budget.  The scan is the same for both storage modes, which
 only choose what is written: the grid samples, or the final propagator,
 the last of them.  Strategy 2's nominal sweep, which needs samples at the
 half steps, runs on twice the steps at one substep each: the same sample
@@ -95,12 +116,21 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import control
-from .lincore import component_major, entry_matmul, matrix_major, unitarity_defect
+from .lincore import (
+    cayley_klein_defect,
+    cayley_klein_expand,
+    cayley_klein_matmul,
+    component_major,
+    entry_matmul,
+    matrix_major,
+    unitarity_defect,
+)
 
 DEFAULT_STEPS_1Q = 160_000
 DEFAULT_STEPS_2Q = 120_000
@@ -252,36 +282,114 @@ def noisy_segments(grid: TimeGrid, edges) -> np.ndarray:
     return np.stack([a[first], b[np.roll(first, -1)]], axis=-1)
 
 
-def step_maps(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray, dt) -> np.ndarray:
+@dataclass(frozen=True)
+class Algebra:
+    """The product the integrator multiplies propagators with.
+
+    An element is a component-major stack (n, k, *stack): the first k
+    columns of n x n matrices, enough to fix them.  product multiplies two
+    stacks (their stack axes broadcast), identity is the (n, k) element of
+    I, expand writes the n x n matrices of a stack matrix-major to
+    (*stack, n, n) (to out, when given), and defect is the max-norm of
+    U†U - I over a stack.
+    """
+
+    product: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    identity: np.ndarray
+    expand: Callable[..., np.ndarray]
+    defect: Callable[[np.ndarray], float]
+
+    def unit(self, stack=()) -> np.ndarray:
+        """The identity element broadcast over the stack axes."""
+        i = self.identity
+        return np.broadcast_to(i.reshape(i.shape + (1,) * len(stack)), (*i.shape, *stack))
+
+
+def _expand_matrices(x, out=None):
+    if out is None:
+        return matrix_major(x)
+    out[...] = matrix_major(x)
+    return out
+
+
+def _matrix_defect(x) -> float:
+    return unitarity_defect(matrix_major(x))
+
+
+def matrix_algebra(n: int) -> Algebra:
+    """Whole n x n matrices multiplied by entry arithmetic (entry_matmul)."""
+    return Algebra(entry_matmul, np.eye(n), _expand_matrices, _matrix_defect)
+
+
+# One-qubit generators i f.sigma, and so every step map and propagator, lie
+# in the real span of I, i sigma_x, i sigma_y, i sigma_z: each is
+# [[alpha, -conj(beta)], [beta, conj(alpha)]], fixed by its first column.
+CAYLEY_KLEIN = Algebra(cayley_klein_matmul, np.eye(2, 1), cayley_klein_expand,
+                       cayley_klein_defect)
+
+
+def step_maps(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray, dt,
+              algebra: Algebra | None = None) -> np.ndarray:
     """One-step transfer matrices for U' = A(tau) U on a batch of steps.
 
-    a1, a2, a3 are A evaluated at the step start, midpoint and end
-    (shape (..., n, n)); the returned M satisfies U(tau+dt) = M U(tau).
-    dt is a scalar or a per-step array that broadcasts against the stack
-    axes (...) of the inputs.  The products are formed entry by entry, for
-    the 2x2 and 4x4 propagators, and M is a component-major view; the
-    inputs should be component-major views too (see component_major), or
-    every entry is a strided gather.
+    a1, a2, a3 are A evaluated at the step start, midpoint and end, as
+    elements of the algebra seen matrix-major (shape (..., n, k)); the
+    returned M satisfies U(tau+dt) = M U(tau).  The algebra defaults to
+    whole matrices, (..., n, n).  dt is a scalar or a per-step array that
+    broadcasts against the stack axes (...) of the inputs.  The products
+    are formed by the algebra's product, entry by entry, and M is a
+    component-major view; the inputs should be component-major views too
+    (see component_major), or every entry is a strided gather.
     """
-    n = a1.shape[-1]
     x1, x2, x3 = (component_major(a) for a in (a1, a2, a3))
-    eye = np.eye(n).reshape(n, n, *(1,) * (x1.ndim - 2))
-    k2 = x2 + (dt / 2.0) * entry_matmul(x2, x1)
-    k3 = x2 + (dt / 2.0) * entry_matmul(x2, k2)
-    k4 = x3 + dt * entry_matmul(x3, k3)
-    m = (dt / 6.0) * (x1 + 2.0 * k2 + 2.0 * k3 + k4) + eye
-    # modulus completion: degree 5..7 powers of the Simpson-averaged generator
-    pbar = (x1 + 4.0 * x2 + x3) * (dt / 6.0)
-    p2 = entry_matmul(pbar, pbar)
-    p5 = entry_matmul(entry_matmul(p2, p2), pbar)
-    return matrix_major(m + entry_matmul(p5, pbar / 720.0 + p2 / 5760.0 + eye / 120.0))
+    algebra = algebra or matrix_algebra(x1.shape[0])
+    mul = algebra.product
+    eye = algebra.unit((1,) * (x1.ndim - 2))
+    # Every line evaluates the formula in the comment above it, in place on
+    # the fresh arrays the products return: a temporary per operation costs
+    # as much as the operation on a chunk-sized stack.
+    # k2 = x2 + (dt/2) x2 x1, k3 = x2 + (dt/2) x2 k2, k4 = x3 + dt x3 k3
+    k2 = mul(x2, x1)
+    k2 *= dt / 2.0
+    k2 += x2
+    k3 = mul(x2, k2)
+    k3 *= dt / 2.0
+    k3 += x2
+    k4 = mul(x3, k3)
+    k4 *= dt
+    k4 += x3
+    # m = (dt/6)(x1 + 2 k2 + 2 k3 + k4) + I
+    m = k2
+    m *= 2.0
+    m += x1
+    k3 *= 2.0
+    m += k3
+    m += k4
+    m *= dt / 6.0
+    m += eye
+    # modulus completion: degree 5..7 powers of the Simpson-averaged
+    # generator pbar = (x1 + 4 x2 + x3)(dt/6), m + p5 (pbar/720 + p2/5760 + I/120)
+    pbar = x2 * 4.0
+    pbar += x1
+    pbar += x3
+    pbar *= dt / 6.0
+    p2 = mul(pbar, pbar)
+    p5 = mul(mul(p2, p2), pbar)
+    inner = pbar
+    inner /= 720.0
+    p2 /= 5760.0
+    inner += p2
+    inner += eye / 120.0
+    out = mul(p5, inner)
+    out += m
+    return matrix_major(out)
 
 
-def _blocked_scan(x: np.ndarray, u: np.ndarray):
-    """Ordered products of a component-major stack x (n, n, C, *rest).
+def _blocked_scan(x: np.ndarray, u: np.ndarray, algebra: Algebra) -> np.ndarray:
+    """Ordered products of a stack x (n, k, C, *rest) of algebra elements.
 
-    u is a matrix-major (*rest, n, n) start value.  Returns the prefix
-    products p[k] = x_k ... x_0 u for every k, shape (C, *rest, n, n).
+    u is the start element (n, k, *rest).  Returns the prefix products
+    p[k] = x_k ... x_0 u for every k, component-major (n, k, C, *rest).
 
     The C factors are split into about sqrt(C) blocks of consecutive
     factors.  Each in-block position is one vectorized product across all
@@ -291,31 +399,28 @@ def _blocked_scan(x: np.ndarray, u: np.ndarray):
     C.  Each result is a reassociation of the sequential product, so for
     unitary factors it differs from it by roundoff of order C eps.
     """
-    n, _, c = x.shape[:3]
+    n, k, c = x.shape[:3]
     rest = x.shape[3:]
     width = math.isqrt(c)
     blocks = -(-c // width)
     pad = blocks * width - c
     if pad:
         # identity factors multiply exactly
-        ident = np.zeros((n, n, pad, *rest), dtype=x.dtype)
-        for i in range(n):
-            ident[i, i] = 1.0
-        x = np.concatenate([x, ident], axis=2)
+        x = np.concatenate([x, algebra.unit((pad, *rest))], axis=2)
     # y[:, :, j, b] = factor b*width + j, contiguous across the blocks
     y = np.ascontiguousarray(
-        x.reshape(n, n, blocks, width, *rest).swapaxes(2, 3))
+        x.reshape(n, k, blocks, width, *rest).swapaxes(2, 3))
     for j in range(1, width):
-        y[:, :, j] = entry_matmul(y[:, :, j], y[:, :, j - 1])
-    # a single matrix per block: batched `@` beats entry arithmetic here
-    totals = matrix_major(y[:, :, width - 1])
-    offsets = np.empty((blocks, *rest, n, n), dtype=complex)
-    offsets[0] = u
+        y[:, :, j] = algebra.product(y[:, :, j], y[:, :, j - 1])
+    # a single element per block: one batched `@` of the expanded block
+    # total on the offset beats a product call per block
+    totals = algebra.expand(y[:, :, width - 1])
+    offsets = np.empty((blocks, *rest, n, k), dtype=complex)
+    offsets[0] = matrix_major(u)
     for b in range(1, blocks):
         offsets[b] = totals[b - 1] @ offsets[b - 1]
-    p = entry_matmul(y, component_major(offsets)[:, :, None])
-    p = matrix_major(p).swapaxes(0, 1).reshape(blocks * width, *rest, n, n)
-    return p[:c]
+    p = algebra.product(y, component_major(offsets)[:, :, None])
+    return p.swapaxes(2, 3).reshape(n, k, blocks * width, *rest)[:, :, :c]
 
 
 def _sample_rows(afun, grid, c0: int, cs: int, refine: int):
@@ -343,9 +448,9 @@ def _sample_rows(afun, grid, c0: int, cs: int, refine: int):
     return [*rows, x[:, :, 0, 1:]], grid.h
 
 
-def _step_map(rows, dt, refine: int, r: int):
+def _step_map(rows, dt, refine: int, r: int, algebra: Algebra):
     """The map of every step, the product of its r substep maps (r divides
-    refine), component-major (dim, dim, steps, *batch).
+    refine), component-major (n, k, steps, *batch).
 
     Substep i reads rows 2wi, 2wi + w and 2w(i + 1), w = refine / r, as its
     start, midpoint and end: a coarser level reads every w-th row.
@@ -353,9 +458,10 @@ def _step_map(rows, dt, refine: int, r: int):
     w = refine // r
     maps = (component_major(step_maps(matrix_major(rows[2 * w * i]),
                                       matrix_major(rows[2 * w * i + w]),
-                                      matrix_major(rows[2 * w * (i + 1)]), dt / r))
+                                      matrix_major(rows[2 * w * (i + 1)]), dt / r,
+                                      algebra))
             for i in range(r))
-    return functools.reduce(lambda g, s: entry_matmul(s, g), maps)
+    return functools.reduce(lambda g, s: algebra.product(s, g), maps)
 
 
 def _integrate(afun, grid, dim: int, batch=(), refine=DEFAULT_REFINE,
@@ -363,7 +469,7 @@ def _integrate(afun, grid, dim: int, batch=(), refine=DEFAULT_REFINE,
     """Core fixed-step integrator for U' = A(tau) U, U(tau_start) = I.
 
     grid gives the step nodes: a TimeGrid or StepNodes.  Every step is split
-    into `refine` equal substeps.  Returns (samples | None, U_final).
+    into `refine` equal substeps.
 
     A chunk of steps is sampled by _sample_rows: afun(taus, c0) receives a
     (rows, steps) time array, row j at j/(2 refine) of the way through every
@@ -375,10 +481,19 @@ def _integrate(afun, grid, dim: int, batch=(), refine=DEFAULT_REFINE,
     path is the same for both storage modes, which only choose what is
     written.
 
+    The maps and products are those of the algebra for dim: Cayley-Klein
+    first columns for 2x2, whole matrices for 4x4.  So a 2x2 A must lie in
+    the real span of I, i sigma_x, i sigma_y, i sigma_z, as every one-qubit
+    generator i f.sigma does: only its first column is read.  They are expanded to
+    dim x dim matrices only where they are written, so the samples and
+    U_final are complex (..., dim, dim) arrays either way.  The returned
+    defect is the max-norm of U†U - I over what is written, measured on
+    the algebra's elements.
+
     store is "grid" (steps + 1 samples at the nodes) or "final".  StepNodes
     allow only "final", at an even refine: the same rows are integrated at
     refine // 2 and at refine, and U_final has shape (2, *batch, dim, dim),
-    in that order.
+    in that order.  Returns (samples | None, U_final, defect).
     """
     if store not in ("grid", "final"):
         raise ValueError(f"store must be 'grid' or 'final', got {store!r}")
@@ -387,25 +502,31 @@ def _integrate(afun, grid, dim: int, batch=(), refine=DEFAULT_REFINE,
         raise ValueError("step nodes integrate final propagators at an even refine")
     # step nodes carry their two levels along a leading axis of u
     levels, lead = ((refine // 2, refine), (2,)) if nodes else ((refine,), ())
+    algebra = CAYLEY_KLEIN if dim == 2 else matrix_algebra(dim)
+    k = algebra.identity.shape[1]
     steps = grid.steps
-    u = np.broadcast_to(np.eye(dim, dtype=complex), (*lead, *batch, dim, dim)).copy()
+    u = algebra.unit((*lead, *batch))
     out = None
+    defects = []
     if store == "grid":
         out = np.empty((steps + 1, *batch, dim, dim), dtype=complex)
-        out[0] = u
+        algebra.expand(u, out[0])
     for c0 in range(0, steps, chunk):
         cs = min(chunk, steps - c0)
         rows, dt = _sample_rows(afun, grid, c0, cs, refine)
-        m = [_step_map(rows, dt, refine, r) for r in levels]
-        p = _blocked_scan(np.stack(m, axis=3) if lead else m[0], u)
+        rows = [x[:, :k] for x in rows]
+        m = [_step_map(rows, dt, refine, r, algebra) for r in levels]
+        p = _blocked_scan(np.stack(m, axis=3) if lead else m[0], u, algebra)
         if out is not None:
-            out[c0 + 1:c0 + cs + 1] = p
-        u = p[-1]
-    return out, u
+            algebra.expand(p, out[c0 + 1:c0 + cs + 1])
+            defects.append(algebra.defect(p))
+        u = p[:, :, -1]
+    if out is None:
+        defects.append(algebra.defect(u))
+    return out, algebra.expand(u), float(np.max(defects))
 
 
-def _finish(grid, samples) -> Trajectory:
-    defect = unitarity_defect(samples)
+def _finish(grid, samples, defect: float) -> Trajectory:
     _check_budget("unitarity defect", defect, UNITARITY_BUDGET)
     return Trajectory(grid, samples, defect=defect)
 
@@ -420,7 +541,10 @@ def _generator_fun(p, grid: TimeGrid, delta_f=None, noise=None):
     row weights on contiguous slices of the samples, with no search.  The
     last chunk's end column has no next sample; it takes weight 0, and its
     rows j > 0 are never read.  StepNodes (c0 None) need not lie on grid
-    steps, so there np.interp on the grid points takes the general path.
+    steps, so there np.interp takes the general path, on the grid points
+    from the last one at or before the first requested time to the first
+    one after the last (one searchsorted): the brackets np.interp finds,
+    and so its values, are those of the whole grid.
 
     noise, one noise realization, is held at its value at the step
     midpoint, the middle row of the time array, throughout the step (meant
@@ -442,7 +566,11 @@ def _generator_fun(p, grid: TimeGrid, delta_f=None, noise=None):
         if c0 is None:
             if points is None:
                 points = grid.points()
-            comps = np.stack([np.interp(taus, points, delta_f[:, j]) for j in range(3)])
+            # taus[0, 0] is the first step's start, taus[-1, -1] the last one's end
+            lo, hi = np.searchsorted(points, (taus[0, 0], taus[-1, -1]), side="right")
+            span = slice(max(lo - 1, 0), hi + 1)
+            comps = np.stack([np.interp(taus, points[span], delta_f[span, j])
+                              for j in range(3)])
         else:
             rows, cols = taus.shape
             lo = delta_f[c0:c0 + cols]
@@ -475,8 +603,9 @@ def propagate_sweep(p, grid: TimeGrid | None = None, delta_f=None, *,
     UNITARITY_BUDGET.
     """
     grid = grid or TimeGrid.default_for(p)
-    out, _ = _integrate(_generator_fun(p, grid, delta_f), grid, p.dim, refine=refine)
-    return _finish(grid, out)
+    out, _, defect = _integrate(_generator_fun(p, grid, delta_f), grid, p.dim,
+                                refine=refine)
+    return _finish(grid, out, defect)
 
 
 def _noisy_composite(p, improved: Trajectory, delta_f, noise,
@@ -496,7 +625,7 @@ def _noisy_composite(p, improved: Trajectory, delta_f, noise,
     steps, prev = 0, 0
     for a, b in noisy_segments(grid, edges):
         nodes = StepNodes.with_edges(pts[a:b + 1], edges)
-        _, seg = _integrate(afun, nodes, p.dim, refine=refine, store="final")
+        _, seg, _ = _integrate(afun, nodes, p.dim, refine=refine, store="final")
         u = seg @ (_quiet_factor(u_imp, prev, a) @ u)
         steps += nodes.steps
         prev = b

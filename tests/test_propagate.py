@@ -42,7 +42,7 @@ def test_zero_generator_gives_identity():
     def afun(taus, c0):
         return np.zeros((*taus.shape, 2, 2), dtype=complex)
 
-    out, u = _integrate(afun, grid, 2)
+    out, u, _ = _integrate(afun, grid, 2)
     assert np.allclose(out, np.eye(2))
     assert np.allclose(u, np.eye(2))
 
@@ -54,7 +54,7 @@ def test_constant_hamiltonian_matches_exponential():
     def afun(taus, c0):
         return np.broadcast_to(1j * SIGMA_Z, (*taus.shape, 2, 2)).copy()
 
-    out, u = _integrate(afun, grid, 2)
+    out, u, _ = _integrate(afun, grid, 2)
     taus = grid.points()
     expected = np.stack([
         np.diag([np.exp(1j * (t + 4.0)), np.exp(-1j * (t + 4.0))]) for t in taus
@@ -70,6 +70,18 @@ def test_nominal_unitarity_and_budget(monkeypatch):
         propagate_sweep(HAD, TimeGrid(HAD.tau0, 2000))
 
 
+def test_one_qubit_sweep_keeps_the_cayley_klein_form():
+    # every sample is [[alpha, -conj(beta)], [beta, conj(alpha)]] bit for
+    # bit, and the defect is that of the first columns
+    traj = propagate_sweep(HAD, TimeGrid(HAD.tau0, 40000))
+    u = traj.unitaries
+    assert np.array_equal(u[..., 1, 1], np.conj(u[..., 0, 0]))
+    assert np.array_equal(u[..., 0, 1], -np.conj(u[..., 1, 0]))
+    a, b = u[..., 0, 0], u[..., 1, 0]
+    norm = (a.real * a.real + a.imag * a.imag) + b.real * b.real + b.imag * b.imag
+    assert traj.defect == np.abs(norm - 1.0).max()
+
+
 def test_composition_of_half_sweeps():
     # propagate [-tau0/2, 0] then [0, tau0/2] == single pass
     steps = 20000
@@ -78,7 +90,7 @@ def test_composition_of_half_sweeps():
     def afun(taus, c0):
         return -1j * sweep_hamiltonian(taus, HAD)
 
-    _, u_full = _integrate(afun, grid, 2)
+    _, u_full, _ = _integrate(afun, grid, 2)
     half1 = TimeGrid(HAD.tau0 / 2, steps // 2)   # spans [-40, 40] shifted below
 
     def afun_lo(taus, c0):
@@ -87,8 +99,8 @@ def test_composition_of_half_sweeps():
     def afun_hi(taus, c0):
         return afun(taus + 40.0, c0)
 
-    _, u_lo = _integrate(afun_lo, half1, 2)
-    _, u_hi = _integrate(afun_hi, half1, 2)
+    _, u_lo, _ = _integrate(afun_lo, half1, 2)
+    _, u_hi, _ = _integrate(afun_hi, half1, 2)
     assert np.abs(u_hi @ u_lo - u_full).max() < 1e-10
 
 
@@ -121,7 +133,7 @@ def test_modified_dual_formulation(monkeypatch):
         dfi = np.stack([np.interp(ts, taus, df[:, j]) for j in range(3)], axis=-1)
         return -1j * one_qubit_hamiltonian(f0 + dfi)
 
-    _, u = _integrate(afun, grid, 2)
+    _, u, _ = _integrate(afun, grid, 2)
     assert np.abs(a.final - u).max() < 1e-12
 
 
@@ -138,7 +150,7 @@ def test_convergence_order_on_hadamard_sweep():
         def afun(taus, c0):
             return -1j * sweep_hamiltonian(taus, HAD)
 
-        _, u = _integrate(afun, grid, 2, refine=refine, store="final")
+        _, u, _ = _integrate(afun, grid, 2, refine=refine, store="final")
         return u
 
     ref = final_at(320000)
@@ -207,7 +219,7 @@ def test_uniform_nodes_match_a_sequential_step_map_product(refine):
     steps, chunk = 2500, 1000
     grid = TimeGrid(HAD.tau0, steps)
     afun = _generator_fun(HAD, grid)
-    out, u = _integrate(afun, grid, 2, refine=refine, chunk=chunk)
+    out, u, _ = _integrate(afun, grid, 2, refine=refine, chunk=chunk)
     q = grid.h / refine
     taus = grid.tau_start + np.arange(2 * refine * steps + 1) * (q / 2.0)
     a = afun(taus, None)
@@ -245,10 +257,10 @@ def test_grid_and_its_points_as_step_nodes_give_the_same_propagator():
     steps, chunk = 2500, 1000
     grid = TimeGrid(SHORT_HAD.tau0, steps)
     afun = _generator_fun(SHORT_HAD, grid)
-    _, levels = _integrate(afun, StepNodes(grid.points()), 2, refine=2,
+    _, levels, _ = _integrate(afun, StepNodes(grid.points()), 2, refine=2,
                            store="final", chunk=chunk)
     for refine, u_nodes in zip((1, 2), levels):
-        _, u = _integrate(afun, grid, 2, refine=refine, store="final", chunk=chunk)
+        _, u, _ = _integrate(afun, grid, 2, refine=refine, store="final", chunk=chunk)
         assert np.abs(u_nodes - u).max() <= 1e-12 * steps
 
 
@@ -259,8 +271,8 @@ def test_doubled_grid_at_refine_1_matches_the_grid_at_refine_2():
     grid = TimeGrid(SHORT_HAD.tau0, steps)
     fine = TimeGrid(SHORT_HAD.tau0, 2 * steps)
     assert np.array_equal(fine.points()[0::2], grid.points())
-    at_grid, _ = _integrate(_generator_fun(SHORT_HAD, grid), grid, 2, chunk=chunk)
-    doubled, u = _integrate(_generator_fun(SHORT_HAD, fine), fine, 2, refine=1,
+    at_grid, _, _ = _integrate(_generator_fun(SHORT_HAD, grid), grid, 2, chunk=chunk)
+    doubled, u, _ = _integrate(_generator_fun(SHORT_HAD, fine), fine, 2, refine=1,
                             chunk=2 * chunk)
     assert doubled.shape == (2 * steps + 1, 2, 2)
     assert np.array_equal(doubled[-1], u)
@@ -273,8 +285,8 @@ def test_storage_modes_write_one_product(steps, chunk, refine):
     grid = TimeGrid(SHORT_HAD.tau0, steps)
     afun = _generator_fun(SHORT_HAD, grid)
     kw = dict(refine=refine, chunk=chunk)
-    at_grid, u_grid = _integrate(afun, grid, 2, store="grid", **kw)
-    none, u_final = _integrate(afun, grid, 2, store="final", **kw)
+    at_grid, u_grid, _ = _integrate(afun, grid, 2, store="grid", **kw)
+    none, u_final, _ = _integrate(afun, grid, 2, store="final", **kw)
     assert none is None and at_grid.shape == (steps + 1, 2, 2)
     assert np.array_equal(u_final, at_grid[-1])
     assert np.array_equal(u_grid, u_final)
@@ -305,8 +317,8 @@ def test_row_weights_match_interpolation_on_the_grid_points(steps, chunk, refine
         sampled.append(taus)
         return a
 
-    out, _ = _integrate(compared, grid, 2, refine=refine, chunk=chunk)
-    want, _ = _integrate(reference, grid, 2, refine=refine, chunk=chunk)
+    out, _, _ = _integrate(compared, grid, 2, refine=refine, chunk=chunk)
+    want, _, _ = _integrate(reference, grid, 2, refine=refine, chunk=chunk)
     assert len(sampled) == -(-steps // chunk)
     # rows j > 0 of the last chunk's end column lie past the final grid point
     assert np.all(sampled[-1][1:, -1] > points[-1])
@@ -371,12 +383,12 @@ def test_noisy_composite_matches_a_whole_sweep_edge_aligned_run(level):
     grid = TimeGrid(SHORT_HAD.tau0, 400)
     delta_f = _short_control(grid)
     refine = level + 1
-    out, _ = _integrate(_generator_fun(SHORT_HAD, grid, delta_f), grid, 2,
+    out, _, _ = _integrate(_generator_fun(SHORT_HAD, grid, delta_f), grid, 2,
                         refine=refine)
     improved = propagate.Trajectory(grid, out)
     for nz in _hand_placed_noise():
         nodes = StepNodes.with_edges(grid.points(), nz.edges())
-        _, whole = _integrate(_generator_fun(SHORT_HAD, grid, delta_f, nz), nodes, 2,
+        _, whole, _ = _integrate(_generator_fun(SHORT_HAD, grid, delta_f, nz), nodes, 2,
                               refine=2, store="final")
         composite, steps = _noisy_composite(SHORT_HAD, improved, delta_f, nz)
         assert steps < nodes.steps
@@ -416,7 +428,7 @@ def test_step_nodes_need_final_storage_and_even_refine():
     for kw in ({"refine": 2, "store": "grid"}, {"refine": 1, "store": "final"}):
         with pytest.raises(ValueError, match="even refine"):
             _integrate(afun, nodes, 2, **kw)
-    _, u = _integrate(afun, nodes, 2, refine=2, store="final")
+    _, u, _ = _integrate(afun, nodes, 2, refine=2, store="final")
     assert u.shape == (2, 2, 2)
     assert np.array_equal(u, np.broadcast_to(np.eye(2), u.shape))
 

@@ -1,13 +1,30 @@
 """Property tests of the integrator kernels: the component-major step maps,
 the rank-3 feedback maps and the blocked scan, each against a plain
-reference kept here as the oracle.
+reference kept here as the oracle, for whole matrices and for one-qubit
+matrices in Cayley-Klein form (first columns, expanded for the oracle).
 """
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nocgf.propagate import _blocked_scan, feedback_maps, integrate_delta_y, step_maps
+from nocgf.lincore import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    cayley_klein_expand,
+    cayley_klein_matmul,
+    component_major,
+    matrix_major,
+)
+from nocgf.propagate import (
+    CAYLEY_KLEIN,
+    _blocked_scan,
+    feedback_maps,
+    integrate_delta_y,
+    matrix_algebra,
+    step_maps,
+)
 from tests.conftest import random_unitary
 
 EPS_BOUND = 1e-12
@@ -58,6 +75,18 @@ def unitary_stack(seed, n, length, batch):
     return mats.reshape(length, *batch, n, n)
 
 
+def complex_columns(rng, *stack):
+    """Random first columns (alpha, beta), component-major (2, 1, *stack)."""
+    shape = (2, 1, *stack)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def su2_generators(rng, *stack):
+    """Random A = i f.sigma, matrix-major (*stack, 2, 2), f normal."""
+    f = rng.normal(size=(*stack, 3))
+    return 1j * np.einsum("...j,jab->...ab", f, np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z]))
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 4]),
        length=st.integers(1, 200), batch=st.sampled_from([(), (3,)]))
@@ -71,7 +100,7 @@ def test_blocked_scan_matches_sequential_and_tree(seed, n, length, batch):
     x = np.ascontiguousarray(np.moveaxis(factors, (-2, -1), (0, 1)))
     bound = EPS_BOUND * length
 
-    p = _blocked_scan(x, u)
+    p = matrix_major(_blocked_scan(x, component_major(u), matrix_algebra(n)))
     assert p.shape == (length, *batch, n, n)
     assert np.abs(p - sequential_products(factors, u)).max() <= bound
     assert np.abs(p[-1] - tree_product(factors) @ u).max() <= bound
@@ -94,6 +123,53 @@ def test_step_maps_matches_matmul_reference(seed, n, steps, batch, dt,
     ref = reference_step_maps(*(np.ascontiguousarray(x) for x in a), dt)
     assert m.shape == ref.shape
     assert np.abs(m - ref).max() <= EPS_BOUND * max(1.0, np.abs(ref).max())
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 300),
+       batch=st.sampled_from([(), (3,)]), broadcast=st.booleans())
+@example(seed=1, steps=1, batch=(), broadcast=False)
+def test_cayley_klein_product_matches_matmul(seed, steps, batch, broadcast):
+    rng = np.random.default_rng(seed)
+    a = complex_columns(rng, steps, *batch)
+    # the scan multiplies every block's prefixes by one offset: a stack
+    # axis of length 1 broadcasts
+    b = complex_columns(rng, 1 if broadcast else steps, *batch)
+    got = cayley_klein_matmul(a, b)
+    want = cayley_klein_expand(a) @ cayley_klein_expand(b)
+    assert got.shape == (2, 1, steps, *batch)
+    assert np.abs(cayley_klein_expand(got) - want).max() <= EPS_BOUND * np.abs(want).max()
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 300),
+       batch=st.sampled_from([(), (2,)]), dt=st.floats(1e-3, 0.3))
+@example(seed=2, steps=1, batch=(), dt=0.3)
+def test_cayley_klein_step_maps_match_matmul_reference(seed, steps, batch, dt):
+    rng = np.random.default_rng(seed)
+    a = su2_generators(rng, 3, steps, *batch)
+    # the first columns, as the integrator reads them from its samples
+    m = step_maps(a[0][..., :1], a[1][..., :1], a[2][..., :1], dt, CAYLEY_KLEIN)
+    ref = reference_step_maps(a[0], a[1], a[2], dt)
+    assert m.shape == (steps, *batch, 2, 1)
+    got = cayley_klein_expand(component_major(m))
+    assert np.abs(got - ref).max() <= EPS_BOUND * max(1.0, np.abs(ref).max())
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), length=st.integers(1, 200),
+       batch=st.sampled_from([(), (3,)]))
+@example(seed=3, length=1, batch=())
+@example(seed=4, length=4096, batch=())
+def test_cayley_klein_scan_matches_sequential(seed, length, batch):
+    rng = np.random.default_rng(seed)
+    cols = complex_columns(rng, length + 1, *batch)
+    cols /= np.sqrt((np.abs(cols) ** 2).sum(axis=0))      # |alpha|² + |beta|² = 1
+    mats = cayley_klein_expand(cols)
+    p = _blocked_scan(np.ascontiguousarray(cols[:, :, 1:]), cols[:, :, 0], CAYLEY_KLEIN)
+    assert p.shape == (2, 1, length, *batch)
+    want = sequential_products(mats[1:], mats[0])
+    assert np.abs(cayley_klein_expand(p) - want).max() <= EPS_BOUND * length
 
 
 @settings(max_examples=40, deadline=None)
