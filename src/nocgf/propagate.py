@@ -149,8 +149,8 @@ CHUNK = 4096
 class AccuracyError(RuntimeError):
     """An integration accuracy check exceeded its budget.
 
-    check names the failed check ("unitarity defect" or "step-doubling
-    error estimate"); value is what it measured.
+    check names the failed check ("unitarity defect", "step-doubling error
+    estimate" or noc's "Riccati energy balance"); value is what it measured.
     """
 
     def __init__(self, check: str, value: float, budget: float):

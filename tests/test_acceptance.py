@@ -13,6 +13,7 @@ from nocgf import NOMINAL_PARAMS, gate_target
 from nocgf.control import coupling_matrices, drive_matrix, sweep_hamiltonian
 from nocgf.lincore import unitarity_defect
 from nocgf.metrics import GATE_ORDER, trace_p
+from nocgf.noc import ENERGY_BALANCE_BUDGET
 from nocgf.noise import (
     NoiseParams,
     default_noise_params,
@@ -108,9 +109,9 @@ def test_criterion_4_riccati_consistency(improved_all):
     fb = improved_all["cphase"].feedback
     norms = np.linalg.norm(fb.delta_y, axis=1)
     checks = [
-        (fb.riccati_residual_max <= 1e-14,
-         f"Riccati residual {fb.riccati_residual_max:.2e} <= 1e-14 "
-         "at every grid point"),
+        (fb.energy_balance_max <= ENERGY_BALANCE_BUDGET,
+         f"closed-loop energy balance {fb.energy_balance_max:.2e} <= "
+         f"{ENERGY_BALANCE_BUDGET:.0e} of ||delta_y(0)||^2 over every step pair"),
         (bool(np.all(np.diff(norms) <= 1e-12)),
          "||delta_y|| non-increasing along the trajectory"),
     ]

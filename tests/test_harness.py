@@ -388,6 +388,15 @@ def test_cli_jitter_reports_an_exceeded_step_doubling_budget(capsys, monkeypatch
     assert err.count("\n") == 1 and "exceeds budget 0.000e+00" in err
 
 
+def test_cli_improve_reports_an_exceeded_energy_balance(capsys, monkeypatch):
+    monkeypatch.setattr(noc, "ENERGY_BALANCE_BUDGET", 0.0)
+    rc = cli.main(["improve", "--gate", "cphase", "--steps", "60000"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nocgf: Riccati energy balance ")
+    assert err.count("\n") == 1 and "exceeds budget 0.000e+00" in err
+
+
 def test_cli_sweep_skips_only_gates_without_the_parameter(capsys):
     rc = cli.main(["sweep", "--param", "d1", "--gate", "hadamard"])
     assert rc == 2

@@ -16,7 +16,7 @@ from nocgf.noc import (
     strategy1_weights,
     strategy2_solve,
 )
-from nocgf.propagate import TimeGrid, Trajectory, propagate_sweep
+from nocgf.propagate import AccuracyError, TimeGrid, Trajectory, propagate_sweep
 from nocgf import noc
 from tests.conftest import contracted_drive, random_unitary
 from tests.test_propagate_kernels import reference_step_maps
@@ -160,7 +160,8 @@ def test_strategy2_small_grid_properties(cphase_30k):
     sol = strategy2_solve(p, traj, off)
     assert sol.control.grid == TimeGrid(p.tau0, 30000)
     assert sol.delta_y.shape == (30001, 16)
-    assert sol.riccati_residual_max <= 1e-14
+    # the energy balance is fourth order: 7.7e-8 here, 7.5e-11 at 120,000
+    assert 0.0 < sol.energy_balance_max <= 1e-7
     norms = np.linalg.norm(sol.delta_y, axis=1)
     assert norms[-1] <= norms[0]
     assert sol.norm_increase_max == np.diff(norms).max() <= 1e-12
@@ -203,8 +204,76 @@ def test_strategy2_never_holds_the_drive_stack(cphase_30k):
     assert peak < stack_bytes / 2
 
 
+@pytest.mark.parametrize("mutation", ["scaled", "late"])
+def test_strategy2_energy_balance_catches_a_wrong_control_law(cphase_30k, monkeypatch,
+                                                              mutation):
+    # the balance ties the state to the control law's output: it measures
+    # 7.7e-8 here, 5.9e-4 for a control scaled by 1.01 and 1.1e-3 for a law
+    # reading y one step late, y_{k+1} in place of y_k
+    p, traj, off = cphase_30k
+    law = noc.feedback_control
+    if mutation == "scaled":
+        monkeypatch.setattr(noc, "feedback_control", lambda g, y: 1.01 * law(g, y))
+    else:
+        monkeypatch.setattr(noc, "feedback_control",
+                            lambda g, y: law(g, np.concatenate([y[1:], y[-1:]])))
+    with pytest.raises(AccuracyError, match="Riccati energy balance") as err:
+        strategy2_solve(p, traj, off)
+    assert err.value.check == "Riccati energy balance"
+    assert err.value.value > 1e2 * noc.ENERGY_BALANCE_BUDGET
+
+
+def test_strategy2_energy_balance_fails_at_a_coarse_step():
+    # identity propagators at 300 feedback steps: h lambda = 1.9 is stable
+    # (test_strategy2_rejects_an_unstable_step_size), but the quadrature of
+    # the balance is off by 0.14 relative
+    p = NOMINAL_PARAMS["cphase"]
+    grid = TimeGrid(p.tau0, 600)
+    traj = Trajectory(grid, np.tile(np.eye(4, dtype=complex), (601, 1, 1)))
+    off = target_offset(random_unitary(np.random.default_rng(7), 4),
+                        gate_target("cphase"))
+    with pytest.raises(AccuracyError, match="Riccati energy balance 1.4") as err:
+        strategy2_solve(p, traj, off)
+    assert "increase the step count" in str(err.value)
+
+
+@pytest.mark.parametrize("steps", [5000, 5001])
+def test_strategy2_energy_balance_at_either_parity(steps):
+    # a shortened cphase sweep; an odd feedback step count closes the
+    # balance with the 3/8 rule, and both parities measure 1.3e-10
+    p = dataclasses.replace(NOMINAL_PARAMS["cphase"], tau0=20.0)
+    traj = propagate_sweep(p, TimeGrid(p.tau0, 2 * steps), refine=1)
+    sol = strategy2_solve(p, traj, target_offset(traj.final, gate_target("cphase")))
+    assert sol.control.grid.steps == steps
+    assert 0.0 < sol.energy_balance_max <= 1e-9
+
+
+def test_strategy2_energy_balance_at_the_production_grid(improved_all):
+    assert improved_all["cphase"].feedback.energy_balance_max <= 1e-10
+
+
+@pytest.mark.parametrize("steps", [2, 3, 7, 8])
+def test_energy_balance_reads_every_sample(steps):
+    # y = exp(-tau) y0 and |delta_f| = ||y|| satisfy d||y||²/dtau = -2 |delta_f|²
+    h = 0.01
+    decay = np.exp(-h * np.arange(steps + 1))
+    y0 = np.random.default_rng(2).normal(size=16)
+    delta_y = decay[:, None] * y0
+    ctrl = np.zeros((steps + 1, 3))
+    ctrl[:, 1] = decay * np.linalg.norm(y0)
+    assert noc.energy_balance(delta_y, ctrl, h) <= 1e-9
+    # the last sample of an odd step count enters through the 3/8 rule only
+    for k in range(steps + 1):
+        bad = ctrl.copy()
+        bad[k] *= 1.01
+        assert noc.energy_balance(delta_y, bad, h) > 1e2 * noc.ENERGY_BALANCE_BUDGET
+    assert noc.energy_balance(0.0 * delta_y, 0.0 * ctrl, h) == 0.0
+    ctrl[1, 0] = np.nan
+    assert np.isnan(noc.energy_balance(delta_y, ctrl, h))
+
+
 @pytest.mark.parametrize("steps,stable", [(100, False), (300, True)])
-def test_strategy2_rejects_an_unstable_step_size(steps, stable):
+def test_strategy2_rejects_an_unstable_step_size(monkeypatch, steps, stable):
     # identity propagators are exactly unitary, and then G G† has the
     # eigenvalue 4.6724 throughout; the one-step map is stable for
     # h lambda up to about 4.18, so 100 steps (h lambda = 5.6) make ||y||
@@ -215,8 +284,12 @@ def test_strategy2_rejects_an_unstable_step_size(steps, stable):
     off = target_offset(random_unitary(np.random.default_rng(7), 4),
                         gate_target("cphase"))
     if stable:
+        # the step is stable but too coarse for the energy balance, 0.14
+        # relative (test_strategy2_energy_balance_fails_at_a_coarse_step)
+        monkeypatch.setattr(noc, "ENERGY_BALANCE_BUDGET", np.inf)
         assert strategy2_solve(p, traj, off).norm_increase_max <= noc.NORM_INCREASE_TOL
     else:
+        # the norm check comes first, so the balance budget is not reached
         with pytest.raises(ConsistencyError, match="increases"):
             strategy2_solve(p, traj, off)
 
@@ -270,8 +343,18 @@ def test_strategy2_rejects_an_odd_nominal_step_count():
         strategy2_solve(p, traj, off)
 
 
+def test_strategy2_rejects_a_single_feedback_step():
+    # the energy balance needs at least two feedback steps
+    p = NOMINAL_PARAMS["cphase"]
+    traj = Trajectory(TimeGrid(p.tau0, 2), np.tile(np.eye(4, dtype=complex), (3, 1, 1)))
+    off = target_offset(random_unitary(np.random.default_rng(7), 4),
+                        gate_target("cphase"))
+    with pytest.raises(ValueError, match="even step count of at least 4, got 2"):
+        strategy2_solve(p, traj, off)
+
+
 @pytest.mark.parametrize("scale,ok", [(1e-9, True), (1e-4, False), (np.nan, False)])
-def test_strategy2_rejects_a_non_hermitian_offset(scale, ok):
+def test_strategy2_rejects_a_non_hermitian_offset(monkeypatch, scale, ok):
     # exactly unitary identity propagators at a stable step size (see
     # test_strategy2_rejects_an_unstable_step_size); an anti-Hermitian part
     # i K of delta_beta is the imaginary part of its Pauli coordinates, and
@@ -284,6 +367,8 @@ def test_strategy2_rejects_a_non_hermitian_offset(scale, ok):
     beta = 0.01 * hermitize(z[0]) + 1j * scale * hermitize(z[1])
     off = TargetOffset(delta_beta=beta, delta_b=vectorize(beta))
     if ok:
+        # the energy balance at this coarse step measures 0.14 relative
+        monkeypatch.setattr(noc, "ENERGY_BALANCE_BUDGET", np.inf)
         sol = strategy2_solve(p, traj, off)
         assert 0.0 < sol.imag_residue_max <= noc.IMAG_RESIDUE_TOL
     else:
