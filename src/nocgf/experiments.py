@@ -91,9 +91,8 @@ def run_bandwidth_table(cfg: ExperimentConfig, results=None):
 
     def one(name):
         res = _improved(cfg, results, name)
-        p = cfg.params_for(name)
-        rep = spectral.bandwidth_report(res.control, cfg.t_phys_for(p))
-        key = "one_qubit" if p.qubits == 1 else "two_qubit"
+        rep = spectral.bandwidth_report(res.control, cfg.t_phys_for(res.params))
+        key = "one_qubit" if res.params.qubits == 1 else "two_qubit"
         return (
             name, rep.omega01, rep.omega01_mhz, cfg.t_phys_us[key],
             res.control.grid.steps, cfg.seed, __version__,
@@ -127,9 +126,7 @@ def run_jitter_sweep(cfg: ExperimentConfig, powers, results=None):
     def one(job):
         name, np_ = job
         res = improved[name]
-        mean, std, _ = noise.noise_ensemble(
-            res.gate, cfg.params_for(name), np_, nz["realizations"], improved=res
-        )
+        mean, std, _ = noise.noise_ensemble(res, np_, nz["realizations"])
         power = np_.mean_power
         sigma_t_ps = noise.jitter_report(power, nz["f_clock_hz"]).sigma_t * 1e12
         sem = std / math.sqrt(nz["realizations"])
@@ -148,10 +145,8 @@ SWEEP_HEADER = ("parameter", "value", "trp_with_noc", "trp_without_noc")
 def run_sweep(cfg: ExperimentConfig, parameter: str, gate_name: str,
               results=None):
     """Finite-precision sensitivity rows for one gate and parameter."""
-    rows = sensitivity.run_sensitivity(
-        metrics.gate_target(gate_name), cfg.params_for(gate_name), parameter,
-        improved=_improved(cfg, results, gate_name),
-    )
+    sensitivity.parameter_ulp(gate_name, parameter)   # fails before improving
+    rows = sensitivity.run_sensitivity(_improved(cfg, results, gate_name), parameter)
     return [(r.parameter, r.value, r.trp_with_noc, r.trp_without_noc) for r in rows]
 
 

@@ -3,12 +3,13 @@ improve-gate pipeline.
 
 Each system has one correction, and improve_gate picks it from the gate's
 qubit count.  Both are linear laws on the drive matrix G(tau), and both
-read it in real Pauli coordinates (drive_samples): delta_b and every drive
-column vec(U0† G_j U0) are column-stacked Hermitian matrices, so their
+read it in real Pauli coordinates: delta_b and every drive column
+vec(U0† G_j U0) are column-stacked Hermitian matrices, so their
 coordinates on an orthonormal Pauli basis (lincore.pauli_coordinates) are
 real, and the change of basis is unitary: norms are unchanged and
 G† v = G_rᵀ v_r.  What the projection discards, the imaginary parts of the
-coordinates, is the one check that the inputs are Hermitian.
+coordinates, is the one check that the inputs are Hermitian.  Both solvers
+stream G in windows (drive_windows) and never hold the whole drive stack.
 
 Strategy 1 (one qubit) fixes the costate by an exponential-decay ansatz;
 the weight vector w = delta_b / 20 then yields the control modification
@@ -23,8 +24,7 @@ feedback law is delta_f = -G† y; along this closed loop d||y||²/dtau =
 -2 |delta_f|², the energy balance the solve checks.  The state, its maps
 and the control law are real arrays in the basis P_a/2 of the 16 two-qubit
 Pauli products.  G G† has rank 3, which the feedback integration exploits
-(propagate.feedback_maps), and the solve streams the drive samples along
-the nominal trajectory instead of storing them.
+(propagate.feedback_maps).
 """
 
 from __future__ import annotations
@@ -42,10 +42,9 @@ from .propagate import TimeGrid, Trajectory
 ANSATZ_DECAY = 10.0        # dimensionless decay constant of the costate ansatz
 WEIGHT_DIVISOR = 20.0
 IMAG_RESIDUE_TOL = 1e-6
-DRIVE_CHUNK = 4096         # samples per drive-matrix chunk (even)
-# feedback steps per streamed chunk: 2 FEEDBACK_CHUNK + 1 <= DRIVE_CHUNK, so a
-# chunk's drive samples are one drive-matrix call
-FEEDBACK_CHUNK = 512
+# drive-matrix entries (n² x samples) per streamed window: 4,096 samples for
+# one qubit and 1,024 (512 feedback steps) for two
+DRIVE_WINDOW = 16_384
 # largest one-step increase of ||delta_y|| accepted as roundoff
 NORM_INCREASE_TOL = 1e-12
 # Budget on energy_balance, relative to ||y_0||²: it reads 7.5e-11 at the
@@ -94,11 +93,14 @@ class Strategy2Solution:
 
 @dataclass
 class ImprovedGateResult:
-    """improved_trajectory is the grid-stored sweep with the control
+    """params are the sweep parameters improve_gate ran with; the noise
+    ensembles and sensitivity rows built on the result read them from it.
+    improved_trajectory is the grid-stored sweep with the control
     modification; the noisy runs of the jitter ensemble reuse it between
     their noise pulses (propagate.propagate_modified_batch)."""
 
     gate: GateTarget
+    params: object
     nominal_report: ErrorReport
     improved_report: ErrorReport
     control: ControlModification
@@ -119,16 +121,6 @@ def strategy1_weights(offset: TargetOffset) -> np.ndarray:
     return offset.delta_b / WEIGHT_DIVISOR
 
 
-def strategy1_control(g_grid: np.ndarray, w: np.ndarray,
-                      grid: TimeGrid) -> ControlModification:
-    """delta_f(tau_k) = exp(-(tau_k + tau0/2)/ANSATZ_DECAY) G_rᵀ(tau_k) w_r,
-    from the drive samples and the weights in real Pauli coordinates."""
-    taus = grid.points()
-    env = np.exp(-(taus + grid.tau0 / 2.0) / ANSATZ_DECAY)
-    return ControlModification(
-        grid=grid, samples=env[:, None] * np.einsum("kmj,m->kj", g_grid, w))
-
-
 def _check_imag_residue(residue: float) -> None:
     # "not <=" also catches NaN
     if not (residue <= IMAG_RESIDUE_TOL):
@@ -136,6 +128,52 @@ def _check_imag_residue(residue: float) -> None:
             f"imaginary residue {residue:.3e} of the Pauli coordinates of "
             f"the offset and the drive samples exceeds {IMAG_RESIDUE_TOL:.0e}"
         )
+
+
+def drive_windows(p, traj: Trajectory):
+    """Yield (c0, g_r, residue): the drive matrix G in real Pauli
+    coordinates at the trajectory's samples c0 .. c0 + W, shape
+    (W + 1, n², 3) with W = DRIVE_WINDOW // n² (fewer in the last window),
+    and the largest imaginary part the projection discarded.  Consecutive
+    windows share their end sample.  Each window is one coupling_matrices,
+    drive_matrix and pauli_coordinates call, reading the propagators in
+    place; this is where drive samples enter Pauli coordinates."""
+    grid = traj.grid
+    n = traj.unitaries.shape[-1]
+    window = DRIVE_WINDOW // (n * n)
+    last = len(traj.unitaries) - 1
+    for c0 in range(0, last, window):
+        c1 = min(c0 + window, last) + 1
+        # grid.points()[c0:c1]
+        taus = grid.tau_start + np.arange(c0, c1) * grid.h
+        # no local keeps the complex drive matrix alive while the caller
+        # consumes the window
+        g_r, residue = pauli_coordinates(np.swapaxes(control.drive_matrix(
+            traj.unitaries[c0:c1], control.coupling_matrices(p, taus)), -1, -2))
+        yield c0, np.swapaxes(g_r, -1, -2), residue
+
+
+def strategy1_solve(p, nominal: Trajectory, offset: TargetOffset) -> ControlModification:
+    """The one-qubit control modification, in one streamed pass:
+    delta_f(tau_k) = exp(-(tau_k + tau0/2)/ANSATZ_DECAY) G_rᵀ(tau_k) w_r on
+    the nominal grid, w_r the Pauli coordinates of strategy1_weights,
+    filled one drive window at a time; the drive stack is never held.
+
+    Raises ConsistencyError when the projection of the weights (checked
+    before any drive sample is formed) or of the drive samples (checked
+    after the pass) discards an imaginary residue above IMAG_RESIDUE_TOL.
+    """
+    w_r, imag_residue = pauli_coordinates(strategy1_weights(offset))
+    _check_imag_residue(imag_residue)
+    grid = nominal.grid
+    env = np.exp(-(grid.points() + grid.tau0 / 2.0) / ANSATZ_DECAY)
+    samples = np.empty((grid.steps + 1, 3))
+    for c0, g_r, window_residue in drive_windows(p, nominal):
+        imag_residue = np.maximum(imag_residue, window_residue)
+        c1 = c0 + len(g_r)
+        samples[c0:c1] = env[c0:c1, None] * np.einsum("kmj,m->kj", g_r, w_r)
+    _check_imag_residue(imag_residue)
+    return ControlModification(grid=grid, samples=samples)
 
 
 def feedback_control(g: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -167,13 +205,14 @@ def strategy2_solve(p, nominal: Trajectory, offset: TargetOffset) -> Strategy2So
     and end, nominal samples 2k, 2k + 1 and 2k + 2, and the control is
     returned on the feedback grid TimeGrid(tau0, nominal.grid.steps // 2).
     Everything runs in real Pauli coordinates (lincore.pauli_coordinates):
-    y starts at the projection of -delta_b, and the pass runs
-    FEEDBACK_CHUNK steps at a time: the chunk's drive samples G_r
-    (drive_samples), the state advanced through the rank-3 maps
-    (propagate.integrate_delta_y), the control law -G_rᵀ y
-    (feedback_control) and the one-step increase of ||y|| at the chunk's
-    feedback grid samples.  Only chunk-sized drive samples are held; the
-    whole (2 steps + 1, 16, 3) stack never is.  Against the batched-`@`
+    y starts at the projection of -delta_b, and the pass runs one drive
+    window at a time (drive_windows; DRIVE_WINDOW // 16 = 1,024 nominal
+    samples, 512 feedback steps): the window's drive samples G_r, the
+    state advanced through the rank-3 maps (propagate.integrate_delta_y),
+    the control law -G_rᵀ y (feedback_control) and the one-step increase
+    of ||y|| at the window's feedback grid samples.  Only window-sized
+    drive samples are held; the whole (2 steps + 1, 16, 3) stack never
+    is.  Against the batched-`@`
     maps on the whole complex stack, at the production grid, delta_y
     differs by 2.7e-14 and the control by 9.1e-16 in max-norm; against the
     same streamed pass on complex arrays, by 5.7e-16 and 9.0e-17.
@@ -194,21 +233,20 @@ def strategy2_solve(p, nominal: Trajectory, offset: TargetOffset) -> Strategy2So
     delta_y = np.empty((grid.steps + 1, 16))
     raw = np.empty((grid.steps + 1, 3))
     b_r, imag_residue = pauli_coordinates(offset.delta_b)
-    # the offset's own residue is known before the first chunk
+    # the offset's own residue is known before the first window
     _check_imag_residue(imag_residue)
     y = -b_r
     increase = -np.inf
     # np.maximum keeps a NaN, which Python's max drops after a number
-    for s0 in range(0, grid.steps, FEEDBACK_CHUNK):
-        s1 = min(s0 + FEEDBACK_CHUNK, grid.steps)
-        g_half, chunk_residue = drive_samples(p, nominal, start=2 * s0,
-                                              stop=2 * s1 + 1)
-        imag_residue = np.maximum(imag_residue, chunk_residue)
+    for c0, g_half, window_residue in drive_windows(p, nominal):
+        imag_residue = np.maximum(imag_residue, window_residue)
         ys = propagate.integrate_delta_y(g_half, y, grid.h)
         y = ys[-1]
-        delta_y[s0:s1 + 1] = ys
+        # the window's feedback grid samples
+        k = slice(c0 // 2, c0 // 2 + len(ys))
+        delta_y[k] = ys
         increase = np.maximum(increase, np.diff(np.linalg.norm(ys, axis=1)).max())
-        raw[s0:s1 + 1] = feedback_control(g_half[0::2], ys)
+        raw[k] = feedback_control(g_half[0::2], ys)
     _check_imag_residue(imag_residue)
     if not (increase <= NORM_INCREASE_TOL):
         raise ConsistencyError(
@@ -224,41 +262,6 @@ def strategy2_solve(p, nominal: Trajectory, offset: TargetOffset) -> Strategy2So
         norm_increase_max=float(increase),
         imag_residue_max=float(imag_residue),
     )
-
-
-def drive_samples(p, traj: Trajectory, start: int = 0,
-                  stop: int | None = None) -> tuple[np.ndarray, float]:
-    """Drive matrix G at the trajectory's samples start .. stop - 1 (by
-    default all of them) in real Pauli coordinates, shape (points, n², 3),
-    and the largest imaginary part the projection discarded.
-
-    This is the one place where drive samples enter Pauli coordinates:
-    every column vec(U0† G_j U0) of control.drive_matrix is projected by
-    lincore.pauli_coordinates.  The sample times are the trajectory grid's
-    points.  The couplings, drive matrices and projections are formed
-    DRIVE_CHUNK samples at a time into the preallocated real result,
-    reading the propagator samples in place, so the peak memory is the
-    result plus chunk-sized temporaries.
-    """
-    grid = traj.grid
-    count = len(traj.unitaries)
-    stop = count if stop is None else stop
-    if not (0 <= start <= stop <= count):
-        raise ValueError(f"bad sample range {start}..{stop} of {count}")
-    n = traj.unitaries.shape[-1]
-    # filled in pauli_coordinates' (points, 3, n²) layout, returned as a view
-    out = np.empty((stop - start, 3, n * n))
-    residue = 0.0
-    for c0 in range(start, stop, DRIVE_CHUNK):
-        c1 = min(c0 + DRIVE_CHUNK, stop)
-        # grid.points()[c0:c1]
-        taus = grid.tau_start + np.arange(c0, c1) * grid.h
-        g = control.drive_matrix(traj.unitaries[c0:c1],
-                                 control.coupling_matrices(p, taus))
-        out[c0 - start:c1 - start], chunk_residue = pauli_coordinates(
-            np.swapaxes(g, -1, -2))
-        residue = np.maximum(residue, chunk_residue)
-    return np.swapaxes(out, -1, -2), float(residue)
 
 
 def improve_gate(gate: GateTarget, p, grid: TimeGrid | None = None) -> ImprovedGateResult:
@@ -287,11 +290,7 @@ def improve_gate(gate: GateTarget, p, grid: TimeGrid | None = None) -> ImprovedG
 
     feedback = None
     if strategy == 1:
-        w_r, residue = pauli_coordinates(strategy1_weights(offset))
-        g_r, g_residue = drive_samples(p, nominal)
-        _check_imag_residue(np.maximum(residue, g_residue))
-        ctrl = strategy1_control(g_r, w_r, grid)
-        del g_r
+        ctrl = strategy1_solve(p, nominal, offset)
     else:
         feedback = strategy2_solve(p, nominal, offset)
         ctrl = feedback.control
@@ -302,6 +301,7 @@ def improve_gate(gate: GateTarget, p, grid: TimeGrid | None = None) -> ImprovedG
     improved = propagate.propagate_sweep(p, grid, ctrl.samples)
     return ImprovedGateResult(
         gate=gate,
+        params=p,
         nominal_report=metrics.error_report(nominal_unitary, gate),
         improved_report=metrics.error_report(improved.final, gate),
         control=ctrl,

@@ -172,14 +172,13 @@ def jitter_report(mean_power: float, f_clock: float) -> JitterReport:
     )
 
 
-def noise_ensemble(gate: metrics.GateTarget, p, noise_params: NoiseParams,
-                   realizations: int = DEFAULT_REALIZATIONS, *,
-                   improved: noc.ImprovedGateResult):
+def noise_ensemble(improved: noc.ImprovedGateResult, noise_params: NoiseParams,
+                   realizations: int = DEFAULT_REALIZATIONS):
     """Mean and std of Tr P over seeded noise trials with the frozen control.
 
-    The control modification is the one `improved` computed for the
-    jitter-free sweep, on its grid; each trial adds an independent
-    phase-noise realization to the twist phase.  All trials are one
+    The gate, sweep parameters and control modification are the ones
+    `improved` used for the jitter-free sweep, on its grid; each trial adds
+    an independent phase-noise realization to the twist phase.  All trials are one
     propagate_modified_batch call on the improved trajectory: each trial is
     integrated only over its noisy segments, on the grid points plus its
     pulse edges, so the noise is constant inside each step, and the improved
@@ -189,6 +188,7 @@ def noise_ensemble(gate: metrics.GateTarget, p, noise_params: NoiseParams,
     budget.  A trial without pulses (zero power) is the improved gate
     itself.  Returns (mean, std, per-trial list); std uses divisor count-1.
     """
+    gate, p = improved.gate, improved.params
     samples = [
         sample_realization(noise_params, p.tau0, trial=k) for k in range(realizations)
     ]

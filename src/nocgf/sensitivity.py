@@ -38,14 +38,14 @@ def parameter_ulp(gate_name: str, parameter: str) -> float:
         ) from None
 
 
-def run_sensitivity(gate: metrics.GateTarget, p, parameter: str, *,
-                    improved: noc.ImprovedGateResult):
+def run_sensitivity(improved: noc.ImprovedGateResult, parameter: str):
     """Tr P with and without the frozen control correction at -1/0/+1 ULP.
 
-    The sweeps run on the grid of `improved`, whose control correction is
-    frozen.  The zero row is the ideal pipeline output: the two final
-    propagators of `improved`.
+    The sweeps perturb the sweep parameters of `improved` and run on its
+    grid, with its control correction frozen.  The zero row is the ideal
+    pipeline output: the two final propagators of `improved`.
     """
+    gate, p = improved.gate, improved.params
     if not hasattr(p, parameter):
         raise ValueError(f"unknown sweep parameter {parameter!r}")
     ulp = parameter_ulp(gate.name, parameter)

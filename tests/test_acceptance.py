@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from nocgf import NOMINAL_PARAMS, gate_target
+from nocgf import NOMINAL_PARAMS
 from nocgf.control import coupling_matrices, drive_matrix, sweep_hamiltonian
 from nocgf.lincore import unitarity_defect
 from nocgf.metrics import GATE_ORDER, trace_p
@@ -173,9 +173,7 @@ def test_criterion_7_sensitivity(improved_all):
     checks = []
     t0 = time.perf_counter()
     for (gname, par), table in SENSITIVITY_TABLES.items():
-        p = NOMINAL_PARAMS[gname]
-        rows = run_sensitivity(gate_target(gname), p, par,
-                               improved=improved_all[gname])
+        rows = run_sensitivity(improved_all[gname], par)
         for row in rows:
             if row.trp_with_noc > row.trp_without_noc + 1e-15:
                 checks.append((False,
@@ -204,18 +202,14 @@ def test_criterion_8_jitter(improved_all):
     t0 = time.perf_counter()
     for power, table in JITTER_MEANS.items():
         for name, want in table.items():
-            p = NOMINAL_PARAMS[name]
             np_ = default_noise_params(1, power, seed=ACCEPTANCE_SEED)
-            mean, std, _ = noise_ensemble(gate_target(name), p, np_, 10,
-                                          improved=improved_all[name])
+            mean, std, _ = noise_ensemble(improved_all[name], np_, 10)
             factor = max(mean / want, want / mean)
             checks.append((factor <= 3.0,
                            f"{name} P={power:g}: <TrP> {mean:.3e} vs {want:.2e} "
                            f"(factor {factor:.1f})"))
-    p2 = NOMINAL_PARAMS["cphase"]
     np2 = default_noise_params(2, 1e-3, seed=ACCEPTANCE_SEED)
-    mean, std, _ = noise_ensemble(gate_target("cphase"), p2, np2, 10,
-                                  improved=improved_all["cphase"])
+    mean, std, _ = noise_ensemble(improved_all["cphase"], np2, 10)
     rel = abs(mean - 5.21e-5) / 5.21e-5
     checks.append((rel <= 0.05,
                    f"cphase P=1e-3: <TrP> {mean:.3e} vs 5.21e-5 (rel {rel:.2f})"))

@@ -422,3 +422,14 @@ def test_cli_sweep_does_not_hide_other_errors(monkeypatch):
     monkeypatch.setattr(experiments, "run_sweep", failing)
     with pytest.raises(ValueError, match="boom"):
         cli.main(["sweep", "--param", "lam", "--gate", "hadamard"])
+
+
+def test_cli_sweep_rejects_a_parameter_without_a_ulp_before_improving(monkeypatch, capsys):
+    # tau0 is a cphase sweep parameter without a printed-precision entry
+    calls = _count_improve_calls(monkeypatch, fail=True)
+    rc = cli.main(["sweep", "--param", "tau0", "--gate", "cphase"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nocgf: no printed-precision entry for 'tau0'")
+    assert err.count("\n") == 1
+    assert calls == []

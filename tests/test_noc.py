@@ -3,8 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from nocgf import propagate
+from nocgf import control, propagate
 from nocgf.config import ConfigError
 from nocgf.control import NOMINAL_PARAMS, coupling_matrices, drive_matrix
 from nocgf.lincore import hermitize, pauli_coordinates, vectorize
@@ -12,7 +14,7 @@ from nocgf.metrics import GateTarget, TargetOffset, gate_target, target_offset
 from nocgf.noc import (
     ConsistencyError,
     improve_gate,
-    strategy1_control,
+    strategy1_solve,
     strategy1_weights,
     strategy2_solve,
 )
@@ -57,21 +59,61 @@ def test_contracted_drive_closed_form(rng):
         assert np.abs(got - want).max() < 1e-12
 
 
-def test_strategy1_control_structure():
-    grid = TimeGrid(HAD.tau0, 40000)
-    traj = propagate_sweep(HAD, grid)
-    g_grid, _ = noc.drive_samples(HAD, traj)
-    zero = strategy1_control(g_grid, np.zeros(4), grid)
+@pytest.fixture(scope="module")
+def hadamard_sweep_40k():
+    return propagate_sweep(HAD, TimeGrid(HAD.tau0, 40000))
+
+
+def _offset(beta: np.ndarray) -> TargetOffset:
+    return TargetOffset(delta_beta=beta, delta_b=vectorize(beta))
+
+
+def test_strategy1_control_structure(hadamard_sweep_40k):
+    traj = hadamard_sweep_40k
+    zero = strategy1_solve(HAD, traj, _offset(np.zeros((2, 2), dtype=complex)))
+    assert zero.grid == traj.grid
     assert np.abs(zero.samples).max() == 0.0
-    # weights in Pauli coordinates on (s_0, s_x, s_y, s_z) / sqrt(2): at
-    # tau = -tau0/2 (U0 = I) drive column j is vec(-s_j), with coordinates
-    # -sqrt(2) e_j, so component j is -sqrt(2) w_j and w_0 does not enter.
-    # The complex weights (0.3, 0.1 - 0.2i, 0.1 + 0.2i, -0.3) have x, y, z
-    # coordinates (0.1, -0.2, 0.3) sqrt(2) and third component -w1 + w4.
-    w = np.array([0.5, 0.1, -0.2, 0.3]) * np.sqrt(2.0)
-    ctrl = strategy1_control(g_grid, w, grid)
+    # weights w = delta_b / 20 with Pauli coordinates (0.5, 0.1, -0.2, 0.3)
+    # sqrt(2) on (s_0, s_x, s_y, s_z) / sqrt(2): at tau = -tau0/2 (U0 = I)
+    # drive column j is vec(-s_j), with coordinates -sqrt(2) e_j, so
+    # component j is -sqrt(2) w_j and w_0 does not enter
+    w = np.array([[0.8, 0.1 + 0.2j], [0.1 - 0.2j, 0.2]])
+    ctrl = strategy1_solve(HAD, traj, _offset(20.0 * w))
     assert ctrl.samples.dtype == np.float64
     assert np.abs(ctrl.samples[0] - [-0.2, 0.4, -0.6]).max() <= 1e-12
+
+
+def test_strategy1_never_holds_the_drive_stack():
+    # the production sweep: one window's drive-matrix work arrays (4.1 MB)
+    # would exceed half the stack of a 40,000-step one
+    traj = propagate_sweep(HAD, TimeGrid.default_for(HAD))
+    off = target_offset(traj.final, gate_target("hadamard"))
+    stack_bytes = len(traj.unitaries) * 4 * 3 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        strategy1_solve(HAD, traj, off)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < stack_bytes / 2
+
+
+@pytest.mark.parametrize("kind", ["nan", "anti-hermitian"])
+def test_strategy1_rejects_bad_weights_before_any_drive_sample(monkeypatch, kind):
+    # the weights' own imaginary residue fails before the streamed pass
+    def no_drive_matrix(*args, **kwargs):
+        raise AssertionError("drive samples formed for rejected weights")
+
+    monkeypatch.setattr(control, "drive_matrix", no_drive_matrix)
+    grid = TimeGrid(HAD.tau0, 100)
+    traj = Trajectory(grid, np.tile(np.eye(2, dtype=complex), (grid.steps + 1, 1, 1)))
+    if kind == "nan":
+        beta = np.full((2, 2), np.nan, dtype=complex)
+    else:
+        z = np.random.default_rng(5).normal(size=(2, 2, 2))
+        beta = 1j * hermitize(z[0] + 1j * z[1])
+    with pytest.raises(ConsistencyError, match="imaginary residue"):
+        strategy1_solve(HAD, traj, _offset(beta))
 
 
 def test_strategy1_control_matches_the_complex_drive_law():
@@ -308,29 +350,39 @@ def test_control_reality_residue(improved_all):
         assert res.control.samples.dtype.kind == "f"
 
 
-@pytest.mark.parametrize("name,steps,doubled", [("hadamard", 10_000, False),
-                                                ("cphase", 5_000, True)])
-def test_chunked_drive_samples_match_one_drive_matrix_call(name, steps, doubled):
-    # 10,001 samples: two full chunks and a partial one; a shortened sweep
-    # keeps this coarse grid accurate enough for drive_matrix's check.  The
-    # cphase sweep is Strategy 2's nominal: twice the steps at one substep
-    p = dataclasses.replace(NOMINAL_PARAMS[name], tau0=20.0)
-    if doubled:
-        grid = TimeGrid(p.tau0, 2 * steps)
-        traj = propagate_sweep(p, grid, refine=1)
-    else:
-        grid = TimeGrid(p.tau0, steps)
-        traj = propagate_sweep(p, grid)
-    taus = grid.points()
-    assert len(taus) == 10_001 > 2 * noc.DRIVE_CHUNK
+@pytest.mark.parametrize("name", ["hadamard", "cphase"])
+@given(steps=st.integers(1, 40), window=st.integers(1, 24))
+@example(steps=9, window=24)     # one window
+@example(steps=12, window=4)     # an exact multiple
+@example(steps=13, window=4)     # a partial last window
+@settings(max_examples=15, deadline=None)
+def test_drive_windows_match_one_drive_matrix_call(name, steps, window):
+    # synthetic unitary samples on the hadamard grid and on Strategy 2's
+    # doubled cphase grid (twice the steps), with a window of `window` steps
+    p = NOMINAL_PARAMS[name]
+    n = 2 if p.qubits == 1 else 4
+    grid = TimeGrid(p.tau0, steps if n == 2 else 2 * steps)
+    rng = np.random.default_rng(steps)
+    z = rng.normal(size=(grid.steps + 1, n, n)) + 1j * rng.normal(size=(grid.steps + 1, n, n))
+    traj = Trajectory(grid, np.linalg.qr(z)[0])
     # the Pauli projection of one drive_matrix call
     want, want_residue = pauli_coordinates(np.swapaxes(
-        drive_matrix(traj.unitaries, coupling_matrices(p, taus)), -1, -2))
+        drive_matrix(traj.unitaries, coupling_matrices(p, grid.points())), -1, -2))
     want = np.swapaxes(want, -1, -2)
-    got, residue = noc.drive_samples(p, traj)
-    assert got.shape == want.shape and got.dtype == np.float64
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(noc, "DRIVE_WINDOW", n * n * window)
+        windows = list(noc.drive_windows(p, traj))
+    starts = [c0 for c0, _, _ in windows]
+    assert starts == list(range(0, grid.steps, window))
+    for c0, g_r, _ in windows:
+        assert len(g_r) == min(window, grid.steps - c0) + 1
+        assert g_r.dtype == np.float64
+    # consecutive windows share their end sample; taken once, they are the call
+    for (_, a, _), (_, b, _) in zip(windows, windows[1:]):
+        assert np.array_equal(a[-1], b[0])
+    got = np.concatenate([windows[0][1]] + [g_r[1:] for _, g_r, _ in windows[1:]])
     assert np.array_equal(got, want)
-    assert residue == want_residue
+    assert max(residue for _, _, residue in windows) == want_residue
 
 
 def test_strategy2_rejects_an_odd_nominal_step_count():
@@ -379,10 +431,10 @@ def test_strategy2_rejects_a_non_hermitian_offset(monkeypatch, scale, ok):
 @pytest.mark.parametrize("kind", ["nan", "anti-hermitian"])
 def test_strategy2_rejects_a_bad_offset_before_any_drive_sample(monkeypatch, kind):
     # the offset's own imaginary residue fails before the streamed pass
-    def no_drive_samples(*args, **kwargs):
+    def no_drive_windows(*args, **kwargs):
         raise AssertionError("drive samples formed for a rejected offset")
 
-    monkeypatch.setattr(noc, "drive_samples", no_drive_samples)
+    monkeypatch.setattr(noc, "drive_windows", no_drive_windows)
     p = NOMINAL_PARAMS["cphase"]
     grid = TimeGrid(p.tau0, 600)
     traj = Trajectory(grid, np.tile(np.eye(4, dtype=complex), (grid.steps + 1, 1, 1)))

@@ -21,13 +21,12 @@ def test_ulp_table():
 @pytest.fixture(scope="module")
 def hadamard_40k():
     p = NOMINAL_PARAMS["hadamard"]
-    gate = gate_target("hadamard")
-    return gate, p, improve_gate(gate, p, TimeGrid(p.tau0, 40000))
+    return improve_gate(gate_target("hadamard"), p, TimeGrid(p.tau0, 40000))
 
 
 def test_perturbed_values_and_zero_row(hadamard_40k):
-    gate, p, res = hadamard_40k
-    rows = run_sensitivity(gate, p, "lam", improved=res)
+    res = hadamard_40k
+    rows = run_sensitivity(res, "lam")
     values = [r.value for r in rows]
     assert values == pytest.approx([7.819, 7.820, 7.821], abs=1e-12)
     # the unperturbed row reproduces the ideal pipeline bit for bit
@@ -39,13 +38,13 @@ def test_perturbed_values_and_zero_row(hadamard_40k):
 
 
 def test_unknown_parameter_rejected(hadamard_40k):
-    gate, p, res = hadamard_40k
+    res = hadamard_40k
     with pytest.raises(ValueError):
-        run_sensitivity(gate, p, "zeta", improved=res)
+        run_sensitivity(res, "zeta")
 
 
 def test_zero_row_reuses_improve_result_on_its_grid(monkeypatch, hadamard_40k):
-    gate, p, res = hadamard_40k
+    res = hadamard_40k
     propagated = []
 
     def counting(fn):
@@ -56,9 +55,9 @@ def test_zero_row_reuses_improve_result_on_its_grid(monkeypatch, hadamard_40k):
 
     monkeypatch.setattr(sensitivity.propagate, "propagate_sweep",
                         counting(sensitivity.propagate.propagate_sweep))
-    rows = run_sensitivity(gate, p, "lam", improved=res)
+    rows = run_sensitivity(res, "lam")
     assert [r.value for r in rows] == pytest.approx([7.819, 7.820, 7.821], abs=1e-12)
     # two sweeps per perturbed row, all on the improve result's grid
-    assert [lam for lam, _ in propagated].count(p.lam) == 0
+    assert [lam for lam, _ in propagated].count(res.params.lam) == 0
     assert len(propagated) == 4
     assert all(grid == res.control.grid for _, grid in propagated)
