@@ -18,7 +18,7 @@ conjugation for both system sizes, and as the generator's tested reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -48,11 +48,31 @@ P_E4_DIABATIC = np.zeros((4, 4), dtype=complex)
 P_E4_DIABATIC[2, 2] = 1.0
 
 
+def _check_positive(p, names) -> None:
+    """Reject fields whose shapes do not broadcast, and a field with a
+    member that is not finite and > 0, named as a scalar field would be."""
+    _field_batch(p)
+    for name in names:
+        v = np.asarray(getattr(p, name))
+        bad = ~(np.isfinite(v) & (v > 0))
+        if np.any(bad):
+            raise ValueError(f"{name} must be finite and > 0, got {v[bad].flat[0]}")
+
+
+def _field_batch(p) -> tuple:
+    """Broadcast shape of the fields of sweep parameters: () for one sweep."""
+    return np.broadcast_shapes(*(np.shape(getattr(p, f.name)) for f in fields(p)))
+
+
 @dataclass(frozen=True)
 class SweepParams1Q:
     """Dimensionless sweep parameters of a one-qubit gate.
 
     lam   inversion rate, eta4 quartic twist strength, tau0 inversion time.
+
+    Fields may be arrays: then the parameters are a batch of sweeps of
+    shape batch, the broadcast of the fields' shapes (() for one sweep),
+    and every member is validated as a scalar field is.
     """
 
     lam: float
@@ -60,10 +80,9 @@ class SweepParams1Q:
     tau0: float = 160.0
 
     def __post_init__(self):
-        for name in ("lam", "eta4", "tau0"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {v}")
+        _check_positive(self, ("lam", "eta4", "tau0"))
+
+    batch = property(_field_batch)
 
     @property
     def qubits(self) -> int:
@@ -79,7 +98,8 @@ class SweepParams2Q:
     """Dimensionless sweep parameters of the two-qubit gate.
 
     d1..d4 are the Larmor mismatch, detuning, drive-ratio and Ising
-    couplings; c4 is the degeneracy-breaking strength.
+    couplings; c4 is the degeneracy-breaking strength.  Fields may be
+    arrays, as in SweepParams1Q.
     """
 
     lam: float
@@ -92,15 +112,14 @@ class SweepParams2Q:
     c4: float = 0.0
 
     def __post_init__(self):
-        for name in ("lam", "eta4", "tau0"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {v}")
+        _check_positive(self, ("lam", "eta4", "tau0"))
         for name in ("d1", "d2", "d3", "d4", "c4"):
-            if not np.isfinite(getattr(self, name)):
+            if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
-        if self.d3 == 1.0:
+        if np.any(np.asarray(self.d3) == 1.0):
             raise ValueError("d3 = 1 is a pole of the two-qubit couplings")
+
+    batch = property(_field_batch)
 
     @property
     def qubits(self) -> int:
@@ -126,6 +145,9 @@ NOMINAL_PARAMS = {
 def twist_phase(tau, p, noise=0.0):
     """Quartic twist phase phi4(tau) = (eta4 / 2 lam) tau^4 plus noise, an
     additive phase offset (a scalar or an array broadcasting against tau).
+    Batched parameters broadcast against tau as numpy broadcasts: eta4 of
+    shape (2, 1, 1, 1) at times (rows, steps) gives a (2, 1, rows, steps)
+    phase (see _times_last_params).
 
     tau^4 is the product (tau tau)(tau tau): exactly even in tau, within a
     few ulp of tau**4, and on a 16k-sample chunk 0.02 ms against 1.4 ms for
@@ -195,12 +217,16 @@ def generator(tau, p, dfi=None, phase=None) -> np.ndarray:
     """Generator A = -i (H0 + sum_j dfi_j G_j) of i U' = H U, component-major.
 
     tau has any shape T (the integrator passes (rows, steps)); dfi, the
-    control modification at those times, has shape (*T, 3) or is None;
-    phase is the twist phase with any noise already added, shape
-    (*T, *batch), and defaults to the noise-free twist_phase.  Returns a
-    contiguous (n, n, *T, *batch) array: entry (i, k) of A is the array
-    out[i, k] over the times (see propagate, which consumes this layout
-    without a copy).
+    control modification at those times, has shape (*T, *cbatch, 3) or is
+    None; phase is the twist phase with any noise already added, shape
+    (*T, *pbatch), and defaults to the noise-free twist_phase of p.  The
+    batch is the broadcast of cbatch, pbatch and p.batch (batched sweep
+    parameters), each aligned to its trailing axes: sweeps that differ in
+    their parameters and in their control share one call, and cos and sin
+    are taken once per member of the phase.  Returns a contiguous
+    (n, n, *T, *batch) array: entry (i, k) of A is the array out[i, k]
+    over the times (see propagate, which consumes this layout without a
+    copy).
 
     The entries are written straight from the scalar series that define the
     operator, with no dense per-term stacks.  One qubit: A = i f.sigma with
@@ -214,23 +240,41 @@ def generator(tau, p, dfi=None, phase=None) -> np.ndarray:
     Noise enters only through phase, so a batch of realizations costs one
     (T, B) phase array.  Agrees with -1j * (sweep_hamiltonian(tau, p, noise)
     + einsum(dfi, coupling_matrices(p, tau))) to roundoff.
+
+    The series are combined batch-major, (*batch, *T), and written to out
+    through that view: with the batch axes last, numpy loops over a few
+    members at a time where series of different batch axes meet (one sum
+    of (4, 4097, 2, 1) and (4, 4097, 1, 2) series: 0.67 ms, against
+    0.03 ms batch-major; 2 vCPUs, numpy 2.4.6).
     """
     tau = np.asarray(tau, dtype=float)
-    phase = twist_phase(tau, p) if phase is None else np.asarray(phase, dtype=float)
-    shape = phase.shape
-    t = tau.reshape(tau.shape + (1,) * (phase.ndim - tau.ndim))
-    df = None
+    nt = tau.ndim
+
+    def times_last(x):
+        # view (*T, *xbatch) as (*xbatch, *T)
+        return np.moveaxis(x, range(nt), range(x.ndim - nt, x.ndim))
+
+    batch = p.batch
+    p = _times_last_params(p, nt)
+    if phase is None:
+        phase = twist_phase(tau, p)
+    else:
+        phase = times_last(np.asarray(phase, dtype=float))
+    df, cbatch = None, ()
     if dfi is not None:
         dfi = np.asarray(dfi, dtype=float)
-        df = [dfi[..., j].reshape(t.shape) for j in range(3)]
+        cbatch = dfi.shape[nt:-1]
+        df = [times_last(dfi[..., j]) for j in range(3)]
+    batch = np.broadcast_shapes(phase.shape[:phase.ndim - nt], cbatch, batch)
     c, s = np.cos(phase), np.sin(phase)
     n = p.dim
-    out = np.empty((n, n, *shape), dtype=complex)
-    re, im = out.real, out.imag
+    out = np.empty((n, n, *tau.shape, *batch), dtype=complex)
+    re, im = (np.moveaxis(x, range(2, 2 + nt), range(x.ndim - nt, x.ndim))
+              for x in (out.real, out.imag))
 
     if p.qubits == 1:
         # f1 + i f2 and f3; A00 = i f3, A10 = i (f1 + i f2), A01 = i conj(.)
-        f1, f2, f3 = c / p.lam, -(s / p.lam), t / p.lam
+        f1, f2, f3 = c / p.lam, -(s / p.lam), tau / p.lam
         if df is not None:
             f1, f2, f3 = f1 + df[0], f2 + df[1], f3 + df[2]
         re[0, 0] = re[1, 1] = 0.0
@@ -242,8 +286,8 @@ def generator(tau, p, dfi=None, phase=None) -> np.ndarray:
         return out
 
     # two qubits: H = diag(h) + sum over flips of L |lower><upper| + h.c.
-    z1 = -(p.d1 + p.d2) / 2.0 + t / p.lam
-    z2 = -p.d2 / 2.0 + t / p.lam
+    z1 = -(p.d1 + p.d2) / 2.0 + tau / p.lam
+    z2 = -p.d2 / 2.0 + tau / p.lam
     zz = np.pi * p.d4 / 2.0
     diag = [(z1 + z2) - zz, (z1 - z2) + zz, ((-z1 + z2) + zz) + p.c4,
             (-z1 - z2) - zz]
@@ -256,7 +300,7 @@ def generator(tau, p, dfi=None, phase=None) -> np.ndarray:
         diag = [d + k * df[2] for d, k in zip(diag, sz)]
         th1, th2 = _coupling_angles(p)
         for scale, th, lx in ((p.d3, th1, l1), (1.0, th2, l2)):
-            ct, st = np.cos(th * t), np.sin(th * t)
+            ct, st = np.cos(th * tau), np.sin(th * tau)
             wr = df[0] * ct - df[1] * st      # w e^{i th tau}
             wi = df[0] * st + df[1] * ct
             lx[0] = lx[0] + scale * wr
@@ -276,6 +320,16 @@ def generator(tau, p, dfi=None, phase=None) -> np.ndarray:
     return out
 
 
+def _times_last_params(p, nt: int):
+    """Batched parameters with nt unit axes after every field, to broadcast
+    against series of shape (*batch, *T); unbatched ones as they are."""
+    if not p.batch:
+        return p
+    return replace(p, **{f.name: np.reshape(getattr(p, f.name),
+                                            np.shape(getattr(p, f.name)) + (1,) * nt)
+                         for f in fields(p)})
+
+
 def _coupling_angles(p: SweepParams2Q):
     """Frame rotation rates (th1, th2) of the two-qubit couplings."""
     th2 = p.d1 / (p.d3 - 1.0)
@@ -285,7 +339,8 @@ def _coupling_angles(p: SweepParams2Q):
 def coupling_matrices(p, tau=None) -> np.ndarray:
     """Control coupling matrices G_j = dH/dF_j, stacked as (..., 3, n, n).
 
-    One qubit: the constant triple (-sx, -sy, -sz).  Two qubits: the
+    One qubit: the constant triple (-sx, -sy, -sz), broadcast read-only
+    over the times.  Two qubits: the
     tau-dependent triple with the inter-qubit frame rotation angles fixed by
     d1 and d3 (d3 = 1 is a pole of that parametrization, which SweepParams2Q
     rejects).
@@ -294,9 +349,7 @@ def coupling_matrices(p, tau=None) -> np.ndarray:
         g = np.stack([-SIGMA_X, -SIGMA_Y, -SIGMA_Z])
         if tau is None or np.ndim(tau) == 0:
             return g
-        return np.broadcast_to(
-            g, (*np.shape(tau), 3, 2, 2)
-        ).copy()
+        return np.broadcast_to(g, (*np.shape(tau), 3, 2, 2))
     if tau is None:
         raise ValueError("two-qubit couplings are time dependent; pass tau")
     th1, th2 = _coupling_angles(p)
@@ -305,7 +358,7 @@ def coupling_matrices(p, tau=None) -> np.ndarray:
     c2, s2 = np.cos(th2 * tau)[..., None, None], np.sin(th2 * tau)[..., None, None]
     g1 = p.d3 * (c1 * SX1 + s1 * SY1) + (c2 * SX2 + s2 * SY2)
     g2 = p.d3 * (c1 * SY1 - s1 * SX1) + (c2 * SY2 - s2 * SX2)
-    g3 = np.broadcast_to(p.d3 * SZ1 + SZ2, g1.shape).copy()
+    g3 = np.broadcast_to(p.d3 * SZ1 + SZ2, g1.shape)
     return np.stack([g1, g2, g3], axis=-3)
 
 
@@ -315,7 +368,8 @@ def drive_matrix(u0: np.ndarray, couplings: np.ndarray) -> np.ndarray:
     u0 must be unitary to a defect of 1e-8; couplings has shape (..., 3, n, n).
     The conjugation is the component-major products of
     lincore.entry_matmul, not batched `@`, which is slow on stacks of
-    matrices this small.
+    matrices this small.  Broadcast (stride 0) axes of couplings, as of
+    the constant one-qubit triple, are not copied.
     """
     u0 = np.asarray(u0)
     if not (unitarity_defect(u0) <= 1e-8):
@@ -326,8 +380,9 @@ def drive_matrix(u0: np.ndarray, couplings: np.ndarray) -> np.ndarray:
     lead = np.broadcast_shapes(u0.shape[:-2], couplings.shape[:-3])
     u = np.ascontiguousarray(component_major(
         np.broadcast_to(u0, (*lead, n, n))))[:, :, None]
-    g = np.ascontiguousarray(np.moveaxis(
-        np.broadcast_to(couplings, (*lead, 3, n, n)), (-2, -1, -3), (0, 1, 2)))
+    g = np.broadcast_to(couplings, (*lead, 3, n, n))
+    g = g[tuple(slice(None, 1) if s == 0 else slice(None) for s in g.strides[:-3])]
+    g = np.ascontiguousarray(np.moveaxis(g, (-2, -1, -3), (0, 1, 2)))
     gbar = entry_matmul(np.conj(np.swapaxes(u, 0, 1)), entry_matmul(g, u))
     # column stacking: vec index col * n + row
     return np.moveaxis(gbar, (1, 0, 2), (-3, -2, -1)).reshape(*lead, n * n, 3)

@@ -107,9 +107,17 @@ production grids, the two differ by 1.8e-14 (hadamard nominal, in
 Cayley-Klein form) to 8e-13 (cphase) in max-norm, far below the 1e-10
 unitarity budget.  The scan is the same for both storage modes, which
 only choose what is written: the grid samples, or the final propagator,
-the last of them.  Strategy 2's nominal sweep, which needs samples at the
+the last of them.  Both measure the unitarity defect of every chunk's
+prefix products.  Strategy 2's nominal sweep, which needs samples at the
 half steps, runs on twice the steps at one substep each: the same sample
 times and substep size as the grid at two substeps.
+
+Batches.  propagate_finals integrates a batch of sweeps on one grid at
+once: batched sweep parameters and control weights give the generator
+samples trailing batch axes.  Each member keeps the rows, chunks and scan
+of a single sweep, so its final propagator is that sweep's bit for bit,
+but for an ulp after a one-step chunk, where numpy rounds the in-place
+complex product of a one-element array differently.
 """
 
 from __future__ import annotations
@@ -487,8 +495,9 @@ def _integrate(afun, grid, dim: int, batch=(), refine=DEFAULT_REFINE,
     generator i f.sigma does: only its first column is read.  They are expanded to
     dim x dim matrices only where they are written, so the samples and
     U_final are complex (..., dim, dim) arrays either way.  The returned
-    defect is the max-norm of U†U - I over what is written, measured on
-    the algebra's elements.
+    defect is the max-norm of U†U - I at every node, over the batch and
+    (on StepNodes) both levels, measured per chunk on the algebra's
+    elements in both storage modes.
 
     store is "grid" (steps + 1 samples at the nodes) or "final".  StepNodes
     allow only "final", at an even refine: the same rows are integrated at
@@ -519,10 +528,8 @@ def _integrate(afun, grid, dim: int, batch=(), refine=DEFAULT_REFINE,
         p = _blocked_scan(np.stack(m, axis=3) if lead else m[0], u, algebra)
         if out is not None:
             algebra.expand(p, out[c0 + 1:c0 + cs + 1])
-            defects.append(algebra.defect(p))
+        defects.append(algebra.defect(p))
         u = p[:, :, -1]
-    if out is None:
-        defects.append(algebra.defect(u))
     return out, algebra.expand(u), float(np.max(defects))
 
 
@@ -531,12 +538,14 @@ def _finish(grid, samples, defect: float) -> Trajectory:
     return Trajectory(grid, samples, defect=defect)
 
 
-def _generator_fun(p, grid: TimeGrid, delta_f=None, noise=None):
+def _generator_fun(p, grid: TimeGrid, delta_f=None, noise=None, weights=None):
     """The afun of _integrate: A(tau) from control.generator, matrix-major.
 
     delta_f (grid samples, shape (steps + 1, 3)) is linearly interpolated to
-    the requested times.  On a chunk of grid steps from c0, row j of the
-    (rows, steps) time array lies j/rows of the way through step c0 + s, so
+    the requested times, and scaled by control weights (an array) when
+    given, whose axes become batch axes of A.  On a chunk of grid steps
+    from c0, row j of the (rows, steps) time array lies j/rows of the way
+    through step c0 + s, so
     there delta_f is f[c0 + s] + (j/rows)(f[c0 + s + 1] - f[c0 + s]): fixed
     row weights on contiguous slices of the samples, with no search.  The
     last chunk's end column has no next sample; it takes weight 0, and its
@@ -561,7 +570,9 @@ def _generator_fun(p, grid: TimeGrid, delta_f=None, noise=None):
     points = None       # the grid points, for np.interp on StepNodes
 
     def interpolate(taus, c0):
-        """delta_f at taus, shape (*taus.shape, 3), component-contiguous."""
+        """delta_f at taus, times the weights if any, shape (*taus.shape,
+        *weights.shape, 3): a view of (3, *weights.shape, *taus.shape)
+        memory, batch-major as control.generator combines the series."""
         nonlocal points
         if c0 is None:
             if points is None:
@@ -579,7 +590,11 @@ def _generator_fun(p, grid: TimeGrid, delta_f=None, noise=None):
             np.subtract(hi, lo[:len(hi)], out=diff[:len(hi)])
             comps = diff.T[:, None, :] * (np.arange(rows) / rows)[:, None]
             comps += lo.T[:, None, :]
-        return np.moveaxis(comps, 0, -1)
+        wn = 0
+        if weights is not None:
+            wn = weights.ndim
+            comps = comps.reshape(3, *(1,) * wn, *taus.shape) * weights[..., None, None]
+        return comps.transpose(*range(wn + 1, wn + 3), *range(1, wn + 1), 0)
 
     def afun(taus, c0):
         dfi = None if delta_f is None else interpolate(taus, c0)
@@ -606,6 +621,27 @@ def propagate_sweep(p, grid: TimeGrid | None = None, delta_f=None, *,
     out, _, defect = _integrate(_generator_fun(p, grid, delta_f), grid, p.dim,
                                 refine=refine)
     return _finish(grid, out, defect)
+
+
+def propagate_finals(p, grid: TimeGrid, delta_f, weights) -> np.ndarray:
+    """Final propagators (*batch, n, n) of a batch of sweeps on one grid,
+    in one integration.
+
+    p may carry batch axes (p.batch), and delta_f (grid samples, shape
+    (steps + 1, 3)) enters member w scaled by the control weight
+    weights[w]: weights [1, 0] pairs each sweep with and without it.  The
+    batch is the broadcast of p.batch and weights.shape.  A member of
+    weight 1 has the final of propagate_sweep(member, grid, delta_f), one
+    of weight 0 that of propagate_sweep(member, grid) (see Batches above).
+    The defect is checked at every grid point of every member: AccuracyError
+    when it exceeds UNITARITY_BUDGET.
+    """
+    weights = np.asarray(weights, dtype=float)
+    batch = np.broadcast_shapes(p.batch, weights.shape)
+    _, finals, defect = _integrate(_generator_fun(p, grid, delta_f, weights=weights),
+                                   grid, p.dim, batch=batch, store="final")
+    _check_budget("unitarity defect", defect, UNITARITY_BUDGET)
+    return finals
 
 
 def _noisy_composite(p, improved: Trajectory, delta_f, noise,

@@ -7,6 +7,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from . import metrics, noc, propagate
 from .config import ConfigError
 
@@ -19,6 +21,10 @@ ULP = {
     "cphase": {"lam": 1e-1, "eta4": 1e-5, "d1": 1e-3, "d2": 1e-1,
                "d3": 1e-2, "d4": 1e-4, "c4": 1e-4},
 }
+
+# control weights of the two members at each shift: with and without the
+# frozen correction
+WITH_WITHOUT = np.array([1.0, 0.0])
 
 
 @dataclass(frozen=True)
@@ -41,33 +47,34 @@ def parameter_ulp(gate_name: str, parameter: str) -> float:
 def run_sensitivity(improved: noc.ImprovedGateResult, parameter: str):
     """Tr P with and without the frozen control correction at -1/0/+1 ULP.
 
-    The sweeps perturb the sweep parameters of `improved` and run on its
-    grid, with its control correction frozen.  The zero row is the ideal
-    pipeline output: the two final propagators of `improved`.
+    The perturbed sweeps run on the grid of `improved`, with its control
+    correction frozen, as one batched integration of four members:
+    (-1 ULP, +1 ULP) x (with, without the correction), final propagators
+    only (propagate.propagate_finals).  The zero row is the ideal pipeline
+    output: the two final propagators of `improved`.
     """
     gate, p = improved.gate, improved.params
     if not hasattr(p, parameter):
         raise ValueError(f"unknown sweep parameter {parameter!r}")
     ulp = parameter_ulp(gate.name, parameter)
-    grid = improved.control.grid
-    delta_f = improved.control.samples
     base = getattr(p, parameter)
-
-    rows = []
-    for shift in (-1, 0, 1):
-        value = base + shift * ulp
-        if shift == 0:
-            with_noc, without = improved.improved_unitary, improved.nominal_unitary
-        else:
-            pp = replace(p, **{parameter: value})
-            with_noc = propagate.propagate_sweep(pp, grid, delta_f).final
-            without = propagate.propagate_sweep(pp, grid).final
-        rows.append(
-            SensitivityRow(
-                parameter=parameter,
-                value=value,
-                trp_with_noc=metrics.trace_p(with_noc, gate.sweep_unitary),
-                trp_without_noc=metrics.trace_p(without, gate.sweep_unitary),
-            )
+    shifted = base + np.array([-1.0, 1.0]) * ulp
+    # batch (shift, control): the shift axis of the parameter against the
+    # control weights (with, without)
+    finals = propagate.propagate_finals(
+        replace(p, **{parameter: shifted[:, None]}), improved.control.grid,
+        improved.control.samples, WITH_WITHOUT)
+    pairs = [
+        (shifted[0], finals[0, 0], finals[0, 1]),
+        (base, improved.improved_unitary, improved.nominal_unitary),
+        (shifted[1], finals[1, 0], finals[1, 1]),
+    ]
+    return [
+        SensitivityRow(
+            parameter=parameter,
+            value=float(value),
+            trp_with_noc=metrics.trace_p(with_noc, gate.sweep_unitary),
+            trp_without_noc=metrics.trace_p(without, gate.sweep_unitary),
         )
-    return rows
+        for value, with_noc, without in pairs
+    ]

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from nocgf.propagate import (
     _noisy_composite,
     integrate_delta_y,
     noisy_segments,
+    propagate_finals,
     propagate_modified_batch,
     propagate_sweep,
     step_maps,
@@ -285,11 +287,13 @@ def test_storage_modes_write_one_product(steps, chunk, refine):
     grid = TimeGrid(SHORT_HAD.tau0, steps)
     afun = _generator_fun(SHORT_HAD, grid)
     kw = dict(refine=refine, chunk=chunk)
-    at_grid, u_grid, _ = _integrate(afun, grid, 2, store="grid", **kw)
-    none, u_final, _ = _integrate(afun, grid, 2, store="final", **kw)
+    at_grid, u_grid, d_grid = _integrate(afun, grid, 2, store="grid", **kw)
+    none, u_final, d_final = _integrate(afun, grid, 2, store="final", **kw)
     assert none is None and at_grid.shape == (steps + 1, 2, 2)
     assert np.array_equal(u_final, at_grid[-1])
     assert np.array_equal(u_grid, u_final)
+    # both modes measure the defect at every node
+    assert d_final == d_grid
 
 
 @settings(max_examples=60, deadline=None)
@@ -481,3 +485,93 @@ def test_noisy_segments_are_disjoint_and_hold_every_pulse(steps, centers, on_gri
     # a pulse outside the sweep clips to a point and needs no segment
     for l, r in zip(lo[lo < hi], hi[lo < hi]):
         assert np.sum((pts[seg[:, 0]] <= l) & (pts[seg[:, 1]] >= r)) == 1
+
+
+def _cancelling_generator(dim, chunk, eps=1e-2):
+    """A zero generator except for a Hermitian part +eps H in chunk 1 and
+    -eps H in chunk 3, with H constant: the middle propagators grow away
+    from unitarity by about 2 eps |tau|, and the final one is unitary to
+    roundoff.  For 2x2 the Cayley-Klein algebra reads only the first column,
+    and its one Hermitian direction is the identity."""
+    h = np.eye(2) if dim == 2 else hermitize(
+        np.random.default_rng(5).normal(size=(4, 4)) + 0j)
+
+    def afun(taus, c0):
+        sign = {1: 1.0, 3: -1.0}.get(c0 // chunk, 0.0)
+        return np.broadcast_to(sign * eps * h, (*taus.shape, dim, dim)).astype(complex)
+
+    return afun
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_final_storage_measures_the_defect_of_every_prefix(dim):
+    chunk = 10
+    grid = TimeGrid(10.0, 5 * chunk)
+    afun = _cancelling_generator(dim, chunk)
+    _, u_grid, d_grid = _integrate(afun, grid, dim, store="grid", chunk=chunk)
+    none, u_final, d_final = _integrate(afun, grid, dim, store="final", chunk=chunk)
+    assert none is None and np.array_equal(u_final, u_grid)
+    assert propagate.unitarity_defect(u_final) <= 1e-14
+    assert d_final == d_grid > 1e-3
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_checked_finals_raise_on_a_defect_a_later_chunk_cancels(monkeypatch, dim):
+    p = SHORT_HAD if dim == 2 else NOMINAL_PARAMS["cphase"]
+    grid = TimeGrid(p.tau0, 5 * propagate.CHUNK)
+    afun = _cancelling_generator(dim, propagate.CHUNK, eps=1e-4)
+    monkeypatch.setattr(propagate, "_generator_fun", lambda *args, **kwargs: afun)
+    for run in (lambda: propagate_sweep(p, grid),
+                lambda: propagate_finals(p, grid, np.zeros((grid.steps + 1, 3)), [1.0])):
+        with pytest.raises(AccuracyError, match="unitarity defect") as err:
+            run()
+        assert err.value.value > 1e-4
+
+
+# short sweeps: with steps >= tau0 the coarse maps stay finite
+params_1q = st.builds(dataclasses.replace, st.just(HAD), lam=st.floats(4.0, 10.0),
+                      eta4=st.floats(1e-4, 3e-4), tau0=st.floats(4.0, 12.0))
+params_2q = st.builds(
+    dataclasses.replace, st.just(NOMINAL_PARAMS["cphase"]), lam=st.floats(4.0, 8.0),
+    eta4=st.floats(1e-4, 3e-4), tau0=st.floats(4.0, 12.0), d1=st.floats(-15.0, 15.0),
+    d2=st.floats(-3.0, 3.0), d3=st.floats(-0.8, 0.5), d4=st.floats(-8.0, 8.0),
+    c4=st.floats(-6.0, 6.0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=st.one_of(params_1q, params_2q), data=st.data(),
+       shape=st.sampled_from([(4,), (2, 2)]), steps=st.integers(12, 120),
+       chunk=st.integers(1, 50), seed=st.integers(0, 2**32 - 1))
+def test_batched_finals_equal_separate_sweeps(p, data, shape, steps, chunk, seed):
+    fields = ["lam", "eta4"] + (["d1", "d2", "d3", "d4", "c4"] if p.qubits == 2 else [])
+    name = data.draw(st.sampled_from(fields))
+    rng = np.random.default_rng(seed)
+    grid = TimeGrid(p.tau0, steps)
+    delta_f = 0.05 * rng.normal(size=(steps + 1, 3))
+    base = getattr(p, name)
+    # (4,): four parameter values, each with its own control weight; (2, 2):
+    # two values against the control weights [1, 0], as run_sensitivity
+    shifts = 1.0 + 0.01 * rng.uniform(-1.0, 1.0, size=shape[0])
+    values = base * shifts if shape == (4,) else (base * shifts)[:, None]
+    weights = np.array([1.0, 0.0, 1.0, 0.0] if shape == (4,) else [1.0, 0.0])
+    batched = dataclasses.replace(p, **{name: values})
+    with pytest.MonkeyPatch.context() as mp:
+        # coarse grids are far from unitary; chunks that leave a partial one
+        mp.setattr(propagate, "UNITARITY_BUDGET", np.inf)
+        mp.setattr(propagate, "_integrate", functools.partial(_integrate, chunk=chunk))
+        finals = propagate_finals(batched, grid, delta_f, weights)
+        assert finals.shape == (*shape, p.dim, p.dim)
+        for idx in np.ndindex(shape):
+            member = dataclasses.replace(p, **{name: float(np.broadcast_to(values, shape)[idx])})
+            weight = np.broadcast_to(weights, shape)[idx]
+            want = propagate_sweep(member, grid, delta_f if weight else None).final
+            if chunk == 1 or steps % chunk == 1:
+                # a one-step chunk of a single sweep multiplies one-element
+                # arrays, and numpy's in-place complex multiply rounds a
+                # single element differently from its vector loop; over 700
+                # random cases the finals differed by at most 5% of this
+                # bound, and never without a one-step chunk
+                scale = max(1.0, np.abs(want).max())
+                assert np.abs(finals[idx] - want).max() <= steps * 2.3e-16 * scale
+            else:
+                assert np.array_equal(finals[idx], want)

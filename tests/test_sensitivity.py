@@ -1,10 +1,13 @@
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from nocgf import sensitivity
 from nocgf.control import NOMINAL_PARAMS
-from nocgf.metrics import gate_target
+from nocgf.metrics import gate_target, trace_p
 from nocgf.noc import improve_gate
-from nocgf.propagate import TimeGrid
+from nocgf.propagate import TimeGrid, propagate_sweep
 from nocgf.sensitivity import parameter_ulp, run_sensitivity
 
 
@@ -45,19 +48,46 @@ def test_unknown_parameter_rejected(hadamard_40k):
 
 def test_zero_row_reuses_improve_result_on_its_grid(monkeypatch, hadamard_40k):
     res = hadamard_40k
-    propagated = []
+    finals, integrations = [], []
+    propagate = sensitivity.propagate
 
-    def counting(fn):
-        def wrapped(pp, grid, *args, **kwargs):
-            propagated.append((pp.lam, grid))
-            return fn(pp, grid, *args, **kwargs)
-        return wrapped
+    def counting_finals(p, grid, delta_f, weights):
+        finals.append((np.asarray(p.lam), grid, np.asarray(weights)))
+        return propagate_finals(p, grid, delta_f, weights)
 
-    monkeypatch.setattr(sensitivity.propagate, "propagate_sweep",
-                        counting(sensitivity.propagate.propagate_sweep))
+    def counting_integrate(afun, grid, dim, batch=(), *args, **kwargs):
+        integrations.append((grid, batch, kwargs.get("store")))
+        return integrate(afun, grid, dim, batch, *args, **kwargs)
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("run_sensitivity integrates no single sweep")
+
+    propagate_finals, integrate = propagate.propagate_finals, propagate._integrate
+    monkeypatch.setattr(propagate, "propagate_finals", counting_finals)
+    monkeypatch.setattr(propagate, "_integrate", counting_integrate)
+    monkeypatch.setattr(propagate, "propagate_sweep", no_sweep)
     rows = run_sensitivity(res, "lam")
     assert [r.value for r in rows] == pytest.approx([7.819, 7.820, 7.821], abs=1e-12)
-    # two sweeps per perturbed row, all on the improve result's grid
-    assert [lam for lam, _ in propagated].count(res.params.lam) == 0
-    assert len(propagated) == 4
-    assert all(grid == res.control.grid for _, grid in propagated)
+    # one final-only integration of 4 members, (-1, +1 ULP) x (with, without
+    # the correction), on the improve result's grid; none at the unperturbed
+    # value, whose row is the improve result's own
+    assert integrations == [(res.control.grid, (2, 2), "final")]
+    ((lam, grid, weights),) = finals
+    assert grid == res.control.grid
+    assert lam.shape == (2, 1) and res.params.lam not in lam
+    assert np.broadcast_shapes(lam.shape, weights.shape) == (2, 2)
+    assert np.array_equal(weights, [1.0, 0.0])
+
+
+def test_perturbed_rows_match_separate_sweeps(hadamard_40k):
+    # the batched finals are those of the four separate grid-stored sweeps
+    res = hadamard_40k
+    rows = run_sensitivity(res, "eta4")
+    grid, delta_f = res.control.grid, res.control.samples
+    target = res.gate.sweep_unitary
+    for row in (rows[0], rows[2]):
+        pp = replace(res.params, eta4=row.value)
+        with_noc = propagate_sweep(pp, grid, delta_f).final
+        without = propagate_sweep(pp, grid).final
+        assert row.trp_with_noc == trace_p(with_noc, target)
+        assert row.trp_without_noc == trace_p(without, target)
