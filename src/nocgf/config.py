@@ -18,9 +18,6 @@ from .propagate import DEFAULT_STEPS_1Q, DEFAULT_STEPS_2Q, TimeGrid
 
 DEFAULT_SEED = 20260808
 
-_SWEEP_KEYS_1Q = {"lam", "eta4", "tau0"}
-_SWEEP_KEYS_2Q = _SWEEP_KEYS_1Q | {"d1", "d2", "d3", "d4", "c4"}
-
 
 class ConfigError(ValueError):
     """Configuration file or override is invalid."""
@@ -110,14 +107,14 @@ def _validate(cfg: dict) -> None:
         path = f"sweep_overrides.{gname}"
         if not isinstance(over, dict):
             raise ConfigError(f"{path} must be an object")
-        allowed = _SWEEP_KEYS_1Q if gname != "cphase" else _SWEEP_KEYS_2Q
-        _check_keys(over, allowed, path)
+        base = NOMINAL_PARAMS[gname]
+        _check_keys(over, [f.name for f in dataclasses.fields(base)], path)
         for key, value in over.items():
             if not _is_real(value):
                 raise ConfigError(f"{path}.{key} must be a finite number, got {value!r}")
         # the SweepParams constructor checks the ranges
         try:
-            dataclasses.replace(NOMINAL_PARAMS[gname], **over)
+            dataclasses.replace(base, **over)
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from None
 

@@ -18,7 +18,7 @@ conjugation for both system sizes, and as the generator's tested reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,19 +49,10 @@ P_E4_DIABATIC[2, 2] = 1.0
 
 
 def _check_positive(p, names) -> None:
-    """Reject fields whose shapes do not broadcast, and a field with a
-    member that is not finite and > 0, named as a scalar field would be."""
-    _field_batch(p)
     for name in names:
-        v = np.asarray(getattr(p, name))
-        bad = ~(np.isfinite(v) & (v > 0))
-        if np.any(bad):
-            raise ValueError(f"{name} must be finite and > 0, got {v[bad].flat[0]}")
-
-
-def _field_batch(p) -> tuple:
-    """Broadcast shape of the fields of sweep parameters: () for one sweep."""
-    return np.broadcast_shapes(*(np.shape(getattr(p, f.name)) for f in fields(p)))
+        v = getattr(p, name)
+        if not (np.isfinite(v) and v > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {v}")
 
 
 @dataclass(frozen=True)
@@ -69,10 +60,6 @@ class SweepParams1Q:
     """Dimensionless sweep parameters of a one-qubit gate.
 
     lam   inversion rate, eta4 quartic twist strength, tau0 inversion time.
-
-    Fields may be arrays: then the parameters are a batch of sweeps of
-    shape batch, the broadcast of the fields' shapes (() for one sweep),
-    and every member is validated as a scalar field is.
     """
 
     lam: float
@@ -81,8 +68,6 @@ class SweepParams1Q:
 
     def __post_init__(self):
         _check_positive(self, ("lam", "eta4", "tau0"))
-
-    batch = property(_field_batch)
 
     @property
     def qubits(self) -> int:
@@ -98,8 +83,7 @@ class SweepParams2Q:
     """Dimensionless sweep parameters of the two-qubit gate.
 
     d1..d4 are the Larmor mismatch, detuning, drive-ratio and Ising
-    couplings; c4 is the degeneracy-breaking strength.  Fields may be
-    arrays, as in SweepParams1Q.
+    couplings; c4 is the degeneracy-breaking strength.
     """
 
     lam: float
@@ -114,12 +98,10 @@ class SweepParams2Q:
     def __post_init__(self):
         _check_positive(self, ("lam", "eta4", "tau0"))
         for name in ("d1", "d2", "d3", "d4", "c4"):
-            if not np.all(np.isfinite(getattr(self, name))):
+            if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if np.any(np.asarray(self.d3) == 1.0):
+        if self.d3 == 1.0:
             raise ValueError("d3 = 1 is a pole of the two-qubit couplings")
-
-    batch = property(_field_batch)
 
     @property
     def qubits(self) -> int:
@@ -145,9 +127,6 @@ NOMINAL_PARAMS = {
 def twist_phase(tau, p, noise=0.0):
     """Quartic twist phase phi4(tau) = (eta4 / 2 lam) tau^4 plus noise, an
     additive phase offset (a scalar or an array broadcasting against tau).
-    Batched parameters broadcast against tau as numpy broadcasts: eta4 of
-    shape (2, 1, 1, 1) at times (rows, steps) gives a (2, 1, rows, steps)
-    phase (see _times_last_params).
 
     tau^4 is the product (tau tau)(tau tau): exactly even in tau, within a
     few ulp of tau**4, and on a 16k-sample chunk 0.02 ms against 1.4 ms for
@@ -213,20 +192,16 @@ def sweep_hamiltonian(tau, p, noise=0.0) -> np.ndarray:
     return two_qubit_hamiltonian(tau, p, noise)
 
 
-def generator(tau, p, dfi=None, phase=None) -> np.ndarray:
+def generator(tau, p, dfi=None, phase=None, out=None) -> np.ndarray:
     """Generator A = -i (H0 + sum_j dfi_j G_j) of i U' = H U, component-major.
 
     tau has any shape T (the integrator passes (rows, steps)); dfi, the
-    control modification at those times, has shape (*T, *cbatch, 3) or is
-    None; phase is the twist phase with any noise already added, shape
-    (*T, *pbatch), and defaults to the noise-free twist_phase of p.  The
-    batch is the broadcast of cbatch, pbatch and p.batch (batched sweep
-    parameters), each aligned to its trailing axes: sweeps that differ in
-    their parameters and in their control share one call, and cos and sin
-    are taken once per member of the phase.  Returns a contiguous
-    (n, n, *T, *batch) array: entry (i, k) of A is the array out[i, k]
-    over the times (see propagate, which consumes this layout without a
-    copy).
+    control modification at those times, has shape (*T, 3) or is None;
+    phase is the twist phase with any noise already added, shape T, and
+    defaults to the noise-free twist_phase.  Returns the (n, n, *T) array
+    out (a new contiguous one when None): entry (i, k) of A is the array
+    out[i, k] over the times (see propagate, which consumes this layout
+    without a copy, and writes a batch member by member into its slabs).
 
     The entries are written straight from the scalar series that define the
     operator, with no dense per-term stacks.  One qubit: A = i f.sigma with
@@ -237,40 +212,20 @@ def generator(tau, p, dfi=None, phase=None) -> np.ndarray:
     (1,0), (3,2) with L2 = -(1/lam) e^{i phi} + w e^{i th2 tau}, where
     w = dfi_1 + i dfi_2 and th1, th2 are the coupling_matrices angles; the
     upper entries are conjugates and (0,3), (1,2), (2,1), (3,0) are 0.
-    Noise enters only through phase, so a batch of realizations costs one
-    (T, B) phase array.  Agrees with -1j * (sweep_hamiltonian(tau, p, noise)
+    Agrees with -1j * (sweep_hamiltonian(tau, p, noise)
     + einsum(dfi, coupling_matrices(p, tau))) to roundoff.
-
-    The series are combined batch-major, (*batch, *T), and written to out
-    through that view: with the batch axes last, numpy loops over a few
-    members at a time where series of different batch axes meet (one sum
-    of (4, 4097, 2, 1) and (4, 4097, 1, 2) series: 0.67 ms, against
-    0.03 ms batch-major; 2 vCPUs, numpy 2.4.6).
     """
     tau = np.asarray(tau, dtype=float)
-    nt = tau.ndim
-
-    def times_last(x):
-        # view (*T, *xbatch) as (*xbatch, *T)
-        return np.moveaxis(x, range(nt), range(x.ndim - nt, x.ndim))
-
-    batch = p.batch
-    p = _times_last_params(p, nt)
-    if phase is None:
-        phase = twist_phase(tau, p)
-    else:
-        phase = times_last(np.asarray(phase, dtype=float))
-    df, cbatch = None, ()
+    phase = twist_phase(tau, p) if phase is None else np.asarray(phase, dtype=float)
+    df = None
     if dfi is not None:
         dfi = np.asarray(dfi, dtype=float)
-        cbatch = dfi.shape[nt:-1]
-        df = [times_last(dfi[..., j]) for j in range(3)]
-    batch = np.broadcast_shapes(phase.shape[:phase.ndim - nt], cbatch, batch)
+        df = [dfi[..., j] for j in range(3)]
     c, s = np.cos(phase), np.sin(phase)
     n = p.dim
-    out = np.empty((n, n, *tau.shape, *batch), dtype=complex)
-    re, im = (np.moveaxis(x, range(2, 2 + nt), range(x.ndim - nt, x.ndim))
-              for x in (out.real, out.imag))
+    if out is None:
+        out = np.empty((n, n, *tau.shape), dtype=complex)
+    re, im = out.real, out.imag
 
     if p.qubits == 1:
         # f1 + i f2 and f3; A00 = i f3, A10 = i (f1 + i f2), A01 = i conj(.)
@@ -318,16 +273,6 @@ def generator(tau, p, dfi=None, phase=None) -> np.ndarray:
     for r, col in ((0, 3), (1, 2), (2, 1), (3, 0)):
         out[r, col] = 0.0
     return out
-
-
-def _times_last_params(p, nt: int):
-    """Batched parameters with nt unit axes after every field, to broadcast
-    against series of shape (*batch, *T); unbatched ones as they are."""
-    if not p.batch:
-        return p
-    return replace(p, **{f.name: np.reshape(getattr(p, f.name),
-                                            np.shape(getattr(p, f.name)) + (1,) * nt)
-                         for f in fields(p)})
 
 
 def _coupling_angles(p: SweepParams2Q):

@@ -174,10 +174,13 @@ def cayley_klein_expand(x: np.ndarray, out: np.ndarray | None = None) -> np.ndar
         out = np.empty((*alpha.shape, 2, 2), dtype=complex)
     out[..., 0, 0] = alpha
     out[..., 1, 0] = beta
-    np.negative(beta.real, out=out[..., 0, 1].real)
+    # not np.negative: in numpy 2.4.6 its float64 loop writes wrong values
+    # to a strided output when the input's stride is exactly 8 elements,
+    # as beta.real's is for first columns 4 complex entries apart
+    np.multiply(beta.real, -1.0, out=out[..., 0, 1].real)
     out[..., 0, 1].imag = beta.imag
     out[..., 1, 1].real = alpha.real
-    np.negative(alpha.imag, out=out[..., 1, 1].imag)
+    np.multiply(alpha.imag, -1.0, out=out[..., 1, 1].imag)
     return out
 
 

@@ -48,22 +48,22 @@ composites share the quiet factors.  max|U_2 - U_1| is then the error
 estimate of the refine-1 steps where the noisy generator differs from the
 improved one, and it bounds the reported refine-2 error there (about 1/16
 of it at fourth order).  The quiet steps are the improved sweep's own,
-checked by its unitarity defect, and the defect of the composite is
-checked again.  The estimate must stay within DOUBLING_BUDGET, as the
-defect must within UNITARITY_BUDGET; either check raises AccuracyError
-naming itself.
+checked by its unitarity defect; the defects of the composite and of
+every segment's refine-2 propagators at each of its nodes are checked
+again.  The estimate must stay within DOUBLING_BUDGET, as the defect must
+within UNITARITY_BUDGET; either check raises AccuracyError naming itself.
 
 Memory layout.  The propagators are 2x2 or 4x4, far too small for batched
 `@` to pay off, so the integrator works on component-major stacks: a
-chunk's generator samples live in one (n, n, times, *batch) buffer, and
-every matrix entry is one contiguous vector across the chunk's times.  The
-propagators' generator comes from control.generator already in that
-layout, from scalar series (twist phase, ramps, interpolated control
-modification); noise enters only through the phase series.  The step maps
-and the products between them are formed in an algebra (Algebra): a
-product and an identity on the first k columns of the matrices, one
-contiguous vector per entry.  Two instances share the one step-map formula
-and the one scan:
+chunk's generator samples live in one (n, n, *batch, times) buffer, and
+every matrix entry of every member is one contiguous vector across the
+chunk's times.  The propagators' generator comes from control.generator
+already in that layout, from scalar series (twist phase, ramps,
+interpolated control modification); noise enters only through the phase
+series.  The step maps and the products between them are formed in an
+algebra (Algebra): a product and an identity on the first k columns of
+the matrices, one contiguous vector per entry.  Two instances share the
+one step-map formula and the one scan:
 
 - whole matrices, k = n, by entry arithmetic (lincore.entry_matmul), for
   the 4x4 propagators;
@@ -113,11 +113,14 @@ half steps, runs on twice the steps at one substep each: the same sample
 times and substep size as the grid at two substeps.
 
 Batches.  propagate_finals integrates a batch of sweeps on one grid at
-once: batched sweep parameters and control weights give the generator
-samples trailing batch axes.  Each member keeps the rows, chunks and scan
-of a single sweep, so its final propagator is that sweep's bit for bit,
-but for an ulp after a one-step chunk, where numpy rounds the in-place
-complex product of a one-element array differently.
+once.  Its members are scalar sweeps, each with or without the control
+modification, and only this module knows about batches: the batch axis
+lies ahead of the times, so a member's samples are a slab of the chunk's
+buffer, which one scalar control.generator call writes in place.  Each
+member keeps the rows, chunks and scan of a single sweep, so its final
+propagator is that sweep's bit for bit, but for an ulp after a one-step
+chunk, where numpy rounds the in-place complex product of a single
+sweep's one-element arrays differently.
 """
 
 from __future__ import annotations
@@ -394,10 +397,10 @@ def step_maps(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray, dt,
 
 
 def _blocked_scan(x: np.ndarray, u: np.ndarray, algebra: Algebra) -> np.ndarray:
-    """Ordered products of a stack x (n, k, C, *rest) of algebra elements.
+    """Ordered products of a stack x (n, k, *rest, C) of algebra elements.
 
     u is the start element (n, k, *rest).  Returns the prefix products
-    p[k] = x_k ... x_0 u for every k, component-major (n, k, C, *rest).
+    p[..., k] = x_k ... x_0 u for every k, component-major (n, k, *rest, C).
 
     The C factors are split into about sqrt(C) blocks of consecutive
     factors.  Each in-block position is one vectorized product across all
@@ -407,33 +410,32 @@ def _blocked_scan(x: np.ndarray, u: np.ndarray, algebra: Algebra) -> np.ndarray:
     C.  Each result is a reassociation of the sequential product, so for
     unitary factors it differs from it by roundoff of order C eps.
     """
-    n, k, c = x.shape[:3]
-    rest = x.shape[3:]
+    n, k, *rest, c = x.shape
     width = math.isqrt(c)
     blocks = -(-c // width)
     pad = blocks * width - c
     if pad:
         # identity factors multiply exactly
-        x = np.concatenate([x, algebra.unit((pad, *rest))], axis=2)
-    # y[:, :, j, b] = factor b*width + j, contiguous across the blocks
-    y = np.ascontiguousarray(
-        x.reshape(n, k, blocks, width, *rest).swapaxes(2, 3))
+        x = np.concatenate([x, algebra.unit((*rest, pad))], axis=-1)
+    # y[:, :, j, ..., b] = factor b*width + j: every in-block position is
+    # one contiguous slab across the rest axes and the blocks
+    y = np.ascontiguousarray(np.moveaxis(x.reshape(n, k, *rest, blocks, width), -1, 2))
     for j in range(1, width):
         y[:, :, j] = algebra.product(y[:, :, j], y[:, :, j - 1])
     # a single element per block: one batched `@` of the expanded block
     # total on the offset beats a product call per block
     totals = algebra.expand(y[:, :, width - 1])
-    offsets = np.empty((blocks, *rest, n, k), dtype=complex)
-    offsets[0] = matrix_major(u)
+    offsets = np.empty((*rest, blocks, n, k), dtype=complex)
+    offsets[..., 0, :, :] = matrix_major(u)
     for b in range(1, blocks):
-        offsets[b] = totals[b - 1] @ offsets[b - 1]
+        offsets[..., b, :, :] = totals[..., b - 1, :, :] @ offsets[..., b - 1, :, :]
     p = algebra.product(y, component_major(offsets)[:, :, None])
-    return p.swapaxes(2, 3).reshape(n, k, blocks * width, *rest)[:, :, :c]
+    return np.moveaxis(p, 2, -1).reshape(n, k, *rest, blocks * width)[..., :c]
 
 
 def _sample_rows(afun, grid, c0: int, cs: int, refine: int):
     """Sample rows of steps c0 .. c0 + cs - 1 (see _integrate), and their
-    step sizes, a scalar or shaped to broadcast against a row's stack axes.
+    step sizes, a scalar or one per step along the rows' trailing axis.
 
     afun receives a (rows, steps) time array, row j at j/(2 refine) of the
     way through every step, and the first step's grid index c0 on a
@@ -450,15 +452,15 @@ def _sample_rows(afun, grid, c0: int, cs: int, refine: int):
         s = np.arange(cs + 1) * (2 * refine) + np.arange(2 * refine)[:, None]
         taus = grid.tau_start + c0 * grid.h + s * (grid.h / refine / 2.0)
     x = np.ascontiguousarray(component_major(afun(taus, None if nodes else c0)))
-    rows = [x[:, :, j, :cs] for j in range(2 * refine)]
+    rows = [x[..., j, :cs] for j in range(2 * refine)]
     if nodes:
-        return [*rows, x[:, :, 2 * refine]], dt.reshape(dt.shape + (1,) * (x.ndim - 4))
-    return [*rows, x[:, :, 0, 1:]], grid.h
+        return [*rows, x[..., 2 * refine, :]], dt
+    return [*rows, x[..., 0, 1:]], grid.h
 
 
 def _step_map(rows, dt, refine: int, r: int, algebra: Algebra):
     """The map of every step, the product of its r substep maps (r divides
-    refine), component-major (n, k, steps, *batch).
+    refine), component-major (n, k, *batch, steps).
 
     Substep i reads rows 2wi, 2wi + w and 2w(i + 1), w = refine / r, as its
     start, midpoint and end: a coarser level reads every w-th row.
@@ -483,7 +485,8 @@ def _integrate(afun, grid, dim: int, batch=(), refine=DEFAULT_REFINE,
     (rows, steps) time array, row j at j/(2 refine) of the way through every
     step, so row `refine` is the step midpoint for both kinds of nodes, and
     the grid index c0 of the chunk's first step on a TimeGrid (None on
-    StepNodes); it returns A with shape (*taus.shape, *batch, dim, dim).
+    StepNodes); it returns A with shape (*batch, *taus.shape, dim, dim),
+    a matrix-major view of component-major memory (see Memory layout).
     Every step's map is the product of its substep maps, and a blocked scan
     over the chunk's step maps gives the propagator at every node; this
     path is the same for both storage modes, which only choose what is
@@ -496,13 +499,14 @@ def _integrate(afun, grid, dim: int, batch=(), refine=DEFAULT_REFINE,
     dim x dim matrices only where they are written, so the samples and
     U_final are complex (..., dim, dim) arrays either way.  The returned
     defect is the max-norm of U†U - I at every node, over the batch and
-    (on StepNodes) both levels, measured per chunk on the algebra's
-    elements in both storage modes.
+    (on StepNodes) of the refine level, measured per chunk on the
+    algebra's elements in both storage modes.
 
-    store is "grid" (steps + 1 samples at the nodes) or "final".  StepNodes
-    allow only "final", at an even refine: the same rows are integrated at
-    refine // 2 and at refine, and U_final has shape (2, *batch, dim, dim),
-    in that order.  Returns (samples | None, U_final, defect).
+    store is "grid" (samples (*batch, steps + 1, dim, dim) at the nodes) or
+    "final".  StepNodes allow only "final", at an even refine: the same rows
+    are integrated at refine // 2 and at refine, and U_final has shape
+    (2, *batch, dim, dim), in that order.  Returns (samples | None, U_final,
+    defect).
     """
     if store not in ("grid", "final"):
         raise ValueError(f"store must be 'grid' or 'final', got {store!r}")
@@ -518,18 +522,19 @@ def _integrate(afun, grid, dim: int, batch=(), refine=DEFAULT_REFINE,
     out = None
     defects = []
     if store == "grid":
-        out = np.empty((steps + 1, *batch, dim, dim), dtype=complex)
-        algebra.expand(u, out[0])
+        out = np.empty((*batch, steps + 1, dim, dim), dtype=complex)
+        algebra.expand(u, out[..., 0, :, :])
     for c0 in range(0, steps, chunk):
         cs = min(chunk, steps - c0)
         rows, dt = _sample_rows(afun, grid, c0, cs, refine)
         rows = [x[:, :k] for x in rows]
         m = [_step_map(rows, dt, refine, r, algebra) for r in levels]
-        p = _blocked_scan(np.stack(m, axis=3) if lead else m[0], u, algebra)
+        p = _blocked_scan(np.stack(m, axis=2) if lead else m[0], u, algebra)
         if out is not None:
-            algebra.expand(p, out[c0 + 1:c0 + cs + 1])
-        defects.append(algebra.defect(p))
-        u = p[:, :, -1]
+            algebra.expand(p, out[..., c0 + 1:c0 + cs + 1, :, :])
+        # the defect of the level a noisy run reports, refine, on StepNodes
+        defects.append(algebra.defect(p[:, :, -1] if lead else p))
+        u = p[..., -1]
     return out, algebra.expand(u), float(np.max(defects))
 
 
@@ -538,41 +543,30 @@ def _finish(grid, samples, defect: float) -> Trajectory:
     return Trajectory(grid, samples, defect=defect)
 
 
-def _generator_fun(p, grid: TimeGrid, delta_f=None, noise=None, weights=None):
-    """The afun of _integrate: A(tau) from control.generator, matrix-major.
+def _control_fun(grid: TimeGrid, delta_f):
+    """delta_f (grid samples, shape (steps + 1, 3)) linearly interpolated to
+    the sampler's times: a function (taus, c0) -> (*taus.shape, 3), a view
+    of component-major memory.
 
-    delta_f (grid samples, shape (steps + 1, 3)) is linearly interpolated to
-    the requested times, and scaled by control weights (an array) when
-    given, whose axes become batch axes of A.  On a chunk of grid steps
-    from c0, row j of the (rows, steps) time array lies j/rows of the way
-    through step c0 + s, so
-    there delta_f is f[c0 + s] + (j/rows)(f[c0 + s + 1] - f[c0 + s]): fixed
-    row weights on contiguous slices of the samples, with no search.  The
-    last chunk's end column has no next sample; it takes weight 0, and its
-    rows j > 0 are never read.  StepNodes (c0 None) need not lie on grid
-    steps, so there np.interp takes the general path, on the grid points
-    from the last one at or before the first requested time to the first
-    one after the last (one searchsorted): the brackets np.interp finds,
-    and so its values, are those of the whole grid.
-
-    noise, one noise realization, is held at its value at the step
-    midpoint, the middle row of the time array, throughout the step (meant
-    for StepNodes, where the noise is constant inside every step).  The
-    returned views are component-major underneath, so _integrate copies
-    nothing.
+    On a chunk of grid steps from c0, row j of the (rows, steps) time array
+    lies j/rows of the way through step c0 + s, so there delta_f is
+    f[c0 + s] + (j/rows)(f[c0 + s + 1] - f[c0 + s]): fixed row weights on
+    contiguous slices of the samples, with no search.  The last chunk's end
+    column has no next sample; it takes weight 0, and its rows j > 0 are
+    never read.  StepNodes (c0 None) need not lie on grid steps, so there
+    np.interp takes the general path, on the grid points from the last one
+    at or before the first requested time to the first one after the last
+    (one searchsorted): the brackets np.interp finds, and so its values,
+    are those of the whole grid.
     """
-    if delta_f is not None:
-        delta_f = np.asarray(delta_f, dtype=float)
-        if delta_f.shape != (grid.steps + 1, 3):
-            raise ValueError(
-                f"delta_f must have shape ({grid.steps + 1}, 3), got {delta_f.shape}"
-            )
+    delta_f = np.asarray(delta_f, dtype=float)
+    if delta_f.shape != (grid.steps + 1, 3):
+        raise ValueError(
+            f"delta_f must have shape ({grid.steps + 1}, 3), got {delta_f.shape}"
+        )
     points = None       # the grid points, for np.interp on StepNodes
 
     def interpolate(taus, c0):
-        """delta_f at taus, times the weights if any, shape (*taus.shape,
-        *weights.shape, 3): a view of (3, *weights.shape, *taus.shape)
-        memory, batch-major as control.generator combines the series."""
         nonlocal points
         if c0 is None:
             if points is None:
@@ -590,14 +584,25 @@ def _generator_fun(p, grid: TimeGrid, delta_f=None, noise=None, weights=None):
             np.subtract(hi, lo[:len(hi)], out=diff[:len(hi)])
             comps = diff.T[:, None, :] * (np.arange(rows) / rows)[:, None]
             comps += lo.T[:, None, :]
-        wn = 0
-        if weights is not None:
-            wn = weights.ndim
-            comps = comps.reshape(3, *(1,) * wn, *taus.shape) * weights[..., None, None]
-        return comps.transpose(*range(wn + 1, wn + 3), *range(1, wn + 1), 0)
+        return np.moveaxis(comps, 0, -1)
+
+    return interpolate
+
+
+def _generator_fun(p, grid: TimeGrid, delta_f=None, noise=None):
+    """The afun of _integrate for one sweep: A(tau) from control.generator,
+    matrix-major, with delta_f interpolated by _control_fun when given.
+
+    noise, one noise realization, is held at its value at the step
+    midpoint, the middle row of the time array, throughout the step (meant
+    for StepNodes, where the noise is constant inside every step).  The
+    returned views are component-major underneath, so _integrate copies
+    nothing.
+    """
+    interpolate = None if delta_f is None else _control_fun(grid, delta_f)
 
     def afun(taus, c0):
-        dfi = None if delta_f is None else interpolate(taus, c0)
+        dfi = None if interpolate is None else interpolate(taus, c0)
         phase = None
         if noise is not None:
             phase = control.twist_phase(taus, p) + noise.evaluate(taus[len(taus) // 2])
@@ -613,7 +618,7 @@ def propagate_sweep(p, grid: TimeGrid | None = None, delta_f=None, *,
     H is the nominal sweep Hamiltonian, plus the control modification when
     delta_f is given: the three real field-modification components at the
     grid points, linearly interpolated to the substep sample times by fixed
-    row weights (see _generator_fun).  refine is the number of substeps per
+    row weights (see _control_fun).  refine is the number of substeps per
     grid step.  Raises AccuracyError when the unitarity defect exceeds
     UNITARITY_BUDGET.
     """
@@ -623,23 +628,31 @@ def propagate_sweep(p, grid: TimeGrid | None = None, delta_f=None, *,
     return _finish(grid, out, defect)
 
 
-def propagate_finals(p, grid: TimeGrid, delta_f, weights) -> np.ndarray:
-    """Final propagators (*batch, n, n) of a batch of sweeps on one grid,
-    in one integration.
+def propagate_finals(members, grid: TimeGrid, delta_f) -> np.ndarray:
+    """Final propagators (len(members), n, n) of a batch of sweeps on one
+    grid, in one integration.
 
-    p may carry batch axes (p.batch), and delta_f (grid samples, shape
-    (steps + 1, 3)) enters member w scaled by the control weight
-    weights[w]: weights [1, 0] pairs each sweep with and without it.  The
-    batch is the broadcast of p.batch and weights.shape.  A member of
-    weight 1 has the final of propagate_sweep(member, grid, delta_f), one
-    of weight 0 that of propagate_sweep(member, grid) (see Batches above).
-    The defect is checked at every grid point of every member: AccuracyError
+    members is a list of (p, controlled) pairs: sweep parameters of one
+    system size, and whether the control modification delta_f (grid
+    samples, shape (steps + 1, 3)) enters.  delta_f is interpolated once per
+    chunk, and each member's generator is written by one control.generator
+    call into its own slab of the chunk's samples.  Member (p, True) has
+    the final of propagate_sweep(p, grid, delta_f) bit for bit, and
+    (p, False) that of propagate_sweep(p, grid) (see Batches above).  The
+    defect is checked at every grid point of every member: AccuracyError
     when it exceeds UNITARITY_BUDGET.
     """
-    weights = np.asarray(weights, dtype=float)
-    batch = np.broadcast_shapes(p.batch, weights.shape)
-    _, finals, defect = _integrate(_generator_fun(p, grid, delta_f, weights=weights),
-                                   grid, p.dim, batch=batch, store="final")
+    interpolate = _control_fun(grid, delta_f)
+    dim = members[0][0].dim
+
+    def afun(taus, c0):
+        dfi = interpolate(taus, c0)
+        out = np.empty((dim, dim, len(members), *taus.shape), dtype=complex)
+        for b, (p, controlled) in enumerate(members):
+            control.generator(taus, p, dfi if controlled else None, out=out[:, :, b])
+        return matrix_major(out)
+
+    _, finals, defect = _integrate(afun, grid, dim, batch=(len(members),), store="final")
     _check_budget("unitarity defect", defect, UNITARITY_BUDGET)
     return finals
 
@@ -647,7 +660,8 @@ def propagate_finals(p, grid: TimeGrid, delta_f, weights) -> np.ndarray:
 def _noisy_composite(p, improved: Trajectory, delta_f, noise,
                      refine: int = DEFAULT_REFINE):
     """One realization's final propagator at refine // 2 and refine, shape
-    (2, n, n), and the steps of its noisy segments.
+    (2, n, n), the steps of its noisy segments, and the largest unitarity
+    defect of the segments' refine-level propagators at every node.
 
     Each segment is integrated from I on StepNodes (the segment's grid
     points plus the realization's clipped edges inside it), and each quiet
@@ -658,14 +672,15 @@ def _noisy_composite(p, improved: Trajectory, delta_f, noise,
     pts, u_imp, edges = grid.points(), improved.unitaries, noise.edges()
     afun = _generator_fun(p, grid, delta_f, noise)
     u = np.broadcast_to(np.eye(p.dim, dtype=complex), (2, p.dim, p.dim))
-    steps, prev = 0, 0
+    steps, prev, defects = 0, 0, [0.0]
     for a, b in noisy_segments(grid, edges):
         nodes = StepNodes.with_edges(pts[a:b + 1], edges)
-        _, seg, _ = _integrate(afun, nodes, p.dim, refine=refine, store="final")
+        _, seg, defect = _integrate(afun, nodes, p.dim, refine=refine, store="final")
         u = seg @ (_quiet_factor(u_imp, prev, a) @ u)
         steps += nodes.steps
+        defects.append(defect)
         prev = b
-    return _quiet_factor(u_imp, prev, -1) @ u, steps
+    return _quiet_factor(u_imp, prev, -1) @ u, steps, float(np.max(defects))
 
 
 def _quiet_factor(u: np.ndarray, i: int, j: int) -> np.ndarray:
@@ -692,16 +707,17 @@ def propagate_modified_batch(p, improved: Trajectory, delta_f, noises) -> NoisyF
     step-doubling error estimate, which covers the noisy segments (the
     quiet steps are the improved sweep's own).  A realization without
     pulses returns the improved final propagator, with estimate 0.
-    Raises AccuracyError when the estimate exceeds DOUBLING_BUDGET or the
-    unitarity defect of the composites exceeds UNITARITY_BUDGET.
+    The defect is the largest of the refine-2 composites' and of their
+    noisy segments' at every node.  Raises AccuracyError when the estimate
+    exceeds DOUBLING_BUDGET or the defect exceeds UNITARITY_BUDGET.
     """
     runs = [_noisy_composite(p, improved, delta_f, nz) for nz in noises]
-    coarse, fine = np.stack([u for u, _ in runs], axis=1)
-    defect = unitarity_defect(fine)
+    coarse, fine = np.stack([u for u, _, _ in runs], axis=1)
+    defect = float(np.max([unitarity_defect(fine), *(d for _, _, d in runs)]))
     estimate = float(np.abs(fine - coarse).max())
     _check_budget("unitarity defect", defect, UNITARITY_BUDGET)
     _check_budget("step-doubling error estimate", estimate, DOUBLING_BUDGET)
-    return NoisyFinals(fine, np.array([steps for _, steps in runs]), defect, estimate)
+    return NoisyFinals(fine, np.array([steps for _, steps, _ in runs]), defect, estimate)
 
 
 # Simpson weights of a feedback step's three drive samples: D = diag(1, 4, 1) x I3

@@ -7,8 +7,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from . import metrics, noc, propagate
 from .config import ConfigError
 
@@ -21,10 +19,6 @@ ULP = {
     "cphase": {"lam": 1e-1, "eta4": 1e-5, "d1": 1e-3, "d2": 1e-1,
                "d3": 1e-2, "d4": 1e-4, "c4": 1e-4},
 }
-
-# control weights of the two members at each shift: with and without the
-# frozen correction
-WITH_WITHOUT = np.array([1.0, 0.0])
 
 
 @dataclass(frozen=True)
@@ -58,16 +52,15 @@ def run_sensitivity(improved: noc.ImprovedGateResult, parameter: str):
         raise ValueError(f"unknown sweep parameter {parameter!r}")
     ulp = parameter_ulp(gate.name, parameter)
     base = getattr(p, parameter)
-    shifted = base + np.array([-1.0, 1.0]) * ulp
-    # batch (shift, control): the shift axis of the parameter against the
-    # control weights (with, without)
-    finals = propagate.propagate_finals(
-        replace(p, **{parameter: shifted[:, None]}), improved.control.grid,
-        improved.control.samples, WITH_WITHOUT)
+    low, high = base - ulp, base + ulp
+    members = [(replace(p, **{parameter: value}), controlled)
+               for value in (low, high) for controlled in (True, False)]
+    finals = propagate.propagate_finals(members, improved.control.grid,
+                                        improved.control.samples)
     pairs = [
-        (shifted[0], finals[0, 0], finals[0, 1]),
+        (low, finals[0], finals[1]),
         (base, improved.improved_unitary, improved.nominal_unitary),
-        (shifted[1], finals[1, 0], finals[1, 1]),
+        (high, finals[2], finals[3]),
     ]
     return [
         SensitivityRow(

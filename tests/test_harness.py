@@ -48,6 +48,13 @@ def test_unknown_keys_rejected():
         config_from_dict({"noise": {"power": 0.001}})
     with pytest.raises(ConfigError):
         config_from_dict({"sweep_overrides": {"hadamard": {"d9": 1.0}}})
+    # the allowed keys are the fields of the gate's sweep parameters: a
+    # two-qubit field is unknown for a one-qubit gate
+    with pytest.raises(ConfigError, match=r"^unknown key\(s\) sweep_overrides\.hadamard\.c4, "
+                                          r"sweep_overrides\.hadamard\.d1$"):
+        config_from_dict({"sweep_overrides": {"hadamard": {"d1": 1.0, "c4": 0.0}}})
+    cfg = config_from_dict({"sweep_overrides": {"cphase": {"d1": 1.0, "c4": 0.0}}})
+    assert cfg.params_for("cphase").d1 == 1.0
 
 
 def test_range_validation():

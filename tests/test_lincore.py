@@ -9,6 +9,7 @@ from nocgf.lincore import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    cayley_klein_expand,
     hermitize,
     pauli_coordinates,
     unitarity_defect,
@@ -137,3 +138,22 @@ def test_pauli_coordinates_report_an_anti_hermitian_part(seed, log_scale, n):
 def test_pauli_coordinates_reject_other_lengths():
     with pytest.raises(ValueError, match="4x4"):
         pauli_coordinates(np.zeros((3, 9), dtype=complex))
+
+
+@pytest.mark.parametrize("stride", range(1, 9))
+def test_cayley_klein_expand_of_strided_first_columns(stride):
+    # first columns whose elements lie `stride` complex entries apart, as
+    # the last column p[..., -1] of a scan over `stride` steps is; numpy
+    # 2.4.6's float64 np.negative writes wrong values to the strided
+    # output for an input stride of 8 doubles (stride 4 here)
+    rng = np.random.default_rng(stride)
+    shape = (2, 1, 3, stride)
+    p = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    columns = p[..., -1]
+    want = cayley_klein_expand(np.ascontiguousarray(columns))
+    assert np.array_equal(cayley_klein_expand(columns), want)
+    out = np.empty_like(want)
+    assert cayley_klein_expand(columns, out) is out and np.array_equal(out, want)
+    alpha, beta = np.ascontiguousarray(columns)[:, 0]
+    assert np.array_equal(want, np.stack([np.stack([alpha, -np.conj(beta)], -1),
+                                          np.stack([beta, np.conj(alpha)], -1)], -2))

@@ -3,7 +3,7 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nocgf import propagate
@@ -367,7 +367,7 @@ def test_edge_aligned_batch_error_stays_within_its_estimate():
 
     # the same segments and quiet factors, with the segments at refine 16
     runs = [_noisy_composite(SHORT_HAD, improved, delta_f, nz) for nz in noises]
-    r1, r2 = np.stack([u for u, _ in runs], axis=1)
+    r1, r2 = np.stack([u for u, _, _ in runs], axis=1)
     ref = np.stack([_noisy_composite(SHORT_HAD, improved, delta_f, nz, refine=16)[0][1]
                     for nz in noises])
     assert np.array_equal(r2, res.unitaries)
@@ -394,7 +394,7 @@ def test_noisy_composite_matches_a_whole_sweep_edge_aligned_run(level):
         nodes = StepNodes.with_edges(grid.points(), nz.edges())
         _, whole, _ = _integrate(_generator_fun(SHORT_HAD, grid, delta_f, nz), nodes, 2,
                               refine=2, store="final")
-        composite, steps = _noisy_composite(SHORT_HAD, improved, delta_f, nz)
+        composite, steps, _ = _noisy_composite(SHORT_HAD, improved, delta_f, nz)
         assert steps < nodes.steps
         # roundoff of the solved quiet factors and of the sample times;
         # measured at most 2.1e-15
@@ -519,13 +519,60 @@ def test_final_storage_measures_the_defect_of_every_prefix(dim):
 def test_checked_finals_raise_on_a_defect_a_later_chunk_cancels(monkeypatch, dim):
     p = SHORT_HAD if dim == 2 else NOMINAL_PARAMS["cphase"]
     grid = TimeGrid(p.tau0, 5 * propagate.CHUNK)
-    afun = _cancelling_generator(dim, propagate.CHUNK, eps=1e-4)
-    monkeypatch.setattr(propagate, "_generator_fun", lambda *args, **kwargs: afun)
+    cancelling = _cancelling_generator(dim, propagate.CHUNK, eps=1e-4)
+    integrate = propagate._integrate
+
+    def with_cancelling_generator(afun, grid, dim, batch=(), *args, **kwargs):
+        # the cancelling generator in place of every member's
+        def every_member(taus, c0):
+            return np.broadcast_to(cancelling(taus, c0), (*batch, *taus.shape, dim, dim))
+
+        return integrate(every_member, grid, dim, batch, *args, **kwargs)
+
+    monkeypatch.setattr(propagate, "_integrate", with_cancelling_generator)
+    members = [(p, True), (p, False)]
     for run in (lambda: propagate_sweep(p, grid),
-                lambda: propagate_finals(p, grid, np.zeros((grid.steps + 1, 3)), [1.0])):
+                lambda: propagate_finals(members, grid, np.zeros((grid.steps + 1, 3)))):
         with pytest.raises(AccuracyError, match="unitarity defect") as err:
             run()
         assert err.value.value > 1e-4
+
+
+def test_noisy_runs_check_the_defect_inside_their_segments(monkeypatch):
+    # a noisy generator of +eps I in the first half of the segment's steps
+    # and -eps I in the second: the segment's final is I to roundoff and the
+    # composite as unitary as the improved trajectory, but the propagators
+    # inside the segment grow by about eps tau_f away from unitarity
+    grid = TimeGrid(SHORT_HAD.tau0, 400)
+    delta_f = _short_control(grid)
+    improved = propagate_sweep(SHORT_HAD, grid, delta_f)
+    pulse = NoiseRealization(centers=np.array([0.0]), amplitudes=np.array([0.3]),
+                             scale=1.0, tau_f=0.52, tau0=SHORT_HAD.tau0, mean_power=1e-3)
+    eps = 1e-2
+
+    def growing_then_shrinking(*args, **kwargs):
+        def afun(taus, c0):
+            # every row of a step takes the sign at its midpoint, which the
+            # pulse's symmetric nodes split into equal halves
+            sign = -np.sign(taus[len(taus) // 2])
+            return np.broadcast_to(sign[:, None, None] * eps * np.eye(2),
+                                   (*taus.shape, 2, 2)).astype(complex)
+
+        return afun
+
+    (seg,) = noisy_segments(grid, pulse.edges())
+    nodes = StepNodes.with_edges(grid.points()[seg[0]:seg[1] + 1], pulse.edges())
+    _, seg_finals, seg_defect = _integrate(growing_then_shrinking(), nodes, 2,
+                                           refine=2, store="final")
+    assert nodes.steps % 2 == 0
+    assert np.abs(seg_finals - np.eye(2)).max() <= 1e-14
+    monkeypatch.setattr(propagate, "_generator_fun", growing_then_shrinking)
+    composite, _, defect = _noisy_composite(SHORT_HAD, improved, delta_f, pulse)
+    assert propagate.unitarity_defect(composite) <= propagate.UNITARITY_BUDGET
+    assert defect == seg_defect > 0.5 * eps * pulse.tau_f
+    with pytest.raises(AccuracyError, match="unitarity defect") as err:
+        propagate_modified_batch(SHORT_HAD, improved, delta_f, [pulse])
+    assert err.value.check == "unitarity defect" and err.value.value == defect
 
 
 # short sweeps: with steps >= tau0 the coarse maps stay finite
@@ -538,40 +585,46 @@ params_2q = st.builds(
     c4=st.floats(-6.0, 6.0))
 
 
+def _members(params):
+    return st.lists(st.tuples(params, st.booleans()), min_size=1, max_size=4)
+
+
+SHORT_CP = dataclasses.replace(NOMINAL_PARAMS["cphase"], tau0=12.0)
+
+
 @settings(max_examples=30, deadline=None)
-@given(p=st.one_of(params_1q, params_2q), data=st.data(),
-       shape=st.sampled_from([(4,), (2, 2)]), steps=st.integers(12, 120),
-       chunk=st.integers(1, 50), seed=st.integers(0, 2**32 - 1))
-def test_batched_finals_equal_separate_sweeps(p, data, shape, steps, chunk, seed):
-    fields = ["lam", "eta4"] + (["d1", "d2", "d3", "d4", "c4"] if p.qubits == 2 else [])
-    name = data.draw(st.sampled_from(fields))
-    rng = np.random.default_rng(seed)
-    grid = TimeGrid(p.tau0, steps)
-    delta_f = 0.05 * rng.normal(size=(steps + 1, 3))
-    base = getattr(p, name)
-    # (4,): four parameter values, each with its own control weight; (2, 2):
-    # two values against the control weights [1, 0], as run_sensitivity
-    shifts = 1.0 + 0.01 * rng.uniform(-1.0, 1.0, size=shape[0])
-    values = base * shifts if shape == (4,) else (base * shifts)[:, None]
-    weights = np.array([1.0, 0.0, 1.0, 0.0] if shape == (4,) else [1.0, 0.0])
-    batched = dataclasses.replace(p, **{name: values})
+@given(members=st.one_of(_members(params_1q), _members(params_2q)),
+       chunk=st.integers(9, 40), full=st.integers(1, 3), last=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1))
+@example(members=[(SHORT_HAD, True), (SHORT_HAD, False),
+                  (dataclasses.replace(SHORT_HAD, lam=7.821), True),
+                  (dataclasses.replace(SHORT_HAD, eta4=1.8e-4), False)],
+         chunk=16, full=2, last=4, seed=0)
+@example(members=[(SHORT_CP, True), (dataclasses.replace(SHORT_CP, d1=11.703), False),
+                  (dataclasses.replace(SHORT_CP, c4=5.0004), True)],
+         chunk=9, full=1, last=4, seed=1)
+@example(members=[(SHORT_HAD, True)], chunk=9, full=3, last=1, seed=2)
+def test_batched_finals_equal_separate_sweeps(members, chunk, full, last, seed):
+    # random members of one system size, each with or without the control;
+    # chunks that leave a last chunk of 1 to 8 steps
+    steps = full * chunk + last
+    grid = TimeGrid(members[0][0].tau0, steps)
+    delta_f = 0.05 * np.random.default_rng(seed).normal(size=(steps + 1, 3))
+    dim = members[0][0].dim
     with pytest.MonkeyPatch.context() as mp:
-        # coarse grids are far from unitary; chunks that leave a partial one
+        # coarse grids are far from unitary
         mp.setattr(propagate, "UNITARITY_BUDGET", np.inf)
         mp.setattr(propagate, "_integrate", functools.partial(_integrate, chunk=chunk))
-        finals = propagate_finals(batched, grid, delta_f, weights)
-        assert finals.shape == (*shape, p.dim, p.dim)
-        for idx in np.ndindex(shape):
-            member = dataclasses.replace(p, **{name: float(np.broadcast_to(values, shape)[idx])})
-            weight = np.broadcast_to(weights, shape)[idx]
-            want = propagate_sweep(member, grid, delta_f if weight else None).final
-            if chunk == 1 or steps % chunk == 1:
-                # a one-step chunk of a single sweep multiplies one-element
-                # arrays, and numpy's in-place complex multiply rounds a
-                # single element differently from its vector loop; over 700
-                # random cases the finals differed by at most 5% of this
-                # bound, and never without a one-step chunk
+        finals = propagate_finals(members, grid, delta_f)
+        assert finals.shape == (len(members), dim, dim)
+        for final, (p, controlled) in zip(finals, members):
+            want = propagate_sweep(p, grid, delta_f if controlled else None).final
+            if last == 1 and len(members) > 1:
+                # in a one-step chunk a single sweep's in-place complex
+                # products (lincore.cayley_klein_matmul) act on one-element
+                # arrays, which numpy rounds differently from its vector
+                # loop; the batch's members stay in the vector loop
                 scale = max(1.0, np.abs(want).max())
-                assert np.abs(finals[idx] - want).max() <= steps * 2.3e-16 * scale
+                assert np.abs(final - want).max() <= steps * 2.3e-16 * scale
             else:
-                assert np.array_equal(finals[idx], want)
+                assert np.array_equal(final, want)

@@ -97,11 +97,13 @@ def su2_generators(rng, *stack):
 def test_blocked_scan_matches_sequential_and_tree(seed, n, length, batch):
     factors = unitary_stack(seed, n, length + 1, batch)
     u, factors = factors[0], factors[1:]
-    x = np.ascontiguousarray(np.moveaxis(factors, (-2, -1), (0, 1)))
+    # component-major with the steps last, (n, n, *batch, length)
+    x = np.ascontiguousarray(np.moveaxis(factors, (-2, -1, 0), (0, 1, -1)))
     bound = EPS_BOUND * length
 
-    p = matrix_major(_blocked_scan(x, component_major(u), matrix_algebra(n)))
-    assert p.shape == (length, *batch, n, n)
+    p = _blocked_scan(x, component_major(u), matrix_algebra(n))
+    assert p.shape == (n, n, *batch, length)
+    p = np.moveaxis(matrix_major(p), -3, 0)
     assert np.abs(p - sequential_products(factors, u)).max() <= bound
     assert np.abs(p[-1] - tree_product(factors) @ u).max() <= bound
 
@@ -163,13 +165,15 @@ def test_cayley_klein_step_maps_match_matmul_reference(seed, steps, batch, dt):
 @example(seed=4, length=4096, batch=())
 def test_cayley_klein_scan_matches_sequential(seed, length, batch):
     rng = np.random.default_rng(seed)
-    cols = complex_columns(rng, length + 1, *batch)
+    # steps last, (2, 1, *batch, length + 1)
+    cols = complex_columns(rng, *batch, length + 1)
     cols /= np.sqrt((np.abs(cols) ** 2).sum(axis=0))      # |alpha|² + |beta|² = 1
-    mats = cayley_klein_expand(cols)
-    p = _blocked_scan(np.ascontiguousarray(cols[:, :, 1:]), cols[:, :, 0], CAYLEY_KLEIN)
-    assert p.shape == (2, 1, length, *batch)
+    mats = np.moveaxis(cayley_klein_expand(cols), -3, 0)
+    p = _blocked_scan(np.ascontiguousarray(cols[..., 1:]), cols[..., 0], CAYLEY_KLEIN)
+    assert p.shape == (2, 1, *batch, length)
     want = sequential_products(mats[1:], mats[0])
-    assert np.abs(cayley_klein_expand(p) - want).max() <= EPS_BOUND * length
+    got = np.moveaxis(cayley_klein_expand(p), -3, 0)
+    assert np.abs(got - want).max() <= EPS_BOUND * length
 
 
 @settings(max_examples=40, deadline=None)

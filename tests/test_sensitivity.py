@@ -1,6 +1,5 @@
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from nocgf import sensitivity
@@ -51,9 +50,9 @@ def test_zero_row_reuses_improve_result_on_its_grid(monkeypatch, hadamard_40k):
     finals, integrations = [], []
     propagate = sensitivity.propagate
 
-    def counting_finals(p, grid, delta_f, weights):
-        finals.append((np.asarray(p.lam), grid, np.asarray(weights)))
-        return propagate_finals(p, grid, delta_f, weights)
+    def counting_finals(members, grid, delta_f):
+        finals.append((members, grid, delta_f))
+        return propagate_finals(members, grid, delta_f)
 
     def counting_integrate(afun, grid, dim, batch=(), *args, **kwargs):
         integrations.append((grid, batch, kwargs.get("store")))
@@ -71,12 +70,14 @@ def test_zero_row_reuses_improve_result_on_its_grid(monkeypatch, hadamard_40k):
     # one final-only integration of 4 members, (-1, +1 ULP) x (with, without
     # the correction), on the improve result's grid; none at the unperturbed
     # value, whose row is the improve result's own
-    assert integrations == [(res.control.grid, (2, 2), "final")]
-    ((lam, grid, weights),) = finals
-    assert grid == res.control.grid
-    assert lam.shape == (2, 1) and res.params.lam not in lam
-    assert np.broadcast_shapes(lam.shape, weights.shape) == (2, 2)
-    assert np.array_equal(weights, [1.0, 0.0])
+    assert integrations == [(res.control.grid, (4,), "final")]
+    ((members, grid, delta_f),) = finals
+    assert grid == res.control.grid and delta_f is res.control.samples
+    assert [controlled for _, controlled in members] == [True, False, True, False]
+    lams = [p.lam for p, _ in members]
+    assert lams == [rows[0].value] * 2 + [rows[2].value] * 2
+    assert res.params.lam not in lams
+    assert all(replace(p, lam=res.params.lam) == res.params for p, _ in members)
 
 
 def test_perturbed_rows_match_separate_sweeps(hadamard_40k):
