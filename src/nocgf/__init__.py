@@ -16,10 +16,7 @@ from .control import (
     SweepParams2Q,
     coupling_matrices,
     drive_matrix,
-    one_qubit_field,
-    one_qubit_hamiltonian,
     twist_phase,
-    two_qubit_hamiltonian,
 )
 from .metrics import (
     GATES,
@@ -52,9 +49,7 @@ from .spectral import Spectrum, bandwidth_w01, control_spectrum, to_dimensionful
 __all__ = [
     "__version__",
     "NOMINAL_PARAMS", "SweepParams1Q", "SweepParams2Q",
-    "coupling_matrices", "drive_matrix", "one_qubit_field",
-    "one_qubit_hamiltonian", "twist_phase",
-    "two_qubit_hamiltonian",
+    "coupling_matrices", "drive_matrix", "twist_phase",
     "GATES", "ErrorReport", "GateTarget", "d_star", "error_report",
     "fidelity", "gate_target", "target_offset", "trace_p",
     "ImprovedGateResult", "improve_gate",

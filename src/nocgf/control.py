@@ -1,5 +1,5 @@
-"""Twisted-rapid-passage control fields, sweep Hamiltonians, coupling
-matrices and the drive matrix.
+"""Twisted-rapid-passage sweep parameters, generators, coupling matrices
+and the drive matrix.
 
 All quantities are dimensionless.  A sweep runs over tau in
 [-tau0/2, +tau0/2]; the longitudinal field inverts linearly while the
@@ -11,9 +11,10 @@ The propagators consume the generator A = -i (H0 + sum_j dF_j G_j) from
 `generator`, which writes each matrix entry straight from the few scalar
 series that define it (the twist phase with its noise, the longitudinal
 ramps and the control modification), in the component-major layout of the
-integrator.  The dense forms -- sweep_hamiltonian, two_qubit_hamiltonian,
-coupling_matrices -- stay for the drive matrix, one entry-arithmetic
-conjugation for both system sizes, and as the generator's tested reference.
+integrator.  The two-qubit couplings G_j are written the same way, entry
+by entry from the cos and sin of the frame rotation angles, and the drive
+matrix conjugates them in that layout without a copy.  sweep_hamiltonian
+is the generator's entries viewed as dense (..., n, n) matrices.
 """
 
 from __future__ import annotations
@@ -23,29 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lincore import (
-    ID2,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     component_major,
     entry_matmul,
+    matrix_major,
     unitarity_defect,
 )
-
-# two-qubit Pauli tensors, qubit 1 = left factor
-SX1 = np.kron(SIGMA_X, ID2)
-SY1 = np.kron(SIGMA_Y, ID2)
-SZ1 = np.kron(SIGMA_Z, ID2)
-SX2 = np.kron(ID2, SIGMA_X)
-SY2 = np.kron(ID2, SIGMA_Y)
-SZ2 = np.kron(ID2, SIGMA_Z)
-ZZ = np.kron(SIGMA_Z, SIGMA_Z)
-
-# projector onto |10>, the state the top sweep level connects to away from
-# the edge anticrossings; used by the degeneracy-breaking term (see
-# two_qubit_hamiltonian)
-P_E4_DIABATIC = np.zeros((4, 4), dtype=complex)
-P_E4_DIABATIC[2, 2] = 1.0
 
 
 def _check_positive(p, names) -> None:
@@ -136,60 +122,11 @@ def twist_phase(tau, p, noise=0.0):
     return (p.eta4 / (2.0 * p.lam)) * (t2 * t2) + noise
 
 
-def one_qubit_field(tau, p: SweepParams1Q, noise=0.0) -> np.ndarray:
-    """Control field (cos phi4, -sin phi4, tau)/lam; shape (..., 3).
-
-    The transverse twist sense is the one for which the sweep crosses
-    resonance at tau = 0 and +-1/sqrt(eta4): in the frame co-rotating with
-    the twist, the longitudinal field is (tau - eta4 tau^3)/lam, whose zeros
-    are exactly those times.  The opposite sense has a single resonance and
-    a qualitatively different parameter sensitivity.
-    """
-    tau = np.asarray(tau, dtype=float)
-    phi = twist_phase(tau, p, noise)
-    return np.stack(
-        [np.cos(phi) / p.lam, -np.sin(phi) / p.lam, tau / p.lam], axis=-1
-    )
-
-
-def one_qubit_hamiltonian(f: np.ndarray) -> np.ndarray:
-    """Zeeman form -(f1 sx + f2 sy + f3 sz) for field samples (..., 3)."""
-    f = np.asarray(f)
-    return -(
-        f[..., 0, None, None] * SIGMA_X
-        + f[..., 1, None, None] * SIGMA_Y
-        + f[..., 2, None, None] * SIGMA_Z
-    )
-
-
-def two_qubit_hamiltonian(tau, p: SweepParams2Q, noise=0.0) -> np.ndarray:
-    """Two-qubit sweep Hamiltonian including the c4 degeneracy-breaking term.
-
-    The term is c4 |10><10|: it shifts the z-basis state the top sweep level
-    is connected to away from the edge anticrossings, which reproduces the
-    reference controlled-phase gate.
-    """
-    tau = np.asarray(tau, dtype=float)
-    phi = twist_phase(tau, p, noise)
-    c, s = np.cos(phi), np.sin(phi)
-    z1 = (-(p.d1 + p.d2) / 2.0 + tau / p.lam)[..., None, None]
-    z2 = (-p.d2 / 2.0 + tau / p.lam)[..., None, None]
-    c = c[..., None, None]
-    s = s[..., None, None]
-    return (
-        z1 * SZ1
-        + z2 * SZ2
-        - (p.d3 / p.lam) * (c * SX1 + s * SY1)
-        - (1.0 / p.lam) * (c * SX2 + s * SY2)
-        - (np.pi * p.d4 / 2.0) * ZZ
-    ) + p.c4 * P_E4_DIABATIC
-
-
 def sweep_hamiltonian(tau, p, noise=0.0) -> np.ndarray:
-    """Nominal sweep Hamiltonian for either system at times tau (...,)."""
-    if p.qubits == 1:
-        return one_qubit_hamiltonian(one_qubit_field(tau, p, noise))
-    return two_qubit_hamiltonian(tau, p, noise)
+    """Nominal sweep Hamiltonian H0 = i A of either system at times tau,
+    shape (..., n, n): the generator's entries, with the noise (shaped like
+    tau or a scalar) added to the twist phase."""
+    return 1j * matrix_major(generator(tau, p, phase=twist_phase(tau, p, noise)))
 
 
 def generator(tau, p, dfi=None, phase=None, out=None) -> np.ndarray:
@@ -205,15 +142,18 @@ def generator(tau, p, dfi=None, phase=None, out=None) -> np.ndarray:
 
     The entries are written straight from the scalar series that define the
     operator, with no dense per-term stacks.  One qubit: A = i f.sigma with
-    f = f0 + dfi, whose off-diagonal is built from f1 + i f2 =
+    f = f0 + dfi and f0 = (cos phi, -sin phi, tau)/lam, the twist sense whose
+    co-rotating longitudinal field (tau - eta4 tau^3)/lam crosses resonance
+    at 0 and +-1/sqrt(eta4); the off-diagonal is built from f1 + i f2 =
     exp(-i phi)/lam + (dfi_1 + i dfi_2).  Two qubits (basis index
-    2 q1 + q2): four real diagonal series, the qubit-1 flips (2,0), (3,1)
-    with L1 = -(d3/lam) e^{i phi} + d3 w e^{i th1 tau}, the qubit-2 flips
+    2 q1 + q2): four real diagonal series, the c4 shift on |10> (index 2)
+    among them, the qubit-1 flips (2,0), (3,1) with
+    L1 = -(d3/lam) e^{i phi} + d3 w e^{i th1 tau}, the qubit-2 flips
     (1,0), (3,2) with L2 = -(1/lam) e^{i phi} + w e^{i th2 tau}, where
-    w = dfi_1 + i dfi_2 and th1, th2 are the coupling_matrices angles; the
-    upper entries are conjugates and (0,3), (1,2), (2,1), (3,0) are 0.
-    Agrees with -1j * (sweep_hamiltonian(tau, p, noise)
-    + einsum(dfi, coupling_matrices(p, tau))) to roundoff.
+    w = dfi_1 + i dfi_2 and th1, th2 are the frame rotation rates of
+    _coupling_phases; the upper entries are conjugates and (0,3), (1,2),
+    (2,1), (3,0) are 0.  tests/dense_model.py builds the same operator from
+    Kronecker Paulis, the reference it is tested against.
     """
     tau = np.asarray(tau, dtype=float)
     phase = twist_phase(tau, p) if phase is None else np.asarray(phase, dtype=float)
@@ -253,9 +193,8 @@ def generator(tau, p, dfi=None, phase=None, out=None) -> np.ndarray:
     if df is not None:
         sz = (p.d3 + 1.0, p.d3 - 1.0, 1.0 - p.d3, -p.d3 - 1.0)
         diag = [d + k * df[2] for d, k in zip(diag, sz)]
-        th1, th2 = _coupling_angles(p)
-        for scale, th, lx in ((p.d3, th1, l1), (1.0, th2, l2)):
-            ct, st = np.cos(th * tau), np.sin(th * tau)
+        for scale, (ct, st), lx in zip((p.d3, 1.0), _coupling_phases(p, tau),
+                                       (l1, l2)):
             wr = df[0] * ct - df[1] * st      # w e^{i th tau}
             wi = df[0] * st + df[1] * ct
             lx[0] = lx[0] + scale * wr
@@ -275,20 +214,24 @@ def generator(tau, p, dfi=None, phase=None, out=None) -> np.ndarray:
     return out
 
 
-def _coupling_angles(p: SweepParams2Q):
-    """Frame rotation rates (th1, th2) of the two-qubit couplings."""
+def _coupling_phases(p: SweepParams2Q, tau):
+    """(cos, sin) of th1 tau and of th2 tau, the frame rotations of the
+    qubit-1 and qubit-2 couplings; d1 and d3 fix the rates."""
     th2 = p.d1 / (p.d3 - 1.0)
-    return th2 + p.d1, th2
+    return [(np.cos(th * tau), np.sin(th * tau)) for th in (th2 + p.d1, th2)]
 
 
 def coupling_matrices(p, tau=None) -> np.ndarray:
     """Control coupling matrices G_j = dH/dF_j, stacked as (..., 3, n, n).
 
     One qubit: the constant triple (-sx, -sy, -sz), broadcast read-only
-    over the times.  Two qubits: the
-    tau-dependent triple with the inter-qubit frame rotation angles fixed by
-    d1 and d3 (d3 = 1 is a pole of that parametrization, which SweepParams2Q
-    rejects).
+    over the times.  Two qubits: G_1 and G_2 flip qubit 1 at (2,0), (3,1)
+    with d3 e^{i th1 tau} and i d3 e^{i th1 tau}, and qubit 2 at (1,0),
+    (3,2) with e^{i th2 tau} and i e^{i th2 tau}, the upper entries the
+    conjugates; G_3 is the constant diagonal d3 sz1 + sz2 (d3 = 1 is a pole
+    of the rates, which SweepParams2Q rejects).  Written entry by entry
+    into component-major (4, 4, 3, *T) memory, like generator, and returned
+    as its (*T, 3, 4, 4) view, which drive_matrix reads without a copy.
     """
     if p.qubits == 1:
         g = np.stack([-SIGMA_X, -SIGMA_Y, -SIGMA_Z])
@@ -297,14 +240,23 @@ def coupling_matrices(p, tau=None) -> np.ndarray:
         return np.broadcast_to(g, (*np.shape(tau), 3, 2, 2))
     if tau is None:
         raise ValueError("two-qubit couplings are time dependent; pass tau")
-    th1, th2 = _coupling_angles(p)
     tau = np.asarray(tau, dtype=float)
-    c1, s1 = np.cos(th1 * tau)[..., None, None], np.sin(th1 * tau)[..., None, None]
-    c2, s2 = np.cos(th2 * tau)[..., None, None], np.sin(th2 * tau)[..., None, None]
-    g1 = p.d3 * (c1 * SX1 + s1 * SY1) + (c2 * SX2 + s2 * SY2)
-    g2 = p.d3 * (c1 * SY1 - s1 * SX1) + (c2 * SY2 - s2 * SX2)
-    g3 = np.broadcast_to(p.d3 * SZ1 + SZ2, g1.shape)
-    return np.stack([g1, g2, g3], axis=-3)
+    g = np.zeros((4, 4, 3, *tau.shape), dtype=complex)
+    re, im = g.real, g.imag
+    for scale, (c, s), flips in zip((p.d3, 1.0), _coupling_phases(p, tau),
+                                    (((2, 0), (3, 1)), ((1, 0), (3, 2)))):
+        c, s = scale * c, scale * s
+        for r, col in flips:
+            # G_1: scale e^{i th tau}; G_2: i scale e^{i th tau}
+            re[r, col, 0] = re[col, r, 0] = c
+            im[r, col, 0] = s
+            im[col, r, 0] = -s
+            re[r, col, 1] = re[col, r, 1] = -s
+            im[r, col, 1] = c
+            im[col, r, 1] = -c
+    for k, d in enumerate((p.d3 + 1.0, p.d3 - 1.0, 1.0 - p.d3, -p.d3 - 1.0)):
+        re[k, k, 2] = d
+    return np.moveaxis(g, (2, 0, 1), (-3, -2, -1))
 
 
 def drive_matrix(u0: np.ndarray, couplings: np.ndarray) -> np.ndarray:

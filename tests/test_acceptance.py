@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from nocgf import NOMINAL_PARAMS
-from nocgf.control import coupling_matrices, drive_matrix, sweep_hamiltonian
+from nocgf.control import coupling_matrices, drive_matrix
 from nocgf.lincore import unitarity_defect
 from nocgf.metrics import GATE_ORDER, trace_p
 from nocgf.noc import ENERGY_BALANCE_BUDGET
@@ -26,6 +26,7 @@ from nocgf.propagate import TimeGrid, _integrate
 from nocgf.sensitivity import run_sensitivity
 from nocgf.spectral import bandwidth_w01, control_spectrum, to_dimensionful
 from tests.conftest import ACCEPTANCE_SEED, contracted_drive, random_unitary
+from tests.dense_model import sweep_hamiltonian
 
 NOMINAL_TRP = {"not": 6.27e-5, "hadamard": 1.12e-4, "pi8": 2.13e-4,
                "phase": 4.62e-4, "cphase": 1.27e-3}

@@ -10,14 +10,18 @@ from nocgf.control import (
     coupling_matrices,
     drive_matrix,
     generator,
-    one_qubit_field,
-    one_qubit_hamiltonian,
     sweep_hamiltonian,
     twist_phase,
-    two_qubit_hamiltonian,
 )
 from nocgf.lincore import SIGMA_X, SIGMA_Y, SIGMA_Z, hermitize, vectorize
+from tests import dense_model
 from tests.conftest import random_unitary
+from tests.dense_model import (
+    dense_generator,
+    one_qubit_field,
+    one_qubit_hamiltonian,
+    two_qubit_hamiltonian,
+)
 
 HAD = NOMINAL_PARAMS["hadamard"]
 NOT = NOMINAL_PARAMS["not"]
@@ -236,14 +240,6 @@ def test_resonance_times():
         assert cond(root - 1e-3) * cond(root + 1e-3) < 0
 
 
-def dense_generator(tau, p, dfi=None, noise=0.0):
-    """-i (H0 + sum_j dfi_j G_j) from the dense Hamiltonian and couplings."""
-    h = sweep_hamiltonian(tau, p, noise)
-    if dfi is not None:
-        h = h + np.einsum("tj,tjab->tab", dfi, coupling_matrices(p, tau))
-    return -1j * h
-
-
 unit = st.floats(-1.0, 1.0)
 params_1q = st.builds(SweepParams1Q, lam=st.floats(1.0, 12.0),
                       eta4=st.floats(1e-5, 1e-3), tau0=st.floats(10.0, 200.0))
@@ -285,7 +281,36 @@ def test_generator_matches_dense_oracle(p, seed, with_dfi):
 
 @pytest.mark.parametrize("p", [HAD, CP], ids=["hadamard", "cphase"])
 def test_generator_nominal_is_the_dense_form_exactly(p):
-    # no modification: the same arithmetic as -1j * sweep_hamiltonian
+    # no modification: the same arithmetic as the dense Kronecker form
     tau = np.linspace(-p.tau0 / 2, p.tau0 / 2, 1001)
     a = np.moveaxis(generator(tau, p), (0, 1), (-2, -1))
-    assert np.array_equal(a, -1j * sweep_hamiltonian(tau, p))
+    assert np.array_equal(a, -1j * dense_model.sweep_hamiltonian(tau, p))
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=params_2q, seed=st.integers(0, 2**32 - 1), tau=st.floats(-100.0, 100.0))
+@example(p=CP, seed=0, tau=13.7)
+def test_coupling_matrices_2q_are_the_kronecker_form_exactly(p, seed, tau):
+    rng = np.random.default_rng(seed)
+    taus = rng.uniform(-p.tau0 / 2, p.tau0 / 2, 65)
+    g = coupling_matrices(p, taus)
+    oracle = dense_model.coupling_matrices(p, taus)
+    assert g.shape == oracle.shape == (65, 3, 4, 4)
+    assert np.array_equal(g, oracle)
+    one = coupling_matrices(p, tau)
+    one_oracle = dense_model.coupling_matrices(p, tau)
+    assert one.shape == (3, 4, 4) and np.array_equal(one, one_oracle)
+    u = np.stack([random_unitary(rng, 4) for _ in range(len(taus))])
+    assert np.array_equal(drive_matrix(u, g), drive_matrix(u, oracle))
+    assert np.array_equal(drive_matrix(u[0], one), drive_matrix(u[0], one_oracle))
+
+
+@pytest.mark.parametrize("p", [HAD, CP], ids=["hadamard", "cphase"])
+def test_sweep_hamiltonian_with_noise_matches_the_dense_form(p):
+    rng = np.random.default_rng(11)
+    tau = rng.uniform(-p.tau0 / 2, p.tau0 / 2, 257)
+    noise = rng.uniform(-3.0, 3.0, tau.shape)
+    h = sweep_hamiltonian(tau, p, noise)
+    ref = dense_model.sweep_hamiltonian(tau, p, noise)
+    assert h.shape == ref.shape == (257, p.dim, p.dim)
+    assert np.abs(h - ref).max() <= 1e-14 * np.abs(ref).max()

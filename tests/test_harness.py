@@ -15,6 +15,15 @@ from nocgf.config import (
 )
 
 
+def test_every_public_export_resolves():
+    import nocgf
+
+    # a stale name in __all__ raises AttributeError here
+    assert len(set(nocgf.__all__)) == len(nocgf.__all__)
+    for name in nocgf.__all__:
+        getattr(nocgf, name)
+
+
 def test_default_config_roundtrip():
     cfg = default_config()
     again = config_from_dict(cfg.to_dict())

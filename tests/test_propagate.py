@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nocgf import propagate
-from nocgf.control import NOMINAL_PARAMS, coupling_matrices, sweep_hamiltonian
+from nocgf.control import NOMINAL_PARAMS, coupling_matrices
 from nocgf.lincore import SIGMA_Z, hermitize, vectorize
 from nocgf.noise import NoiseRealization
 from nocgf.propagate import (
@@ -25,6 +25,7 @@ from nocgf.propagate import (
     step_maps,
 )
 from nocgf import drive_matrix
+from tests.dense_model import one_qubit_field, one_qubit_hamiltonian, sweep_hamiltonian
 
 HAD = NOMINAL_PARAMS["hadamard"]
 
@@ -127,8 +128,6 @@ def test_modified_dual_formulation(monkeypatch):
         np.zeros_like(taus),
     ], axis=-1)
     a = propagate_sweep(HAD, grid, df)
-
-    from nocgf.control import one_qubit_field, one_qubit_hamiltonian
 
     def afun(ts, c0):
         f0 = one_qubit_field(ts, HAD)
