@@ -9,9 +9,13 @@ every matrix entry is one vector across the stack.  One-qubit propagators
 also have a Cayley-Klein form (cayley_klein_matmul): a matrix in the real
 span of I, i sigma_x, i sigma_y, i sigma_z is [[alpha, -conj(beta)],
 [beta, conj(alpha)]], fixed by its first column, and products of such
-matrices stay in that span.  pauli_coordinates
-takes column-stacked 2x2 or 4x4 matrices to the real coordinates of their
-Hermitian part in the one- or two-qubit Pauli basis.
+matrices stay in that span.  Like every 2x2 matrix, such an X satisfies
+X^2 = tr X X - det X I, with the real tr X = 2 Re alpha and
+det X = |alpha|^2 + |beta|^2, so a polynomial in one element needs no
+product at all (the integrator's step-map completion uses this).  The
+Cayley-Klein helpers take a bare (2, 1) element as well as stacks.
+pauli_coordinates takes column-stacked 2x2 or 4x4 matrices to the real
+coordinates of their Hermitian part in the one- or two-qubit Pauli basis.
 """
 
 from __future__ import annotations
@@ -147,12 +151,15 @@ def cayley_klein_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     [[alpha, -conj(beta)], [beta, conj(alpha)]]; the product's first column
     is (a0 b0 - conj(a1) b1, a1 b0 + conj(a0) b1), 4 complex multiplies
     where entry_matmul on the whole matrices takes 8.  The stack axes
-    broadcast, and the result is a contiguous complex (2, 1, ...) array.
+    broadcast, and the result is a contiguous complex (2, 1, ...) array; a
+    bare (2, 1) element has no stack axes.
     """
-    a0, a1, b0, b1 = a[0, 0], a[1, 0], b[0, 0], b[1, 0]
+    # with the ellipsis, an entry of a bare element is a writable 0-d view,
+    # not a scalar
+    a0, a1, b0, b1 = a[0, 0, ...], a[1, 0, ...], b[0, 0, ...], b[1, 0, ...]
     first = a0 * b0         # shaped like the broadcast stack axes
     out = np.empty((2, 1, *first.shape), dtype=complex)
-    alpha, beta = out[0, 0], out[1, 0]
+    alpha, beta = out[0, 0, ...], out[1, 0, ...]
     # the other terms are written in place: a temporary per operation costs
     # as much as the operation on a chunk-sized stack
     np.conj(a0, out=alpha)

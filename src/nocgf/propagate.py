@@ -61,12 +61,13 @@ chunk's times.  The propagators' generator comes from control.generator
 already in that layout, from scalar series (twist phase, ramps,
 interpolated control modification); noise enters only through the phase
 series.  The step maps and the products between them are formed in an
-algebra (Algebra): a product and an identity on the first k columns of
-the matrices, one contiguous vector per entry.  Two instances share the
-one step-map formula and the one scan:
+algebra (Algebra): a product, an identity and the step map's degree-5..7
+completion on the first k columns of the matrices, one contiguous vector
+per entry.  Two instances share the one step-map formula and the one
+scan:
 
 - whole matrices, k = n, by entry arithmetic (lincore.entry_matmul), for
-  the 4x4 propagators;
+  the 4x4 propagators; the completion takes four products;
 - one-qubit matrices in Cayley-Klein form, k = 1.  A = i f.sigma lies in
   the real span of I, i sigma_x, i sigma_y, i sigma_z, which is closed
   under products and real combinations, so every step map, prefix product
@@ -74,7 +75,11 @@ one step-map formula and the one scan:
   and is fixed by its first column (alpha, beta), the generator's entries
   [0, 0] and [1, 0].  The product (lincore.cayley_klein_matmul) takes 4
   complex multiplies where entry arithmetic takes 8, and the unitarity
-  defect is max | |alpha|^2 + |beta|^2 - 1 |.
+  defect is max | |alpha|^2 + |beta|^2 - 1 |.  The completion takes no
+  product: by Cayley-Hamilton every power of a 2x2 matrix is a real
+  combination of it and I, with coefficients from its trace and
+  determinant, so a step map takes the three products of its Runge-Kutta
+  stages.
 
 _integrate chooses the algebra from the dimension, and expands elements to
 n x n matrices at one boundary only: when it writes the grid samples or the
@@ -95,17 +100,22 @@ products (lincore.pauli_coordinates), a unitary change of basis in which
 every Hermitian column is real, so the maps are real 16x16 matrices.
 
 Product order.  A step's map is the product of its substep maps, and
-within a chunk the step maps are multiplied by a blocked scan (see
-_blocked_scan): local prefix products inside about sqrt(C) blocks of
-consecutive steps, then the block offsets carried from the chunk's start
-value.  The in-block products are the algebra's; the block totals are
-expanded to matrices once per chunk and carried onto the offsets by one
-small `@` per block.  This reassociates the sequential product
-M_k ... M_1 M_0 U.  For unitary factors both carry roundoff bounded by
-order (factors) x eps, about 1e-11 for a production sweep; measured at the
-production grids, the two differ by 1.8e-14 (hadamard nominal, in
-Cayley-Klein form) to 8e-13 (cphase) in max-norm, far below the 1e-10
-unitarity budget.  The scan is the same for both storage modes, which
+within a chunk the step maps are multiplied by a recursive blocked scan
+(see _blocked_scan): local prefix products inside blocks of SCAN_WIDTH
+consecutive steps, the block totals scanned from the chunk's start value
+by the same scan, then every block's local prefixes multiplied by its
+offset.  The products are the algebra's, each over at least SCAN_WIDTH
+blocks; fewer than 2 SCAN_WIDTH factors are chained instead, by one small
+`@` of the expanded factor per step.  This reassociates the sequential
+product M_k ... M_1 M_0 U.  For unitary factors both carry roundoff
+bounded by order (factors) x eps, about 1e-11 for a production sweep.
+Measured over every grid sample of the production nominal sweeps, the
+scan and a step-by-step product of the same maps differ by 2.7e-14 to
+4.1e-14 for the one-qubit gates (Cayley-Klein form) and by 2.0e-12 for
+cphase, in max-norm, far below the 1e-10 unitarity budget.  Against a
+long-double product, almost all of cphase's 2.0e-12 is a norm drift that
+the step-by-step product (5.6e-14) does not have: near-identity partial
+products round with a bias.  The scan is the same for both storage modes, which
 only choose what is written: the grid samples, or the final propagator,
 the last of them.  Both measure the unitarity defect of every chunk's
 prefix products.  Strategy 2's nominal sweep, which needs samples at the
@@ -119,14 +129,14 @@ lies ahead of the times, so a member's samples are a slab of the chunk's
 buffer, which one scalar control.generator call writes in place.  Each
 member keeps the rows, chunks and scan of a single sweep, so its final
 propagator is that sweep's bit for bit, but for an ulp after a one-step
-chunk, where numpy rounds the in-place complex product of a single
-sweep's one-element arrays differently.
+chunk, where numpy rounds the step maps' in-place complex products of a
+single sweep's one-element arrays differently (the scan multiplies no
+stack that short).
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -155,6 +165,8 @@ UNITARITY_BUDGET = 1e-10
 # 8e-6 at the production grids.
 DOUBLING_BUDGET = 1e-6
 CHUNK = 4096
+# Block width of the recursive scan over a chunk's step maps (_blocked_scan)
+SCAN_WIDTH = 8
 
 
 class AccuracyError(RuntimeError):
@@ -302,13 +314,17 @@ class Algebra:
     stacks (their stack axes broadcast), identity is the (n, k) element of
     I, expand writes the n x n matrices of a stack matrix-major to
     (*stack, n, n) (to out, when given), and defect is the max-norm of
-    U†U - I over a stack.
+    U†U - I over a stack.  completion returns the step map's modulus
+    completion pbar^5/120 + pbar^6/720 + pbar^7/5760 of a contiguous stack
+    pbar as a contiguous stack, written over pbar or fresh; pbar is scratch
+    afterwards.
     """
 
     product: Callable[[np.ndarray, np.ndarray], np.ndarray]
     identity: np.ndarray
     expand: Callable[..., np.ndarray]
     defect: Callable[[np.ndarray], float]
+    completion: Callable[[np.ndarray], np.ndarray]
 
     def unit(self, stack=()) -> np.ndarray:
         """The identity element broadcast over the stack axes."""
@@ -327,16 +343,69 @@ def _matrix_defect(x) -> float:
     return unitarity_defect(matrix_major(x))
 
 
+def _matrix_completion(pbar):
+    # p5 (pbar/720 + p2/5760 + I/120), four entry products
+    p2 = entry_matmul(pbar, pbar)
+    p5 = entry_matmul(entry_matmul(p2, p2), pbar)
+    inner = pbar
+    inner /= 720.0
+    p2 /= 5760.0
+    inner += p2
+    n = len(pbar)
+    inner += np.eye(n).reshape(n, n, *(1,) * (pbar.ndim - 2)) / 120.0
+    return entry_matmul(p5, inner)
+
+
 def matrix_algebra(n: int) -> Algebra:
     """Whole n x n matrices multiplied by entry arithmetic (entry_matmul)."""
-    return Algebra(entry_matmul, np.eye(n), _expand_matrices, _matrix_defect)
+    return Algebra(entry_matmul, np.eye(n), _expand_matrices, _matrix_defect,
+                   _matrix_completion)
+
+
+def _cayley_klein_completion(pbar):
+    """The completion in closed form, by Cayley-Hamilton, written over pbar.
+
+    Every 2x2 X satisfies X^2 = t X - d I (t = tr X, d = det X), so a
+    polynomial c(X) equals r(X) = p X + q I, where r = p x + q is the
+    remainder of c modulo x^2 - t x + d.  Horner's rule on the coefficients
+    of c, highest degree first, gives it: (p, q) <- (p t + q, c_k - p d).
+    For [[alpha, -conj(beta)], [beta, conj(alpha)]], t = 2 Re alpha and
+    d = |alpha|^2 + |beta|^2 are real, so p and q are real vectors: about
+    30 real vector operations in place of four products.  No trace
+    condition is needed; for a generator i f.sigma, t is 0.
+    """
+    alpha, beta = pbar[:, 0]
+    t, nd, p, q, tmp = np.empty((5, *alpha.shape))
+    np.multiply(alpha.real, 2.0, out=t)
+    np.multiply(alpha.real, alpha.real, out=nd)
+    for x in (alpha.imag, beta.real, beta.imag):
+        np.multiply(x, x, out=tmp)
+        nd += tmp
+    nd *= -1.0
+    # c = x^7/5760 + x^6/720 + x^5/120: (p, q) is (0, 1/5760) after x^7
+    # and (1/5760, 1/720) after x^6; then x^5
+    np.multiply(t, 1 / 5760.0, out=p)
+    p += 1 / 720.0
+    np.multiply(nd, 1 / 5760.0, out=q)
+    q += 1 / 120.0
+    for _ in range(5):
+        # x^4 .. x^0, whose coefficients are 0: the new q is -p d
+        np.multiply(p, nd, out=tmp)
+        p *= t
+        p += q
+        q, tmp = tmp, q
+    # a real p keeps pbar in the span; q I adds to alpha's real part alone
+    pbar *= p
+    re = pbar[0, 0, ...].real
+    re += q
+    return pbar
 
 
 # One-qubit generators i f.sigma, and so every step map and propagator, lie
 # in the real span of I, i sigma_x, i sigma_y, i sigma_z: each is
 # [[alpha, -conj(beta)], [beta, conj(alpha)]], fixed by its first column.
 CAYLEY_KLEIN = Algebra(cayley_klein_matmul, np.eye(2, 1), cayley_klein_expand,
-                       cayley_klein_defect)
+                       cayley_klein_defect, _cayley_klein_completion)
 
 
 def step_maps(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray, dt,
@@ -350,7 +419,9 @@ def step_maps(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray, dt,
     broadcasts against the stack axes (...) of the inputs.  The products
     are formed by the algebra's product, entry by entry, and M is a
     component-major view; the inputs should be component-major views too
-    (see component_major), or every entry is a strided gather.
+    (see component_major), or every entry is a strided gather.  The
+    degree-5..7 completion is the algebra's own (Algebra.completion): four
+    products on whole matrices, none in Cayley-Klein form.
     """
     x1, x2, x3 = (component_major(a) for a in (a1, a2, a3))
     algebra = algebra or matrix_algebra(x1.shape[0])
@@ -379,19 +450,12 @@ def step_maps(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray, dt,
     m *= dt / 6.0
     m += eye
     # modulus completion: degree 5..7 powers of the Simpson-averaged
-    # generator pbar = (x1 + 4 x2 + x3)(dt/6), m + p5 (pbar/720 + p2/5760 + I/120)
+    # generator pbar = (x1 + 4 x2 + x3)(dt/6), by the algebra
     pbar = x2 * 4.0
     pbar += x1
     pbar += x3
     pbar *= dt / 6.0
-    p2 = mul(pbar, pbar)
-    p5 = mul(mul(p2, p2), pbar)
-    inner = pbar
-    inner /= 720.0
-    p2 /= 5760.0
-    inner += p2
-    inner += eye / 120.0
-    out = mul(p5, inner)
+    out = algebra.completion(pbar)
     out += m
     return matrix_major(out)
 
@@ -402,16 +466,31 @@ def _blocked_scan(x: np.ndarray, u: np.ndarray, algebra: Algebra) -> np.ndarray:
     u is the start element (n, k, *rest).  Returns the prefix products
     p[..., k] = x_k ... x_0 u for every k, component-major (n, k, *rest, C).
 
-    The C factors are split into about sqrt(C) blocks of consecutive
-    factors.  Each in-block position is one vectorized product across all
-    blocks (local prefixes), the block totals are chained onto u one block
-    at a time, and every block's local prefixes are then multiplied by its
-    incoming offset at once: about 2 sqrt(C) Python-level steps instead of
-    C.  Each result is a reassociation of the sequential product, so for
-    unitary factors it differs from it by roundoff of order C eps.
+    The C factors are split into blocks of SCAN_WIDTH consecutive factors,
+    narrower when C < SCAN_WIDTH^2 so that there are at least SCAN_WIDTH
+    blocks.  Each in-block position is one vectorized product across all
+    blocks (local prefixes).  This same function scans the block totals
+    from u, which gives every block its incoming offset, and every block's
+    local prefixes are then multiplied by it at once.  Fewer than
+    2 SCAN_WIDTH factors are chained onto u one at a time, by one batched
+    `@` of the expanded factor per step, which beats a product call on a
+    stack that short.  A chunk of C steps then takes about
+    SCAN_WIDTH log(C) / log(SCAN_WIDTH) Python-level products instead of C.
+    Every product runs over at least SCAN_WIDTH elements per member: numpy
+    rounds a complex product of one-element operands differently, which
+    would tie a batch member's bits to the batch.  Each result is a
+    reassociation of the sequential product, so for unitary factors it
+    differs from it by roundoff of order C eps.
     """
     n, k, *rest, c = x.shape
-    width = math.isqrt(c)
+    if c < 2 * SCAN_WIDTH:
+        factors = algebra.expand(x)
+        p = np.empty((*rest, c, n, k), dtype=complex)
+        v = matrix_major(u)
+        for b in range(c):
+            v = np.matmul(factors[..., b, :, :], v, out=p[..., b, :, :])
+        return component_major(p)
+    width = min(SCAN_WIDTH, c // SCAN_WIDTH)
     blocks = -(-c // width)
     pad = blocks * width - c
     if pad:
@@ -422,14 +501,10 @@ def _blocked_scan(x: np.ndarray, u: np.ndarray, algebra: Algebra) -> np.ndarray:
     y = np.ascontiguousarray(np.moveaxis(x.reshape(n, k, *rest, blocks, width), -1, 2))
     for j in range(1, width):
         y[:, :, j] = algebra.product(y[:, :, j], y[:, :, j - 1])
-    # a single element per block: one batched `@` of the expanded block
-    # total on the offset beats a product call per block
-    totals = algebra.expand(y[:, :, width - 1])
-    offsets = np.empty((*rest, blocks, n, k), dtype=complex)
-    offsets[..., 0, :, :] = matrix_major(u)
-    for b in range(1, blocks):
-        offsets[..., b, :, :] = totals[..., b - 1, :, :] @ offsets[..., b - 1, :, :]
-    p = algebra.product(y, component_major(offsets)[:, :, None])
+    # block b's offset is totals b-1 .. 0 on u
+    offsets = _blocked_scan(y[:, :, width - 1, ..., :-1], u, algebra)
+    offsets = np.concatenate([u[..., None], offsets], axis=-1)
+    p = algebra.product(y, offsets[:, :, None])
     return np.moveaxis(p, 2, -1).reshape(n, k, *rest, blocks * width)[..., :c]
 
 

@@ -4,10 +4,14 @@ reference kept here as the oracle, for whole matrices and for one-qubit
 matrices in Cayley-Klein form (first columns, expanded for the oracle).
 """
 
+import dataclasses
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nocgf import propagate
 from nocgf.lincore import (
     SIGMA_X,
     SIGMA_Y,
@@ -19,6 +23,8 @@ from nocgf.lincore import (
 )
 from nocgf.propagate import (
     CAYLEY_KLEIN,
+    CHUNK,
+    SCAN_WIDTH,
     _blocked_scan,
     feedback_maps,
     integrate_delta_y,
@@ -81,10 +87,15 @@ def complex_columns(rng, *stack):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
-def su2_generators(rng, *stack):
-    """Random A = i f.sigma, matrix-major (*stack, 2, 2), f normal."""
+def su2_generators(rng, *stack, trace=False):
+    """Random A = i f.sigma, matrix-major (*stack, 2, 2), f normal; with
+    trace, A = w I + i f.sigma with w normal too, which is still in the
+    real span of I, i sigma_x, i sigma_y, i sigma_z but not traceless."""
     f = rng.normal(size=(*stack, 3))
-    return 1j * np.einsum("...j,jab->...ab", f, np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z]))
+    a = 1j * np.einsum("...j,jab->...ab", f, np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z]))
+    if trace:
+        a += rng.normal(size=(*stack, 1, 1)) * np.eye(2)
+    return a
 
 
 @settings(max_examples=40, deadline=None)
@@ -145,17 +156,91 @@ def test_cayley_klein_product_matches_matmul(seed, steps, batch, broadcast):
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 300),
-       batch=st.sampled_from([(), (2,)]), dt=st.floats(1e-3, 0.3))
-@example(seed=2, steps=1, batch=(), dt=0.3)
-def test_cayley_klein_step_maps_match_matmul_reference(seed, steps, batch, dt):
+       batch=st.sampled_from([(), (2,)]), dt=st.floats(1e-3, 0.3),
+       trace=st.booleans())
+@example(seed=2, steps=1, batch=(), dt=0.3, trace=False)
+@example(seed=3, steps=40, batch=(2,), dt=0.3, trace=True)
+def test_cayley_klein_step_maps_match_matmul_reference(seed, steps, batch, dt, trace):
+    # the closed-form completion holds on the whole real span, so the
+    # generators may carry a trace part
     rng = np.random.default_rng(seed)
-    a = su2_generators(rng, 3, steps, *batch)
+    a = su2_generators(rng, 3, steps, *batch, trace=trace)
     # the first columns, as the integrator reads them from its samples
     m = step_maps(a[0][..., :1], a[1][..., :1], a[2][..., :1], dt, CAYLEY_KLEIN)
     ref = reference_step_maps(a[0], a[1], a[2], dt)
     assert m.shape == (steps, *batch, 2, 1)
     got = cayley_klein_expand(component_major(m))
     assert np.abs(got - ref).max() <= EPS_BOUND * max(1.0, np.abs(ref).max())
+
+
+def test_cayley_klein_step_maps_take_three_products(monkeypatch):
+    # the four products of the degree-5..7 completion are gone: only the
+    # Runge-Kutta stages k2, k3 and k4 multiply, however the completion is
+    # reached
+    calls = []
+
+    def counting(a, b):
+        calls.append(1)
+        return cayley_klein_matmul(a, b)
+
+    monkeypatch.setattr(propagate, "cayley_klein_matmul", counting)
+    algebra = dataclasses.replace(CAYLEY_KLEIN, product=counting)
+    a = su2_generators(np.random.default_rng(5), 3, 50)
+    step_maps(a[0][..., :1], a[1][..., :1], a[2][..., :1], 0.1, algebra)
+    assert len(calls) == 3
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), broadcast=st.booleans())
+def test_cayley_klein_product_of_bare_elements(seed, broadcast):
+    # (2, 1) first columns without stack axes, alone or against a stack
+    rng = np.random.default_rng(seed)
+    a = complex_columns(rng)
+    b = complex_columns(rng, 4) if broadcast else complex_columns(rng)
+    got = cayley_klein_matmul(a, b)
+    want = cayley_klein_expand(a) @ cayley_klein_expand(b)
+    assert got.shape == b.shape
+    assert np.abs(cayley_klein_expand(got) - want).max() <= EPS_BOUND * np.abs(want).max()
+
+
+def unit_columns(rng, *stack):
+    """Random first columns of unitaries, |alpha|² + |beta|² = 1."""
+    cols = complex_columns(rng, *stack)
+    return cols / np.sqrt((np.abs(cols) ** 2).sum(axis=0))
+
+
+# the scan's recursion boundaries, for W = SCAN_WIDTH: the @ chain below
+# 2 W factors, narrow blocks below W², full-width blocks with and without
+# padding, one more level of recursion, and a chunk
+_W = SCAN_WIDTH
+SCAN_LENGTHS = (1, _W - 1, _W, _W + 1, 2 * _W - 1, 2 * _W, _W**2 - 1, _W**2,
+                _W**2 + 1, _W**3 - 1, _W**3 + 1, CHUNK, CHUNK + 1)
+
+
+@pytest.mark.parametrize("length", SCAN_LENGTHS)
+@pytest.mark.parametrize("n", [2, 4])
+def test_scan_at_recursion_boundaries(n, length):
+    # one stack for CAYLEY_KLEIN (n = 2, first columns) or for whole 4x4
+    # matrices, with a batch of three members ahead of the steps
+    rng = np.random.default_rng(length)
+    if n == 2:
+        algebra = CAYLEY_KLEIN
+        x = unit_columns(rng, 3, length + 1)
+        mats = cayley_klein_expand(x)                   # (3, length + 1, 2, 2)
+    else:
+        algebra = matrix_algebra(n)
+        mats = unitary_stack(length, n, length + 1, (3,)).swapaxes(0, 1)
+        x = component_major(mats)
+    u, x = np.ascontiguousarray(x[..., 0]), np.ascontiguousarray(x[..., 1:])
+    p = _blocked_scan(x, u, algebra)
+    assert p.shape == (n, u.shape[1], 3, length)
+    got = np.moveaxis(algebra.expand(p), -3, 0)         # (length, 3, n, n)
+    want = sequential_products(mats[:, 1:].swapaxes(0, 1), mats[:, 0])
+    assert np.abs(got - want).max() <= EPS_BOUND * length
+    # each member scanned alone has the batch member's bits
+    for b in range(3):
+        alone = _blocked_scan(np.ascontiguousarray(x[:, :, b]), u[:, :, b], algebra)
+        assert np.array_equal(alone, p[:, :, b])
 
 
 @settings(max_examples=40, deadline=None)
