@@ -18,6 +18,7 @@ from .noc import ConsistencyError
 from .noise import DegenerateRealizationError
 from .propagate import AccuracyError
 from .sensitivity import ULP
+from .spectral import BandwidthUndefinedError
 
 
 def _base_config(args):
@@ -89,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 # run-time errors reported as one line on stderr with exit code 2
 USER_ERRORS = (ConfigError, AccuracyError, ConsistencyError,
-               DegenerateRealizationError)
+               DegenerateRealizationError, BandwidthUndefinedError)
 
 
 @contextlib.contextmanager

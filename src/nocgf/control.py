@@ -9,12 +9,14 @@ adds Ising coupling and a degeneracy-breaking shift of strength c4.
 
 The propagators consume the generator A = -i (H0 + sum_j dF_j G_j) from
 `generator`, which writes each matrix entry straight from the few scalar
-series that define it (the twist phase with its noise, the longitudinal
-ramps and the control modification), in the component-major layout of the
-integrator.  The two-qubit couplings G_j are written the same way, entry
-by entry from the cos and sin of the frame rotation angles, and the drive
-matrix conjugates them in that layout without a copy.  sweep_hamiltonian
-is the generator's entries viewed as dense (..., n, n) matrices.
+series that define it (the twist phase, the longitudinal ramps and the
+control modification), in the component-major layout of the integrator.
+Phase noise is an offset that `generator` adds to the twist phase
+(twist_phase), the one place where noise and phase are composed.  The
+two-qubit couplings G_j are written the same way, entry by entry from the
+cos and sin of the frame rotation angles, and the drive matrix conjugates
+them in that layout without a copy.  sweep_hamiltonian is the generator's
+entries viewed as dense (..., n, n) matrices.
 """
 
 from __future__ import annotations
@@ -126,16 +128,17 @@ def sweep_hamiltonian(tau, p, noise=0.0) -> np.ndarray:
     """Nominal sweep Hamiltonian H0 = i A of either system at times tau,
     shape (..., n, n): the generator's entries, with the noise (shaped like
     tau or a scalar) added to the twist phase."""
-    return 1j * matrix_major(generator(tau, p, phase=twist_phase(tau, p, noise)))
+    return 1j * matrix_major(generator(tau, p, noise=noise))
 
 
-def generator(tau, p, dfi=None, phase=None, out=None) -> np.ndarray:
+def generator(tau, p, dfi=None, noise=0.0, out=None) -> np.ndarray:
     """Generator A = -i (H0 + sum_j dfi_j G_j) of i U' = H U, component-major.
 
     tau has any shape T (the integrator passes (rows, steps)); dfi, the
     control modification at those times, has shape (*T, 3) or is None;
-    phase is the twist phase with any noise already added, shape T, and
-    defaults to the noise-free twist_phase.  Returns the (n, n, *T) array
+    noise is the phase noise, added to the twist phase by twist_phase: a
+    scalar or an array that broadcasts against T (the integrator passes
+    one value per step, shape (steps,)).  Returns the (n, n, *T) array
     out (a new contiguous one when None): entry (i, k) of A is the array
     out[i, k] over the times (see propagate, which consumes this layout
     without a copy, and writes a batch member by member into its slabs).
@@ -156,7 +159,7 @@ def generator(tau, p, dfi=None, phase=None, out=None) -> np.ndarray:
     Kronecker Paulis, the reference it is tested against.
     """
     tau = np.asarray(tau, dtype=float)
-    phase = twist_phase(tau, p) if phase is None else np.asarray(phase, dtype=float)
+    phase = twist_phase(tau, p, noise)
     df = None
     if dfi is not None:
         dfi = np.asarray(dfi, dtype=float)

@@ -264,18 +264,22 @@ def strategy2_solve(p, nominal: Trajectory, offset: TargetOffset) -> Strategy2So
     )
 
 
-def improve_gate(gate: GateTarget, p, grid: TimeGrid | None = None) -> ImprovedGateResult:
-    """Run the full pipeline: nominal sweep, offset, control correction,
-    modified sweep, and error reports for both gates.
+def improve_gate(gate: GateTarget, p, grid: TimeGrid) -> ImprovedGateResult:
+    """Run the full pipeline on the grid: nominal sweep, offset, control
+    correction, modified sweep, and error reports for both gates.
 
-    One-qubit gates take strategy 1, the two-qubit gate strategy 2.  Both
-    raise ConsistencyError when the Pauli projections of the offset or of
-    the drive samples discard an imaginary residue above IMAG_RESIDUE_TOL.
+    One-qubit gates take strategy 1, the two-qubit gate strategy 2, which
+    needs a grid of at least 2 steps (its feedback grid; ConfigError before
+    anything is integrated).  Both raise ConsistencyError when the Pauli
+    projections of the offset or of the drive samples discard an imaginary
+    residue above IMAG_RESIDUE_TOL.
     """
     if p.qubits != gate.qubits:
         raise ConfigError("sweep parameters do not match the gate's system")
     strategy = 1 if gate.qubits == 1 else 2
-    grid = grid or TimeGrid.default_for(p)
+    if strategy == 2 and grid.steps < 2:
+        raise ConfigError("the two-qubit gate needs a grid of at least 2 steps, "
+                          f"got {grid.steps}")
 
     if strategy == 1:
         nominal = propagate.propagate_sweep(p, grid)

@@ -17,13 +17,13 @@ lies j/(2 refine) of the way through every step of a chunk, so row
 TimeGrid is the uniform special case: its steps share their end samples,
 so it takes 2 refine rows over one step more than the chunk and reads the
 end row as row 0 shifted by one step.  The sampler also hands over the
-chunk's first grid step, so the generator interpolates the control
-modification with fixed row weights on contiguous slices of its grid
-samples, with no search (_generator_fun).  Noisy propagation steps over
-StepNodes, the grid points plus the pulse edges of a realization clipped
-to the sweep.  The phase noise is piecewise constant, so on those nodes it
-is constant inside every step; it is evaluated once per step, at the
-midpoint row, and each step samples its own end row (row 2 refine)
+chunk's first grid step, so the control modification is interpolated with
+fixed row weights on contiguous slices of its grid samples, with no search
+(_control_fun).  Noisy propagation steps over StepNodes, the grid points
+plus the pulse edges of a realization clipped to the sweep.  The phase
+noise is piecewise constant, so on those nodes it is constant inside every
+step; the generator builder (_generator_fun) evaluates it once per step,
+at the midpoint row, and each step samples its own end row (row 2 refine)
 because the generator may jump at a node.  The fourth-order rate, which a
 step straddling a jump loses, is then kept.  These nodes are not grid
 steps, so the control modification is interpolated there by np.interp on
@@ -57,11 +57,12 @@ Memory layout.  The propagators are 2x2 or 4x4, far too small for batched
 `@` to pay off, so the integrator works on component-major stacks: a
 chunk's generator samples live in one (n, n, *batch, times) buffer, and
 every matrix entry of every member is one contiguous vector across the
-chunk's times.  The propagators' generator comes from control.generator
-already in that layout, from scalar series (twist phase, ramps,
-interpolated control modification); noise enters only through the phase
-series.  The step maps and the products between them are formed in an
-algebra (Algebra): a product, an identity and the step map's degree-5..7
+chunk's times.  Every integration takes its generator from one builder,
+_generator_fun, which has control.generator write it in that layout, from
+scalar series (twist phase, ramps, interpolated control modification);
+noise enters only as control.generator's offset of the twist phase.  The
+step maps and the products between them are formed in an algebra
+(Algebra): a product, an identity and the step map's degree-5..7
 completion on the first k columns of the matrices, one contiguous vector
 per entry.  Two instances share the one step-map formula and the one
 scan:
@@ -122,16 +123,18 @@ prefix products.  Strategy 2's nominal sweep, which needs samples at the
 half steps, runs on twice the steps at one substep each: the same sample
 times and substep size as the grid at two substeps.
 
-Batches.  propagate_finals integrates a batch of sweeps on one grid at
-once.  Its members are scalar sweeps, each with or without the control
-modification, and only this module knows about batches: the batch axis
-lies ahead of the times, so a member's samples are a slab of the chunk's
-buffer, which one scalar control.generator call writes in place.  Each
-member keeps the rows, chunks and scan of a single sweep, so its final
-propagator is that sweep's bit for bit, but for an ulp after a one-step
-chunk, where numpy rounds the step maps' in-place complex products of a
-single sweep's one-element arrays differently (the scan multiplies no
-stack that short).
+Batches.  The generator builder (_generator_fun) always writes a batch of
+scalar sweeps on one grid, each with or without the control modification;
+only this module knows about batches.  The batch axis lies ahead of the
+times, so a member's samples are a slab of the chunk's buffer, which one
+scalar control.generator call writes in place.  propagate_finals
+integrates a whole batch at once; a single sweep and a noisy segment are
+batches of one that read member 0, a view with no batch axis, so
+_integrate runs them with batch=().  Each member of a larger batch keeps
+the rows, chunks and scan of a single sweep, so its final propagator is
+that sweep's bit for bit, but for an ulp after a one-step chunk, where
+numpy rounds the step maps' in-place complex products of a single sweep's
+one-element arrays differently (the scan multiplies no stack that short).
 """
 
 from __future__ import annotations
@@ -164,6 +167,7 @@ UNITARITY_BUDGET = 1e-10
 # the one-qubit grid; steps straddling the noise jumps gave errors of 1e-6 to
 # 8e-6 at the production grids.
 DOUBLING_BUDGET = 1e-6
+# grid steps (or step nodes) sampled and scanned at once by _integrate
 CHUNK = 4096
 # Block width of the recursive scan over a chunk's step maps (_blocked_scan)
 SCAN_WIDTH = 8
@@ -215,11 +219,6 @@ class TimeGrid:
 
     def points(self) -> np.ndarray:
         return self.tau_start + np.arange(self.steps + 1) * self.h
-
-    @staticmethod
-    def default_for(p) -> "TimeGrid":
-        steps = DEFAULT_STEPS_1Q if p.qubits == 1 else DEFAULT_STEPS_2Q
-        return TimeGrid(p.tau0, steps)
 
 
 @dataclass(frozen=True)
@@ -409,13 +408,13 @@ CAYLEY_KLEIN = Algebra(cayley_klein_matmul, np.eye(2, 1), cayley_klein_expand,
 
 
 def step_maps(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray, dt,
-              algebra: Algebra | None = None) -> np.ndarray:
+              algebra: Algebra) -> np.ndarray:
     """One-step transfer matrices for U' = A(tau) U on a batch of steps.
 
     a1, a2, a3 are A evaluated at the step start, midpoint and end, as
-    elements of the algebra seen matrix-major (shape (..., n, k)); the
-    returned M satisfies U(tau+dt) = M U(tau).  The algebra defaults to
-    whole matrices, (..., n, n).  dt is a scalar or a per-step array that
+    elements of the algebra seen matrix-major (shape (..., n, k); whole
+    matrices, matrix_algebra(n), take (..., n, n)); the returned M
+    satisfies U(tau+dt) = M U(tau).  dt is a scalar or a per-step array that
     broadcasts against the stack axes (...) of the inputs.  The products
     are formed by the algebra's product, entry by entry, and M is a
     component-major view; the inputs should be component-major views too
@@ -424,7 +423,6 @@ def step_maps(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray, dt,
     products on whole matrices, none in Cayley-Klein form.
     """
     x1, x2, x3 = (component_major(a) for a in (a1, a2, a3))
-    algebra = algebra or matrix_algebra(x1.shape[0])
     mul = algebra.product
     eye = algebra.unit((1,) * (x1.ndim - 2))
     # Every line evaluates the formula in the comment above it, in place on
@@ -550,18 +548,19 @@ def _step_map(rows, dt, refine: int, r: int, algebra: Algebra):
 
 
 def _integrate(afun, grid, dim: int, batch=(), refine=DEFAULT_REFINE,
-               store: str = "grid", chunk: int = CHUNK):
+               store: str = "grid"):
     """Core fixed-step integrator for U' = A(tau) U, U(tau_start) = I.
 
     grid gives the step nodes: a TimeGrid or StepNodes.  Every step is split
     into `refine` equal substeps.
 
-    A chunk of steps is sampled by _sample_rows: afun(taus, c0) receives a
-    (rows, steps) time array, row j at j/(2 refine) of the way through every
-    step, so row `refine` is the step midpoint for both kinds of nodes, and
-    the grid index c0 of the chunk's first step on a TimeGrid (None on
-    StepNodes); it returns A with shape (*batch, *taus.shape, dim, dim),
-    a matrix-major view of component-major memory (see Memory layout).
+    A chunk of CHUNK steps (fewer in the last one) is sampled by
+    _sample_rows: afun(taus, c0) receives a (rows, steps) time array, row j
+    at j/(2 refine) of the way through every step, so row `refine` is the
+    step midpoint for both kinds of nodes, and the grid index c0 of the
+    chunk's first step on a TimeGrid (None on StepNodes); it returns A with
+    shape (*batch, *taus.shape, dim, dim), a matrix-major view of
+    component-major memory (see Memory layout).
     Every step's map is the product of its substep maps, and a blocked scan
     over the chunk's step maps gives the propagator at every node; this
     path is the same for both storage modes, which only choose what is
@@ -570,11 +569,11 @@ def _integrate(afun, grid, dim: int, batch=(), refine=DEFAULT_REFINE,
     The maps and products are those of the algebra for dim: Cayley-Klein
     first columns for 2x2, whole matrices for 4x4.  So a 2x2 A must lie in
     the real span of I, i sigma_x, i sigma_y, i sigma_z, as every one-qubit
-    generator i f.sigma does: only its first column is read.  They are expanded to
-    dim x dim matrices only where they are written, so the samples and
-    U_final are complex (..., dim, dim) arrays either way.  The returned
-    defect is the max-norm of U†U - I at every node, over the batch and
-    (on StepNodes) of the refine level, measured per chunk on the
+    generator i f.sigma does: only its first column is read.  They are
+    expanded to dim x dim matrices only where they are written, so the
+    samples and U_final are complex (..., dim, dim) arrays either way.  The
+    returned defect is the max-norm of U†U - I at every node, over the
+    batch and (on StepNodes) of the refine level, measured per chunk on the
     algebra's elements in both storage modes.
 
     store is "grid" (samples (*batch, steps + 1, dim, dim) at the nodes) or
@@ -599,8 +598,8 @@ def _integrate(afun, grid, dim: int, batch=(), refine=DEFAULT_REFINE,
     if store == "grid":
         out = np.empty((*batch, steps + 1, dim, dim), dtype=complex)
         algebra.expand(u, out[..., 0, :, :])
-    for c0 in range(0, steps, chunk):
-        cs = min(chunk, steps - c0)
+    for c0 in range(0, steps, CHUNK):
+        cs = min(CHUNK, steps - c0)
         rows, dt = _sample_rows(afun, grid, c0, cs, refine)
         rows = [x[:, :k] for x in rows]
         m = [_step_map(rows, dt, refine, r, algebra) for r in levels]
@@ -664,29 +663,38 @@ def _control_fun(grid: TimeGrid, delta_f):
     return interpolate
 
 
-def _generator_fun(p, grid: TimeGrid, delta_f=None, noise=None):
-    """The afun of _integrate for one sweep: A(tau) from control.generator,
-    matrix-major, with delta_f interpolated by _control_fun when given.
+def _generator_fun(grid: TimeGrid, members, delta_f=None, noise=None):
+    """The afun of _integrate for a batch of sweeps on one grid: A(tau) of
+    every member, shape (len(members), *taus.shape, n, n), a matrix-major
+    view of component-major memory, so _integrate copies nothing.
 
-    noise, one noise realization, is held at its value at the step
-    midpoint, the middle row of the time array, throughout the step (meant
-    for StepNodes, where the noise is constant inside every step).  The
-    returned views are component-major underneath, so _integrate copies
-    nothing.
+    members is a list of (p, controlled) pairs: sweep parameters of one
+    system size, and whether the control modification delta_f (grid
+    samples, shape (steps + 1, 3), interpolated once per chunk by
+    _control_fun) enters; with delta_f None, none does.  Member 0 of the
+    result, afun(taus, c0)[0], is one sweep's generator (see Batches).
+
+    noise, one noise realization, is added to every member's twist phase,
+    held at its value at the step midpoint, the middle row of the time
+    array, throughout the step (meant for StepNodes, where the noise is
+    constant inside every step).
     """
     interpolate = None if delta_f is None else _control_fun(grid, delta_f)
+    n = members[0][0].dim
 
     def afun(taus, c0):
         dfi = None if interpolate is None else interpolate(taus, c0)
-        phase = None
-        if noise is not None:
-            phase = control.twist_phase(taus, p) + noise.evaluate(taus[len(taus) // 2])
-        return matrix_major(control.generator(taus, p, dfi, phase))
+        offset = 0.0 if noise is None else noise.evaluate(taus[len(taus) // 2])
+        out = np.empty((n, n, len(members), *taus.shape), dtype=complex)
+        for b, (p, controlled) in enumerate(members):
+            control.generator(taus, p, dfi if controlled else None, offset,
+                              out[:, :, b])
+        return matrix_major(out)
 
     return afun
 
 
-def propagate_sweep(p, grid: TimeGrid | None = None, delta_f=None, *,
+def propagate_sweep(p, grid: TimeGrid, delta_f=None, *,
                     refine: int = DEFAULT_REFINE) -> Trajectory:
     """Integrate i U' = H(tau) U over the sweep, storing the grid samples.
 
@@ -697,8 +705,8 @@ def propagate_sweep(p, grid: TimeGrid | None = None, delta_f=None, *,
     grid step.  Raises AccuracyError when the unitarity defect exceeds
     UNITARITY_BUDGET.
     """
-    grid = grid or TimeGrid.default_for(p)
-    out, _, defect = _integrate(_generator_fun(p, grid, delta_f), grid, p.dim,
+    afun = _generator_fun(grid, [(p, True)], delta_f)
+    out, _, defect = _integrate(lambda taus, c0: afun(taus, c0)[0], grid, p.dim,
                                 refine=refine)
     return _finish(grid, out, defect)
 
@@ -709,34 +717,24 @@ def propagate_finals(members, grid: TimeGrid, delta_f) -> np.ndarray:
 
     members is a list of (p, controlled) pairs: sweep parameters of one
     system size, and whether the control modification delta_f (grid
-    samples, shape (steps + 1, 3)) enters.  delta_f is interpolated once per
-    chunk, and each member's generator is written by one control.generator
-    call into its own slab of the chunk's samples.  Member (p, True) has
-    the final of propagate_sweep(p, grid, delta_f) bit for bit, and
-    (p, False) that of propagate_sweep(p, grid) (see Batches above).  The
-    defect is checked at every grid point of every member: AccuracyError
-    when it exceeds UNITARITY_BUDGET.
+    samples, shape (steps + 1, 3)) enters.  Member (p, True) has the final
+    of propagate_sweep(p, grid, delta_f) bit for bit, and (p, False) that
+    of propagate_sweep(p, grid) (see Batches above).  The defect is
+    checked at every grid point of every member: AccuracyError when it
+    exceeds UNITARITY_BUDGET.
     """
-    interpolate = _control_fun(grid, delta_f)
-    dim = members[0][0].dim
-
-    def afun(taus, c0):
-        dfi = interpolate(taus, c0)
-        out = np.empty((dim, dim, len(members), *taus.shape), dtype=complex)
-        for b, (p, controlled) in enumerate(members):
-            control.generator(taus, p, dfi if controlled else None, out=out[:, :, b])
-        return matrix_major(out)
-
-    _, finals, defect = _integrate(afun, grid, dim, batch=(len(members),), store="final")
+    _, finals, defect = _integrate(_generator_fun(grid, members, delta_f), grid,
+                                   members[0][0].dim, batch=(len(members),),
+                                   store="final")
     _check_budget("unitarity defect", defect, UNITARITY_BUDGET)
     return finals
 
 
-def _noisy_composite(p, improved: Trajectory, delta_f, noise,
-                     refine: int = DEFAULT_REFINE):
-    """One realization's final propagator at refine // 2 and refine, shape
-    (2, n, n), the steps of its noisy segments, and the largest unitarity
-    defect of the segments' refine-level propagators at every node.
+def _noisy_composite(p, improved: Trajectory, delta_f, noise):
+    """One realization's final propagator at DEFAULT_REFINE // 2 and
+    DEFAULT_REFINE, shape (2, n, n), the steps of its noisy segments, and
+    the largest unitarity defect of the segments' DEFAULT_REFINE-level
+    propagators at every node.
 
     Each segment is integrated from I on StepNodes (the segment's grid
     points plus the realization's clipped edges inside it), and each quiet
@@ -745,12 +743,13 @@ def _noisy_composite(p, improved: Trajectory, delta_f, noise,
     """
     grid = improved.grid
     pts, u_imp, edges = grid.points(), improved.unitaries, noise.edges()
-    afun = _generator_fun(p, grid, delta_f, noise)
+    afun = _generator_fun(grid, [(p, True)], delta_f, noise)
     u = np.broadcast_to(np.eye(p.dim, dtype=complex), (2, p.dim, p.dim))
     steps, prev, defects = 0, 0, [0.0]
     for a, b in noisy_segments(grid, edges):
         nodes = StepNodes.with_edges(pts[a:b + 1], edges)
-        _, seg, defect = _integrate(afun, nodes, p.dim, refine=refine, store="final")
+        _, seg, defect = _integrate(lambda taus, c0: afun(taus, c0)[0], nodes, p.dim,
+                                    refine=DEFAULT_REFINE, store="final")
         u = seg @ (_quiet_factor(u_imp, prev, a) @ u)
         steps += nodes.steps
         defects.append(defect)

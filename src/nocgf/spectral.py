@@ -94,7 +94,9 @@ def bandwidth_w01(s: Spectrum) -> float:
     above = np.flatnonzero(mag >= thr)
     i = int(above[-1])
     if i + 1 >= len(mag):
-        raise BandwidthUndefinedError("spectrum never falls below the 10% threshold")
+        raise BandwidthUndefinedError(
+            "the spectrum is above its 10% threshold at the Nyquist frequency; "
+            "increase the step count")
     om0, om1 = s.omega[i], s.omega[i + 1]
     return float(om0 + (om1 - om0) * (mag[i] - thr) / (mag[i] - mag[i + 1]))
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from nocgf import NOMINAL_PARAMS, gate_target, improve_gate
+from nocgf.config import default_config
 from nocgf.metrics import GATE_ORDER
 
 ACCEPTANCE_SEED = 20260808
@@ -18,9 +19,12 @@ ACCEPTANCE_SEED = 20260808
 
 @pytest.fixture(scope="session")
 def improved_all():
-    """Full-resolution ImprovedGateResult for every gate in the set."""
+    """Full-resolution ImprovedGateResult for every gate in the set, on the
+    default config's grids."""
+    grid_for = default_config().grid_for
     return {
-        name: improve_gate(gate_target(name), NOMINAL_PARAMS[name])
+        name: improve_gate(gate_target(name), NOMINAL_PARAMS[name],
+                           grid_for(NOMINAL_PARAMS[name]))
         for name in GATE_ORDER
     }
 

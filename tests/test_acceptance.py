@@ -10,6 +10,7 @@ import time
 import numpy as np
 
 from nocgf import NOMINAL_PARAMS
+from nocgf.config import default_config
 from nocgf.control import coupling_matrices, drive_matrix
 from nocgf.lincore import unitarity_defect
 from nocgf.metrics import GATE_ORDER, trace_p
@@ -122,10 +123,12 @@ def test_criterion_4_riccati_consistency(improved_all):
 def test_criterion_5_unitarity_and_convergence(improved_all):
     from nocgf.propagate import propagate_sweep
 
+    cfg = default_config()
     checks = []
     worst = 0.0
     for name in GATE_ORDER:
-        traj = propagate_sweep(NOMINAL_PARAMS[name])   # budget enforced inside
+        p = NOMINAL_PARAMS[name]
+        traj = propagate_sweep(p, cfg.grid_for(p))   # budget enforced inside
         worst = max(worst, traj.defect,
                     unitarity_defect(improved_all[name].improved_unitary))
     checks.append((worst <= 1e-10,

@@ -1,9 +1,11 @@
 """The benchmark's output check (perfbench/fingerprints.py) on one
-`pipeline-1q` iteration: the hadamard improve, bandwidth and eta4
-sensitivity outputs must stay within their recorded tolerances, so a change
-to the one-qubit kernels is checked against the recorded results here and
-not only in a benchmark run.  The modules are loaded from their files, as
-the benchmark's worker imports them, without changing perfbench/."""
+iteration of each workload: the hadamard improve, bandwidth and eta4
+sensitivity outputs of `pipeline-1q`, and the cphase Tr P under noise of
+`jitter-2q`, must stay within their recorded tolerances, so a change to the
+one-qubit kernels or to the noisy path is checked against the recorded
+results here and not only in a benchmark run.  The modules are loaded from
+their files, as the benchmark's worker imports them, without changing
+perfbench/."""
 
 import importlib.util
 import sys
@@ -21,12 +23,19 @@ def _load(name, monkeypatch):
     return module
 
 
-def test_pipeline_1q_matches_its_fingerprint(monkeypatch):
+def _check(monkeypatch, workload, seed):
     workloads = _load("workloads", monkeypatch)
     fingerprints = _load("fingerprints", monkeypatch)
-    seed = 3
-    cfg, iteration = workloads.make("pipeline-1q", seed)
+    cfg, iteration = workloads.make(workload, seed)
     problems, checked = fingerprints.check(
-        fingerprints.load(), "pipeline-1q", seed, cfg, iteration(cfg))
+        fingerprints.load(), workload, seed, cfg, iteration(cfg))
     assert problems == []
     assert checked
+
+
+def test_pipeline_1q_matches_its_fingerprint(monkeypatch):
+    _check(monkeypatch, "pipeline-1q", 3)
+
+
+def test_jitter_2q_matches_its_fingerprint(monkeypatch):
+    _check(monkeypatch, "jitter-2q", 7)

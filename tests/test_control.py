@@ -253,19 +253,25 @@ params_2q = st.builds(
 
 @settings(max_examples=40, deadline=None)
 @given(p=st.one_of(params_1q, params_2q), seed=st.integers(0, 2**32 - 1),
-       with_dfi=st.booleans())
-@example(p=HAD, seed=0, with_dfi=False)
-@example(p=HAD, seed=1, with_dfi=True)
-@example(p=CP, seed=2, with_dfi=False)
-@example(p=CP, seed=3, with_dfi=True)
-def test_generator_matches_dense_oracle(p, seed, with_dfi):
+       with_dfi=st.booleans(), with_noise=st.booleans())
+@example(p=HAD, seed=0, with_dfi=False, with_noise=False)
+@example(p=HAD, seed=1, with_dfi=True, with_noise=False)
+@example(p=HAD, seed=4, with_dfi=False, with_noise=True)
+@example(p=HAD, seed=5, with_dfi=True, with_noise=True)
+@example(p=CP, seed=2, with_dfi=False, with_noise=False)
+@example(p=CP, seed=3, with_dfi=True, with_noise=False)
+@example(p=CP, seed=6, with_dfi=False, with_noise=True)
+@example(p=CP, seed=7, with_dfi=True, with_noise=True)
+def test_generator_matches_dense_oracle(p, seed, with_dfi, with_noise):
     rng = np.random.default_rng(seed)
     tau = np.sort(rng.uniform(-p.tau0 / 2, p.tau0 / 2, 257))
     dfi = 0.05 * rng.normal(size=(len(tau), 3)) if with_dfi else None
+    # a phase offset per sample, as the noisy segments pass it
+    noise = rng.uniform(-3.0, 3.0, tau.shape) if with_noise else 0.0
     n = p.dim
-    got = generator(tau, p, dfi)
+    got = generator(tau, p, dfi, noise)
     assert got.shape == (n, n, len(tau)) and got.flags.c_contiguous
-    ref = dense_generator(tau, p, dfi)
+    ref = dense_generator(tau, p, dfi, noise)
     a = np.moveaxis(got, (0, 1), (-2, -1))
     assert np.abs(a - ref).max() <= 1e-14 * max(1.0, np.abs(ref).max())
     if n == 4:
@@ -274,7 +280,7 @@ def test_generator_matches_dense_oracle(p, seed, with_dfi):
     # written into a member's slab of a batch buffer, the same bits
     buffer = np.full((n, n, 3, len(tau)), np.nan, dtype=complex)
     slab = buffer[:, :, 1]
-    assert generator(tau, p, dfi, out=slab) is slab
+    assert generator(tau, p, dfi, noise, out=slab) is slab
     assert np.array_equal(slab, got)
     assert np.isnan(buffer[:, :, [0, 2]]).all()
 

@@ -449,3 +449,29 @@ def test_cli_sweep_rejects_a_parameter_without_a_ulp_before_improving(monkeypatc
     assert err.startswith("nocgf: no printed-precision entry for 'tau0'")
     assert err.count("\n") == 1
     assert calls == []
+
+
+def test_cli_reports_an_undefined_bandwidth_in_one_line(capsys):
+    # at 40,000 steps the not gate's spectrum is still above its 10%
+    # threshold at the Nyquist frequency
+    rc = cli.main(["table", "bandwidth", "--gate", "not", "--steps", "40000"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("nocgf: ") and captured.err.count("\n") == 1
+    assert "Nyquist frequency" in captured.err and captured.out == ""
+
+
+def test_cli_rejects_a_one_step_two_qubit_grid_before_integrating(tmp_path, capsys,
+                                                                  monkeypatch):
+    # a sweep this short keeps a one-step grid unitary, so nothing but the
+    # step count stops the run
+    path = tmp_path / "short.json"
+    path.write_text('{"sweep_overrides": {"cphase": {"tau0": 0.001}}}')
+    # an integration would fail with a TypeError, not a one-line error
+    monkeypatch.setattr(propagate, "_integrate", None)
+    rc = cli.main(["improve", "--gate", "cphase", "--steps", "1",
+                   "--config", str(path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nocgf: ") and err.count("\n") == 1
+    assert "at least 2 steps, got 1" in err

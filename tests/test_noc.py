@@ -18,7 +18,13 @@ from nocgf.noc import (
     strategy1_weights,
     strategy2_solve,
 )
-from nocgf.propagate import AccuracyError, TimeGrid, Trajectory, propagate_sweep
+from nocgf.propagate import (
+    DEFAULT_STEPS_1Q,
+    AccuracyError,
+    TimeGrid,
+    Trajectory,
+    propagate_sweep,
+)
 from nocgf import noc
 from tests.conftest import contracted_drive, random_unitary
 from tests.test_propagate_kernels import reference_step_maps
@@ -86,7 +92,7 @@ def test_strategy1_control_structure(hadamard_sweep_40k):
 def test_strategy1_never_holds_the_drive_stack():
     # the production sweep: one window's drive-matrix work arrays (4.1 MB)
     # would exceed half the stack of a 40,000-step one
-    traj = propagate_sweep(HAD, TimeGrid.default_for(HAD))
+    traj = propagate_sweep(HAD, TimeGrid(HAD.tau0, DEFAULT_STEPS_1Q))
     off = target_offset(traj.final, gate_target("hadamard"))
     stack_bytes = len(traj.unitaries) * 4 * 3 * np.dtype(complex).itemsize
     tracemalloc.start()
@@ -169,10 +175,11 @@ def test_improve_result_keeps_only_the_nominal_final_propagator(improved_all):
 def test_improve_gate_strategy_mismatch():
     # the strategy follows the gate, so parameters of the other system are
     # rejected before anything is integrated
+    grid = TimeGrid(HAD.tau0, 100)
     with pytest.raises(ConfigError, match="system"):
-        improve_gate(gate_target("cphase"), HAD)
+        improve_gate(gate_target("cphase"), HAD, grid)
     with pytest.raises(ConfigError, match="system"):
-        improve_gate(gate_target("hadamard"), NOMINAL_PARAMS["cphase"])
+        improve_gate(gate_target("hadamard"), NOMINAL_PARAMS["cphase"], grid)
 
 
 def test_strategy2_requires_two_qubit_offset(rng):

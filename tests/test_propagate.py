@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 
 import numpy as np
 import pytest
@@ -18,6 +17,7 @@ from nocgf.propagate import (
     _integrate,
     _noisy_composite,
     integrate_delta_y,
+    matrix_algebra,
     noisy_segments,
     propagate_finals,
     propagate_modified_batch,
@@ -28,6 +28,13 @@ from nocgf import drive_matrix
 from tests.dense_model import one_qubit_field, one_qubit_hamiltonian, sweep_hamiltonian
 
 HAD = NOMINAL_PARAMS["hadamard"]
+
+
+def sweep_generator(p, grid, delta_f=None, noise=None):
+    """One sweep's afun, as propagate_sweep and the noisy segments take it:
+    member 0 of a batch of one, with no batch axis."""
+    afun = _generator_fun(grid, [(p, True)], delta_f, noise)
+    return lambda taus, c0: afun(taus, c0)[0]
 
 
 def test_grid_validation():
@@ -215,16 +222,17 @@ def test_delta_y_shape_mismatch():
 
 
 @pytest.mark.parametrize("refine", [1, 2])
-def test_uniform_nodes_match_a_sequential_step_map_product(refine):
+def test_uniform_nodes_match_a_sequential_step_map_product(monkeypatch, refine):
     # three chunks, the last one partial
-    steps, chunk = 2500, 1000
+    steps = 2500
+    monkeypatch.setattr(propagate, "CHUNK", 1000)
     grid = TimeGrid(HAD.tau0, steps)
-    afun = _generator_fun(HAD, grid)
-    out, u, _ = _integrate(afun, grid, 2, refine=refine, chunk=chunk)
+    afun = sweep_generator(HAD, grid)
+    out, u, _ = _integrate(afun, grid, 2, refine=refine)
     q = grid.h / refine
     taus = grid.tau_start + np.arange(2 * refine * steps + 1) * (q / 2.0)
     a = afun(taus, None)
-    maps = step_maps(a[0:-1:2], a[1::2], a[2::2], q)
+    maps = step_maps(a[0:-1:2], a[1::2], a[2::2], q, matrix_algebra(2))
     want = [np.eye(2, dtype=complex)]
     for k in range(steps):
         v = want[-1]
@@ -252,29 +260,31 @@ def _hand_placed_noise():
     ]
 
 
-def test_grid_and_its_points_as_step_nodes_give_the_same_propagator():
+def test_grid_and_its_points_as_step_nodes_give_the_same_propagator(monkeypatch):
     # a continuous generator, which both sample sources take at the same
     # times up to rounding, so they feed the same maps (three chunks)
-    steps, chunk = 2500, 1000
+    steps = 2500
+    monkeypatch.setattr(propagate, "CHUNK", 1000)
     grid = TimeGrid(SHORT_HAD.tau0, steps)
-    afun = _generator_fun(SHORT_HAD, grid)
+    afun = sweep_generator(SHORT_HAD, grid)
     _, levels, _ = _integrate(afun, StepNodes(grid.points()), 2, refine=2,
-                           store="final", chunk=chunk)
+                              store="final")
     for refine, u_nodes in zip((1, 2), levels):
-        _, u, _ = _integrate(afun, grid, 2, refine=refine, store="final", chunk=chunk)
+        _, u, _ = _integrate(afun, grid, 2, refine=refine, store="final")
         assert np.abs(u_nodes - u).max() <= 1e-12 * steps
 
 
-def test_doubled_grid_at_refine_1_matches_the_grid_at_refine_2():
+def test_doubled_grid_at_refine_1_matches_the_grid_at_refine_2(monkeypatch):
     # the same sample times and substep maps (Strategy 2's nominal sweep);
     # only the association of the scan product differs
     steps, chunk = 2500, 1000
     grid = TimeGrid(SHORT_HAD.tau0, steps)
     fine = TimeGrid(SHORT_HAD.tau0, 2 * steps)
     assert np.array_equal(fine.points()[0::2], grid.points())
-    at_grid, _, _ = _integrate(_generator_fun(SHORT_HAD, grid), grid, 2, chunk=chunk)
-    doubled, u, _ = _integrate(_generator_fun(SHORT_HAD, fine), fine, 2, refine=1,
-                            chunk=2 * chunk)
+    monkeypatch.setattr(propagate, "CHUNK", chunk)
+    at_grid, _, _ = _integrate(sweep_generator(SHORT_HAD, grid), grid, 2)
+    monkeypatch.setattr(propagate, "CHUNK", 2 * chunk)
+    doubled, u, _ = _integrate(sweep_generator(SHORT_HAD, fine), fine, 2, refine=1)
     assert doubled.shape == (2 * steps + 1, 2, 2)
     assert np.array_equal(doubled[-1], u)
     assert np.abs(doubled[0::2] - at_grid).max() <= 1e-15 * steps
@@ -284,10 +294,11 @@ def test_doubled_grid_at_refine_1_matches_the_grid_at_refine_2():
 @given(steps=st.integers(1, 60), chunk=st.integers(1, 25), refine=st.integers(1, 6))
 def test_storage_modes_write_one_product(steps, chunk, refine):
     grid = TimeGrid(SHORT_HAD.tau0, steps)
-    afun = _generator_fun(SHORT_HAD, grid)
-    kw = dict(refine=refine, chunk=chunk)
-    at_grid, u_grid, d_grid = _integrate(afun, grid, 2, store="grid", **kw)
-    none, u_final, d_final = _integrate(afun, grid, 2, store="final", **kw)
+    afun = sweep_generator(SHORT_HAD, grid)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(propagate, "CHUNK", chunk)
+        at_grid, u_grid, d_grid = _integrate(afun, grid, 2, refine=refine, store="grid")
+        none, u_final, d_final = _integrate(afun, grid, 2, refine=refine, store="final")
     assert none is None and at_grid.shape == (steps + 1, 2, 2)
     assert np.array_equal(u_final, at_grid[-1])
     assert np.array_equal(u_grid, u_final)
@@ -302,7 +313,7 @@ def test_row_weights_match_interpolation_on_the_grid_points(steps, chunk, refine
     grid = TimeGrid(SHORT_HAD.tau0, steps)
     delta_f = 0.05 * np.random.default_rng(seed).normal(size=(steps + 1, 3))
     points = grid.points()
-    weighted = _generator_fun(SHORT_HAD, grid, delta_f)
+    weighted = sweep_generator(SHORT_HAD, grid, delta_f)
 
     def reference(taus, c0):
         dfi = np.stack([np.interp(taus, points, delta_f[:, j]) for j in range(3)], axis=-1)
@@ -320,8 +331,10 @@ def test_row_weights_match_interpolation_on_the_grid_points(steps, chunk, refine
         sampled.append(taus)
         return a
 
-    out, _, _ = _integrate(compared, grid, 2, refine=refine, chunk=chunk)
-    want, _, _ = _integrate(reference, grid, 2, refine=refine, chunk=chunk)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(propagate, "CHUNK", chunk)
+        out, _, _ = _integrate(compared, grid, 2, refine=refine)
+        want, _, _ = _integrate(reference, grid, 2, refine=refine)
     assert len(sampled) == -(-steps // chunk)
     # rows j > 0 of the last chunk's end column lie past the final grid point
     assert np.all(sampled[-1][1:, -1] > points[-1])
@@ -337,7 +350,7 @@ def test_row_weights_match_interpolation_on_the_grid_points(steps, chunk, refine
 def test_unknown_storage_mode_is_rejected():
     grid = TimeGrid(SHORT_HAD.tau0, 40)
     with pytest.raises(ValueError, match="store must be"):
-        _integrate(_generator_fun(SHORT_HAD, grid), grid, 2, store="half")
+        _integrate(sweep_generator(SHORT_HAD, grid), grid, 2, store="half")
 
 
 def test_trajectory_holds_one_sample_per_grid_point():
@@ -355,7 +368,7 @@ def _short_control(grid):
                             np.exp(-taus**2 / 20.0)], axis=-1)
 
 
-def test_edge_aligned_batch_error_stays_within_its_estimate():
+def test_edge_aligned_batch_error_stays_within_its_estimate(monkeypatch):
     grid = TimeGrid(SHORT_HAD.tau0, 400)
     delta_f = _short_control(grid)
     improved = propagate_sweep(SHORT_HAD, grid, delta_f)
@@ -367,7 +380,8 @@ def test_edge_aligned_batch_error_stays_within_its_estimate():
     # the same segments and quiet factors, with the segments at refine 16
     runs = [_noisy_composite(SHORT_HAD, improved, delta_f, nz) for nz in noises]
     r1, r2 = np.stack([u for u, _, _ in runs], axis=1)
-    ref = np.stack([_noisy_composite(SHORT_HAD, improved, delta_f, nz, refine=16)[0][1]
+    monkeypatch.setattr(propagate, "DEFAULT_REFINE", 16)
+    ref = np.stack([_noisy_composite(SHORT_HAD, improved, delta_f, nz)[0][1]
                     for nz in noises])
     assert np.array_equal(r2, res.unitaries)
     assert res.error_estimate == np.abs(r2 - r1).max()
@@ -386,13 +400,13 @@ def test_noisy_composite_matches_a_whole_sweep_edge_aligned_run(level):
     grid = TimeGrid(SHORT_HAD.tau0, 400)
     delta_f = _short_control(grid)
     refine = level + 1
-    out, _, _ = _integrate(_generator_fun(SHORT_HAD, grid, delta_f), grid, 2,
-                        refine=refine)
+    out, _, _ = _integrate(sweep_generator(SHORT_HAD, grid, delta_f), grid, 2,
+                           refine=refine)
     improved = propagate.Trajectory(grid, out)
     for nz in _hand_placed_noise():
         nodes = StepNodes.with_edges(grid.points(), nz.edges())
-        _, whole, _ = _integrate(_generator_fun(SHORT_HAD, grid, delta_f, nz), nodes, 2,
-                              refine=2, store="final")
+        _, whole, _ = _integrate(sweep_generator(SHORT_HAD, grid, delta_f, nz), nodes,
+                                 2, refine=2, store="final")
         composite, steps, _ = _noisy_composite(SHORT_HAD, improved, delta_f, nz)
         assert steps < nodes.steps
         # roundoff of the solved quiet factors and of the sample times;
@@ -503,12 +517,13 @@ def _cancelling_generator(dim, chunk, eps=1e-2):
 
 
 @pytest.mark.parametrize("dim", [2, 4])
-def test_final_storage_measures_the_defect_of_every_prefix(dim):
+def test_final_storage_measures_the_defect_of_every_prefix(monkeypatch, dim):
     chunk = 10
+    monkeypatch.setattr(propagate, "CHUNK", chunk)
     grid = TimeGrid(10.0, 5 * chunk)
     afun = _cancelling_generator(dim, chunk)
-    _, u_grid, d_grid = _integrate(afun, grid, dim, store="grid", chunk=chunk)
-    none, u_final, d_final = _integrate(afun, grid, dim, store="final", chunk=chunk)
+    _, u_grid, d_grid = _integrate(afun, grid, dim, store="grid")
+    none, u_final, d_final = _integrate(afun, grid, dim, store="final")
     assert none is None and np.array_equal(u_final, u_grid)
     assert propagate.unitarity_defect(u_final) <= 1e-14
     assert d_final == d_grid > 1e-3
@@ -550,19 +565,21 @@ def test_noisy_runs_check_the_defect_inside_their_segments(monkeypatch):
     eps = 1e-2
 
     def growing_then_shrinking(*args, **kwargs):
+        # a batch of one member, as the generator builder writes it
         def afun(taus, c0):
             # every row of a step takes the sign at its midpoint, which the
             # pulse's symmetric nodes split into equal halves
             sign = -np.sign(taus[len(taus) // 2])
             return np.broadcast_to(sign[:, None, None] * eps * np.eye(2),
-                                   (*taus.shape, 2, 2)).astype(complex)
+                                   (1, *taus.shape, 2, 2)).astype(complex)
 
         return afun
 
     (seg,) = noisy_segments(grid, pulse.edges())
     nodes = StepNodes.with_edges(grid.points()[seg[0]:seg[1] + 1], pulse.edges())
-    _, seg_finals, seg_defect = _integrate(growing_then_shrinking(), nodes, 2,
-                                           refine=2, store="final")
+    member = growing_then_shrinking()
+    _, seg_finals, seg_defect = _integrate(lambda taus, c0: member(taus, c0)[0],
+                                           nodes, 2, refine=2, store="final")
     assert nodes.steps % 2 == 0
     assert np.abs(seg_finals - np.eye(2)).max() <= 1e-14
     monkeypatch.setattr(propagate, "_generator_fun", growing_then_shrinking)
@@ -613,7 +630,7 @@ def test_batched_finals_equal_separate_sweeps(members, chunk, full, last, seed):
     with pytest.MonkeyPatch.context() as mp:
         # coarse grids are far from unitary
         mp.setattr(propagate, "UNITARITY_BUDGET", np.inf)
-        mp.setattr(propagate, "_integrate", functools.partial(_integrate, chunk=chunk))
+        mp.setattr(propagate, "CHUNK", chunk)
         finals = propagate_finals(members, grid, delta_f)
         assert finals.shape == (len(members), dim, dim)
         for final, (p, controlled) in zip(finals, members):

@@ -132,7 +132,7 @@ def test_step_maps_matches_matmul_reference(seed, n, steps, batch, dt,
         # each entry of each stage input is one contiguous vector
         a = np.moveaxis(np.ascontiguousarray(np.moveaxis(a, (-2, -1), (0, 1))),
                         (0, 1), (-2, -1))
-    m = step_maps(a[0], a[1], a[2], dt)
+    m = step_maps(a[0], a[1], a[2], dt, matrix_algebra(n))
     ref = reference_step_maps(*(np.ascontiguousarray(x) for x in a), dt)
     assert m.shape == ref.shape
     assert np.abs(m - ref).max() <= EPS_BOUND * max(1.0, np.abs(ref).max())
