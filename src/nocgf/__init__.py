@@ -33,9 +33,9 @@ from .noc import ImprovedGateResult, improve_gate
 from .noise import (
     NoiseParams,
     NoiseRealization,
-    jitter_report,
     noise_ensemble,
     sample_realization,
+    timing_jitter,
 )
 from .propagate import (
     TimeGrid,
@@ -53,8 +53,8 @@ __all__ = [
     "GATES", "ErrorReport", "GateTarget", "d_star", "error_report",
     "fidelity", "gate_target", "target_offset", "trace_p",
     "ImprovedGateResult", "improve_gate",
-    "NoiseParams", "NoiseRealization", "jitter_report", "noise_ensemble",
-    "sample_realization",
+    "NoiseParams", "NoiseRealization", "noise_ensemble", "sample_realization",
+    "timing_jitter",
     "TimeGrid", "Trajectory", "integrate_delta_y", "propagate_sweep",
     "SensitivityRow", "run_sensitivity",
     "Spectrum", "bandwidth_w01", "control_spectrum", "to_dimensionful",

@@ -41,13 +41,16 @@ def _add_common(p):
 
 
 def _parse_powers(text: str):
-    """Comma-separated finite powers >= 0; None if empty or malformed."""
+    """Comma-separated distinct finite powers >= 0 (compared as floats, so
+    1e-3 and 0.001 repeat each other)."""
     try:
         powers = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        return None
+        powers = []
     if not powers or not all(math.isfinite(pw) and pw >= 0 for pw in powers):
-        return None
+        raise ConfigError(f"--powers must list finite mean powers >= 0, got {text!r}")
+    if len(set(powers)) != len(powers):
+        raise ConfigError(f"--powers lists a power more than once: {text!r}")
     return powers
 
 
@@ -171,9 +174,6 @@ def _run(args) -> int:
 
     if args.command == "jitter":
         powers = _parse_powers(args.powers)
-        if powers is None:
-            raise ConfigError(
-                f"--powers must list finite mean powers >= 0, got {args.powers!r}")
         return _emit(cfg, experiments.JITTER_HEADER,
                      experiments.run_jitter_sweep(cfg, powers), "jitter")
 

@@ -1,7 +1,10 @@
 """Experiment configuration: JSON ingestion, validation and defaults.
 
 Precedence is CLI flags > config file > built-in defaults.  Unknown keys are
-rejected so typos fail loudly.
+rejected so typos fail loudly.  `_defaults` is the one home of every
+experiment default, the noise model's included (an unset noise.tau_f is the
+per-system lifetime of noise.default_noise_params).  The ExperimentConfig
+fields are its keys, so a new key needs only `_defaults` and the dataclass.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ def _defaults() -> dict:
         "t_phys_us": {"one_qubit": 1.0, "two_qubit": 5.0},
         "noise": {
             "sigma": 0.1,
-            "tau_f": None,          # None -> per-system default (0.3 / 0.1)
+            "tau_f": None,          # None -> per system, see noise.default_noise_params
             "realizations": 10,
             "seed": None,           # None -> master seed
             "f_clock_hz": 1.0e9,
@@ -80,11 +83,13 @@ def _check_int(value, path: str, minimum: int):
 
 
 def _validate(cfg: dict) -> None:
-    if not isinstance(cfg["gates"], list):
+    if not isinstance(cfg["gates"], (list, tuple)):
         raise ConfigError("gates must be a list of gate names")
-    for g in cfg["gates"]:
+    for k, g in enumerate(cfg["gates"]):
         if g not in GATE_ORDER:
             raise ConfigError(f"unknown gate {g!r} in gates")
+        if g in cfg["gates"][:k]:
+            raise ConfigError(f"gate {g!r} is repeated in gates")
     for key in ("one_qubit", "two_qubit"):
         _check_int(cfg["steps"][key], f"steps.{key}", 1)
         _check_number(cfg["t_phys_us"][key], f"t_phys_us.{key}")
@@ -127,18 +132,7 @@ class ExperimentConfig:
     t_phys_us: dict
     noise: dict
     seed: int
-    out: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "gates": list(self.gates),
-            "steps": dict(self.steps),
-            "sweep_overrides": copy.deepcopy(self.sweep_overrides),
-            "t_phys_us": dict(self.t_phys_us),
-            "noise": dict(self.noise),
-            "seed": self.seed,
-            "out": self.out,
-        }
+    out: str | None
 
     def params_for(self, gate_name: str):
         base = NOMINAL_PARAMS[gate_name]
@@ -160,15 +154,7 @@ class ExperimentConfig:
 def config_from_dict(raw: dict) -> ExperimentConfig:
     cfg = _merged(raw)
     _validate(cfg)
-    return ExperimentConfig(
-        gates=tuple(cfg["gates"]),
-        steps=cfg["steps"],
-        sweep_overrides=cfg["sweep_overrides"],
-        t_phys_us=cfg["t_phys_us"],
-        noise=cfg["noise"],
-        seed=cfg["seed"],
-        out=cfg["out"],
-    )
+    return ExperimentConfig(**{**cfg, "gates": tuple(cfg["gates"])})
 
 
 def default_config() -> ExperimentConfig:
@@ -199,8 +185,8 @@ def load_config(path) -> ExperimentConfig:
 
 def apply_overrides(cfg: ExperimentConfig, *, gate=None, steps=None, seed=None,
                     realizations=None, out=None) -> ExperimentConfig:
-    """Fold CLI flag values over a loaded config."""
-    raw = cfg.to_dict()
+    """Fold CLI flag values over a loaded config; cfg itself is not changed."""
+    raw = dataclasses.asdict(cfg)     # deep copies of the dict fields
     if gate is not None:
         raw["gates"] = [g.strip().lower() for g in gate]
     if steps is not None:

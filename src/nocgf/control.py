@@ -224,7 +224,7 @@ def _coupling_phases(p: SweepParams2Q, tau):
     return [(np.cos(th * tau), np.sin(th * tau)) for th in (th2 + p.d1, th2)]
 
 
-def coupling_matrices(p, tau=None) -> np.ndarray:
+def coupling_matrices(p, tau) -> np.ndarray:
     """Control coupling matrices G_j = dH/dF_j, stacked as (..., 3, n, n).
 
     One qubit: the constant triple (-sx, -sy, -sz), broadcast read-only
@@ -238,11 +238,7 @@ def coupling_matrices(p, tau=None) -> np.ndarray:
     """
     if p.qubits == 1:
         g = np.stack([-SIGMA_X, -SIGMA_Y, -SIGMA_Z])
-        if tau is None or np.ndim(tau) == 0:
-            return g
         return np.broadcast_to(g, (*np.shape(tau), 3, 2, 2))
-    if tau is None:
-        raise ValueError("two-qubit couplings are time dependent; pass tau")
     tau = np.asarray(tau, dtype=float)
     g = np.zeros((4, 4, 3, *tau.shape), dtype=complex)
     re, im = g.real, g.imag

@@ -61,11 +61,11 @@ IDEAL_HEADER = (
 )
 
 
-def run_ideal_table(cfg: ExperimentConfig, results=None):
+def run_ideal_table(cfg: ExperimentConfig):
     """One row per configured gate: Tr P with and without the correction."""
 
     def one(name):
-        res = _improved(cfg, results, name)
+        res = improve_for(cfg, name)
         return (
             name,
             res.improved_report.trace_p,
@@ -128,7 +128,7 @@ def run_jitter_sweep(cfg: ExperimentConfig, powers, results=None):
         res = improved[name]
         mean, std, _ = noise.noise_ensemble(res, np_, nz["realizations"])
         power = np_.mean_power
-        sigma_t_ps = noise.jitter_report(power, nz["f_clock_hz"]).sigma_t * 1e12
+        sigma_t_ps = noise.timing_jitter(power, nz["f_clock_hz"]) * 1e12
         sem = std / math.sqrt(nz["realizations"])
         return (
             name, power, sigma_t_ps, mean, std, sem, nz["realizations"],
@@ -150,9 +150,8 @@ def run_sweep(cfg: ExperimentConfig, parameter: str, gate_name: str,
     return [(r.parameter, r.value, r.trp_with_noc, r.trp_without_noc) for r in rows]
 
 
-def run_spectrum(cfg: ExperimentConfig, gate_name: str, out,
-                 component: str = "x", results=None):
+def run_spectrum(cfg: ExperimentConfig, gate_name: str, out, component: str):
     """Export the control-modification spectrum of one gate to CSV."""
-    s = spectral.control_spectrum(_improved(cfg, results, gate_name).control, component)
+    s = spectral.control_spectrum(improve_for(cfg, gate_name).control, component)
     spectral.export_spectrum(s, out)
     return s

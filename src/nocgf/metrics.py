@@ -132,7 +132,6 @@ class ErrorReport:
     trace_p: float
     d_star: float
     fidelity: float
-    qubits: int
 
 
 def error_report(u_a: np.ndarray, gate: GateTarget) -> ErrorReport:
@@ -142,7 +141,6 @@ def error_report(u_a: np.ndarray, gate: GateTarget) -> ErrorReport:
         trace_p=tp,
         d_star=d_star(u_a, gate.sweep_unitary),
         fidelity=fidelity(tp, gate.qubits),
-        qubits=gate.qubits,
     )
 
 

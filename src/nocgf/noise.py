@@ -1,9 +1,13 @@
 """Shot-noise model of clock phase jitter: seeded piecewise-constant phase
-noise, exact power normalization, and jitter unit conversions.
+noise, exact power normalization, and the timing jitter of a noise power.
 
 A realization is a Poisson number of square fluctuation pulses with Gaussian
 amplitudes, uniformly placed over the sweep and rescaled so the interval-
 averaged power equals the requested mean power exactly.
+
+The experiment's noise defaults (pulse amplitude std, realizations, seed)
+live in the configuration; this module holds only the per-system half
+lifetimes that stand for an unset tau_f (default_noise_params).
 """
 
 from __future__ import annotations
@@ -15,10 +19,8 @@ import numpy as np
 
 from . import metrics, noc, propagate
 
-DEFAULT_SIGMA = 0.1
 DEFAULT_TAU_F_1Q = 0.3
 DEFAULT_TAU_F_2Q = 0.1
-DEFAULT_REALIZATIONS = 10
 MAX_RESAMPLE = 8
 
 
@@ -31,9 +33,9 @@ class NoiseParams:
     """Shot-noise parameters: mean power, pulse amplitude std, half lifetime."""
 
     mean_power: float
-    sigma: float = DEFAULT_SIGMA
-    tau_f: float = DEFAULT_TAU_F_1Q
-    seed: int = 0
+    sigma: float
+    tau_f: float
+    seed: int
 
     def __post_init__(self):
         if not (np.isfinite(self.mean_power) and self.mean_power >= 0):
@@ -49,9 +51,10 @@ class NoiseParams:
         return self.mean_power / (2.0 * self.sigma**2 * self.tau_f)
 
 
-def default_noise_params(qubits: int, mean_power: float, seed: int = 0,
-                         sigma: float = DEFAULT_SIGMA,
-                         tau_f: float | None = None) -> NoiseParams:
+def default_noise_params(qubits: int, mean_power: float, seed: int,
+                         sigma: float, tau_f: float | None) -> NoiseParams:
+    """NoiseParams with the per-system half lifetime when tau_f is None:
+    DEFAULT_TAU_F_1Q for one qubit, DEFAULT_TAU_F_2Q for two."""
     if tau_f is None:
         tau_f = DEFAULT_TAU_F_1Q if qubits == 1 else DEFAULT_TAU_F_2Q
     return NoiseParams(mean_power=mean_power, sigma=sigma, tau_f=tau_f, seed=seed)
@@ -66,7 +69,6 @@ class NoiseRealization:
     scale: float
     tau_f: float
     tau0: float
-    mean_power: float
 
     @property
     def count(self) -> int:
@@ -83,10 +85,9 @@ class NoiseRealization:
         is the cumulative level over the edges below tau, found by binary
         search.  A sample exactly on an edge takes the mean of the levels
         just below and just above it, which is the sgn(0) = 0 half value.
+        Without pulses the only level is 0, so every sample is 0.
         """
         tau = np.asarray(tau, dtype=float)
-        if self.count == 0 or self.scale == 0.0:
-            return np.zeros_like(tau)
         edges, levels = _edge_levels(self.centers - self.tau_f,
                                      self.centers + self.tau_f, self.amplitudes)
         below = levels[np.searchsorted(edges, tau, side="left")]
@@ -114,7 +115,7 @@ def _raw_power(centers, amplitudes, tau_f, tau0) -> float:
     return float(np.sum(levels**2 * seg) / tau0)
 
 
-def sample_realization(p: NoiseParams, tau0: float, trial: int = 0) -> NoiseRealization:
+def sample_realization(p: NoiseParams, tau0: float, trial: int) -> NoiseRealization:
     """Draw one seeded realization; deterministic in (seed, trial)."""
     if 2.0 * p.tau_f > tau0 / 10.0:
         warnings.warn(
@@ -125,19 +126,19 @@ def sample_realization(p: NoiseParams, tau0: float, trial: int = 0) -> NoiseReal
     if p.mean_power == 0.0:
         return NoiseRealization(
             centers=np.empty(0), amplitudes=np.empty(0), scale=0.0,
-            tau_f=p.tau_f, tau0=tau0, mean_power=0.0,
+            tau_f=p.tau_f, tau0=tau0,
         )
     for retry in range(MAX_RESAMPLE):
         rng = np.random.default_rng((int(p.seed), int(trial), retry))
         count = int(rng.poisson(p.rate * tau0))
         centers = rng.uniform(-tau0 / 2.0, tau0 / 2.0, size=count)
         amplitudes = rng.normal(0.0, p.sigma, size=count)
-        raw = _raw_power(centers, amplitudes, p.tau_f, tau0) if count else 0.0
+        raw = _raw_power(centers, amplitudes, p.tau_f, tau0)
         if raw > 0.0:
             return NoiseRealization(
                 centers=centers, amplitudes=amplitudes,
                 scale=float(np.sqrt(p.mean_power / raw)),
-                tau_f=p.tau_f, tau0=tau0, mean_power=p.mean_power,
+                tau_f=p.tau_f, tau0=tau0,
             )
     raise DegenerateRealizationError(
         f"zero raw power after {MAX_RESAMPLE} retries (seed {p.seed}, trial {trial})"
@@ -145,35 +146,22 @@ def sample_realization(p: NoiseParams, tau0: float, trial: int = 0) -> NoiseReal
 
 
 def realized_power(r: NoiseRealization) -> float:
-    """Interval-averaged power of a realization (should equal mean_power)."""
-    if r.count == 0:
-        return 0.0
+    """Interval-averaged power of a realization (the mean power it was drawn for)."""
     return r.scale**2 * _raw_power(r.centers, r.amplitudes, r.tau_f, r.tau0)
 
 
-@dataclass(frozen=True)
-class JitterReport:
-    sigma_phi: float
-    sigma_t: float
-    f_clock: float
-
-
-def jitter_report(mean_power: float, f_clock: float) -> JitterReport:
-    """Phase jitter sqrt(P) and timing jitter sigma_phi / (2 pi f_clock)."""
+def timing_jitter(mean_power: float, f_clock: float) -> float:
+    """Timing jitter sigma_t = sqrt(P) / (2 pi f_clock) in seconds: the phase
+    jitter sqrt(P) of a clock at f_clock."""
     if mean_power < 0:
         raise ValueError("mean_power must be >= 0")
     if f_clock <= 0:
         raise ValueError("f_clock must be > 0")
-    sigma_phi = float(np.sqrt(mean_power))
-    return JitterReport(
-        sigma_phi=sigma_phi,
-        sigma_t=sigma_phi / (2.0 * np.pi * f_clock),
-        f_clock=f_clock,
-    )
+    return float(np.sqrt(mean_power)) / (2.0 * np.pi * f_clock)
 
 
 def noise_ensemble(improved: noc.ImprovedGateResult, noise_params: NoiseParams,
-                   realizations: int = DEFAULT_REALIZATIONS):
+                   realizations: int):
     """Mean and std of Tr P over seeded noise trials with the frozen control.
 
     The gate, sweep parameters and control modification are the ones

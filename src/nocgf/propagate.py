@@ -587,29 +587,32 @@ def _integrate(afun, grid, dim: int, batch=(), refine=DEFAULT_REFINE,
     nodes = isinstance(grid, StepNodes)
     if nodes and (store != "final" or refine % 2):
         raise ValueError("step nodes integrate final propagators at an even refine")
-    # step nodes carry their two levels along a leading axis of u
-    levels, lead = ((refine // 2, refine), (2,)) if nodes else ((refine,), ())
-    algebra = CAYLEY_KLEIN if dim == 2 else matrix_algebra(dim)
-    k = algebra.identity.shape[1]
-    steps = grid.steps
-    u = algebra.unit((*lead, *batch))
-    out = None
-    defects = []
-    if store == "grid":
-        out = np.empty((*batch, steps + 1, dim, dim), dtype=complex)
-        algebra.expand(u, out[..., 0, :, :])
-    for c0 in range(0, steps, CHUNK):
-        cs = min(CHUNK, steps - c0)
-        rows, dt = _sample_rows(afun, grid, c0, cs, refine)
-        rows = [x[:, :k] for x in rows]
-        m = [_step_map(rows, dt, refine, r, algebra) for r in levels]
-        p = _blocked_scan(np.stack(m, axis=2) if lead else m[0], u, algebra)
-        if out is not None:
-            algebra.expand(p, out[..., c0 + 1:c0 + cs + 1, :, :])
-        # the defect of the level a noisy run reports, refine, on StepNodes
-        defects.append(algebra.defect(p[:, :, -1] if lead else p))
-        u = p[..., -1]
-    return out, algebra.expand(u), float(np.max(defects))
+    # an unstable coarse grid overflows to inf and NaN; the defect check of
+    # every caller turns those into an AccuracyError, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        # step nodes carry their two levels along a leading axis of u
+        levels, lead = ((refine // 2, refine), (2,)) if nodes else ((refine,), ())
+        algebra = CAYLEY_KLEIN if dim == 2 else matrix_algebra(dim)
+        k = algebra.identity.shape[1]
+        steps = grid.steps
+        u = algebra.unit((*lead, *batch))
+        out = None
+        defects = []
+        if store == "grid":
+            out = np.empty((*batch, steps + 1, dim, dim), dtype=complex)
+            algebra.expand(u, out[..., 0, :, :])
+        for c0 in range(0, steps, CHUNK):
+            cs = min(CHUNK, steps - c0)
+            rows, dt = _sample_rows(afun, grid, c0, cs, refine)
+            rows = [x[:, :k] for x in rows]
+            m = [_step_map(rows, dt, refine, r, algebra) for r in levels]
+            p = _blocked_scan(np.stack(m, axis=2) if lead else m[0], u, algebra)
+            if out is not None:
+                algebra.expand(p, out[..., c0 + 1:c0 + cs + 1, :, :])
+            # the defect of the level a noisy run reports, refine, on StepNodes
+            defects.append(algebra.defect(p[:, :, -1] if lead else p))
+            u = p[..., -1]
+        return out, algebra.expand(u), float(np.max(defects))
 
 
 def _finish(grid, samples, defect: float) -> Trajectory:

@@ -26,15 +26,12 @@ class BandwidthUndefinedError(ValueError):
 class Spectrum:
     omega: np.ndarray
     magnitude: np.ndarray
-    component: str
 
 
 @dataclass(frozen=True)
 class BandwidthReport:
     omega01: float
     omega01_mhz: float
-    tau0: float
-    t_phys: float
 
 
 def smooth_length(n: int) -> int:
@@ -78,7 +75,7 @@ def control_spectrum(ctrl: ControlModification, component: str = "x") -> Spectru
     nfft = smooth_length(PAD_FACTOR * n)
     mag = np.abs(np.fft.rfft(x, n=nfft))
     omega = 2.0 * np.pi * np.fft.rfftfreq(nfft, d=ctrl.grid.h)
-    return Spectrum(omega=omega, magnitude=mag, component=component)
+    return Spectrum(omega=omega, magnitude=mag)
 
 
 def bandwidth_w01(s: Spectrum) -> float:
@@ -116,11 +113,7 @@ def bandwidth_report(ctrl: ControlModification, t_phys: float) -> BandwidthRepor
     """Bandwidth of the control modification's x component."""
     w01 = bandwidth_w01(control_spectrum(ctrl))
     return BandwidthReport(
-        omega01=w01,
-        omega01_mhz=to_dimensionful(w01, ctrl.grid.tau0, t_phys),
-        tau0=ctrl.grid.tau0,
-        t_phys=t_phys,
-    )
+        omega01=w01, omega01_mhz=to_dimensionful(w01, ctrl.grid.tau0, t_phys))
 
 
 def export_spectrum(s: Spectrum, path) -> None:

@@ -18,10 +18,10 @@ from nocgf.noc import ENERGY_BALANCE_BUDGET
 from nocgf.noise import (
     NoiseParams,
     default_noise_params,
-    jitter_report,
     noise_ensemble,
     realized_power,
     sample_realization,
+    timing_jitter,
 )
 from nocgf.propagate import TimeGrid, _integrate
 from nocgf.sensitivity import run_sensitivity
@@ -92,7 +92,7 @@ def test_criterion_2_ideal_improvement(improved_all):
 
 
 def test_criterion_3_contraction_identity(rng):
-    couplings = coupling_matrices(NOMINAL_PARAMS["hadamard"])
+    couplings = coupling_matrices(NOMINAL_PARAMS["hadamard"], 0.0)
     worst = 0.0
     for _ in range(10_000):
         u = random_unitary(rng, 2)
@@ -206,13 +206,14 @@ def test_criterion_8_jitter(improved_all):
     t0 = time.perf_counter()
     for power, table in JITTER_MEANS.items():
         for name, want in table.items():
-            np_ = default_noise_params(1, power, seed=ACCEPTANCE_SEED)
+            np_ = default_noise_params(1, power, seed=ACCEPTANCE_SEED, sigma=0.1,
+                                       tau_f=None)
             mean, std, _ = noise_ensemble(improved_all[name], np_, 10)
             factor = max(mean / want, want / mean)
             checks.append((factor <= 3.0,
                            f"{name} P={power:g}: <TrP> {mean:.3e} vs {want:.2e} "
                            f"(factor {factor:.1f})"))
-    np2 = default_noise_params(2, 1e-3, seed=ACCEPTANCE_SEED)
+    np2 = default_noise_params(2, 1e-3, seed=ACCEPTANCE_SEED, sigma=0.1, tau_f=None)
     mean, std, _ = noise_ensemble(improved_all["cphase"], np2, 10)
     rel = abs(mean - 5.21e-5) / 5.21e-5
     checks.append((rel <= 0.05,
@@ -220,7 +221,7 @@ def test_criterion_8_jitter(improved_all):
     checks.append((std < 1e-8, f"cphase P=1e-3: std {std:.2e} < 1e-8"))
     for power, want_ps in ((1e-3, 5.03), (5e-3, 11.3), (8e-3, 14.2),
                            (6.25e-5, 1.26)):
-        got = jitter_report(power, 1e9).sigma_t * 1e12
+        got = timing_jitter(power, 1e9) * 1e12
         checks.append((abs(got - want_ps) / want_ps < 5e-3,
                        f"sigma_t({power:g}) = {got:.3g} ps vs {want_ps} ps"))
     checks.append((time.perf_counter() - t0 < 600.0, "runtime under 10 minutes"))

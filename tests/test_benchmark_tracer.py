@@ -37,7 +37,8 @@ def test_tracer_bindings_record_every_layer():
         grid = TimeGrid(p.tau0, 400)
         delta_f = np.zeros((grid.steps + 1, 3))
         improved = propagate.propagate_sweep(p, grid, delta_f)
-        trial = sample_realization(default_noise_params(1, 1e-3, seed=3), p.tau0)
+        trial = sample_realization(default_noise_params(1, 1e-3, seed=3, sigma=0.1,
+                                                        tau_f=None), p.tau0, trial=0)
         propagate.propagate_modified_batch(p, improved, delta_f, [trial])
         # the two-qubit improve alone: a nominal sweep on twice the steps
         # at one substep each, and Strategy 2, whose drive samples and

@@ -151,7 +151,7 @@ def test_two_qubit_eigs_match_explicit_assembly():
 
 
 def test_coupling_matrices_1q():
-    g = coupling_matrices(HAD)
+    g = coupling_matrices(HAD, 0.0)
     assert np.allclose(g, [-SIGMA_X, -SIGMA_Y, -SIGMA_Z])
     # over times, the constant triple is broadcast, not copied per sample
     stack = coupling_matrices(HAD, np.linspace(-80.0, 80.0, 4097))
@@ -173,7 +173,7 @@ def test_coupling_matrices_2q():
 
 
 def test_drive_matrix_identity():
-    g = drive_matrix(np.eye(2, dtype=complex), coupling_matrices(HAD))
+    g = drive_matrix(np.eye(2, dtype=complex), coupling_matrices(HAD, 0.0))
     assert np.allclose(g[:, 0], vectorize(-SIGMA_X))
     assert np.allclose(g[:, 1], vectorize(-SIGMA_Y))
     assert np.allclose(g[:, 2], vectorize(-SIGMA_Z))
@@ -181,7 +181,7 @@ def test_drive_matrix_identity():
 
 def test_drive_matrix_columns_hermitian(rng):
     u = random_unitary(rng, 2)
-    g = drive_matrix(u, coupling_matrices(HAD))
+    g = drive_matrix(u, coupling_matrices(HAD, 0.0))
     for j in range(3):
         m = g[:, j].reshape(2, 2).T
         assert np.abs(m - hermitize(m)).max() < 1e-12
@@ -191,7 +191,7 @@ def test_drive_matrix_columns_hermitian(rng):
 
 def test_drive_matrix_rejects_nonunitary():
     with pytest.raises(ValueError):
-        drive_matrix(2.0 * np.eye(2), coupling_matrices(HAD))
+        drive_matrix(2.0 * np.eye(2), coupling_matrices(HAD, 0.0))
 
 
 @pytest.mark.parametrize("n", [2, 4])

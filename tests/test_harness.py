@@ -1,7 +1,9 @@
+import dataclasses
 import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from nocgf import cli, experiments, noc, propagate
 from nocgf.config import (
     ConfigError,
+    apply_overrides,
     config_from_dict,
     default_config,
     load_config,
@@ -26,8 +29,8 @@ def test_every_public_export_resolves():
 
 def test_default_config_roundtrip():
     cfg = default_config()
-    again = config_from_dict(cfg.to_dict())
-    assert again.to_dict() == cfg.to_dict()
+    again = config_from_dict(dataclasses.asdict(cfg))
+    assert again == cfg
     assert cfg.gates == ("not", "hadamard", "pi8", "phase", "cphase")
     assert cfg.steps == {"one_qubit": 160000, "two_qubit": 120000}
     assert cfg.t_phys_us == {"one_qubit": 1.0, "two_qubit": 5.0}
@@ -38,7 +41,20 @@ def test_default_config_roundtrip():
 def test_empty_file_gives_defaults(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text("")
-    assert load_config(path).to_dict() == default_config().to_dict()
+    assert load_config(path) == default_config()
+
+
+def test_apply_overrides_leaves_the_original_config_unchanged():
+    cfg = config_from_dict({"sweep_overrides": {"hadamard": {"lam": 2.0}},
+                            "noise": {"sigma": 0.2}})
+    before = dataclasses.asdict(cfg)
+    new = apply_overrides(cfg, realizations=3)
+    assert new.noise["realizations"] == 3 and cfg.noise["realizations"] == 10
+    new.noise["sigma"] = 0.5
+    new.sweep_overrides["hadamard"]["lam"] = 3.0
+    new.sweep_overrides["not"] = {"lam": 4.0}
+    assert dataclasses.asdict(cfg) == before
+    assert cfg.params_for("hadamard").lam == 2.0
 
 
 def test_parse_error_carries_line_info(tmp_path):
@@ -102,6 +118,7 @@ NAN, INF = float("nan"), float("inf")
     ({"seed": False}, "seed"),
     ({"gates": "hadamard"}, "gates"),
     ({"out": 5}, "out"),
+    ({"gates": ["not", "hadamard", "not"]}, "gate 'not' is repeated"),
 ])
 def test_config_values_are_validated_at_load(raw, path):
     with pytest.raises(ConfigError, match=re.escape(path)):
@@ -124,6 +141,7 @@ def test_valid_numbers_pass_validation():
     '{"noise": {"sigma": "x"}}',
     '{"noise": {"sigma": NaN}}',
     '{"out": 5}',
+    '{"gates": ["not", "not"]}',
 ])
 def test_cli_reports_a_bad_config_value_in_one_line(tmp_path, capsys, text):
     path = tmp_path / "f.json"
@@ -274,7 +292,9 @@ def test_jitter_rejects_bad_power_before_improving(monkeypatch, power):
     assert calls == []
 
 
-@pytest.mark.parametrize("powers", [",", "", "x", "1e-3,abc", "nan", "inf", "-1"])
+# a repeated power, compared as a float, would print a duplicate row
+@pytest.mark.parametrize("powers", [",", "", "x", "1e-3,abc", "nan", "inf", "-1",
+                                    "0,0", "1e-3,6.25e-5,0.001"])
 def test_cli_jitter_rejects_bad_powers(monkeypatch, capsys, powers):
     calls = _count_improve_calls(monkeypatch, fail=True)
     rc = cli.main(["jitter", "--powers", powers, "--gate", "hadamard"])
@@ -373,13 +393,19 @@ def test_cli_rejects_an_unwritable_out_before_computing(tmp_path, monkeypatch,
     (["spectrum"], "spectrum requires a single --gate"),
     (["spectrum", "--gate", "hadamard"], "spectrum requires --out"),
     (["sweep", "--param", "d1", "--gate", "hadamard"], "applies to none"),
+    # 50 steps overflow the step maps to inf and NaN
+    (["improve", "--gate", "hadamard", "--steps", "50"], "unitarity defect inf"),
+    (["improve", "--gate", "cphase", "--steps", "50"], "unitarity defect nan"),
 ])
 def test_cli_errors_are_one_line_with_exit_code_2(capsys, argv, message):
-    rc = cli.main(argv)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(argv)
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("nocgf: ") and err.count("\n") == 1
     assert message in err
+    assert [str(w.message) for w in caught] == []     # numpy prints none either
 
 
 def test_python_m_nocgf_runs_the_cli_from_a_checkout():

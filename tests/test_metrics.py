@@ -114,6 +114,5 @@ def test_nominal_overlap_defect(improved_1q):
 
 def test_error_report(improved_all):
     rep = improved_all["hadamard"].nominal_report
-    assert rep.qubits == 1
     assert rep.fidelity == pytest.approx(1 - rep.trace_p / 4)
     assert 0 <= rep.d_star <= rep.trace_p

@@ -47,7 +47,7 @@ def test_strategy1_weights(rng):
 
 
 def test_contracted_drive_closed_form(rng):
-    couplings = coupling_matrices(HAD)
+    couplings = coupling_matrices(HAD, 0.0)
     # hand-checkable cases at U0 = I
     g = drive_matrix(np.eye(2, dtype=complex), couplings)
     got = contracted_drive(couplings, g, np.array([1.0, 0, 0, 0]))

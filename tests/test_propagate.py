@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -70,6 +71,14 @@ def test_constant_hamiltonian_matches_exponential():
         np.diag([np.exp(1j * (t + 4.0)), np.exp(-1j * (t + 4.0))]) for t in taus
     ])
     assert np.abs(out - expected).max() < 1e-10
+
+
+@pytest.mark.parametrize("p", [HAD, NOMINAL_PARAMS["cphase"]])
+def test_an_unstable_grid_raises_without_numpy_warnings(p):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AccuracyError, match="unitarity defect"):
+            propagate_sweep(p, TimeGrid(p.tau0, 50))
 
 
 def test_nominal_unitarity_and_budget(monkeypatch):
@@ -251,7 +260,7 @@ SHORT_HAD = dataclasses.replace(HAD, tau0=20.0)
 
 
 def _hand_placed_noise():
-    kw = dict(tau_f=0.5, tau0=SHORT_HAD.tau0, mean_power=1e-3)
+    kw = dict(tau_f=0.5, tau0=SHORT_HAD.tau0)
     return [
         NoiseRealization(centers=np.array([-3.01, -2.7, 4.5, 9.9]),
                          amplitudes=np.array([0.4, -0.25, 0.3, 0.2]), scale=1.0, **kw),
@@ -318,7 +327,7 @@ def test_row_weights_match_interpolation_on_the_grid_points(steps, chunk, refine
     def reference(taus, c0):
         dfi = np.stack([np.interp(taus, points, delta_f[:, j]) for j in range(3)], axis=-1)
         return -1j * (sweep_hamiltonian(taus, SHORT_HAD) + np.einsum(
-            "...j,jkl->...kl", dfi, coupling_matrices(SHORT_HAD)))
+            "...j,jkl->...kl", dfi, coupling_matrices(SHORT_HAD, 0.0)))
 
     # every sample, read or not, against the reference at the same times;
     # np.interp holds the last sample beyond the final grid point, as the
@@ -419,7 +428,7 @@ def test_a_realization_without_pulses_is_the_improved_gate():
     delta_f = _short_control(grid)
     improved = propagate_sweep(SHORT_HAD, grid, delta_f)
     quiet = NoiseRealization(centers=np.empty(0), amplitudes=np.empty(0), scale=0.0,
-                             tau_f=0.5, tau0=SHORT_HAD.tau0, mean_power=0.0)
+                             tau_f=0.5, tau0=SHORT_HAD.tau0)
     res = propagate_modified_batch(SHORT_HAD, improved, delta_f, [quiet])
     assert np.array_equal(res.unitaries[0], improved.final)
     assert res.error_estimate == 0.0 and res.steps.tolist() == [0]
@@ -459,7 +468,7 @@ def test_step_nodes_hold_the_noise_constant_inside_each_step(steps, centers, tau
     centers = np.array(centers, dtype=float)
     amplitudes = np.linspace(0.1, 0.7, len(centers)) * (-1.0) ** np.arange(len(centers))
     r = NoiseRealization(centers=centers, amplitudes=amplitudes, scale=1.0,
-                         tau_f=tau_f, tau0=grid.tau0, mean_power=1.0)
+                         tau_f=tau_f, tau0=grid.tau0)
     nodes = StepNodes.with_edges(grid.points(), r.edges()).taus
     points = grid.points()
     assert np.all(np.diff(nodes) > 0.0)
@@ -561,7 +570,7 @@ def test_noisy_runs_check_the_defect_inside_their_segments(monkeypatch):
     delta_f = _short_control(grid)
     improved = propagate_sweep(SHORT_HAD, grid, delta_f)
     pulse = NoiseRealization(centers=np.array([0.0]), amplitudes=np.array([0.3]),
-                             scale=1.0, tau_f=0.52, tau0=SHORT_HAD.tau0, mean_power=1e-3)
+                             scale=1.0, tau_f=0.52, tau0=SHORT_HAD.tau0)
     eps = 1e-2
 
     def growing_then_shrinking(*args, **kwargs):
