@@ -14,9 +14,9 @@ control modification), in the component-major layout of the integrator.
 Phase noise is an offset that `generator` adds to the twist phase
 (twist_phase), the one place where noise and phase are composed.  The
 two-qubit couplings G_j are written the same way, entry by entry from the
-cos and sin of the frame rotation angles, and the drive matrix conjugates
-them in that layout without a copy.  sweep_hamiltonian is the generator's
-entries viewed as dense (..., n, n) matrices.
+cos and sin of the frame rotation angles; the drive matrix forms G_j U0
+from those nonzero entries.  sweep_hamiltonian is the generator's entries
+viewed as dense (..., n, n) matrices.
 """
 
 from __future__ import annotations
@@ -32,8 +32,9 @@ from .lincore import (
     component_major,
     entry_matmul,
     matrix_major,
-    unitarity_defect,
 )
+# unused here, but perfbench/tracer.py patches control.unitarity_defect by name
+from .lincore import unitarity_defect  # noqa: F401
 
 
 def _check_positive(p, names) -> None:
@@ -234,7 +235,7 @@ def coupling_matrices(p, tau) -> np.ndarray:
     conjugates; G_3 is the constant diagonal d3 sz1 + sz2 (d3 = 1 is a pole
     of the rates, which SweepParams2Q rejects).  Written entry by entry
     into component-major (4, 4, 3, *T) memory, like generator, and returned
-    as its (*T, 3, 4, 4) view, which drive_matrix reads without a copy.
+    as its (*T, 3, 4, 4) view.  The pipeline does not call it (_coupled).
     """
     if p.qubits == 1:
         g = np.stack([-SIGMA_X, -SIGMA_Y, -SIGMA_Z])
@@ -258,27 +259,62 @@ def coupling_matrices(p, tau) -> np.ndarray:
     return np.moveaxis(g, (2, 0, 1), (-3, -2, -1))
 
 
-def drive_matrix(u0: np.ndarray, couplings: np.ndarray) -> np.ndarray:
-    """Drive matrix G with column j = vec(U0† G_j U0); shape (..., n², 3).
+# row i of G_1, G_2: two (column k, flipped qubit, 1 if upper) in k order
+_ROW_TERMS_2Q = (((1, 2, 1), (2, 1, 1)), ((0, 2, 0), (3, 1, 1)),
+                 ((0, 1, 0), (3, 2, 1)), ((1, 1, 0), (2, 2, 0)))
+# row i of -sigma_j U is z U[k]: (k, z) per row
+_ROW_TERMS_1Q = (((1, -1.0), (0, -1.0)), ((1, 1j), (0, -1j)), ((0, -1.0), (1, 1.0)))
 
-    u0 must be unitary to a defect of 1e-8; couplings has shape (..., 3, n, n).
-    The conjugation is the component-major products of
-    lincore.entry_matmul, not batched `@`, which is slow on stacks of
-    matrices this small.  Broadcast (stride 0) axes of couplings, as of
-    the constant one-qubit triple, are not copied.
+
+def _coupled(p, tau, u: np.ndarray) -> np.ndarray:
+    """G_j U, (n, n, 3, *lead), from the nonzero entries of the couplings
+    at times tau; u is component-major (n, n, *lead).  A row of -sigma_j U
+    is a row of U times -1, 1 or +-i; a row of two-qubit G_1 or G_2 U adds
+    its two terms in k order, so it is entry_matmul(G, U) bit for bit;
+    G_3 scales the rows."""
+    n = u.shape[0]
+    gu = np.empty((n, n, 3, *u.shape[2:]), dtype=complex)
+    if p.qubits == 1:
+        for j, rows in enumerate(_ROW_TERMS_1Q):
+            for i, (k, z) in enumerate(rows):
+                np.multiply(z, u[k], out=gu[i, :, j])
+        return gu
+    # entries[q][j, upper]: G_j's entry of a qubit-q flip, scale e^{i th tau}
+    entries = {}
+    for q, scale, (c, s) in zip((1, 2), (p.d3, 1.0), _coupling_phases(p, tau)):
+        c, s = scale * c, scale * s
+        e = np.empty((2, 2, *np.shape(tau)), dtype=complex)
+        e.real[0] = c
+        e.imag[0, 0] = s
+        e.imag[0, 1] = -s
+        e.real[1] = -s
+        e.imag[1, 0] = c
+        e.imag[1, 1] = -c
+        entries[q] = e
+    for i, ((ka, qa, ua), (kb, qb, ub)) in enumerate(_ROW_TERMS_2Q):
+        for j in (0, 1):
+            row = np.multiply(entries[qa][j, ua], u[ka], out=gu[i, :, j])
+            row += entries[qb][j, ub] * u[kb]
+    for i, d in enumerate((p.d3 + 1.0, p.d3 - 1.0, 1.0 - p.d3, -p.d3 - 1.0)):
+        np.multiply(d, u[i], out=gu[i, :, 2])
+    return gu
+
+
+def drive_matrix(u0: np.ndarray, p, tau) -> np.ndarray:
+    """Drive matrix G with column j = vec(U0† G_j U0) at times tau; shape
+    (..., n², 3), the broadcast of u0's stack axes and tau's shape.
+
+    G_j U0 comes from the couplings' nonzero entries (_coupled), and one
+    lincore.entry_matmul forms the transpose of U0† G_j U0, whose rows are
+    the column-stacked vectors: the result views (n², 3, *lead) memory,
+    which lincore.pauli_coordinates reads without a copy.  u0 is not
+    checked: the integrator checked every stored sample (propagate._finish).
     """
     u0 = np.asarray(u0)
-    if not (unitarity_defect(u0) <= 1e-8):
-        raise ValueError("drive_matrix requires a unitary propagator")
-    couplings = np.asarray(couplings)
     n = u0.shape[-1]
-    # contiguous (n, n, 1 or 3, *lead) operands: every entry one vector
-    lead = np.broadcast_shapes(u0.shape[:-2], couplings.shape[:-3])
-    u = np.ascontiguousarray(component_major(
-        np.broadcast_to(u0, (*lead, n, n))))[:, :, None]
-    g = np.broadcast_to(couplings, (*lead, 3, n, n))
-    g = g[tuple(slice(None, 1) if s == 0 else slice(None) for s in g.strides[:-3])]
-    g = np.ascontiguousarray(np.moveaxis(g, (-2, -1, -3), (0, 1, 2)))
-    gbar = entry_matmul(np.conj(np.swapaxes(u, 0, 1)), entry_matmul(g, u))
-    # column stacking: vec index col * n + row
-    return np.moveaxis(gbar, (1, 0, 2), (-3, -2, -1)).reshape(*lead, n * n, 3)
+    lead = np.broadcast_shapes(u0.shape[:-2], np.shape(tau))
+    u = np.ascontiguousarray(component_major(np.broadcast_to(u0, (*lead, n, n))))
+    gu = _coupled(p, tau, u)
+    gbar = entry_matmul(np.swapaxes(gu, 0, 1), np.conj(u)[:, :, None])
+    # gbar[i, k] is entry (k, i): column stacking, vec index col * n + row
+    return np.moveaxis(gbar.reshape(n * n, 3, *lead), (0, 1), (-2, -1))

@@ -110,8 +110,8 @@ def run_jitter_sweep(cfg: ExperimentConfig, powers, results=None):
     """Noise-averaged Tr P per (gate, mean power), with the std of the
     trials and the standard error std / sqrt(realizations) of their mean.
 
-    Every power is validated before any gate is improved, and each gate is
-    improved once and shared by all its powers.
+    Every power and its pulse count is validated before any gate is
+    improved, and each gate is improved once and shared by all its powers.
     """
     nz = cfg.noise
     jobs = [
@@ -120,6 +120,8 @@ def run_jitter_sweep(cfg: ExperimentConfig, powers, results=None):
             sigma=nz["sigma"], tau_f=nz["tau_f"]))
         for g in cfg.gates for pw in powers
     ]
+    for g, np_ in jobs:
+        noise.check_pulse_count(np_, cfg.params_for(g).tau0)
     names = list(dict.fromkeys(name for name, _ in jobs))
     improved = {g: _improved(cfg, results, g) for g in names}
 

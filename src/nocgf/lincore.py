@@ -37,24 +37,27 @@ _PAULIS = np.stack([ID2, SIGMA_X, SIGMA_Y, SIGMA_Z])
 PAULI_PRODUCTS = np.einsum("sij,tkl->stikjl", _PAULIS, _PAULIS).reshape(16, 4, 4)
 
 
-def _pauli_table(basis: np.ndarray) -> np.ndarray:
-    """Real (2 m, 2 m) form of the projection onto Pauli coordinates, for
-    the m = n² Pauli matrices of an n x n system, shape (m, n, n).
+def _pauli_table(basis: np.ndarray):
+    """(table, columns) of the projection onto the m = n² Pauli matrices
+    of an n x n system, basis shape (m, n, n).
 
-    Coordinate a of the column-stacked vec(X) is tr(B_a X) for the
-    orthonormal basis B_a = P_a / sqrt(n), whose row t[a] is B_a in
-    row-major order.  Every P_a has n nonzero entries of +-1 or +-i, so
-    each coordinate is a signed sum of n real or imaginary parts over
-    sqrt(n).  On the interleaved (re, im) view of vec(X), output columns
-    0..m-1 are the real parts of the coordinates and columns m..2m-1 their
-    imaginary parts.
+    Coordinate a of the column-stacked vec(X) is x_a = t[a] . vec(X), t[a]
+    the basis matrix P_a / sqrt(n) in row-major order.  Every P_a is real
+    or imaginary, so w[a] = t.real - t.imag is real and w[a] . Re vec(X),
+    w[a] . Im vec(X) are (Re x_a, Im x_a) or (-Im x_a, Re x_a).  The (m, m)
+    table's columns are the w[a], imaginary P_a first; columns orders the
+    2 m products (Re vec(X) . table, Im vec(X) . table) as the Re x_a, x_0
+    first, then the imaginary parts.
     """
     m, n, _ = basis.shape
     t = basis.reshape(m, m) / math.sqrt(n)
-    table = np.empty((2 * m, 2 * m))
-    table[0::2, :m], table[0::2, m:] = t.real.T, t.imag.T
-    table[1::2, :m], table[1::2, m:] = -t.imag.T, t.real.T
-    return table
+    imaginary = t.imag.any(axis=1)
+    order = np.argsort(imaginary, kind="stable")
+    q = int(imaginary.sum())
+    table = np.ascontiguousarray((t.real - t.imag)[np.roll(order, q)].T)
+    columns = np.concatenate([q + np.argsort(order), np.arange(q),
+                              np.arange(q + m, 2 * m)])
+    return table, columns
 
 
 # projection tables by vector length: 2x2 and 4x4 matrices
@@ -88,17 +91,29 @@ def pauli_coordinates(v: np.ndarray) -> tuple[np.ndarray, float]:
     unitary, so ||x|| = ||vec(X)|| and inner products are kept.  The
     coordinates of a Hermitian X are real: returns their real parts, shape
     (..., m), and the largest imaginary part discarded, which measures how
-    far X is from Hermitian.  One real matrix product on the (re, im) view:
-    a complex product with the basis costs several times more.
+    far X is from Hermitian.
+
+    The vectors are the rows of v.T, which for control.drive_matrix's
+    samples is their memory: no copy.  One real product with the table of
+    _pauli_table gives every real and imaginary part (a complex product
+    costs several times more); as its right operand the table gives each
+    row the same bits however many rows the product takes.  The parts go
+    to (..., 2 m) memory, real parts first; the result is its (..., m) view.
     """
     v = np.asarray(v)
     m = v.shape[-1]
     if m not in _PAULI_TABLES:
         raise ValueError(f"vector length {m} is not that of a 2x2 or 4x4 matrix")
-    parts = np.ascontiguousarray(v, dtype=complex).view(float).reshape(-1, 2 * m)
-    out = parts @ _PAULI_TABLES[m]
-    residue = float(np.abs(out[:, m:]).max(initial=0.0))
-    return out[:, :m].reshape(v.shape), residue
+    table, columns = _PAULI_TABLES[m]
+    rows = np.ascontiguousarray(v.T, dtype=complex)
+    stack = rows.shape[1:]      # v's stack axes, reversed
+    parts = (rows.reshape(m, -1).view(float).T @ table).reshape(*stack, 2 * m)
+    out = np.empty((*v.shape[:-1], 2 * m))
+    # out with its stack axes reversed, as they are in parts
+    out_rows = out.transpose(*reversed(range(out.ndim - 1)), out.ndim - 1)
+    out_rows[...] = parts[..., columns]
+    residue = float(np.abs(out[..., m:]).max(initial=0.0))
+    return out[..., :m], residue
 
 
 # Crossover (measured on 2x2 and 4x4 stacks) between the two product forms

@@ -135,9 +135,10 @@ def drive_windows(p, traj: Trajectory):
     coordinates at the trajectory's samples c0 .. c0 + W, shape
     (W + 1, n², 3) with W = DRIVE_WINDOW // n² (fewer in the last window),
     and the largest imaginary part the projection discarded.  Consecutive
-    windows share their end sample.  Each window is one coupling_matrices,
-    drive_matrix and pauli_coordinates call, reading the propagators in
-    place; this is where drive samples enter Pauli coordinates."""
+    windows share their end sample.  Each window is one drive_matrix and
+    one pauli_coordinates call, reading the propagators and the drive
+    samples in place; this is where drive samples enter Pauli
+    coordinates."""
     grid = traj.grid
     n = traj.unitaries.shape[-1]
     window = DRIVE_WINDOW // (n * n)
@@ -149,7 +150,7 @@ def drive_windows(p, traj: Trajectory):
         # no local keeps the complex drive matrix alive while the caller
         # consumes the window
         g_r, residue = pauli_coordinates(np.swapaxes(control.drive_matrix(
-            traj.unitaries[c0:c1], control.coupling_matrices(p, taus)), -1, -2))
+            traj.unitaries[c0:c1], p, taus), -1, -2))
         yield c0, np.swapaxes(g_r, -1, -2), residue
 
 

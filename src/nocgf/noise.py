@@ -18,10 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics, noc, propagate
+from .config import ConfigError
 
 DEFAULT_TAU_F_1Q = 0.3
 DEFAULT_TAU_F_2Q = 0.1
 MAX_RESAMPLE = 8
+# Largest expected pulse count rate * tau0 of a realization: a draw peaks
+# at 128 bytes per pulse (tracemalloc), 128 MiB at the limit.
+MAX_PULSES = 2**20
 
 
 class DegenerateRealizationError(RuntimeError):
@@ -115,8 +119,18 @@ def _raw_power(centers, amplitudes, tau_f, tau0) -> float:
     return float(np.sum(levels**2 * seg) / tau0)
 
 
+def check_pulse_count(p: NoiseParams, tau0: float) -> None:
+    """ConfigError above MAX_PULSES expected pulses in a sweep of tau0."""
+    expected = p.rate * tau0
+    if not expected <= MAX_PULSES:
+        raise ConfigError(
+            f"mean power {p.mean_power:g} expects {expected:.3g} noise pulses "
+            f"per sweep, more than the limit of {MAX_PULSES:,}")
+
+
 def sample_realization(p: NoiseParams, tau0: float, trial: int) -> NoiseRealization:
     """Draw one seeded realization; deterministic in (seed, trial)."""
+    check_pulse_count(p, tau0)
     if 2.0 * p.tau_f > tau0 / 10.0:
         warnings.warn(
             "fluctuation lifetime is not small compared to the sweep "

@@ -1,9 +1,11 @@
 """Dense reference forms of the sweep model, for the tests.
 
 The package writes the generator and the two-qubit couplings entry by entry
-(control.generator, control.coupling_matrices).  The forms here build the
-same operators as sums of Kronecker Paulis on dense (..., n, n) stacks: the
-textbook expressions the entry-wise code is checked against.
+(control.generator, control.coupling_matrices), and forms the drive matrix
+from the couplings' nonzero entries (control.drive_matrix).  The forms here
+build the same operators as sums of Kronecker Paulis on dense (..., n, n)
+stacks, and the drive matrix from a dense coupling stack: the textbook
+expressions the entry-wise code is checked against.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from nocgf.control import SweepParams1Q, SweepParams2Q, twist_phase
-from nocgf.lincore import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z
+from nocgf.lincore import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, component_major, entry_matmul
 
 # two-qubit Pauli tensors, qubit 1 = left factor
 SX1 = np.kron(SIGMA_X, ID2)
@@ -112,3 +114,20 @@ def dense_generator(tau, p, dfi=None, noise=0.0):
     if dfi is not None:
         h = h + np.einsum("...j,...jab->...ab", dfi, coupling_matrices(p, tau))
     return -1j * h
+
+
+def drive_matrix(u0: np.ndarray, couplings: np.ndarray) -> np.ndarray:
+    """Drive matrix G with column j = vec(U0† G_j U0) for any coupling
+    stack (..., 3, n, n); shape (..., n², 3).  The dense products
+    U0† (G_j U0) of lincore.entry_matmul on component-major copies."""
+    u0 = np.asarray(u0)
+    couplings = np.asarray(couplings)
+    n = u0.shape[-1]
+    lead = np.broadcast_shapes(u0.shape[:-2], couplings.shape[:-3])
+    u = np.ascontiguousarray(component_major(
+        np.broadcast_to(u0, (*lead, n, n))))[:, :, None]
+    g = np.ascontiguousarray(np.moveaxis(
+        np.broadcast_to(couplings, (*lead, 3, n, n)), (-2, -1, -3), (0, 1, 2)))
+    gbar = entry_matmul(np.conj(np.swapaxes(u, 0, 1)), entry_matmul(g, u))
+    # column stacking: vec index col * n + row
+    return np.moveaxis(gbar, (1, 0, 2), (-3, -2, -1)).reshape(*lead, n * n, 3)

@@ -97,7 +97,7 @@ def test_criterion_3_contraction_identity(rng):
     for _ in range(10_000):
         u = random_unitary(rng, 2)
         gbar = np.einsum("ba,jbc,cd->jad", u.conj(), couplings, u)
-        g = drive_matrix(u, couplings)
+        g = drive_matrix(u, NOMINAL_PARAMS["hadamard"], 0.0)
         w = rng.normal(size=4) + 1j * rng.normal(size=4)
         got = contracted_drive(gbar, g, w)
         want = np.array([[w[0] - w[3], 2 * w[2]], [2 * w[1], w[3] - w[0]]])

@@ -13,7 +13,17 @@ from nocgf.control import (
     sweep_hamiltonian,
     twist_phase,
 )
-from nocgf.lincore import SIGMA_X, SIGMA_Y, SIGMA_Z, hermitize, vectorize
+from nocgf import control, noc
+from nocgf.lincore import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    component_major,
+    entry_matmul,
+    hermitize,
+    pauli_coordinates,
+    vectorize,
+)
 from tests import dense_model
 from tests.conftest import random_unitary
 from tests.dense_model import (
@@ -173,7 +183,7 @@ def test_coupling_matrices_2q():
 
 
 def test_drive_matrix_identity():
-    g = drive_matrix(np.eye(2, dtype=complex), coupling_matrices(HAD, 0.0))
+    g = drive_matrix(np.eye(2, dtype=complex), HAD, 0.0)
     assert np.allclose(g[:, 0], vectorize(-SIGMA_X))
     assert np.allclose(g[:, 1], vectorize(-SIGMA_Y))
     assert np.allclose(g[:, 2], vectorize(-SIGMA_Z))
@@ -181,7 +191,7 @@ def test_drive_matrix_identity():
 
 def test_drive_matrix_columns_hermitian(rng):
     u = random_unitary(rng, 2)
-    g = drive_matrix(u, coupling_matrices(HAD, 0.0))
+    g = drive_matrix(u, HAD, 0.0)
     for j in range(3):
         m = g[:, j].reshape(2, 2).T
         assert np.abs(m - hermitize(m)).max() < 1e-12
@@ -189,29 +199,32 @@ def test_drive_matrix_columns_hermitian(rng):
         assert np.linalg.norm(g[:, j]) == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
 
-def test_drive_matrix_rejects_nonunitary():
-    with pytest.raises(ValueError):
-        drive_matrix(2.0 * np.eye(2), coupling_matrices(HAD, 0.0))
+def _matmul_drive(u, couplings):
+    """vec(U† G_j U) by batched `@` on dense stacks, shape (..., n², 3)."""
+    return np.swapaxes(vectorize(
+        np.conj(np.swapaxes(u, -1, -2))[..., None, :, :] @ couplings
+        @ u[..., None, :, :]), -1, -2)
 
 
 @pytest.mark.parametrize("n", [2, 4])
 def test_drive_matrix_matches_matmul_formula(rng, n):
     points = 64
     u = np.stack([random_unitary(rng, n) for _ in range(points)])
+    p = HAD if n == 2 else CP
+    taus = np.linspace(-50.0, 50.0, points)
+    got = drive_matrix(u, p, taus)
+    want = _matmul_drive(u, dense_model.coupling_matrices(p, taus))
+    assert got.shape == want.shape == (points, n * n, 3)
+    assert np.abs(got - want).max() <= 1e-14
+    # a single propagator at a scalar time
+    one = drive_matrix(u[7], p, taus[7])
+    assert one.shape == (n * n, 3)
+    assert np.abs(one - got[7]).max() <= 1e-15
+    # the dense oracle of the tests holds for any coupling stack
     shape = (points, 3, n, n)
     generic = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    physical = coupling_matrices(HAD if n == 2 else CP,
-                                 np.linspace(-50.0, 50.0, points))
-    for couplings in (generic, physical):
-        want = np.swapaxes(vectorize(
-            np.conj(np.swapaxes(u, -1, -2))[:, None] @ couplings @ u[:, None]), -1, -2)
-        got = drive_matrix(u, couplings)
-        assert got.shape == want.shape == (points, n * n, 3)
-        assert np.abs(got - want).max() <= 1e-14
-    # a single propagator against an unbatched coupling triple
-    one = drive_matrix(u[0], generic[0])
-    assert one.shape == (n * n, 3)
-    assert np.abs(one - drive_matrix(u[:1], generic[:1])[0]).max() <= 1e-15
+    assert np.abs(dense_model.drive_matrix(u, generic)
+                  - _matmul_drive(u, generic)).max() <= 1e-14
 
 
 def resonance_times(p) -> tuple[np.ndarray, np.ndarray]:
@@ -306,9 +319,65 @@ def test_coupling_matrices_2q_are_the_kronecker_form_exactly(p, seed, tau):
     one = coupling_matrices(p, tau)
     one_oracle = dense_model.coupling_matrices(p, tau)
     assert one.shape == (3, 4, 4) and np.array_equal(one, one_oracle)
-    u = np.stack([random_unitary(rng, 4) for _ in range(len(taus))])
-    assert np.array_equal(drive_matrix(u, g), drive_matrix(u, oracle))
-    assert np.array_equal(drive_matrix(u[0], one), drive_matrix(u[0], one_oracle))
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.one_of(params_1q, params_2q), seed=st.integers(0, 2**32 - 1),
+       points=st.one_of(st.none(), st.integers(1, 300)))
+@example(p=HAD, seed=0, points=None)
+@example(p=HAD, seed=1, points=4097)
+@example(p=CP, seed=2, points=None)
+@example(p=CP, seed=3, points=1025)
+def test_drive_matrix_is_the_dense_conjugation(p, seed, points):
+    # against the dense coupling stack of the Kronecker model, at a scalar
+    # time (points None) or an array of times
+    rng = np.random.default_rng(seed)
+    n = p.dim
+    if points is None:
+        tau = float(rng.uniform(-p.tau0 / 2, p.tau0 / 2))
+        u = random_unitary(rng, n)
+    else:
+        tau = rng.uniform(-p.tau0 / 2, p.tau0 / 2, points)
+        u = np.stack([random_unitary(rng, n) for _ in range(points)])
+    couplings = np.broadcast_to(dense_model.coupling_matrices(p, tau),
+                                (*np.shape(tau), 3, n, n))
+    # G_j U0 from the couplings' nonzero entries is the dense product, bit
+    # for bit
+    u_cm = np.ascontiguousarray(component_major(u))
+    g_cm = np.ascontiguousarray(np.moveaxis(couplings, (-2, -1, -3), (0, 1, 2)))
+    assert np.array_equal(control._coupled(p, tau, u_cm),
+                          entry_matmul(g_cm, u_cm[:, :, None]))
+    got = drive_matrix(u, p, tau)
+    want = dense_model.drive_matrix(u, couplings)
+    assert got.shape == want.shape == (*np.shape(tau), n * n, 3)
+    x, residue = pauli_coordinates(np.swapaxes(got, -1, -2))
+    x_want, residue_want = pauli_coordinates(np.swapaxes(want, -1, -2))
+    # 1e-15 relative to the coordinates, which grow with |d3| to about 4
+    scale = max(1.0, np.abs(x_want).max())
+    assert np.abs(x - x_want).max() <= 1e-15 * scale
+    assert abs(residue - residue_want) <= 1e-15 * scale
+
+
+def test_drive_matrix_is_one_entry_product(monkeypatch):
+    # one window of samples: G_j U0 takes no matrix product, the
+    # conjugation exactly one
+    calls = []
+
+    def counting(a, b):
+        calls.append(a.shape)
+        return entry_matmul(a, b)
+
+    monkeypatch.setattr(control, "entry_matmul", counting)
+    rng = np.random.default_rng(3)
+    for p in (HAD, CP):
+        n = p.dim
+        points = noc.DRIVE_WINDOW // (n * n) + 1
+        taus = np.linspace(-p.tau0 / 2, 0.0, points)
+        u = np.linalg.qr(rng.normal(size=(points, n, n))
+                         + 1j * rng.normal(size=(points, n, n)))[0]
+        calls.clear()
+        drive_matrix(u, p, taus)
+        assert calls == [(n, n, 3, points)]
 
 
 @pytest.mark.parametrize("p", [HAD, CP], ids=["hadamard", "cphase"])

@@ -396,6 +396,9 @@ def test_cli_rejects_an_unwritable_out_before_computing(tmp_path, monkeypatch,
     # 50 steps overflow the step maps to inf and NaN
     (["improve", "--gate", "hadamard", "--steps", "50"], "unitarity defect inf"),
     (["improve", "--gate", "cphase", "--steps", "50"], "unitarity defect nan"),
+    # rng.poisson fails on this pulse rate; the limit is checked first
+    (["jitter", "--powers", "1e-3,1e20", "--gate", "hadamard", "--steps", "40000"],
+     "mean power 1e+20 expects 2.67e+24 noise pulses per sweep"),
 ])
 def test_cli_errors_are_one_line_with_exit_code_2(capsys, argv, message):
     with warnings.catch_warnings(record=True) as caught:

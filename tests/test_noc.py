@@ -49,7 +49,7 @@ def test_strategy1_weights(rng):
 def test_contracted_drive_closed_form(rng):
     couplings = coupling_matrices(HAD, 0.0)
     # hand-checkable cases at U0 = I
-    g = drive_matrix(np.eye(2, dtype=complex), couplings)
+    g = drive_matrix(np.eye(2, dtype=complex), HAD, 0.0)
     got = contracted_drive(couplings, g, np.array([1.0, 0, 0, 0]))
     assert np.allclose(got, [[1, 0], [0, -1]])
     got = contracted_drive(couplings, g, np.array([0.0, 1.0, 0, 0]))
@@ -58,7 +58,7 @@ def test_contracted_drive_closed_form(rng):
     for _ in range(200):
         u = random_unitary(rng, 2)
         gbar = np.einsum("ba,jbc,cd->jad", u.conj(), couplings, u)
-        gmat = drive_matrix(u, couplings)
+        gmat = drive_matrix(u, HAD, 0.0)
         w = rng.normal(size=4) + 1j * rng.normal(size=4)
         got = contracted_drive(gbar, gmat, w)
         want = np.array([[w[0] - w[3], 2 * w[2]], [2 * w[1], w[3] - w[0]]])
@@ -129,7 +129,7 @@ def test_strategy1_control_matches_the_complex_drive_law():
     res = improve_gate(gate_target("hadamard"), HAD, grid)
     traj = propagate_sweep(HAD, grid)
     w = strategy1_weights(target_offset(traj.final, res.gate))
-    g = drive_matrix(traj.unitaries, coupling_matrices(HAD, grid.points()))
+    g = drive_matrix(traj.unitaries, HAD, grid.points())
     env = np.exp(-(grid.points() + grid.tau0 / 2.0) / noc.ANSATZ_DECAY)
     want = env[:, None] * np.einsum("kmj,m->kj", g.conj(), w).real
     assert np.abs(want).max() > 1e-4
@@ -224,7 +224,7 @@ def test_strategy2_streamed_pass_matches_an_unstreamed_reference(cphase_30k):
     sol = strategy2_solve(p, traj, off)
     # the whole complex drive stack, the batched-`@` maps of B = -G G† and
     # one matvec per step
-    g_half = drive_matrix(traj.unitaries, coupling_matrices(p, traj.grid.points()))
+    g_half = drive_matrix(traj.unitaries, p, traj.grid.points())
     y = -off.delta_b.astype(complex)
     want = [y]
     for c0 in range(0, grid.steps, 1000):
@@ -374,7 +374,7 @@ def test_drive_windows_match_one_drive_matrix_call(name, steps, window):
     traj = Trajectory(grid, np.linalg.qr(z)[0])
     # the Pauli projection of one drive_matrix call
     want, want_residue = pauli_coordinates(np.swapaxes(
-        drive_matrix(traj.unitaries, coupling_matrices(p, grid.points())), -1, -2))
+        drive_matrix(traj.unitaries, p, grid.points()), -1, -2))
     want = np.swapaxes(want, -1, -2)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(noc, "DRIVE_WINDOW", n * n * window)
@@ -453,3 +453,32 @@ def test_strategy2_rejects_a_bad_offset_before_any_drive_sample(monkeypatch, kin
     off = TargetOffset(delta_beta=beta, delta_b=vectorize(beta))
     with pytest.raises(ConsistencyError, match="imaginary residue"):
         strategy2_solve(p, traj, off)
+
+
+@pytest.mark.parametrize("name", ["hadamard", "cphase"])
+def test_improve_gate_rejects_a_nonunitary_sweep_before_any_drive_sample(
+        monkeypatch, name):
+    # 50 steps overflow the step maps: the integrator's own unitarity check
+    # stops the pipeline, and drive_matrix, which checks nothing, never
+    # sees the propagators
+    def no_drive_matrix(*args, **kwargs):
+        raise AssertionError("drive samples formed from unchecked propagators")
+
+    monkeypatch.setattr(control, "drive_matrix", no_drive_matrix)
+    p = NOMINAL_PARAMS[name]
+    with pytest.raises(AccuracyError, match="unitarity defect"):
+        improve_gate(gate_target(name), p, TimeGrid(p.tau0, 50))
+
+
+@pytest.mark.parametrize("name", ["hadamard", "cphase"])
+def test_improve_gate_forms_no_coupling_stack(monkeypatch, name):
+    # drive samples come from the couplings' nonzero entries; the small
+    # grid's defect exceeds the production budget
+    def no_coupling_stack(*args, **kwargs):
+        raise AssertionError("dense coupling stack formed")
+
+    monkeypatch.setattr(control, "coupling_matrices", no_coupling_stack)
+    monkeypatch.setattr(propagate, "UNITARITY_BUDGET", np.inf)
+    p = NOMINAL_PARAMS[name]
+    res = improve_gate(gate_target(name), p, TimeGrid(p.tau0, 20000))
+    assert res.improved_report.trace_p < res.nominal_report.trace_p

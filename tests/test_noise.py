@@ -3,7 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nocgf.config import ConfigError
 from nocgf.noise import (
+    MAX_PULSES,
     DegenerateRealizationError,
     NoiseParams,
     NoiseRealization,
@@ -24,6 +26,16 @@ def test_params_validation():
         NoiseParams(**{**PARAMS, "sigma": 0.0})
     p = NoiseParams(**PARAMS)
     assert p.rate == pytest.approx(1.0 / 6.0, rel=1e-12)
+
+
+def test_sample_realization_rejects_more_pulses_than_the_limit():
+    # rate * tau0 = MAX_PULSES at this power; rng.poisson fails far above it
+    at_limit = MAX_PULSES / 160.0 * 2.0 * 0.1**2 * 0.3
+    with pytest.raises(ConfigError, match="noise pulses per sweep"):
+        sample_realization(NoiseParams(**{**PARAMS, "mean_power": 1.01 * at_limit}),
+                           160.0, trial=0)
+    with pytest.raises(ConfigError, match="expects 2.67e[+]24 noise pulses"):
+        sample_realization(NoiseParams(**{**PARAMS, "mean_power": 1e20}), 160.0, trial=0)
 
 
 @pytest.mark.parametrize("power", [float("nan"), float("inf"), -1.0])

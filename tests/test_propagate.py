@@ -189,7 +189,7 @@ def cphase_half_drive():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(propagate, "UNITARITY_BUDGET", np.inf)
         traj = propagate_sweep(p, fine, refine=1)
-    return grid, drive_matrix(traj.unitaries, coupling_matrices(p, fine.points()))
+    return grid, drive_matrix(traj.unitaries, p, fine.points())
 
 
 def test_delta_y_zero_offset(cphase_half_drive):
