@@ -13,10 +13,11 @@ series that define it (the twist phase, the longitudinal ramps and the
 control modification), in the component-major layout of the integrator.
 Phase noise is an offset that `generator` adds to the twist phase
 (twist_phase), the one place where noise and phase are composed.  The
-two-qubit couplings G_j are written the same way, entry by entry from the
-cos and sin of the frame rotation angles; the drive matrix forms G_j U0
-from those nonzero entries.  sweep_hamiltonian is the generator's entries
-viewed as dense (..., n, n) matrices.
+two-qubit flips sit where _ROW_TERMS_2Q places them and G_3's diagonal is
+_g3_diagonal, which generator and _coupled both read: _coupled forms G_j U0
+from the couplings' nonzero entries for the drive matrix, and
+coupling_matrices is _coupled of the identity.  sweep_hamiltonian is the
+generator's entries viewed as dense (..., n, n) matrices.
 """
 
 from __future__ import annotations
@@ -25,14 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lincore import (
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    component_major,
-    entry_matmul,
-    matrix_major,
-)
+from .lincore import component_major, entry_matmul, matrix_major
 # unused here, but perfbench/tracer.py patches control.unitarity_defect by name
 from .lincore import unitarity_defect  # noqa: F401
 
@@ -151,13 +145,14 @@ def generator(tau, p, dfi=None, noise=0.0, out=None) -> np.ndarray:
     at 0 and +-1/sqrt(eta4); the off-diagonal is built from f1 + i f2 =
     exp(-i phi)/lam + (dfi_1 + i dfi_2).  Two qubits (basis index
     2 q1 + q2): four real diagonal series, the c4 shift on |10> (index 2)
-    among them, the qubit-1 flips (2,0), (3,1) with
-    L1 = -(d3/lam) e^{i phi} + d3 w e^{i th1 tau}, the qubit-2 flips
-    (1,0), (3,2) with L2 = -(1/lam) e^{i phi} + w e^{i th2 tau}, where
-    w = dfi_1 + i dfi_2 and th1, th2 are the frame rotation rates of
-    _coupling_phases; the upper entries are conjugates and (0,3), (1,2),
-    (2,1), (3,0) are 0.  tests/dense_model.py builds the same operator from
-    Kronecker Paulis, the reference it is tested against.
+    among them, the qubit-1 flips with
+    L1 = -(d3/lam) e^{i phi} + d3 w e^{i th1 tau} and the qubit-2 flips
+    with L2 = -(1/lam) e^{i phi} + w e^{i th2 tau}, where w = dfi_1 + i dfi_2
+    and th1, th2 are the frame rotation rates of _coupling_phases.  The
+    flips sit where _ROW_TERMS_2Q places them, (2,0), (3,1) for qubit 1 and
+    (1,0), (3,2) for qubit 2 with the conjugates above the diagonal;
+    (0,3), (1,2), (2,1), (3,0) are 0.  tests/dense_model.py builds the same
+    operator from Kronecker Paulis, the reference it is tested against.
     """
     tau = np.asarray(tau, dtype=float)
     phase = twist_phase(tau, p, noise)
@@ -195,8 +190,7 @@ def generator(tau, p, dfi=None, noise=0.0, out=None) -> np.ndarray:
     l1 = [-(a1 * c), -(a1 * s)]        # (re, im) of L1
     l2 = [-(a2 * c), -(a2 * s)]        # (re, im) of L2
     if df is not None:
-        sz = (p.d3 + 1.0, p.d3 - 1.0, 1.0 - p.d3, -p.d3 - 1.0)
-        diag = [d + k * df[2] for d, k in zip(diag, sz)]
+        diag = [d + k * df[2] for d, k in zip(diag, _g3_diagonal(p))]
         for scale, (ct, st), lx in zip((p.d3, 1.0), _coupling_phases(p, tau),
                                        (l1, l2)):
             wr = df[0] * ct - df[1] * st      # w e^{i th tau}
@@ -206,16 +200,19 @@ def generator(tau, p, dfi=None, noise=0.0, out=None) -> np.ndarray:
     for k in range(4):
         re[k, k] = 0.0
         im[k, k] = -diag[k]
-    for r, col in ((2, 0), (3, 1), (1, 0), (3, 2)):
-        lr, li = l1 if r - col == 2 else l2
-        # A = -i H: lower entry -i L, upper entry -i conj(L)
-        re[r, col] = li
-        im[r, col] = -lr
-        re[col, r] = -li
-        im[col, r] = -lr
-    for r, col in ((0, 3), (1, 2), (2, 1), (3, 0)):
-        out[r, col] = 0.0
+    for r, terms in enumerate(_ROW_TERMS_2Q):
+        for col, q, upper in terms:
+            lr, li = l1 if q == 1 else l2
+            # A = -i H: lower entry -i L, upper entry -i conj(L)
+            re[r, col] = -li if upper else li
+            im[r, col] = -lr
+        out[r, 3 - r] = 0.0       # the anti-diagonal holds no flip
     return out
+
+
+def _g3_diagonal(p: SweepParams2Q):
+    """Diagonal of G_3 = d3 sz1 + sz2, in basis order 2 q1 + q2."""
+    return (p.d3 + 1.0, p.d3 - 1.0, 1.0 - p.d3, -p.d3 - 1.0)
 
 
 def _coupling_phases(p: SweepParams2Q, tau):
@@ -223,40 +220,6 @@ def _coupling_phases(p: SweepParams2Q, tau):
     qubit-1 and qubit-2 couplings; d1 and d3 fix the rates."""
     th2 = p.d1 / (p.d3 - 1.0)
     return [(np.cos(th * tau), np.sin(th * tau)) for th in (th2 + p.d1, th2)]
-
-
-def coupling_matrices(p, tau) -> np.ndarray:
-    """Control coupling matrices G_j = dH/dF_j, stacked as (..., 3, n, n).
-
-    One qubit: the constant triple (-sx, -sy, -sz), broadcast read-only
-    over the times.  Two qubits: G_1 and G_2 flip qubit 1 at (2,0), (3,1)
-    with d3 e^{i th1 tau} and i d3 e^{i th1 tau}, and qubit 2 at (1,0),
-    (3,2) with e^{i th2 tau} and i e^{i th2 tau}, the upper entries the
-    conjugates; G_3 is the constant diagonal d3 sz1 + sz2 (d3 = 1 is a pole
-    of the rates, which SweepParams2Q rejects).  Written entry by entry
-    into component-major (4, 4, 3, *T) memory, like generator, and returned
-    as its (*T, 3, 4, 4) view.  The pipeline does not call it (_coupled).
-    """
-    if p.qubits == 1:
-        g = np.stack([-SIGMA_X, -SIGMA_Y, -SIGMA_Z])
-        return np.broadcast_to(g, (*np.shape(tau), 3, 2, 2))
-    tau = np.asarray(tau, dtype=float)
-    g = np.zeros((4, 4, 3, *tau.shape), dtype=complex)
-    re, im = g.real, g.imag
-    for scale, (c, s), flips in zip((p.d3, 1.0), _coupling_phases(p, tau),
-                                    (((2, 0), (3, 1)), ((1, 0), (3, 2)))):
-        c, s = scale * c, scale * s
-        for r, col in flips:
-            # G_1: scale e^{i th tau}; G_2: i scale e^{i th tau}
-            re[r, col, 0] = re[col, r, 0] = c
-            im[r, col, 0] = s
-            im[col, r, 0] = -s
-            re[r, col, 1] = re[col, r, 1] = -s
-            im[r, col, 1] = c
-            im[col, r, 1] = -c
-    for k, d in enumerate((p.d3 + 1.0, p.d3 - 1.0, 1.0 - p.d3, -p.d3 - 1.0)):
-        re[k, k, 2] = d
-    return np.moveaxis(g, (2, 0, 1), (-3, -2, -1))
 
 
 # row i of G_1, G_2: two (column k, flipped qubit, 1 if upper) in k order
@@ -295,9 +258,24 @@ def _coupled(p, tau, u: np.ndarray) -> np.ndarray:
         for j in (0, 1):
             row = np.multiply(entries[qa][j, ua], u[ka], out=gu[i, :, j])
             row += entries[qb][j, ub] * u[kb]
-    for i, d in enumerate((p.d3 + 1.0, p.d3 - 1.0, 1.0 - p.d3, -p.d3 - 1.0)):
+    for i, d in enumerate(_g3_diagonal(p)):
         np.multiply(d, u[i], out=gu[i, :, 2])
     return gu
+
+
+def coupling_matrices(p, tau) -> np.ndarray:
+    """Control coupling matrices G_j = dH/dF_j, stacked as (..., 3, n, n):
+    _coupled of the identity over tau's shape, as the (*T, 3, n, n) view of
+    its component-major memory.  One qubit: the constant triple
+    (-sx, -sy, -sz).  Two qubits: G_1 and G_2 flip qubit 1 with
+    d3 e^{i th1 tau} and i d3 e^{i th1 tau} and qubit 2 with e^{i th2 tau}
+    and i e^{i th2 tau}, conjugates above the diagonal; G_3 is the constant
+    diagonal d3 sz1 + sz2 (d3 = 1 is a pole of the rates, which
+    SweepParams2Q rejects).  The pipeline does not call it (drive_matrix).
+    """
+    eye = np.broadcast_to(np.eye(p.dim, dtype=complex), (*np.shape(tau), p.dim, p.dim))
+    gu = _coupled(p, tau, component_major(eye))
+    return np.moveaxis(gu, (2, 0, 1), (-3, -2, -1))
 
 
 def drive_matrix(u0: np.ndarray, p, tau) -> np.ndarray:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,6 +83,13 @@ class NoiseRealization:
         """The 2 count pulse edges (left edges first), where the noise jumps."""
         return np.concatenate([self.centers - self.tau_f, self.centers + self.tau_f])
 
+    @cached_property
+    def _sorted_levels(self):
+        """The sorted edges and their levels (_edge_levels), sorted once per
+        realization rather than on every evaluate call."""
+        return _edge_levels(self.centers - self.tau_f, self.centers + self.tau_f,
+                            self.amplitudes)
+
     def evaluate(self, tau) -> np.ndarray:
         """delta_phi at tau: scale * sum_i x_i [sgn(tau-l_i) - sgn(tau-r_i)]/2.
 
@@ -92,8 +100,7 @@ class NoiseRealization:
         Without pulses the only level is 0, so every sample is 0.
         """
         tau = np.asarray(tau, dtype=float)
-        edges, levels = _edge_levels(self.centers - self.tau_f,
-                                     self.centers + self.tau_f, self.amplitudes)
+        edges, levels = self._sorted_levels
         below = levels[np.searchsorted(edges, tau, side="left")]
         above = levels[np.searchsorted(edges, tau, side="right")]
         return self.scale * (0.5 * (below + above))

@@ -1,11 +1,12 @@
 """Dense reference forms of the sweep model, for the tests.
 
-The package writes the generator and the two-qubit couplings entry by entry
-(control.generator, control.coupling_matrices), and forms the drive matrix
-from the couplings' nonzero entries (control.drive_matrix).  The forms here
-build the same operators as sums of Kronecker Paulis on dense (..., n, n)
-stacks, and the drive matrix from a dense coupling stack: the textbook
-expressions the entry-wise code is checked against.
+The package writes the generator entry by entry (control.generator), and
+forms G_j U and the drive matrix from the couplings' nonzero entries
+(control._coupled, control.drive_matrix); control.coupling_matrices is
+control._coupled of the identity.  The forms here build the same operators
+as sums of Kronecker Paulis on dense (..., n, n) stacks, and the drive
+matrix from a dense coupling stack: the textbook expressions the
+entry-wise code is checked against.
 """
 
 from __future__ import annotations

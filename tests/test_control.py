@@ -163,9 +163,9 @@ def test_two_qubit_eigs_match_explicit_assembly():
 def test_coupling_matrices_1q():
     g = coupling_matrices(HAD, 0.0)
     assert np.allclose(g, [-SIGMA_X, -SIGMA_Y, -SIGMA_Z])
-    # over times, the constant triple is broadcast, not copied per sample
+    # over times, the constant triple at every sample
     stack = coupling_matrices(HAD, np.linspace(-80.0, 80.0, 4097))
-    assert stack.shape == (4097, 3, 2, 2) and stack.strides[0] == 0
+    assert stack.shape == (4097, 3, 2, 2)
     assert np.array_equal(stack[1234], g)
 
 
@@ -307,18 +307,22 @@ def test_generator_nominal_is_the_dense_form_exactly(p):
 
 
 @settings(max_examples=40, deadline=None)
-@given(p=params_2q, seed=st.integers(0, 2**32 - 1), tau=st.floats(-100.0, 100.0))
+@given(p=st.one_of(params_1q, params_2q), seed=st.integers(0, 2**32 - 1),
+       tau=st.floats(-100.0, 100.0))
+@example(p=HAD, seed=0, tau=13.7)
 @example(p=CP, seed=0, tau=13.7)
-def test_coupling_matrices_2q_are_the_kronecker_form_exactly(p, seed, tau):
+def test_coupling_matrices_are_the_kronecker_form_exactly(p, seed, tau):
+    # the one-qubit oracle is the constant triple, broadcast over the times
     rng = np.random.default_rng(seed)
     taus = rng.uniform(-p.tau0 / 2, p.tau0 / 2, 65)
+    n = p.dim
     g = coupling_matrices(p, taus)
-    oracle = dense_model.coupling_matrices(p, taus)
-    assert g.shape == oracle.shape == (65, 3, 4, 4)
+    oracle = np.broadcast_to(dense_model.coupling_matrices(p, taus), (65, 3, n, n))
+    assert g.shape == (65, 3, n, n)
     assert np.array_equal(g, oracle)
     one = coupling_matrices(p, tau)
     one_oracle = dense_model.coupling_matrices(p, tau)
-    assert one.shape == (3, 4, 4) and np.array_equal(one, one_oracle)
+    assert one.shape == (3, n, n) and np.array_equal(one, one_oracle)
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nocgf import noise
 from nocgf.config import ConfigError
 from nocgf.noise import (
     MAX_PULSES,
@@ -195,3 +196,22 @@ def test_evaluate_on_a_shared_edge_is_the_half_values():
     assert r.evaluate(-0.25) == pytest.approx(0.1, abs=1e-16)
     assert np.allclose(r.evaluate([0.1, 0.4, 0.75, 1.0]), [0.2, -0.6, -0.3, 0.0],
                        atol=1e-16)
+
+
+def test_evaluate_sorts_the_edges_once_per_realization(monkeypatch):
+    # a noisy integration evaluates chunk by chunk; each call reads the
+    # realization's sorted edges and levels instead of sorting them again
+    r = sample_realization(NoiseParams(**PARAMS), 160.0, trial=0)
+    calls = []
+    edge_levels = noise._edge_levels
+
+    def counted(*args):
+        calls.append(1)
+        return edge_levels(*args)
+
+    monkeypatch.setattr(noise, "_edge_levels", counted)
+    tau = np.linspace(-80.0, 80.0, 4097)
+    first = r.evaluate(tau)
+    for _ in range(3):
+        assert np.array_equal(r.evaluate(tau), first)
+    assert len(calls) == 1
