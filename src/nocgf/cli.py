@@ -122,9 +122,11 @@ def _check_out(path) -> None:
 
 def _emit(cfg, header, rows, meta: str) -> int:
     """Write the rows as CSV to cfg.out, or print them when it is unset."""
-    with _writing(cfg.out):
-        text = experiments.write_csv(cfg.out, header, rows, meta)
-    if not cfg.out:
+    text = experiments.render_csv(header, rows, meta)
+    if cfg.out:
+        with _writing(cfg.out), open(cfg.out, "w") as fh:
+            fh.write(text)
+    else:
         print(text, end="")
     return 0
 

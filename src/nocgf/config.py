@@ -140,12 +140,10 @@ class ExperimentConfig:
         return dataclasses.replace(base, **over) if over else base
 
     def grid_for(self, p) -> TimeGrid:
-        steps = self.steps["one_qubit"] if p.qubits == 1 else self.steps["two_qubit"]
-        return TimeGrid(p.tau0, steps)
+        return TimeGrid(p.tau0, self.steps[p.system])
 
     def t_phys_for(self, p) -> float:
-        key = "one_qubit" if p.qubits == 1 else "two_qubit"
-        return self.t_phys_us[key] * 1e-6
+        return self.t_phys_us[p.system] * 1e-6
 
     def noise_seed(self) -> int:
         return self.seed if self.noise["seed"] is None else self.noise["seed"]

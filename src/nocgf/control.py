@@ -43,7 +43,14 @@ class SweepParams1Q:
     """Dimensionless sweep parameters of a one-qubit gate.
 
     lam   inversion rate, eta4 quartic twist strength, tau0 inversion time.
+    Class constants, not fields: qubits, dim = 2**qubits, and system, the
+    key of the system's entries in the config's per-system tables
+    (ExperimentConfig.grid_for and t_phys_for).
     """
+
+    qubits = 1
+    dim = 2
+    system = "one_qubit"
 
     lam: float
     eta4: float
@@ -52,22 +59,19 @@ class SweepParams1Q:
     def __post_init__(self):
         _check_positive(self, ("lam", "eta4", "tau0"))
 
-    @property
-    def qubits(self) -> int:
-        return 1
-
-    @property
-    def dim(self) -> int:
-        return 2
-
 
 @dataclass(frozen=True)
 class SweepParams2Q:
     """Dimensionless sweep parameters of the two-qubit gate.
 
     d1..d4 are the Larmor mismatch, detuning, drive-ratio and Ising
-    couplings; c4 is the degeneracy-breaking strength.
+    couplings; c4 is the degeneracy-breaking strength.  qubits, dim and
+    system are class constants, as in SweepParams1Q.
     """
+
+    qubits = 2
+    dim = 4
+    system = "two_qubit"
 
     lam: float
     eta4: float
@@ -85,14 +89,6 @@ class SweepParams2Q:
                 raise ValueError(f"{name} must be finite")
         if self.d3 == 1.0:
             raise ValueError("d3 = 1 is a pole of the two-qubit couplings")
-
-    @property
-    def qubits(self) -> int:
-        return 2
-
-    @property
-    def dim(self) -> int:
-        return 4
 
 
 # nominal sweep parameters of the five reference gates
@@ -286,7 +282,8 @@ def drive_matrix(u0: np.ndarray, p, tau) -> np.ndarray:
     lincore.entry_matmul forms the transpose of U0† G_j U0, whose rows are
     the column-stacked vectors: the result views (n², 3, *lead) memory,
     which lincore.pauli_coordinates reads without a copy.  u0 is not
-    checked: the integrator checked every stored sample (propagate._finish).
+    checked: the integrator checked every stored sample
+    (propagate.propagate_sweep).
     """
     u0 = np.asarray(u0)
     n = u0.shape[-1]

@@ -1,4 +1,4 @@
-"""Experiment orchestration and CSV persistence.
+"""Experiment orchestration and CSV rendering.
 
 Every CSV row carries its own provenance (seed, grid steps, code version) so
 it can be re-derived from the row alone.  Output is deterministic for a
@@ -33,14 +33,6 @@ def render_csv(header, rows, meta: str = "") -> str:
     for row in rows:
         out.write(",".join(format_value(v) for v in row) + "\n")
     return out.getvalue()
-
-
-def write_csv(path, header, rows, meta: str = "") -> str:
-    text = render_csv(header, rows, meta)
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
 
 
 def improve_for(cfg: ExperimentConfig, gate_name: str) -> noc.ImprovedGateResult:
@@ -87,14 +79,16 @@ BANDWIDTH_HEADER = ("gate", "omega01", "omega01_mhz", "t_phys_us", "steps",
 
 
 def run_bandwidth_table(cfg: ExperimentConfig, results=None):
-    """Per-gate 10%-threshold bandwidth of the control modification."""
+    """Per-gate 10%-threshold bandwidth of the control modification's x
+    component, dimensionless and in MHz at its system's t_phys_us."""
 
     def one(name):
         res = _improved(cfg, results, name)
-        rep = spectral.bandwidth_report(res.control, cfg.t_phys_for(res.params))
-        key = "one_qubit" if res.params.qubits == 1 else "two_qubit"
+        w01 = spectral.bandwidth_w01(spectral.control_spectrum(res.control))
+        mhz = spectral.to_dimensionful(w01, res.control.grid.tau0,
+                                       cfg.t_phys_for(res.params))
         return (
-            name, rep.omega01, rep.omega01_mhz, cfg.t_phys_us[key],
+            name, w01, mhz, cfg.t_phys_us[res.params.system],
             res.control.grid.steps, cfg.seed, __version__,
         )
 

@@ -86,7 +86,7 @@ GATES = {
     "cphase": GateTarget("cphase", _cphase_unitary(), _SWEEP_CPHASE, 2),
 }
 
-GATE_ORDER = ("not", "hadamard", "pi8", "phase", "cphase")
+GATE_ORDER = tuple(GATES)
 
 
 def gate_target(name: str) -> GateTarget:

@@ -97,7 +97,9 @@ class ImprovedGateResult:
     ensembles and sensitivity rows built on the result read them from it.
     improved_trajectory is the grid-stored sweep with the control
     modification; the noisy runs of the jitter ensemble reuse it between
-    their noise pulses (propagate.propagate_modified_batch)."""
+    their noise pulses (propagate.propagate_modified_batch).  strategy is
+    the gate's: 1 for one qubit, 2 for two; feedback is the strategy-2
+    solution, None for strategy 1."""
 
     gate: GateTarget
     params: object
@@ -106,8 +108,12 @@ class ImprovedGateResult:
     control: ControlModification
     improved_trajectory: Trajectory
     nominal_unitary: np.ndarray
-    strategy: int
     feedback: Strategy2Solution | None = None
+
+    @property
+    def strategy(self) -> int:
+        # strategy n corrects the n-qubit gates
+        return self.gate.qubits
 
     @property
     def improved_unitary(self) -> np.ndarray:
@@ -255,7 +261,7 @@ def strategy2_solve(p, nominal: Trajectory, offset: TargetOffset) -> Strategy2So
             f"(tolerance {NORM_INCREASE_TOL:.0e}); the step size is unstable"
         )
     balance = energy_balance(delta_y, raw, grid.h)
-    propagate._check_budget("Riccati energy balance", balance, ENERGY_BALANCE_BUDGET)
+    propagate.check_budget("Riccati energy balance", balance, ENERGY_BALANCE_BUDGET)
     return Strategy2Solution(
         delta_y=delta_y,
         control=ControlModification(grid=grid, samples=raw),
@@ -269,35 +275,34 @@ def improve_gate(gate: GateTarget, p, grid: TimeGrid) -> ImprovedGateResult:
     """Run the full pipeline on the grid: nominal sweep, offset, control
     correction, modified sweep, and error reports for both gates.
 
-    One-qubit gates take strategy 1, the two-qubit gate strategy 2, which
-    needs a grid of at least 2 steps (its feedback grid; ConfigError before
-    anything is integrated).  Both raise ConsistencyError when the Pauli
-    projections of the offset or of the drive samples discard an imaginary
-    residue above IMAG_RESIDUE_TOL.
+    One branch on the gate's qubit count picks the nominal sweep and the
+    correction.  One-qubit gates take strategy 1 on the nominal sweep of
+    the grid.  The two-qubit gate takes strategy 2, which needs a grid of
+    at least 2 steps (its feedback grid; ConfigError before anything is
+    integrated) and a nominal sweep on twice its steps.  Both raise
+    ConsistencyError when the Pauli projections of the offset or of the
+    drive samples discard an imaginary residue above IMAG_RESIDUE_TOL.
     """
     if p.qubits != gate.qubits:
         raise ConfigError("sweep parameters do not match the gate's system")
-    strategy = 1 if gate.qubits == 1 else 2
-    if strategy == 2 and grid.steps < 2:
-        raise ConfigError("the two-qubit gate needs a grid of at least 2 steps, "
-                          f"got {grid.steps}")
-
-    if strategy == 1:
+    if gate.qubits == 1:
         nominal = propagate.propagate_sweep(p, grid)
+        nominal_unitary = nominal.final.copy()
+        feedback = None
+        ctrl = strategy1_solve(p, nominal,
+                               metrics.target_offset(nominal_unitary, gate))
     else:
+        if grid.steps < 2:
+            raise ConfigError("the two-qubit gate needs a grid of at least 2 steps, "
+                              f"got {grid.steps}")
         # each feedback step reads the drive matrix at its midpoint: the
         # nominal sweep runs on twice the steps at one substep each, the
         # sample times and substep size of the grid at DEFAULT_REFINE = 2
         nominal = propagate.propagate_sweep(
             p, TimeGrid(grid.tau0, 2 * grid.steps), refine=1)
-    nominal_unitary = nominal.final.copy()
-    offset = metrics.target_offset(nominal_unitary, gate)
-
-    feedback = None
-    if strategy == 1:
-        ctrl = strategy1_solve(p, nominal, offset)
-    else:
-        feedback = strategy2_solve(p, nominal, offset)
+        nominal_unitary = nominal.final.copy()
+        feedback = strategy2_solve(p, nominal,
+                                   metrics.target_offset(nominal_unitary, gate))
         ctrl = feedback.control
     # free the nominal trajectory before the improved sweep; the result keeps
     # a copy of its final propagator
@@ -312,6 +317,5 @@ def improve_gate(gate: GateTarget, p, grid: TimeGrid) -> ImprovedGateResult:
         control=ctrl,
         improved_trajectory=improved,
         nominal_unitary=nominal_unitary,
-        strategy=strategy,
         feedback=feedback,
     )

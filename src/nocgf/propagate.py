@@ -190,8 +190,9 @@ class AccuracyError(RuntimeError):
         self.budget = budget
 
 
-def _check_budget(check: str, value: float, budget: float) -> None:
-    # "not <=" also catches NaN from an unstable (too coarse) step size
+def check_budget(check: str, value: float, budget: float) -> None:
+    """Raise AccuracyError when value exceeds budget or is NaN, as an
+    unstable (too coarse) step size makes it."""
     if not (value <= budget):
         raise AccuracyError(check, value, budget)
 
@@ -615,11 +616,6 @@ def _integrate(afun, grid, dim: int, batch=(), refine=DEFAULT_REFINE,
         return out, algebra.expand(u), float(np.max(defects))
 
 
-def _finish(grid, samples, defect: float) -> Trajectory:
-    _check_budget("unitarity defect", defect, UNITARITY_BUDGET)
-    return Trajectory(grid, samples, defect=defect)
-
-
 def _control_fun(grid: TimeGrid, delta_f):
     """delta_f (grid samples, shape (steps + 1, 3)) linearly interpolated to
     the sampler's times: a function (taus, c0) -> (*taus.shape, 3), a view
@@ -711,7 +707,8 @@ def propagate_sweep(p, grid: TimeGrid, delta_f=None, *,
     afun = _generator_fun(grid, [(p, True)], delta_f)
     out, _, defect = _integrate(lambda taus, c0: afun(taus, c0)[0], grid, p.dim,
                                 refine=refine)
-    return _finish(grid, out, defect)
+    check_budget("unitarity defect", defect, UNITARITY_BUDGET)
+    return Trajectory(grid, out, defect=defect)
 
 
 def propagate_finals(members, grid: TimeGrid, delta_f) -> np.ndarray:
@@ -729,7 +726,7 @@ def propagate_finals(members, grid: TimeGrid, delta_f) -> np.ndarray:
     _, finals, defect = _integrate(_generator_fun(grid, members, delta_f), grid,
                                    members[0][0].dim, batch=(len(members),),
                                    store="final")
-    _check_budget("unitarity defect", defect, UNITARITY_BUDGET)
+    check_budget("unitarity defect", defect, UNITARITY_BUDGET)
     return finals
 
 
@@ -792,8 +789,8 @@ def propagate_modified_batch(p, improved: Trajectory, delta_f, noises) -> NoisyF
     coarse, fine = np.stack([u for u, _, _ in runs], axis=1)
     defect = float(np.max([unitarity_defect(fine), *(d for _, _, d in runs)]))
     estimate = float(np.abs(fine - coarse).max())
-    _check_budget("unitarity defect", defect, UNITARITY_BUDGET)
-    _check_budget("step-doubling error estimate", estimate, DOUBLING_BUDGET)
+    check_budget("unitarity defect", defect, UNITARITY_BUDGET)
+    check_budget("step-doubling error estimate", estimate, DOUBLING_BUDGET)
     return NoisyFinals(fine, np.array([steps for _, steps, _ in runs]), defect, estimate)
 
 

@@ -45,11 +45,10 @@ def run_sensitivity(improved: noc.ImprovedGateResult, parameter: str):
     correction frozen, as one batched integration of four members:
     (-1 ULP, +1 ULP) x (with, without the correction), final propagators
     only (propagate.propagate_finals).  The zero row is the ideal pipeline
-    output: the two final propagators of `improved`.
+    output: the two final propagators of `improved`.  A parameter without
+    a printed-precision entry raises ConfigError (parameter_ulp).
     """
     gate, p = improved.gate, improved.params
-    if not hasattr(p, parameter):
-        raise ValueError(f"unknown sweep parameter {parameter!r}")
     ulp = parameter_ulp(gate.name, parameter)
     base = getattr(p, parameter)
     low, high = base - ulp, base + ulp

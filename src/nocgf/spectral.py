@@ -28,12 +28,6 @@ class Spectrum:
     magnitude: np.ndarray
 
 
-@dataclass(frozen=True)
-class BandwidthReport:
-    omega01: float
-    omega01_mhz: float
-
-
 def smooth_length(n: int) -> int:
     """Smallest 2^a 3^b 5^c >= n (n >= 1).
 
@@ -107,13 +101,6 @@ def to_dimensionful(omega01: float, tau0: float, t_phys: float) -> float:
     if t_phys <= 0:
         raise ValueError("t_phys must be > 0")
     return omega01 * (tau0 / t_phys) / 1e6
-
-
-def bandwidth_report(ctrl: ControlModification, t_phys: float) -> BandwidthReport:
-    """Bandwidth of the control modification's x component."""
-    w01 = bandwidth_w01(control_spectrum(ctrl))
-    return BandwidthReport(
-        omega01=w01, omega01_mhz=to_dimensionful(w01, ctrl.grid.tau0, t_phys))
 
 
 def export_spectrum(s: Spectrum, path) -> None:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from nocgf import cli, experiments, noc, propagate
+from nocgf import cli, experiments, noc, propagate, spectral
 from nocgf.config import (
     ConfigError,
     apply_overrides,
@@ -228,6 +228,20 @@ def test_bandwidth_mhz_halves_when_gate_time_doubles():
     assert rows2[0][2] == pytest.approx(rows1[0][2] / 2.0)    # MHz halves
 
 
+def test_bandwidth_rows_take_the_gate_time_of_their_system(improved_all):
+    # one- and two-qubit gates have different default gate times, so a row
+    # that read the other system's entry would show here
+    cfg = default_config()
+    assert cfg.t_phys_us["one_qubit"] != cfg.t_phys_us["two_qubit"]
+    rows = experiments.run_bandwidth_table(cfg, results=improved_all)
+    assert [r[0] for r in rows] == list(cfg.gates)
+    for name, omega01, omega01_mhz, t_phys_us, *_ in rows:
+        system = "two_qubit" if name == "cphase" else "one_qubit"
+        assert t_phys_us == cfg.t_phys_us[system]
+        tau0 = improved_all[name].params.tau0
+        assert omega01_mhz == spectral.to_dimensionful(omega01, tau0, t_phys_us * 1e-6)
+
+
 def test_jitter_zero_power_rows():
     cfg = config_from_dict({
         "steps": {"one_qubit": 40000, "two_qubit": 60000},
@@ -308,6 +322,7 @@ def test_cli_improve_and_tables(tmp_path, capsys):
     rc = cli.main(["improve", "--gate", "hadamard", "--steps", "40000"])
     assert rc == 0
     out = capsys.readouterr().out
+    assert out.splitlines()[0] == "gate: hadamard (strategy 1)"
     assert "improved: TrP" in out
 
     out_csv = tmp_path / "ideal.csv"

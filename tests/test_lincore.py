@@ -117,7 +117,26 @@ def test_pauli_coordinates_isometry_and_roundtrip(seed, batch, n):
                        rtol=1e-15, atol=0.0)
     assert np.abs(np.sum(x * y, axis=-1)
                   - np.sum(a.conj() * b, axis=-1)).max(initial=0.0) <= 1e-14
-    assert np.abs(_from_pauli(x, n) - a).max() <= 1e-15
+    # Roundtrip bound, with u = eps / 2 and M = max|a| per vector (every
+    # real and imaginary part of a is at most M), to first order in u.
+    # Projection (one real product with the table of lincore._pauli_table):
+    #   n = 2: x_a = c (t1 +- t2), t real or imaginary parts of a and
+    #     c = fl(1 / fl(sqrt 2)); c (2u), the products (u) and the sum (u)
+    #     err by 4u c (|t1| + |t2|) <= 4 sqrt2 u M, and |x_a| <= sqrt2 M.
+    #   n = 4: x_a = (t1 +- t2 +- t3 +- t4) / 2, exact halves, three sums:
+    #     3u 2M = 6u M, and |x_a| <= 2M.
+    # Rebuild (_from_pauli): each real or imaginary part of an entry sums
+    # at most k terms x_a b, each |x_a b| <= M:
+    #   n = 2: k = 2, b = fl(1 / fl(sqrt 2)) (2u), the products (u), one sum
+    #     (u 2M): 8u M, plus the coordinates' 2 (4 sqrt2 u M) / sqrt2 = 8u M.
+    #   n = 4: k = 4, b = +-1/2 or +-i/2 exact, three sums (3u 4M): 12u M,
+    #     plus the coordinates' 4 (6u M) / 2 = 12u M.
+    # A complex entry errs by at most sqrt2 times its parts: 8 sqrt2 eps M
+    # (n = 2) and 12 sqrt2 eps M (n = 4).  Seeds 0..3999 of every draw
+    # reach 2.1 eps M.
+    bound = {2: 8.0, 4: 12.0}[n] * np.sqrt(2.0) * np.finfo(float).eps
+    err = np.abs(_from_pauli(x, n) - a)
+    assert np.all(err <= bound * np.abs(a).max(axis=-1, keepdims=True))
 
 
 @settings(max_examples=40, deadline=None)

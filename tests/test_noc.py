@@ -170,6 +170,14 @@ def test_improve_result_keeps_only_the_nominal_final_propagator(improved_all):
     for res in improved_all.values():
         assert res.nominal_unitary.flags.owndata
         assert res.nominal_unitary.shape == (res.gate.dim, res.gate.dim)
+    # the strategy follows the gate: feedback only for the two-qubit gate
+    for name in ("not", "hadamard", "pi8", "phase"):
+        assert improved_all[name].strategy == 1
+        assert improved_all[name].feedback is None
+    cphase = improved_all["cphase"]
+    assert cphase.strategy == 2
+    assert isinstance(cphase.feedback, noc.Strategy2Solution)
+    assert cphase.control is cphase.feedback.control
 
 
 def test_improve_gate_strategy_mismatch():
