@@ -1,33 +1,49 @@
 """Fixed-step time-ordered integration of the sweep propagators and of the
 feedback state equation over [-tau0/2, +tau0/2].
 
-The one-step map is the classical fourth-order Runge-Kutta transfer matrix
-completed with the degree-5..7 powers of the Simpson-averaged generator.
-The completion leaves the fourth-order accuracy untouched (it only adds
-O(h^5) terms) but extends the stability polynomial of the map so that its
-modulus on the imaginary axis is 1 + O(z^10).  At production step sizes the
-unitarity defect of the propagator then stays near roundoff without any
+Two step rules share one integrator (_integrate).  The Runge-Kutta map is
+the classical fourth-order Runge-Kutta transfer matrix completed with the
+degree-5..7 powers of the Simpson-averaged generator.  The completion
+leaves the fourth-order accuracy untouched (it only adds O(h^5) terms) but
+extends the stability polynomial of the map so that its modulus on the
+imaginary axis is 1 + O(z^10).  At production step sizes the unitarity
+defect of the propagator then stays near roundoff without any
 re-unitarization, so integration error remains a measurable diagnostic.
+It serves the grid-stored sweeps, Strategy 2's nominal sweep and the noisy
+segments.  The sixth-order Magnus map (magnus_maps) serves the final-only
+batches of propagate_finals, on a quarter of the grid's steps: it samples A
+at the three Gauss nodes of a step and takes one exponential, in closed
+form for one qubit (exactly unitary) and by a Taylor polynomial for 4x4.
 
 Step nodes.  One integrator (_integrate) steps over an array of nodes, on
-one path for every kind of node and storage mode.  One sampler
-(_sample_rows) hands the generator a (rows, steps) time array whose row j
-lies j/(2 refine) of the way through every step of a chunk, so row
+one path for every kind of node, rule and storage mode.  The Runge-Kutta
+sampler (_sample_rows) hands the generator a (rows, steps) time array whose
+row j lies j/(2 refine) of the way through every step of a chunk, so row
 `refine` is the step midpoint, and one step-map path reads those rows.  A
 TimeGrid is the uniform special case: its steps share their end samples,
 so it takes 2 refine rows over one step more than the chunk and reads the
-end row as row 0 shifted by one step.  The sampler also hands over the
-chunk's first grid step, so the control modification is interpolated with
-fixed row weights on contiguous slices of its grid samples, with no search
-(_control_fun).  Noisy propagation steps over StepNodes, the grid points
-plus the pulse edges of a realization clipped to the sweep.  The phase
-noise is piecewise constant, so on those nodes it is constant inside every
-step; the generator builder (_generator_fun) evaluates it once per step,
-at the midpoint row, and each step samples its own end row (row 2 refine)
-because the generator may jump at a node.  The fourth-order rate, which a
-step straddling a jump loses, is then kept.  These nodes are not grid
-steps, so the control modification is interpolated there by np.interp on
-the grid points around them.
+end row as row 0 shifted by one step.  On a TimeGrid the sampler also hands
+over where the rows lie (ChunkRows: the chunk's first step and the rows'
+fractions of a step), so the control modification, a Catmull-Rom cubic of
+its grid samples (_control_fun), takes fixed row weights on contiguous
+slices of the samples, with no search; the Magnus rows, on a grid of a
+quarter of the steps, take fixed weights on 4-strided slices.  Noisy
+propagation steps over StepNodes, the grid points plus the pulse edges of a
+realization clipped to the sweep.  The phase noise is piecewise constant,
+so on those nodes it is constant inside every step; the generator builder
+(_generator_fun) evaluates it once per step, at the midpoint row, and each
+step samples its own end row (row 2 refine) because the generator may jump
+at a node.  The fourth-order rate, which a step straddling a jump loses, is
+then kept.  These nodes are not grid steps, so the same cubic finds their
+grid steps by floor and gathers its samples there.
+
+Control interpolant.  The cubic's slopes are central differences of the
+samples, and one-sided second-order differences at the ends (from a
+quadratic ghost sample), so it is C^1 and fourth-order accurate.  On the
+hadamard improved final the pipeline's observed order is 4.0 (errors
+1.4e-9, 9.0e-11 and 5.5e-12 from 40k to 320k steps), where a linear
+interpolant read 2.0; the Magnus rule keeps its order only on a C^1
+control.
 
 Noisy segments.  Shot noise is a set of short pulses, and outside them the
 noisy generator is the improved sweep's own.  So a realization is
@@ -128,13 +144,27 @@ scalar sweeps on one grid, each with or without the control modification;
 only this module knows about batches.  The batch axis lies ahead of the
 times, so a member's samples are a slab of the chunk's buffer, which one
 scalar control.generator call writes in place.  propagate_finals
-integrates a whole batch at once; a single sweep and a noisy segment are
-batches of one that read member 0, a view with no batch axis, so
-_integrate runs them with batch=().  Each member of a larger batch keeps
-the rows, chunks and scan of a single sweep, so its final propagator is
-that sweep's bit for bit, but for an ulp after a one-step chunk, where
-numpy rounds the step maps' in-place complex products of a single sweep's
-one-element arrays differently (the scan multiplies no stack that short).
+integrates a whole batch at once, by the Magnus rule; a single sweep and a
+noisy segment are batches of one that read member 0, a view with no batch
+axis, so _integrate runs them with batch=().  A member's Magnus maps
+depend on its own samples alone (the 4x4 exponential scales each matrix by
+its own norm), so its final propagator is that of a one-member batch bit
+for bit.
+
+Magnus accuracy.  The final-only batches run on TimeGrid(tau0, N/4) and
+read the cubic of the N-point control samples.  Against four Magnus
+substeps per step on the same cubic, at the production grids the
+hadamard/eta4 rows err by 8.7e-12 to 1.0e-11 and the cphase/d1 rows by
+9.3e-12 (without the control) and 7.7e-11 (with it), each within 2.7 times
+its step-halving estimate |U(N/4) - U(N/8)| / 63.  On the 40,000-step
+one-qubit grid of the CLI examples the rows run on 10,000 Magnus steps and
+err by 3.6e-8 to 4.1e-8.  The one-qubit maps are unitary to roundoff at any
+step.  The maps are handed to the scan as offsets from the identity (see
+_blocked_scan), and the batches' defects read 1.4e-14 (hadamard/eta4) and
+2.8e-14 (cphase/d1); multiplied as whole matrices, the cphase maps read
+1.6e-13, a bias of the scan's rounding.  A step count that 4 does not
+divide runs on ceil(N/4) steps, whose steps straddle the cubic's knots at
+varying fractions; the order then falls to about 3.
 """
 
 from __future__ import annotations
@@ -171,6 +201,17 @@ DOUBLING_BUDGET = 1e-6
 CHUNK = 4096
 # Block width of the recursive scan over a chunk's step maps (_blocked_scan)
 SCAN_WIDTH = 8
+# Gauss-Legendre nodes of a Magnus step, as fractions of the step
+GAUSS = 0.5 + np.array([-1.0, 0.0, 1.0]) * (np.sqrt(15.0) / 10.0)
+# Grid steps per Magnus step of propagate_finals
+MAGNUS_COARSENING = 4
+# The 4x4 exponential of a Magnus step: a Taylor polynomial of this degree,
+# whose truncation, at most x^11/11! (1 + x) for an argument of 1-norm x, is
+# below 1e-16 (8.7e-17) up to x = TAYLOR_NORM; larger arguments are scaled
+# down by powers of 2 and the result squared back.  The production cphase
+# grid's Magnus steps reach x = 0.1501, so none is scaled.
+TAYLOR_DEGREE = 10
+TAYLOR_NORM = 0.17
 
 
 class AccuracyError(RuntimeError):
@@ -247,6 +288,17 @@ class StepNodes:
         return StepNodes(np.union1d(points, edges))
 
 
+@dataclass(frozen=True)
+class ChunkRows:
+    """Where the rows of a TimeGrid chunk's (rows, steps) time array lie:
+    row j at the fraction fractions[j], in [0, 1), of each of the steps
+    c0, c0 + 1, ... of grid."""
+
+    grid: TimeGrid
+    c0: int
+    fractions: np.ndarray
+
+
 @dataclass
 class Trajectory:
     """Propagator samples U(tau, -tau0/2) at the steps + 1 points of a
@@ -283,21 +335,24 @@ class NoisyFinals:
 def noisy_segments(grid: TimeGrid, edges) -> np.ndarray:
     """Grid-index intervals [a, b] that hold a realization's pulses.
 
-    edges are the 2 count pulse edges, left edges first (as
-    NoiseRealization.edges() gives them).  Every pulse is clipped to the
-    sweep and widened to the grid points around it, pts[a] <= left and
-    pts[b] >= right, so a segment always contains its pulse, also when an
-    edge lands on a grid point.  Overlapping or touching intervals are
-    merged; a pulse outside the sweep clips to no interval.  Returns the
-    sorted, disjoint segments, shape (segments, 2).
+    edges are the 2 count pulse edges, left edges first, of pulses in
+    ascending order of their left edges (as NoiseRealization.edges() gives
+    them).  Every pulse is clipped to the sweep and widened to the grid
+    points around it, pts[a] <= left and pts[b] >= right, so a segment
+    always contains its pulse, also when an edge lands on a grid point.
+    Overlapping or touching intervals are merged; a pulse outside the sweep
+    clips to no interval.  Returns the sorted, disjoint segments, shape
+    (segments, 2).
     """
     pts = grid.points()
     left, right = np.clip(np.reshape(edges, (2, -1)), pts[0], pts[-1])
+    if np.any(np.diff(left) < 0):
+        raise ValueError("pulses must be in ascending order of their left edges")
+    # ordered left edges give ordered interval starts
     a = np.searchsorted(pts, left, side="right") - 1
     b = np.searchsorted(pts, right, side="left")
     keep = b > a
-    order = np.argsort(a[keep], kind="stable")
-    a, b = a[keep][order], np.maximum.accumulate(b[keep][order])
+    a, b = a[keep], np.maximum.accumulate(b[keep])
     # a segment starts at every interval that begins after all earlier ones
     # end, and ends at the interval before the next start
     first = np.ones(len(a), dtype=bool)
@@ -318,6 +373,12 @@ class Algebra:
     completion pbar^5/120 + pbar^6/720 + pbar^7/5760 of a contiguous stack
     pbar as a contiguous stack, written over pbar or fresh; pbar is scratch
     afterwards.
+
+    The Magnus step (magnus_maps) works on generators in the algebra's
+    own coordinates: coordinates takes a stack of elements to them,
+    commutator forms [a, b] there, and expm1 takes a stack of coordinates to
+    the elements exp(a) - I, the maps' offsets from the identity (see
+    _blocked_scan).
     """
 
     product: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -325,6 +386,9 @@ class Algebra:
     expand: Callable[..., np.ndarray]
     defect: Callable[[np.ndarray], float]
     completion: Callable[[np.ndarray], np.ndarray]
+    coordinates: Callable[[np.ndarray], np.ndarray]
+    commutator: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    expm1: Callable[[np.ndarray], np.ndarray]
 
     def unit(self, stack=()) -> np.ndarray:
         """The identity element broadcast over the stack axes."""
@@ -356,10 +420,54 @@ def _matrix_completion(pbar):
     return entry_matmul(p5, inner)
 
 
+def _matrix_commutator(a, b):
+    out = entry_matmul(a, b)
+    out -= entry_matmul(b, a)
+    return out
+
+
+def _matrix_expm1(omega):
+    """exp - I of a component-major stack (n, n, *stack): the
+    degree-TAYLOR_DEGREE Taylor polynomial by Horner's rule,
+    omega (I + omega/2 (I + omega/3 (...))), with no I added.
+
+    Every matrix whose 1-norm exceeds TAYLOR_NORM is scaled by 2^-s to
+    within it, and its polynomial squared s times, as offsets:
+    (I + X)^2 - I = 2 X + X^2; at the production Magnus steps no matrix is.
+    So each matrix's exponential depends on it alone, not on the stack it
+    came in.  A non-finite matrix takes s = 0, and its NaN reaches the
+    caller's defect check.
+    """
+    norm = np.abs(omega).sum(axis=0).max(axis=0)
+    s = np.zeros(norm.shape, dtype=int)
+    big = np.isfinite(norm) & (norm > TAYLOR_NORM)
+    if big.any():
+        s[big] = np.ceil(np.log2(norm[big] / TAYLOR_NORM))
+        omega = omega * np.ldexp(1.0, -s)
+    diagonal = range(len(omega))
+    p = omega / TAYLOR_DEGREE
+    for d in range(TAYLOR_DEGREE - 1, 0, -1):
+        for i in diagonal:
+            p[i, i] += 1.0
+        p = entry_matmul(omega, p)
+        p /= d
+    for r in range(s.max(initial=0)):
+        q = p[:, :, s > r]
+        square = entry_matmul(q, q)
+        square += 2.0 * q
+        p[:, :, s > r] = square
+    return p
+
+
 def matrix_algebra(n: int) -> Algebra:
-    """Whole n x n matrices multiplied by entry arithmetic (entry_matmul)."""
+    """Whole n x n matrices multiplied by entry arithmetic (entry_matmul).
+
+    Their Magnus coordinates are the matrices themselves: a commutator takes
+    two products, and the exponential is _matrix_expm1's Taylor polynomial.
+    """
     return Algebra(entry_matmul, np.eye(n), _expand_matrices, _matrix_defect,
-                   _matrix_completion)
+                   _matrix_completion, lambda x: x, _matrix_commutator,
+                   _matrix_expm1)
 
 
 def _cayley_klein_completion(pbar):
@@ -401,11 +509,57 @@ def _cayley_klein_completion(pbar):
     return pbar
 
 
+def _su2_coordinates(x):
+    """Real coordinates (c, w1, w2, w3) of X = c I + i w.sigma from its first
+    column (alpha, beta) = (c + i w3, -w2 + i w1), shape (4, *stack)."""
+    alpha, beta = x[:, 0]
+    return np.stack([alpha.real, beta.imag, -beta.real, alpha.imag])
+
+
+def _su2_commutator(a, b):
+    """[a, b] in su(2) coordinates: the I parts commute, and
+    [i u.sigma, i v.sigma] = i (-2 u x v).sigma."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out[0] = 0.0
+    for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+        np.multiply(a[j], b[k], out=out[i])
+        out[i] -= a[k] * b[j]
+    out[1:] *= -2.0
+    return out
+
+
+def _su2_expm1(w):
+    """exp(c I + i w.sigma) - I in Cayley-Klein form (2, 1, *stack), from
+    exp = e^c (cos|w| I + i sin|w| w.sigma / |w|): alpha - 1 is
+    expm1(c) cos|w| - 2 sin^2(|w|/2), free of the cancellation in
+    cos|w| - 1.  The exponential is unitary to roundoff when c = 0, as for
+    every generator i f.sigma."""
+    c, w1, w2, w3 = w
+    theta = np.sqrt(w1 * w1 + w2 * w2 + w3 * w3)
+    scale = np.exp(c)
+    sinc = np.ones_like(theta)
+    np.divide(np.sin(theta), theta, out=sinc, where=theta > 0.0)
+    sinc *= scale
+    out = np.empty((2, 1, *theta.shape), dtype=complex)
+    alpha, beta = out[0, 0, ...], out[1, 0, ...]
+    half = np.sin(0.5 * theta)
+    half *= half
+    np.multiply(np.expm1(c), np.cos(theta), out=alpha.real)
+    alpha.real -= 2.0 * half
+    np.multiply(w3, sinc, out=alpha.imag)
+    np.multiply(w2, -sinc, out=beta.real)
+    np.multiply(w1, sinc, out=beta.imag)
+    return out
+
+
 # One-qubit generators i f.sigma, and so every step map and propagator, lie
 # in the real span of I, i sigma_x, i sigma_y, i sigma_z: each is
 # [[alpha, -conj(beta)], [beta, conj(alpha)]], fixed by its first column.
+# Its Magnus coordinates are the real (c, w) of c I + i w.sigma, in which a
+# commutator is a cross product and the exponential has a closed form.
 CAYLEY_KLEIN = Algebra(cayley_klein_matmul, np.eye(2, 1), cayley_klein_expand,
-                       cayley_klein_defect, _cayley_klein_completion)
+                       cayley_klein_defect, _cayley_klein_completion,
+                       _su2_coordinates, _su2_commutator, _su2_expm1)
 
 
 def step_maps(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray, dt,
@@ -459,11 +613,58 @@ def step_maps(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray, dt,
     return matrix_major(out)
 
 
-def _blocked_scan(x: np.ndarray, u: np.ndarray, algebra: Algebra) -> np.ndarray:
+def magnus_maps(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray, dt,
+                algebra: Algebra) -> np.ndarray:
+    """Sixth-order Magnus step maps for U' = A(tau) U on a batch of steps.
+
+    a1, a2, a3 are A at the Gauss-Legendre nodes GAUSS of every step, as
+    component-major stacks of the algebra's elements (n, k, *stack); dt is
+    the step size.  With b1 = dt A2, b2 = (sqrt(15) dt / 3)(A3 - A1) and
+    b3 = (10 dt / 3)(A3 - 2 A2 + A1), C1 = [b1, b2] and
+    C2 = -[b1, 2 b3 + C1] / 60, the map is exp(Omega) with
+    Omega = b1 + b3/12 + [-20 b1 - b3 + C1, b2 + C2] / 240 (Blanes, Casas and
+    Ros, BIT 40 (2000) 434), formed in the algebra's coordinates: three
+    commutators and one exponential.  Returns the maps' offsets from the
+    identity, exp(Omega) - I, as a component-major stack (n, k, *stack),
+    which _blocked_scan multiplies as offsets.
+    """
+    x1, x2, x3 = (algebra.coordinates(a) for a in (a1, a2, a3))
+    comm = algebra.commutator
+    b1 = x2 * dt
+    b2 = x3 - x1
+    b2 *= np.sqrt(15.0) * dt / 3.0
+    b3 = x3 + x1
+    b3 -= 2.0 * x2
+    b3 *= 10.0 * dt / 3.0
+    c1 = comm(b1, b2)
+    c2 = comm(b1, 2.0 * b3 + c1)
+    c2 *= -1.0 / 60.0
+    c2 += b2
+    left = c1 - 20.0 * b1
+    left -= b3
+    omega = comm(left, c2)
+    omega *= 1.0 / 240.0
+    omega += b1
+    b3 *= 1.0 / 12.0
+    omega += b3
+    return algebra.expm1(omega)
+
+
+def _blocked_scan(x: np.ndarray, u: np.ndarray, algebra: Algebra,
+                  shifted: bool = False) -> np.ndarray:
     """Ordered products of a stack x (n, k, *rest, C) of algebra elements.
 
     u is the start element (n, k, *rest).  Returns the prefix products
     p[..., k] = x_k ... x_0 u for every k, component-major (n, k, *rest, C).
+    With shifted, x holds every factor's difference X = M - I from the
+    identity instead, and the in-block partial products are carried as
+    differences too, (I + A)(I + B) - I = A + B + A B, at two additions per
+    product; a product with u or with a block's incoming offset, which are
+    whole elements, adds that element instead of I.  A partial product of a
+    few near-identity factors then rounds relative to its small difference,
+    not to 1, and its rounding carries no bias in the norm: the production
+    cphase/d1 Magnus batch reads a defect of 2.8e-14 this way and 1.6e-13
+    with whole factors.
 
     The C factors are split into blocks of SCAN_WIDTH consecutive factors,
     narrower when C < SCAN_WIDTH^2 so that there are at least SCAN_WIDTH
@@ -487,23 +688,33 @@ def _blocked_scan(x: np.ndarray, u: np.ndarray, algebra: Algebra) -> np.ndarray:
         p = np.empty((*rest, c, n, k), dtype=complex)
         v = matrix_major(u)
         for b in range(c):
-            v = np.matmul(factors[..., b, :, :], v, out=p[..., b, :, :])
+            w = np.matmul(factors[..., b, :, :], v, out=p[..., b, :, :])
+            if shifted:
+                w += v
+            v = w
         return component_major(p)
     width = min(SCAN_WIDTH, c // SCAN_WIDTH)
     blocks = -(-c // width)
     pad = blocks * width - c
     if pad:
         # identity factors multiply exactly
-        x = np.concatenate([x, algebra.unit((*rest, pad))], axis=-1)
+        fill = np.zeros((n, k, *rest, pad)) if shifted else algebra.unit((*rest, pad))
+        x = np.concatenate([x, fill], axis=-1)
     # y[:, :, j, ..., b] = factor b*width + j: every in-block position is
     # one contiguous slab across the rest axes and the blocks
     y = np.ascontiguousarray(np.moveaxis(x.reshape(n, k, *rest, blocks, width), -1, 2))
     for j in range(1, width):
-        y[:, :, j] = algebra.product(y[:, :, j], y[:, :, j - 1])
+        prefix = algebra.product(y[:, :, j], y[:, :, j - 1])
+        if shifted:
+            prefix += y[:, :, j]
+            prefix += y[:, :, j - 1]
+        y[:, :, j] = prefix
     # block b's offset is totals b-1 .. 0 on u
-    offsets = _blocked_scan(y[:, :, width - 1, ..., :-1], u, algebra)
+    offsets = _blocked_scan(y[:, :, width - 1, ..., :-1], u, algebra, shifted)
     offsets = np.concatenate([u[..., None], offsets], axis=-1)
     p = algebra.product(y, offsets[:, :, None])
+    if shifted:
+        p += offsets[:, :, None]
     return np.moveaxis(p, 2, -1).reshape(n, k, *rest, blocks * width)[..., :c]
 
 
@@ -512,8 +723,8 @@ def _sample_rows(afun, grid, c0: int, cs: int, refine: int):
     step sizes, a scalar or one per step along the rows' trailing axis.
 
     afun receives a (rows, steps) time array, row j at j/(2 refine) of the
-    way through every step, and the first step's grid index c0 on a
-    TimeGrid (None on StepNodes).  A TimeGrid's steps share their end
+    way through every step, and on a TimeGrid where those rows lie
+    (ChunkRows; None on StepNodes).  A TimeGrid's steps share their end
     samples: its 2 refine rows span cs + 1 steps, and the end row is row 0
     shifted by one step.  StepNodes sample their own end row, row 2 refine.
     """
@@ -525,7 +736,8 @@ def _sample_rows(afun, grid, c0: int, cs: int, refine: int):
     else:
         s = np.arange(cs + 1) * (2 * refine) + np.arange(2 * refine)[:, None]
         taus = grid.tau_start + c0 * grid.h + s * (grid.h / refine / 2.0)
-    x = np.ascontiguousarray(component_major(afun(taus, None if nodes else c0)))
+    where = None if nodes else ChunkRows(grid, c0, np.arange(2 * refine) / (2 * refine))
+    x = np.ascontiguousarray(component_major(afun(taus, where)))
     rows = [x[..., j, :cs] for j in range(2 * refine)]
     if nodes:
         return [*rows, x[..., 2 * refine, :]], dt
@@ -548,24 +760,47 @@ def _step_map(rows, dt, refine: int, r: int, algebra: Algebra):
     return functools.reduce(lambda g, s: algebra.product(s, g), maps)
 
 
+def _magnus_step_map(afun, grid: TimeGrid, c0: int, cs: int, refine: int,
+                     algebra: Algebra):
+    """The Magnus map of steps c0 .. c0 + cs - 1 of a TimeGrid, the product
+    of `refine` Magnus substeps each, as its offset from the identity,
+    component-major (n, k, *batch, cs): (I + S)(I + G) - I = S + G + S G.
+
+    afun receives a (3 refine, cs) time array, rows 3i .. 3i + 2 at the Gauss
+    nodes of substep i, and their ChunkRows.
+    """
+    fractions = ((np.arange(refine)[:, None] + GAUSS) / refine).ravel()
+    taus = grid.tau_start + (c0 + np.arange(cs) + fractions[:, None]) * grid.h
+    rows = ChunkRows(grid, c0, fractions)
+    x = np.ascontiguousarray(component_major(afun(taus, rows)))
+    k = algebra.identity.shape[1]
+    rows = [x[:, :k, ..., j, :] for j in range(3 * refine)]
+    maps = (magnus_maps(*rows[3 * i:3 * i + 3], grid.h / refine, algebra)
+            for i in range(refine))
+    return functools.reduce(lambda g, s: algebra.product(s, g) + s + g, maps)
+
+
 def _integrate(afun, grid, dim: int, batch=(), refine=DEFAULT_REFINE,
-               store: str = "grid"):
+               store: str = "grid", rule: str = "runge-kutta"):
     """Core fixed-step integrator for U' = A(tau) U, U(tau_start) = I.
 
     grid gives the step nodes: a TimeGrid or StepNodes.  Every step is split
-    into `refine` equal substeps.
+    into `refine` equal substeps.  rule is the step map: "runge-kutta", the
+    completed fourth-order map of step_maps, or "magnus", the sixth-order
+    map of magnus_maps, on a TimeGrid only.
 
-    A chunk of CHUNK steps (fewer in the last one) is sampled by
-    _sample_rows: afun(taus, c0) receives a (rows, steps) time array, row j
-    at j/(2 refine) of the way through every step, so row `refine` is the
-    step midpoint for both kinds of nodes, and the grid index c0 of the
-    chunk's first step on a TimeGrid (None on StepNodes); it returns A with
-    shape (*batch, *taus.shape, dim, dim), a matrix-major view of
-    component-major memory (see Memory layout).
+    A chunk of CHUNK steps (fewer in the last one) is sampled at once:
+    afun(taus, rows) receives a (rows, steps) time array and, on a
+    TimeGrid, where its rows lie (ChunkRows; None on StepNodes); it returns
+    A with shape (*batch, *taus.shape, dim, dim), a matrix-major view of
+    component-major memory (see Memory layout).  The Runge-Kutta rows
+    (_sample_rows) lie at j/(2 refine) of the way through every step, so
+    row `refine` is the step midpoint for both kinds of nodes; the Magnus
+    rows are the three Gauss nodes of every substep (_magnus_step_map).
     Every step's map is the product of its substep maps, and a blocked scan
     over the chunk's step maps gives the propagator at every node; this
-    path is the same for both storage modes, which only choose what is
-    written.
+    path is the same for both rules and both storage modes, which only
+    choose what is written.
 
     The maps and products are those of the algebra for dim: Cayley-Klein
     first columns for 2x2, whole matrices for 4x4.  So a 2x2 A must lie in
@@ -585,9 +820,12 @@ def _integrate(afun, grid, dim: int, batch=(), refine=DEFAULT_REFINE,
     """
     if store not in ("grid", "final"):
         raise ValueError(f"store must be 'grid' or 'final', got {store!r}")
+    if rule not in ("runge-kutta", "magnus"):
+        raise ValueError(f"rule must be 'runge-kutta' or 'magnus', got {rule!r}")
     nodes = isinstance(grid, StepNodes)
-    if nodes and (store != "final" or refine % 2):
-        raise ValueError("step nodes integrate final propagators at an even refine")
+    if nodes and (store != "final" or refine % 2 or rule != "runge-kutta"):
+        raise ValueError("step nodes integrate final propagators at an even refine, "
+                         "by the Runge-Kutta rule")
     # an unstable coarse grid overflows to inf and NaN; the defect check of
     # every caller turns those into an AccuracyError, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
@@ -604,10 +842,14 @@ def _integrate(afun, grid, dim: int, batch=(), refine=DEFAULT_REFINE,
             algebra.expand(u, out[..., 0, :, :])
         for c0 in range(0, steps, CHUNK):
             cs = min(CHUNK, steps - c0)
-            rows, dt = _sample_rows(afun, grid, c0, cs, refine)
-            rows = [x[:, :k] for x in rows]
-            m = [_step_map(rows, dt, refine, r, algebra) for r in levels]
-            p = _blocked_scan(np.stack(m, axis=2) if lead else m[0], u, algebra)
+            if rule == "magnus":
+                m = [_magnus_step_map(afun, grid, c0, cs, refine, algebra)]
+            else:
+                rows, dt = _sample_rows(afun, grid, c0, cs, refine)
+                rows = [x[:, :k] for x in rows]
+                m = [_step_map(rows, dt, refine, r, algebra) for r in levels]
+            p = _blocked_scan(np.stack(m, axis=2) if lead else m[0], u, algebra,
+                              shifted=rule == "magnus")
             if out is not None:
                 algebra.expand(p, out[..., c0 + 1:c0 + cs + 1, :, :])
             # the defect of the level a noisy run reports, refine, on StepNodes
@@ -616,47 +858,91 @@ def _integrate(afun, grid, dim: int, batch=(), refine=DEFAULT_REFINE,
         return out, algebra.expand(u), float(np.max(defects))
 
 
-def _control_fun(grid: TimeGrid, delta_f):
-    """delta_f (grid samples, shape (steps + 1, 3)) linearly interpolated to
-    the sampler's times: a function (taus, c0) -> (*taus.shape, 3), a view
-    of component-major memory.
+def _catmull_rom(u):
+    """Weights of the samples f[k - 1], f[k], f[k + 1], f[k + 2] of the
+    Catmull-Rom cubic at the fraction u of step k: the cubic Hermite
+    interpolant with the slopes (f[k + 1] - f[k - 1]) / 2 per step."""
+    return (-0.5 * u * (1.0 - u) ** 2, 1.0 + u * u * (1.5 * u - 2.5),
+            0.5 * u * (1.0 + u * (4.0 - 3.0 * u)), 0.5 * u * u * (u - 1.0))
 
-    On a chunk of grid steps from c0, row j of the (rows, steps) time array
-    lies j/rows of the way through step c0 + s, so there delta_f is
-    f[c0 + s] + (j/rows)(f[c0 + s + 1] - f[c0 + s]): fixed row weights on
-    contiguous slices of the samples, with no search.  The last chunk's end
-    column has no next sample; it takes weight 0, and its rows j > 0 are
-    never read.  StepNodes (c0 None) need not lie on grid steps, so there
-    np.interp takes the general path, on the grid points from the last one
-    at or before the first requested time to the first one after the last
-    (one searchsorted): the brackets np.interp finds, and so its values,
-    are those of the whole grid.
+
+def _control_fun(grid: TimeGrid, delta_f):
+    """delta_f (grid samples, shape (steps + 1, 3)) interpolated to the
+    sampler's times by one Catmull-Rom cubic (_catmull_rom): a function
+    (taus, rows) -> (*taus.shape, 3), a view of component-major memory.
+
+    Each end gets a ghost sample, the quadratic extrapolation
+    3 f[0] - 3 f[1] + f[2] (the linear one on a one-step grid), so the end
+    slopes are one-sided second-order differences.  The cubic is C^1, which
+    keeps the Magnus rule's order where its steps straddle the samples.
+    Every call copies the samples it reads, with the ghosts, to a
+    component-major window; the whole series is never copied.
+
+    On a TimeGrid chunk whose steps are m of this grid's (rows a ChunkRows
+    of a grid of steps / m steps), row j lies at a fixed fraction of a fixed
+    one of the m grid steps in every chunk step: four fixed weights on four
+    m-strided slices of the window, with no search.  The last chunk of a
+    grid-stored run samples one column past the final step, whose row 0 is
+    f[steps] and whose other rows are never read.  Anywhere else (StepNodes,
+    rows None, or a grid that m does not divide) every time finds its step
+    by floor and gathers its four samples.
     """
     delta_f = np.asarray(delta_f, dtype=float)
-    if delta_f.shape != (grid.steps + 1, 3):
+    n = grid.steps
+    if delta_f.shape != (n + 1, 3):
         raise ValueError(
-            f"delta_f must have shape ({grid.steps + 1}, 3), got {delta_f.shape}"
+            f"delta_f must have shape ({n + 1}, 3), got {delta_f.shape}"
         )
-    points = None       # the grid points, for np.interp on StepNodes
+    if n >= 2:
+        ghosts = (3.0 * (delta_f[0] - delta_f[1]) + delta_f[2],
+                  3.0 * (delta_f[n] - delta_f[n - 1]) + delta_f[n - 2])
+    else:
+        ghosts = (2.0 * delta_f[0] - delta_f[1], 2.0 * delta_f[1] - delta_f[0])
 
-    def interpolate(taus, c0):
-        nonlocal points
-        if c0 is None:
-            if points is None:
-                points = grid.points()
-            # taus[0, 0] is the first step's start, taus[-1, -1] the last one's end
-            lo, hi = np.searchsorted(points, (taus[0, 0], taus[-1, -1]), side="right")
-            span = slice(max(lo - 1, 0), hi + 1)
-            comps = np.stack([np.interp(taus, points[span], delta_f[span, j])
-                              for j in range(3)])
+    def window(start, stop):
+        # padded samples start .. stop - 1: index i is f[i - 1], the ghosts
+        # are 0 and n + 2, and n + 3 is a zero that weight 0 reads
+        out = np.zeros((3, stop - start))
+        a, b = max(start, 1), min(stop, n + 2)
+        out[:, a - start:b - start] = delta_f[a - 1:b - 1].T
+        for i, ghost in zip((0, n + 2), ghosts):
+            if start <= i < stop:
+                out[:, i - start] = ghost
+        return out
+
+    def interpolate(taus, rows):
+        if (rows is not None and rows.grid.tau0 == grid.tau0
+                and n % rows.grid.steps == 0):
+            m = n // rows.grid.steps
+            cols = taus.shape[1]
+            first = m * rows.c0
+            g = window(first, first + m * cols + 3)
+            comps = np.empty((3, *taus.shape))
+            for out, x in zip(comps.swapaxes(0, 1), rows.fractions):
+                q, u = divmod(x * m, 1.0)
+                start = int(q)
+                stop = start + m * (cols - 1) + 1
+                for i, w in enumerate(_catmull_rom(u)):
+                    term = g[:, start + i:stop + i:m]
+                    if i:
+                        out += w * term
+                    else:
+                        np.multiply(term, w, out=out)
         else:
-            rows, cols = taus.shape
-            lo = delta_f[c0:c0 + cols]
-            hi = delta_f[c0 + 1:c0 + cols + 1]
-            diff = np.zeros_like(lo)
-            np.subtract(hi, lo[:len(hi)], out=diff[:len(hi)])
-            comps = diff.T[:, None, :] * (np.arange(rows) / rows)[:, None]
-            comps += lo.T[:, None, :]
+            u = (taus - grid.tau_start) / grid.h
+            k = np.clip(np.floor(u), 0, n - 1).astype(int)
+            first = k.min()
+            g = window(first, k.max() + 4)
+            weights = _catmull_rom(u - k)
+            k -= first
+            # np.take and in-place products: a fancy index and a temporary
+            # per term cost three times as much on a chunk
+            comps = np.take(g, k, axis=1)
+            comps *= weights[0]
+            for i in range(1, 4):
+                term = np.take(g, k + i, axis=1)
+                term *= weights[i]
+                comps += term
         return np.moveaxis(comps, 0, -1)
 
     return interpolate
@@ -699,10 +985,10 @@ def propagate_sweep(p, grid: TimeGrid, delta_f=None, *,
 
     H is the nominal sweep Hamiltonian, plus the control modification when
     delta_f is given: the three real field-modification components at the
-    grid points, linearly interpolated to the substep sample times by fixed
-    row weights (see _control_fun).  refine is the number of substeps per
-    grid step.  Raises AccuracyError when the unitarity defect exceeds
-    UNITARITY_BUDGET.
+    grid points, interpolated to the substep sample times by a cubic with
+    fixed row weights (see _control_fun).  refine is the number of
+    Runge-Kutta substeps per grid step.  Raises AccuracyError when the
+    unitarity defect exceeds UNITARITY_BUDGET.
     """
     afun = _generator_fun(grid, [(p, True)], delta_f)
     out, _, defect = _integrate(lambda taus, c0: afun(taus, c0)[0], grid, p.dim,
@@ -717,15 +1003,18 @@ def propagate_finals(members, grid: TimeGrid, delta_f) -> np.ndarray:
 
     members is a list of (p, controlled) pairs: sweep parameters of one
     system size, and whether the control modification delta_f (grid
-    samples, shape (steps + 1, 3)) enters.  Member (p, True) has the final
-    of propagate_sweep(p, grid, delta_f) bit for bit, and (p, False) that
-    of propagate_sweep(p, grid) (see Batches above).  The defect is
-    checked at every grid point of every member: AccuracyError when it
-    exceeds UNITARITY_BUDGET.
+    samples, shape (steps + 1, 3)) enters.  The batch runs by the
+    sixth-order Magnus rule on TimeGrid(tau0, ceil(steps / 4)), a quarter of
+    the grid's steps (MAGNUS_COARSENING), with the cubic of delta_f read from
+    its samples on grid (_control_fun: m-strided slices when 4 divides the
+    steps, floor and gather otherwise).  A member's final is that of a
+    one-member run bit for bit.  The defect is checked at every step of
+    every member: AccuracyError when it exceeds UNITARITY_BUDGET.
     """
-    _, finals, defect = _integrate(_generator_fun(grid, members, delta_f), grid,
+    coarse = TimeGrid(grid.tau0, -(-grid.steps // MAGNUS_COARSENING))
+    _, finals, defect = _integrate(_generator_fun(grid, members, delta_f), coarse,
                                    members[0][0].dim, batch=(len(members),),
-                                   store="final")
+                                   refine=1, store="final", rule="magnus")
     check_budget("unitarity defect", defect, UNITARITY_BUDGET)
     return finals
 

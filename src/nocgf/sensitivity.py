@@ -41,12 +41,13 @@ def parameter_ulp(gate_name: str, parameter: str) -> float:
 def run_sensitivity(improved: noc.ImprovedGateResult, parameter: str):
     """Tr P with and without the frozen control correction at -1/0/+1 ULP.
 
-    The perturbed sweeps run on the grid of `improved`, with its control
-    correction frozen, as one batched integration of four members:
-    (-1 ULP, +1 ULP) x (with, without the correction), final propagators
-    only (propagate.propagate_finals).  The zero row is the ideal pipeline
-    output: the two final propagators of `improved`.  A parameter without
-    a printed-precision entry raises ConfigError (parameter_ulp).
+    The perturbed sweeps run with the control correction of `improved`
+    frozen, as one batched integration of four members: (-1 ULP, +1 ULP) x
+    (with, without the correction), final propagators only, by the Magnus
+    rule on a quarter of the grid's steps (propagate.propagate_finals).
+    The zero row is the ideal pipeline output: the two final propagators
+    of `improved`.  A parameter without a printed-precision entry raises
+    ConfigError (parameter_ulp).
     """
     gate, p = improved.gate, improved.params
     ulp = parameter_ulp(gate.name, parameter)

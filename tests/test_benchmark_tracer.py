@@ -1,8 +1,10 @@
 """The benchmark's span tracer (perfbench/tracer.py) wraps nocgf functions at
-the bindings their callers look up, by name.  A renamed or deleted binding
-breaks a traced benchmark run, so this runs a small traced pipeline (a
-one-qubit improve and a noisy propagation, then a two-qubit improve as an
-iteration of its own) and checks that the layers it counts recorded work."""
+the bindings their callers look up, by name, and binds the integrator's
+parameters.  A renamed or deleted binding or parameter breaks a traced
+benchmark run, so this runs small traced pipelines (a one-qubit improve and
+a noisy propagation, then a two-qubit improve as an iteration of its own,
+and a sensitivity row set) and checks that the layers it counts recorded
+work."""
 
 import dataclasses
 import importlib.util
@@ -10,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from nocgf import noc, propagate
+from nocgf import noc, propagate, sensitivity
 from nocgf.control import NOMINAL_PARAMS
 from nocgf.metrics import gate_target
 from nocgf.noise import default_noise_params, sample_realization
@@ -64,3 +66,21 @@ def test_tracer_bindings_record_every_layer():
     assert metrics["control.drive_matrix_s"] > 0.0
     assert metrics["propagate.integrate_delta_y_s"] > 0.0
     assert metrics["noc.strategy2_solve_self_s"] > 0.0
+
+
+def test_tracer_counts_the_sensitivity_batch():
+    # one four-member final-only integration for the three rows
+    tracing = _load_tracer()
+    tracer = tracing.Tracer()
+    p = dataclasses.replace(NOMINAL_PARAMS["hadamard"], tau0=20.0)
+    improved = noc.improve_gate(gate_target("hadamard"), p, TimeGrid(p.tau0, 8_000))
+    tracing.install(tracer)
+    try:
+        tracer.iteration = 0
+        rows = sensitivity.run_sensitivity(improved, "eta4")
+    finally:
+        tracer.restore()
+    assert len(rows) == 3
+    metrics = tracing.layer_metrics(tracer.spans, 0)
+    assert metrics["sensitivity.propagations_per_row"] == 4 / 3
+    assert metrics["sensitivity.run_sensitivity_s"] > 0.0

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from nocgf import noise
 from nocgf.config import ConfigError
+from nocgf.propagate import TimeGrid, noisy_segments
 from nocgf.noise import (
     MAX_PULSES,
     DegenerateRealizationError,
@@ -172,7 +173,7 @@ eighths = st.integers(-400, 400).map(lambda k: k / 8.0)
 @example(centers=[3.0, 3.0], tau_f=0.125, seed=1)     # identical pulses
 def test_evaluate_matches_sign_sum(centers, tau_f, seed):
     rng = np.random.default_rng(seed)
-    centers = np.asarray(centers)
+    centers = np.sort(centers)
     amplitudes = rng.normal(size=len(centers))
     r = NoiseRealization(centers=centers, amplitudes=amplitudes, scale=1.7,
                          tau_f=tau_f, tau0=120.0)
@@ -196,6 +197,20 @@ def test_evaluate_on_a_shared_edge_is_the_half_values():
     assert r.evaluate(-0.25) == pytest.approx(0.1, abs=1e-16)
     assert np.allclose(r.evaluate([0.1, 0.4, 0.75, 1.0]), [0.2, -0.6, -0.3, 0.0],
                        atol=1e-16)
+
+
+def test_a_realization_holds_its_pulses_in_order_of_their_centers():
+    # sorted once, at the draw; the edge table and the noisy segments rely
+    # on it and sort nothing
+    r = sample_realization(NoiseParams(**{**PARAMS, "mean_power": 0.1}), 160.0, trial=0)
+    assert r.count > 1 and np.all(np.diff(r.centers) >= 0.0)
+    backwards = dict(centers=r.centers[::-1], amplitudes=r.amplitudes[::-1],
+                     scale=r.scale, tau_f=r.tau_f, tau0=r.tau0)
+    with pytest.raises(ValueError, match="ascending"):
+        NoiseRealization(**backwards)
+    edges = np.concatenate([backwards["centers"] - r.tau_f, backwards["centers"] + r.tau_f])
+    with pytest.raises(ValueError, match="ascending"):
+        noisy_segments(TimeGrid(160.0, 1000), edges)
 
 
 def test_evaluate_sorts_the_edges_once_per_realization(monkeypatch):

@@ -5,15 +5,19 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicHermiteSpline
 
 from nocgf import propagate
 from nocgf.control import NOMINAL_PARAMS, coupling_matrices
 from nocgf.lincore import SIGMA_Z, hermitize, vectorize
 from nocgf.noise import NoiseRealization
 from nocgf.propagate import (
+    GAUSS,
     AccuracyError,
+    ChunkRows,
     StepNodes,
     TimeGrid,
+    _control_fun,
     _generator_fun,
     _integrate,
     _noisy_composite,
@@ -36,6 +40,15 @@ def sweep_generator(p, grid, delta_f=None, noise=None):
     member 0 of a batch of one, with no batch axis."""
     afun = _generator_fun(grid, [(p, True)], delta_f, noise)
     return lambda taus, c0: afun(taus, c0)[0]
+
+
+def control_cubic(grid, delta_f):
+    """An independent C^1 cubic of the control samples: scipy's Hermite
+    spline with the slopes of np.gradient, central differences inside and
+    one-sided second-order differences at the ends (first-order on a
+    one-step grid)."""
+    slopes = np.gradient(delta_f, grid.h, axis=0, edge_order=2 if grid.steps > 1 else 1)
+    return CubicHermiteSpline(grid.points(), delta_f, slopes, axis=0)
 
 
 def test_grid_validation():
@@ -144,20 +157,98 @@ def test_modified_dual_formulation(monkeypatch):
         np.zeros_like(taus),
     ], axis=-1)
     a = propagate_sweep(HAD, grid, df)
+    cubic = control_cubic(grid, df)
 
     def afun(ts, c0):
-        f0 = one_qubit_field(ts, HAD)
-        dfi = np.stack([np.interp(ts, taus, df[:, j]) for j in range(3)], axis=-1)
-        return -1j * one_qubit_hamiltonian(f0 + dfi)
+        return -1j * one_qubit_hamiltonian(one_qubit_field(ts, HAD) + cubic(ts))
 
     _, u, _ = _integrate(afun, grid, 2)
     assert np.abs(a.final - u).max() < 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(steps=st.integers(1, 60), m=st.integers(1, 5), c0=st.integers(0, 20),
+       rk=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_cubic_control_matches_a_hermite_spline_on_every_path(steps, m, c0, rk, seed):
+    # rows of a chunk of a grid of ceil(steps / m) steps: m-strided slices
+    # when m divides the steps, floor and gather when not; and the same
+    # times as StepNodes rows (None), which always gather
+    grid = TimeGrid(SHORT_HAD.tau0, steps)
+    delta_f = 0.05 * np.random.default_rng(seed).normal(size=(steps + 1, 3))
+    interpolate = _control_fun(grid, delta_f)
+    coarse = TimeGrid(grid.tau0, -(-steps // m))
+    c0 = c0 % coarse.steps
+    cols = coarse.steps - c0
+    fractions = np.arange(4) / 4.0 if rk else GAUSS
+    taus = coarse.tau_start + (c0 + np.arange(cols) + fractions[:, None]) * coarse.h
+    want = control_cubic(grid, delta_f)(taus)
+    for rows in (ChunkRows(coarse, c0, fractions), None):
+        got = interpolate(taus, rows)
+        assert got.shape == (*taus.shape, 3)
+        # a sample time's roundoff, a fraction of 1e-14 of a step, times a
+        # slope below 1 per step
+        assert np.abs(got - want).max() <= 1e-14
+
+
+def test_finals_on_a_grid_that_4_does_not_divide(monkeypatch):
+    # ceil(N / 4) Magnus steps, the cubic by floor and gather.  The steps
+    # straddle the cubic's knots, where its second derivative jumps, at
+    # fractions that vary from step to step, and the observed order falls to
+    # about 3 (errors of 7e-11 to 1.5e-10 here, 1e-11 to 2e-11 at twice the
+    # steps); the finals lie within four times their third-order
+    # step-halving estimate of eight Magnus substeps per step
+    monkeypatch.setattr(propagate, "UNITARITY_BUDGET", np.inf)
+    grids = []
+    integrate = propagate._integrate
+
+    def recording(afun, grid, *args, **kwargs):
+        grids.append(grid)
+        return integrate(afun, grid, *args, **kwargs)
+
+    for steps in (801, 802, 803):
+        grid = TimeGrid(SHORT_HAD.tau0, steps)
+        delta_f = _short_control(grid)
+        members = [(SHORT_HAD, True), (SHORT_HAD, False)]
+        with monkeypatch.context() as mp:
+            mp.setattr(propagate, "_integrate", recording)
+            finals = propagate_finals(members, grid, delta_f)
+        assert grids.pop() == TimeGrid(grid.tau0, 201)
+        afun = _generator_fun(grid, members, delta_f)
+        _, half, _ = _integrate(afun, TimeGrid(grid.tau0, 100), 2, batch=(2,), refine=1,
+                                store="final", rule="magnus")
+        _, fine, _ = _integrate(afun, TimeGrid(grid.tau0, 201), 2, batch=(2,), refine=8,
+                                store="final", rule="magnus")
+        for final, h, f in zip(finals, half, fine):
+            assert 0.0 < np.abs(final - f).max() <= 4.0 * np.abs(final - h).max() / 7
 
 
 def test_modified_grid_mismatch():
     grid = TimeGrid(HAD.tau0, 100)
     with pytest.raises(ValueError):
         propagate_sweep(HAD, grid, np.zeros((57, 3)))
+
+
+def test_magnus_order_on_hadamard_sweep():
+    # the nominal final at 10k, 20k and 40k Magnus steps against 160k: the
+    # observed order is 6.0
+    def final_at(steps):
+        grid = TimeGrid(HAD.tau0, steps)
+        return _integrate(sweep_generator(HAD, grid), grid, 2, refine=1, store="final",
+                          rule="magnus")[1]
+
+    ref = final_at(160000)
+    errors = [np.abs(final_at(steps) - ref).max() for steps in (10000, 20000, 40000)]
+    assert min(np.log2(np.array(errors[:-1]) / errors[1:])) >= 5.5
+
+
+def test_magnus_rule_runs_on_a_time_grid_only():
+    grid = TimeGrid(SHORT_HAD.tau0, 40)
+    afun = sweep_generator(SHORT_HAD, grid)
+    with pytest.raises(ValueError, match="Runge-Kutta"):
+        _integrate(afun, StepNodes(grid.points()), 2, refine=2, store="final",
+                   rule="magnus")
+    with pytest.raises(ValueError, match="rule must be"):
+        _integrate(afun, grid, 2, rule="euler")
 
 
 def test_convergence_order_on_hadamard_sweep():
@@ -323,20 +414,21 @@ def test_row_weights_match_interpolation_on_the_grid_points(steps, chunk, refine
     delta_f = 0.05 * np.random.default_rng(seed).normal(size=(steps + 1, 3))
     points = grid.points()
     weighted = sweep_generator(SHORT_HAD, grid, delta_f)
+    cubic = control_cubic(grid, delta_f)
 
     def reference(taus, c0):
-        dfi = np.stack([np.interp(taus, points, delta_f[:, j]) for j in range(3)], axis=-1)
         return -1j * (sweep_hamiltonian(taus, SHORT_HAD) + np.einsum(
-            "...j,jkl->...kl", dfi, coupling_matrices(SHORT_HAD, 0.0)))
+            "...j,jkl->...kl", cubic(taus), coupling_matrices(SHORT_HAD, 0.0)))
 
-    # every sample, read or not, against the reference at the same times;
-    # np.interp holds the last sample beyond the final grid point, as the
-    # last chunk's end column does with weight 0
+    # every sample that is read against the reference at the same times;
+    # the rows past the final grid point, which are never read, extend a
+    # cubic through the ghost sample, not the reference's last piece
     errors, sampled = [], []
 
     def compared(taus, c0):
         a = weighted(taus, c0)
-        errors.append(np.abs(a - reference(taus, c0)).max())
+        read = taus <= points[-1]
+        errors.append(np.abs(a - reference(taus, c0))[read].max())
         sampled.append(taus)
         return a
 
@@ -465,7 +557,7 @@ def test_step_nodes_need_final_storage_and_even_refine():
        tau_f=st.floats(0.01, 3.0))
 def test_step_nodes_hold_the_noise_constant_inside_each_step(steps, centers, tau_f):
     grid = TimeGrid(20.0, steps)
-    centers = np.array(centers, dtype=float)
+    centers = np.sort(np.array(centers, dtype=float))
     amplitudes = np.linspace(0.1, 0.7, len(centers)) * (-1.0) ** np.arange(len(centers))
     r = NoiseRealization(centers=centers, amplitudes=amplitudes, scale=1.0,
                          tau_f=tau_f, tau0=grid.tau0)
@@ -498,6 +590,9 @@ def test_noisy_segments_are_disjoint_and_hold_every_pulse(steps, centers, on_gri
     odd = np.array(on_grid, dtype=int) % 2 == 1
     left = np.concatenate([np.array(centers) - tau_f, np.where(odd, on, on - 2 * tau_f)])
     right = np.concatenate([np.array(centers) + tau_f, np.where(odd, on + 2 * tau_f, on)])
+    # the pulses in order of their left edges, as a realization holds them
+    order = np.argsort(left, kind="stable")
+    left, right = left[order], right[order]
     seg = noisy_segments(grid, np.concatenate([left, right]))
     assert seg.shape == (len(seg), 2) and np.all(seg[:, 0] < seg[:, 1])
     # sorted and disjoint: a segment ends before the next one starts
@@ -518,8 +613,8 @@ def _cancelling_generator(dim, chunk, eps=1e-2):
     h = np.eye(2) if dim == 2 else hermitize(
         np.random.default_rng(5).normal(size=(4, 4)) + 0j)
 
-    def afun(taus, c0):
-        sign = {1: 1.0, 3: -1.0}.get(c0 // chunk, 0.0)
+    def afun(taus, rows):
+        sign = {1: 1.0, 3: -1.0}.get(rows.c0 // chunk, 0.0)
         return np.broadcast_to(sign * eps * h, (*taus.shape, dim, dim)).astype(complex)
 
     return afun
@@ -554,8 +649,10 @@ def test_checked_finals_raise_on_a_defect_a_later_chunk_cancels(monkeypatch, dim
 
     monkeypatch.setattr(propagate, "_integrate", with_cancelling_generator)
     members = [(p, True), (p, False)]
+    # the batch runs on a quarter of its grid's steps: five chunks again
+    fine = TimeGrid(p.tau0, propagate.MAGNUS_COARSENING * grid.steps)
     for run in (lambda: propagate_sweep(p, grid),
-                lambda: propagate_finals(members, grid, np.zeros((grid.steps + 1, 3)))):
+                lambda: propagate_finals(members, fine, np.zeros((fine.steps + 1, 3)))):
         with pytest.raises(AccuracyError, match="unitarity defect") as err:
             run()
         assert err.value.value > 1e-4
@@ -620,19 +717,20 @@ SHORT_CP = dataclasses.replace(NOMINAL_PARAMS["cphase"], tau0=12.0)
 @settings(max_examples=30, deadline=None)
 @given(members=st.one_of(_members(params_1q), _members(params_2q)),
        chunk=st.integers(9, 40), full=st.integers(1, 3), last=st.integers(1, 8),
-       seed=st.integers(0, 2**32 - 1))
+       short=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
 @example(members=[(SHORT_HAD, True), (SHORT_HAD, False),
                   (dataclasses.replace(SHORT_HAD, lam=7.821), True),
                   (dataclasses.replace(SHORT_HAD, eta4=1.8e-4), False)],
-         chunk=16, full=2, last=4, seed=0)
+         chunk=16, full=2, last=4, short=0, seed=0)
 @example(members=[(SHORT_CP, True), (dataclasses.replace(SHORT_CP, d1=11.703), False),
                   (dataclasses.replace(SHORT_CP, c4=5.0004), True)],
-         chunk=9, full=1, last=4, seed=1)
-@example(members=[(SHORT_HAD, True)], chunk=9, full=3, last=1, seed=2)
-def test_batched_finals_equal_separate_sweeps(members, chunk, full, last, seed):
+         chunk=9, full=1, last=4, short=1, seed=1)
+@example(members=[(SHORT_HAD, True)], chunk=9, full=3, last=1, short=0, seed=2)
+def test_batched_finals_equal_one_member_runs(members, chunk, full, last, short, seed):
     # random members of one system size, each with or without the control;
-    # chunks that leave a last chunk of 1 to 8 steps
-    steps = full * chunk + last
+    # Magnus chunks that leave a last chunk of 1 to 8 steps, on grids that 4
+    # divides (short 0) or not
+    steps = propagate.MAGNUS_COARSENING * (full * chunk + last) - short
     grid = TimeGrid(members[0][0].tau0, steps)
     delta_f = 0.05 * np.random.default_rng(seed).normal(size=(steps + 1, 3))
     dim = members[0][0].dim
@@ -642,14 +740,35 @@ def test_batched_finals_equal_separate_sweeps(members, chunk, full, last, seed):
         mp.setattr(propagate, "CHUNK", chunk)
         finals = propagate_finals(members, grid, delta_f)
         assert finals.shape == (len(members), dim, dim)
-        for final, (p, controlled) in zip(finals, members):
-            want = propagate_sweep(p, grid, delta_f if controlled else None).final
-            if last == 1 and len(members) > 1:
-                # in a one-step chunk a single sweep's in-place complex
-                # products (lincore.cayley_klein_matmul) act on one-element
-                # arrays, which numpy rounds differently from its vector
-                # loop; the batch's members stay in the vector loop
-                scale = max(1.0, np.abs(want).max())
-                assert np.abs(final - want).max() <= steps * 2.3e-16 * scale
-            else:
-                assert np.array_equal(final, want)
+        for final, member in zip(finals, members):
+            assert np.array_equal(final, propagate_finals([member], grid, delta_f)[0])
+
+
+@pytest.mark.parametrize("p, steps", [(SHORT_HAD, 400), (SHORT_CP, 1600)],
+                         ids=["hadamard", "cphase"])
+def test_magnus_finals_match_sweeps_within_their_step_halving_estimates(monkeypatch, p,
+                                                                        steps):
+    # grids coarse enough that both rules err far above roundoff (1e-11 to
+    # 2e-9), and the Runge-Kutta refine-1 defect exceeds the budget
+    monkeypatch.setattr(propagate, "UNITARITY_BUDGET", np.inf)
+    grid = TimeGrid(p.tau0, steps)
+    delta_f = _short_control(grid)
+    members = [(p, True), (dataclasses.replace(p, lam=1.001 * p.lam), False)]
+    finals = propagate_finals(members, grid, delta_f)
+    afun = _generator_fun(grid, members, delta_f)
+
+    def magnus(magnus_steps, refine):
+        return _integrate(afun, TimeGrid(p.tau0, magnus_steps), p.dim, batch=(2,),
+                          refine=refine, store="final", rule="magnus")[1]
+
+    # the same rule on half as many steps, and on four substeps per step
+    halved, fine = magnus(steps // 8, 1), magnus(steps // 4, 4)
+    for final, half, ref, (q, controlled) in zip(finals, halved, fine, members):
+        estimate = np.abs(final - half).max() / 63
+        assert 0.0 < np.abs(final - ref).max() <= 4.0 * estimate
+        # the grid-stored sweep integrates the same cubic control
+        control = delta_f if controlled else None
+        sweep = propagate_sweep(q, grid, control).final
+        coarse = propagate_sweep(q, grid, control, refine=1).final
+        estimate += np.abs(sweep - coarse).max() / 15
+        assert 0.0 < np.abs(final - sweep).max() <= 4.0 * estimate

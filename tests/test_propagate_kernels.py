@@ -1,7 +1,8 @@
 """Property tests of the integrator kernels: the component-major step maps,
-the rank-3 feedback maps and the blocked scan, each against a plain
-reference kept here as the oracle, for whole matrices and for one-qubit
-matrices in Cayley-Klein form (first columns, expanded for the oracle).
+the Magnus maps and their exponentials, the rank-3 feedback maps and the
+blocked scan, each against a plain reference kept here as the oracle (or
+scipy's expm), for whole matrices and for one-qubit matrices in
+Cayley-Klein form (first columns, expanded for the oracle).
 """
 
 import dataclasses
@@ -10,9 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from nocgf import propagate
 from nocgf.lincore import (
+    ID2,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -25,9 +28,12 @@ from nocgf.propagate import (
     CAYLEY_KLEIN,
     CHUNK,
     SCAN_WIDTH,
+    GAUSS,
+    TAYLOR_NORM,
     _blocked_scan,
     feedback_maps,
     integrate_delta_y,
+    magnus_maps,
     matrix_algebra,
     step_maps,
 )
@@ -219,9 +225,11 @@ SCAN_LENGTHS = (1, _W - 1, _W, _W + 1, 2 * _W - 1, 2 * _W, _W**2 - 1, _W**2,
 
 @pytest.mark.parametrize("length", SCAN_LENGTHS)
 @pytest.mark.parametrize("n", [2, 4])
-def test_scan_at_recursion_boundaries(n, length):
+@pytest.mark.parametrize("shifted", [False, True])
+def test_scan_at_recursion_boundaries(n, length, shifted):
     # one stack for CAYLEY_KLEIN (n = 2, first columns) or for whole 4x4
-    # matrices, with a batch of three members ahead of the steps
+    # matrices, with a batch of three members ahead of the steps; shifted,
+    # the factors are given as their offsets from the identity
     rng = np.random.default_rng(length)
     if n == 2:
         algebra = CAYLEY_KLEIN
@@ -232,14 +240,17 @@ def test_scan_at_recursion_boundaries(n, length):
         mats = unitary_stack(length, n, length + 1, (3,)).swapaxes(0, 1)
         x = component_major(mats)
     u, x = np.ascontiguousarray(x[..., 0]), np.ascontiguousarray(x[..., 1:])
-    p = _blocked_scan(x, u, algebra)
+    if shifted:
+        x = x - algebra.unit(x.shape[2:])
+    p = _blocked_scan(x, u, algebra, shifted)
     assert p.shape == (n, u.shape[1], 3, length)
     got = np.moveaxis(algebra.expand(p), -3, 0)         # (length, 3, n, n)
     want = sequential_products(mats[:, 1:].swapaxes(0, 1), mats[:, 0])
     assert np.abs(got - want).max() <= EPS_BOUND * length
     # each member scanned alone has the batch member's bits
     for b in range(3):
-        alone = _blocked_scan(np.ascontiguousarray(x[:, :, b]), u[:, :, b], algebra)
+        alone = _blocked_scan(np.ascontiguousarray(x[:, :, b]), u[:, :, b], algebra,
+                              shifted)
         assert np.array_equal(alone, p[:, :, b])
 
 
@@ -301,3 +312,100 @@ def test_feedback_on_real_samples_stays_real(seed, steps, log_z):
     assert np.abs(m - m_c).max() <= 1e-15
     assert np.array_equal(y[0], y_c[0])
     assert np.abs(y[1:] - np.einsum("kij,kj->ki", m_c, y[:-1])).max() <= 1e-15
+
+
+def su2_matrices(w):
+    """c I + i w.sigma for coordinates w = (c, w1, w2, w3), shape (4, *stack)."""
+    c, w1, w2, w3 = (x[..., None, None] for x in w)
+    return c * ID2 + 1j * (w1 * SIGMA_X + w2 * SIGMA_Y + w3 * SIGMA_Z)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 40),
+       scale=st.sampled_from([1e-3, 0.1, 1.0, 3.0]))
+def test_su2_exponential_matches_expm(seed, steps, scale):
+    # the closed form of exp - I against scipy's expm; with no I part the
+    # exponential is unitary
+    rng = np.random.default_rng(seed)
+    w = scale * rng.normal(size=(4, steps))
+    w[0, : steps // 2] = 0.0
+    got = cayley_klein_expand(CAYLEY_KLEIN.expm1(w)) + ID2
+    want = np.stack([expm(x) for x in su2_matrices(w)])
+    assert np.abs(got - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
+    # the offset exp - I keeps its relative accuracy where it is small:
+    # against its series, whose fourth-order term is below 1e-22
+    small = su2_matrices(1e-6 * w)
+    series = small + small @ small / 2 + small @ small @ small / 6
+    offsets = cayley_klein_expand(CAYLEY_KLEIN.expm1(1e-6 * w))
+    assert np.abs(offsets - series).max() <= 1e-15 * np.abs(series).max()
+    traceless = got[: steps // 2]
+    gram = np.conj(np.swapaxes(traceless, -1, -2)) @ traceless
+    assert np.abs(gram - np.eye(2)).max(initial=0.0) <= 1e-15
+    # the coordinates of an element give it back, and a commutator is the
+    # matrices' own
+    x = component_major(su2_matrices(w))[:, :1]
+    assert np.array_equal(CAYLEY_KLEIN.coordinates(x), w)
+    v = rng.normal(size=(4, steps))
+    bracket = su2_matrices(CAYLEY_KLEIN.commutator(w, v))
+    a, b = su2_matrices(w), su2_matrices(v)
+    assert np.abs(bracket - (a @ b - b @ a)).max() <= 1e-13 * scale
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 30))
+def test_matrix_exponential_matches_expm_with_and_without_scaling(seed, steps):
+    # anti-Hermitian 4x4 stacks as the Magnus steps give them, and general
+    # complex ones; the first half within TAYLOR_NORM (no scaling), the
+    # second half 2 to 40 times larger, which takes s > 0 squarings
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(steps, 4, 4)) + 1j * rng.normal(size=(steps, 4, 4))
+    omegas = [g - np.conj(np.swapaxes(g, -1, -2)), g]
+    for omega in omegas:
+        norms = np.abs(omega).sum(axis=-2).max(axis=-1)
+        target = np.where(np.arange(steps) < steps // 2, 0.9 * TAYLOR_NORM,
+                          rng.uniform(2.0, 40.0, steps) * TAYLOR_NORM)
+        omega = omega * (target / norms)[:, None, None]
+        got = matrix_major(matrix_algebra(4).expm1(
+            np.ascontiguousarray(component_major(omega)))) + np.eye(4)
+        want = np.stack([expm(x) for x in omega])
+        scale = np.abs(want).max(axis=(-2, -1))[:, None, None]
+        assert np.all(np.abs(got - want) <= 2e-14 * np.maximum(scale, 1.0))
+
+
+def test_matrix_exponential_scales_each_matrix_alone():
+    # a matrix's exponential does not depend on the others in its stack, so
+    # a batch member's Magnus maps are its one-member run's bit for bit
+    rng = np.random.default_rng(3)
+    g = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
+    omega = np.ascontiguousarray(component_major(g - np.conj(np.swapaxes(g, -1, -2))))
+    omega[..., :3] *= 0.02
+    alone = matrix_algebra(4).expm1(np.ascontiguousarray(omega[..., :3]))
+    assert np.array_equal(matrix_algebra(4).expm1(omega)[..., :3], alone)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_magnus_maps_of_a_constant_generator_are_its_exponential(n):
+    # Omega is dt A when A does not change over the step: every commutator
+    # vanishes and b3 is 0
+    rng = np.random.default_rng(n)
+    h = rng.normal(size=(5, n, n)) + 1j * rng.normal(size=(5, n, n))
+    if n == 2:
+        w = rng.normal(size=(4, 5))
+        w[0] = 0.0
+        a = su2_matrices(w)
+        algebra, k = CAYLEY_KLEIN, 1
+    else:
+        a = -1j * (h + np.conj(np.swapaxes(h, -1, -2)))
+        algebra, k = matrix_algebra(4), 4
+    dt = 0.03
+    x = np.ascontiguousarray(component_major(a))[:, :k]
+    m = algebra.expand(magnus_maps(x, x, x, dt, algebra)) + np.eye(n)
+    want = np.stack([expm(dt * y) for y in a])
+    assert np.abs(m - want).max() <= 1e-15
+
+
+def test_gauss_nodes():
+    # the three-point Gauss-Legendre rule on [0, 1] integrates degree 5
+    weights = np.array([5.0, 8.0, 5.0]) / 18.0
+    for degree in range(6):
+        assert weights @ GAUSS**degree == pytest.approx(1.0 / (degree + 1), abs=1e-15)

@@ -1,5 +1,6 @@
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from nocgf import sensitivity
@@ -68,9 +69,10 @@ def test_zero_row_reuses_improve_result_on_its_grid(monkeypatch, hadamard_40k):
     rows = run_sensitivity(res, "lam")
     assert [r.value for r in rows] == pytest.approx([7.819, 7.820, 7.821], abs=1e-12)
     # one final-only integration of 4 members, (-1, +1 ULP) x (with, without
-    # the correction), on the improve result's grid; none at the unperturbed
-    # value, whose row is the improve result's own
-    assert integrations == [(res.control.grid, (4,), "final")]
+    # the correction), on a quarter of the improve result's grid steps; none
+    # at the unperturbed value, whose row is the improve result's own
+    grid = res.control.grid
+    assert integrations == [(TimeGrid(grid.tau0, grid.steps // 4), (4,), "final")]
     ((members, grid, delta_f),) = finals
     assert grid == res.control.grid and delta_f is res.control.samples
     assert [controlled for _, controlled in members] == [True, False, True, False]
@@ -80,15 +82,30 @@ def test_zero_row_reuses_improve_result_on_its_grid(monkeypatch, hadamard_40k):
     assert all(replace(p, lam=res.params.lam) == res.params for p, _ in members)
 
 
-def test_perturbed_rows_match_separate_sweeps(hadamard_40k):
-    # the batched finals are those of the four separate grid-stored sweeps
+def test_perturbed_rows_match_one_member_runs_and_sweeps(monkeypatch, hadamard_40k):
+    # each batched final is its one-member run's bit for bit, and lies within
+    # four times the step-halving estimates of the Magnus final and of the
+    # grid-stored sweep from that sweep
     res = hadamard_40k
     rows = run_sensitivity(res, "eta4")
     grid, delta_f = res.control.grid, res.control.samples
     target = res.gate.sweep_unitary
+    propagate = sensitivity.propagate
+    # the refine-1 sweeps of the estimate exceed the budget at 40,000 steps
+    monkeypatch.setattr(propagate, "UNITARITY_BUDGET", np.inf)
     for row in (rows[0], rows[2]):
         pp = replace(res.params, eta4=row.value)
-        with_noc = propagate_sweep(pp, grid, delta_f).final
-        without = propagate_sweep(pp, grid).final
-        assert row.trp_with_noc == trace_p(with_noc, target)
-        assert row.trp_without_noc == trace_p(without, target)
+        for controlled, trp in ((True, row.trp_with_noc), (False, row.trp_without_noc)):
+            member = [(pp, controlled)]
+            (final,) = propagate.propagate_finals(member, grid, delta_f)
+            assert trace_p(final, target) == trp
+            # the same rule on half as many steps, eight grid steps each
+            _, (half,), _ = propagate._integrate(
+                propagate._generator_fun(grid, member, delta_f),
+                TimeGrid(grid.tau0, grid.steps // 8), 2, batch=(1,), refine=1,
+                store="final", rule="magnus")
+            control = delta_f if controlled else None
+            sweep = propagate_sweep(pp, grid, control).final
+            coarse = propagate_sweep(pp, grid, control, refine=1).final
+            estimate = np.abs(final - half).max() / 63 + np.abs(sweep - coarse).max() / 15
+            assert np.abs(final - sweep).max() <= 4.0 * estimate
