@@ -223,13 +223,10 @@ SCAN_LENGTHS = (1, _W - 1, _W, _W + 1, 2 * _W - 1, 2 * _W, _W**2 - 1, _W**2,
                 _W**2 + 1, _W**3 - 1, _W**3 + 1, CHUNK, CHUNK + 1)
 
 
-@pytest.mark.parametrize("length", SCAN_LENGTHS)
-@pytest.mark.parametrize("n", [2, 4])
-@pytest.mark.parametrize("shifted", [False, True])
-def test_scan_at_recursion_boundaries(n, length, shifted):
-    # one stack for CAYLEY_KLEIN (n = 2, first columns) or for whole 4x4
-    # matrices, with a batch of three members ahead of the steps; shifted,
-    # the factors are given as their offsets from the identity
+def check_scan(n, length, shifted):
+    """One stack for CAYLEY_KLEIN (n = 2, first columns) or for whole 4x4
+    matrices, with a batch of three members ahead of the steps; shifted,
+    the factors are given as their offsets from the identity."""
     rng = np.random.default_rng(length)
     if n == 2:
         algebra = CAYLEY_KLEIN
@@ -252,6 +249,18 @@ def test_scan_at_recursion_boundaries(n, length, shifted):
         alone = _blocked_scan(np.ascontiguousarray(x[:, :, b]), u[:, :, b], algebra,
                               shifted)
         assert np.array_equal(alone, p[:, :, b])
+
+
+@pytest.mark.parametrize("length", SCAN_LENGTHS)
+@pytest.mark.parametrize("n", [2, 4])
+def test_scan_at_recursion_boundaries(n, length):
+    check_scan(n, length, shifted=False)
+
+
+@pytest.mark.parametrize("length", SCAN_LENGTHS)
+@pytest.mark.parametrize("n", [2, 4])
+def test_shifted_scan_at_recursion_boundaries(n, length):
+    check_scan(n, length, shifted=True)
 
 
 @settings(max_examples=40, deadline=None)
