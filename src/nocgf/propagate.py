@@ -11,31 +11,31 @@ defect of the propagator then stays near roundoff without any
 re-unitarization, so integration error remains a measurable diagnostic.
 It serves the grid-stored sweeps, Strategy 2's nominal sweep and the noisy
 segments.  The sixth-order Magnus map (magnus_maps) serves the final-only
-batches of propagate_finals, on a quarter of the grid's steps: it samples A
-at the three Gauss nodes of a step and takes one exponential, in closed
-form for one qubit (exactly unitary) and by a Taylor polynomial for 4x4.
+batches of propagate_finals, on up to a quarter of the grid's steps: it
+samples A at the three Gauss nodes of a step and takes one exponential, in
+closed form for one qubit (exactly unitary) and by a Taylor polynomial.
 
 Step nodes.  One integrator (_integrate) steps over an array of nodes, on
-one path for every kind of node, rule and storage mode.  The Runge-Kutta
-sampler (_sample_rows) hands the generator a (rows, steps) time array whose
-row j lies j/(2 refine) of the way through every step of a chunk, so row
-`refine` is the step midpoint, and one step-map path reads those rows.  A
-TimeGrid is the uniform special case: its steps share their end samples,
-so it takes 2 refine rows over one step more than the chunk and reads the
-end row as row 0 shifted by one step.  On a TimeGrid the sampler also hands
-over where the rows lie (ChunkRows: the chunk's first step and the rows'
-fractions of a step), so the control modification, a Catmull-Rom cubic of
-its grid samples (_control_fun), takes fixed row weights on contiguous
-slices of the samples, with no search; the Magnus rows, on a grid of a
-quarter of the steps, take fixed weights on 4-strided slices.  Noisy
-propagation steps over StepNodes, the grid points plus the pulse edges of a
-realization clipped to the sweep.  The phase noise is piecewise constant,
-so on those nodes it is constant inside every step; the generator builder
-(_generator_fun) evaluates it once per step, at the midpoint row, and each
-step samples its own end row (row 2 refine) because the generator may jump
-at a node.  The fourth-order rate, which a step straddling a jump loses, is
-then kept.  These nodes are not grid steps, so the same cubic finds their
-grid steps by floor and gathers its samples there.
+one path for every kind of node, rule and storage mode.  One sampler
+(_sample_rows) hands the generator a (rows, steps) time array at the rule's
+fractions of every step of a chunk: the Runge-Kutta row j at j/(2 refine),
+so row `refine` is the step midpoint, and the Magnus rows at the Gauss
+nodes of every substep.  A TimeGrid's steps share their end samples, so
+there the Runge-Kutta end row is row 0 shifted by one step.  On a TimeGrid
+the sampler also hands over where the rows lie (ChunkRows: the chunk's
+first step and the rows' fractions of a step), so the control modification,
+a Catmull-Rom cubic of its grid samples (_control_fun), takes fixed row
+weights on contiguous slices of the samples, with no search; the Magnus
+rows, on a grid of 1/m of the steps, take fixed weights on m-strided
+slices.  Noisy propagation steps over StepNodes, the grid points plus the
+pulse edges of a realization clipped to the sweep.  The phase noise is
+piecewise constant, so on those nodes it is constant inside every step; the
+generator builder (_generator_fun) evaluates it once per step, at the
+midpoint row, and each step samples its own end row (row 2 refine) because
+the generator may jump at a node.  The fourth-order rate, which a step
+straddling a jump loses, is then kept.  These nodes are not grid steps, so
+the same cubic finds their grid steps by floor and gathers its samples
+there.
 
 Control interpolant.  The cubic's slopes are central differences of the
 samples, and one-sided second-order differences at the ends (from a
@@ -116,28 +116,30 @@ real arrays: G and y in the orthonormal basis P_a/2 of the two-qubit Pauli
 products (lincore.pauli_coordinates), a unitary change of basis in which
 every Hermitian column is real, so the maps are real 16x16 matrices.
 
-Product order.  A step's map is the product of its substep maps, and
-within a chunk the step maps are multiplied by a recursive blocked scan
-(see _blocked_scan): local prefix products inside blocks of SCAN_WIDTH
-consecutive steps, the block totals scanned from the chunk's start value
-by the same scan, then every block's local prefixes multiplied by its
-offset.  The products are the algebra's, each over at least SCAN_WIDTH
-blocks; fewer than 2 SCAN_WIDTH factors are chained instead, by one small
-`@` of the expanded factor per step.  This reassociates the sequential
-product M_k ... M_1 M_0 U.  For unitary factors both carry roundoff
-bounded by order (factors) x eps, about 1e-11 for a production sweep.
-Measured over every grid sample of the production nominal sweeps, the
-scan and a step-by-step product of the same maps differ by 2.7e-14 to
-4.1e-14 for the one-qubit gates (Cayley-Klein form) and by 2.0e-12 for
-cphase, in max-norm, far below the 1e-10 unitarity budget.  Against a
-long-double product, almost all of cphase's 2.0e-12 is a norm drift that
-the step-by-step product (5.6e-14) does not have: near-identity partial
-products round with a bias.  The scan is the same for both storage modes, which
-only choose what is written: the grid samples, or the final propagator,
-the last of them.  Both measure the unitarity defect of every chunk's
-prefix products.  Strategy 2's nominal sweep, which needs samples at the
-half steps, runs on twice the steps at one substep each: the same sample
-times and substep size as the grid at two substeps.
+Product order.  Every step map reaches the product as its offset X = M - I
+from the identity, for both rules: step_maps and magnus_maps return
+offsets, and a step's map, the product of its substep maps, is composed as
+offsets, (I + S)(I + G) - I = S + G + S G (_compose).  Within a chunk the
+step maps are multiplied by a recursive blocked scan (see _blocked_scan):
+local prefix products inside blocks of SCAN_WIDTH consecutive steps,
+composed as offsets too, the block totals scanned from the chunk's start
+value by the same scan, then every block's local prefixes multiplied by its
+offset, a whole element.  This reassociates the sequential product M_k ...
+M_1 M_0 U, with roundoff of order (factors) x eps.  A partial product of
+near-identity maps rounds relative to its small offset, not to 1, so its
+rounding has no bias in the norm, which whole maps I + X had.  Over every
+grid sample of the production nominal sweeps (hadamard at 160,000 steps,
+cphase at Strategy 2's 240,000 steps of one substep) the scan errs by
+4.0e-15 and 1.3e-14 against a long-double product of the same offsets (a
+step-by-step product by 2.2e-14), and the defects read 1.5e-14 and 3.3e-13,
+where whole maps read 2.6e-12 and 1.9e-11.  Against a 240,000-step Magnus
+reference the cphase nominal final errs by 6.1e-12 (1.1e-11 with whole
+maps), its Runge-Kutta truncation.  The scan is the same for both storage
+modes, which only choose what is written: the grid samples, or the final
+propagator, the last of them.  Both measure the unitarity defect of every
+chunk's prefix products.  Strategy 2's nominal sweep, which needs samples at
+the half steps, runs on twice the steps at one substep each: the same
+sample times and substep size as the grid at two substeps.
 
 Batches.  The generator builder (_generator_fun) always writes a batch of
 scalar sweeps on one grid, each with or without the control modification;
@@ -151,20 +153,20 @@ depend on its own samples alone (the 4x4 exponential scales each matrix by
 its own norm), so its final propagator is that of a one-member batch bit
 for bit.
 
-Magnus accuracy.  The final-only batches run on TimeGrid(tau0, N/4) and
-read the cubic of the N-point control samples.  Against four Magnus
-substeps per step on the same cubic, at the production grids the
-hadamard/eta4 rows err by 8.7e-12 to 1.0e-11 and the cphase/d1 rows by
-9.3e-12 (without the control) and 7.7e-11 (with it), each within 2.7 times
-its step-halving estimate |U(N/4) - U(N/8)| / 63.  On the 40,000-step
-one-qubit grid of the CLI examples the rows run on 10,000 Magnus steps and
-err by 3.6e-8 to 4.1e-8.  The one-qubit maps are unitary to roundoff at any
-step.  The maps are handed to the scan as offsets from the identity (see
-_blocked_scan), and the batches' defects read 1.4e-14 (hadamard/eta4) and
-2.8e-14 (cphase/d1); multiplied as whole matrices, the cphase maps read
-1.6e-13, a bias of the scan's rounding.  A step count that 4 does not
-divide runs on ceil(N/4) steps, whose steps straddle the cubic's knots at
-varying fractions; the order then falls to about 3.
+Magnus accuracy.  The final-only batches run on TimeGrid(tau0, N/m) and
+read the cubic of the N-point control samples, where m is the largest of
+4, 3 and 2 that divides N and keeps the Magnus step m tau0 / N within the
+production grids' 4e-3, else 1 (_magnus_coarsening).  So the production
+grids take m = 4, a grid whose own steps are as long takes m = 1, and
+every Magnus step straddles the cubic's knots at the same fractions.
+Against four Magnus substeps per step on the same cubic, at the production
+grids the hadamard/eta4 rows err by 8.8e-12 to 1.0e-11 and the cphase/d1
+rows by 9.3e-12 (without the control) and 7.7e-11 (with it), each within
+2.7 times its step-halving estimate |U(N/m) - U(N/2m)| / 63; on the
+40,000-step one-qubit grid of the CLI examples (m = 1) the lam and eta4
+rows err by 8.7e-12 to 1.0e-11.  The one-qubit maps are unitary to
+roundoff at any step, and the batches' defects read 1.4e-14
+(hadamard/eta4) and 3.4e-14 (cphase/d1).
 """
 
 from __future__ import annotations
@@ -203,8 +205,9 @@ CHUNK = 4096
 SCAN_WIDTH = 8
 # Gauss-Legendre nodes of a Magnus step, as fractions of the step
 GAUSS = 0.5 + np.array([-1.0, 0.0, 1.0]) * (np.sqrt(15.0) / 10.0)
-# Grid steps per Magnus step of propagate_finals
-MAGNUS_COARSENING = 4
+# Magnus steps per unit tau at least, in propagate_finals: the production
+# grids' Magnus step, 4 of their grid steps, is 4e-3
+MAGNUS_STEPS_PER_TAU = 250
 # The 4x4 exponential of a Magnus step: a Taylor polynomial of this degree,
 # whose truncation, at most x^11/11! (1 + x) for an argument of 1-norm x, is
 # below 1e-16 (8.7e-17) up to x = TAYLOR_NORM; larger arguments are scaled
@@ -365,7 +368,9 @@ class Algebra:
     """The product the integrator multiplies propagators with.
 
     An element is a component-major stack (n, k, *stack): the first k
-    columns of n x n matrices, enough to fix them.  product multiplies two
+    columns of n x n matrices, enough to fix them.  A step map is held as its
+    offset X = M - I, an element too (I lies in the algebra's span), and
+    propagators as whole elements (see Product order).  product multiplies two
     stacks (their stack axes broadcast), identity is the (n, k) element of
     I, expand writes the n x n matrices of a stack matrix-major to
     (*stack, n, n) (to out, when given), and defect is the max-norm of
@@ -377,8 +382,7 @@ class Algebra:
     The Magnus step (magnus_maps) works on generators in the algebra's
     own coordinates: coordinates takes a stack of elements to them,
     commutator forms [a, b] there, and expm1 takes a stack of coordinates to
-    the elements exp(a) - I, the maps' offsets from the identity (see
-    _blocked_scan).
+    the elements exp(a) - I, the maps' offsets from the identity.
     """
 
     product: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -564,22 +568,22 @@ CAYLEY_KLEIN = Algebra(cayley_klein_matmul, np.eye(2, 1), cayley_klein_expand,
 
 def step_maps(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray, dt,
               algebra: Algebra) -> np.ndarray:
-    """One-step transfer matrices for U' = A(tau) U on a batch of steps.
+    """One-step transfer matrices for U' = A(tau) U on a batch of steps, as
+    their offsets from the identity.
 
     a1, a2, a3 are A evaluated at the step start, midpoint and end, as
     elements of the algebra seen matrix-major (shape (..., n, k); whole
-    matrices, matrix_algebra(n), take (..., n, n)); the returned M
-    satisfies U(tau+dt) = M U(tau).  dt is a scalar or a per-step array that
-    broadcasts against the stack axes (...) of the inputs.  The products
-    are formed by the algebra's product, entry by entry, and M is a
-    component-major view; the inputs should be component-major views too
+    matrices, matrix_algebra(n), take (..., n, n)); the returned X
+    satisfies U(tau+dt) = (I + X) U(tau).  dt is a scalar or a per-step
+    array that broadcasts against the stack axes (...) of the inputs.  The
+    products are formed by the algebra's product, entry by entry, and X is
+    a component-major view; the inputs should be component-major views too
     (see component_major), or every entry is a strided gather.  The
     degree-5..7 completion is the algebra's own (Algebra.completion): four
     products on whole matrices, none in Cayley-Klein form.
     """
     x1, x2, x3 = (component_major(a) for a in (a1, a2, a3))
     mul = algebra.product
-    eye = algebra.unit((1,) * (x1.ndim - 2))
     # Every line evaluates the formula in the comment above it, in place on
     # the fresh arrays the products return: a temporary per operation costs
     # as much as the operation on a chunk-sized stack.
@@ -593,7 +597,7 @@ def step_maps(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray, dt,
     k4 = mul(x3, k3)
     k4 *= dt
     k4 += x3
-    # m = (dt/6)(x1 + 2 k2 + 2 k3 + k4) + I
+    # m = (dt/6)(x1 + 2 k2 + 2 k3 + k4)
     m = k2
     m *= 2.0
     m += x1
@@ -601,7 +605,6 @@ def step_maps(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray, dt,
     m += k3
     m += k4
     m *= dt / 6.0
-    m += eye
     # modulus completion: degree 5..7 powers of the Simpson-averaged
     # generator pbar = (x1 + 4 x2 + x3)(dt/6), by the algebra
     pbar = x2 * 4.0
@@ -650,21 +653,25 @@ def magnus_maps(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray, dt,
     return algebra.expm1(omega)
 
 
-def _blocked_scan(x: np.ndarray, u: np.ndarray, algebra: Algebra,
-                  shifted: bool = False) -> np.ndarray:
-    """Ordered products of a stack x (n, k, *rest, C) of algebra elements.
+def _compose(algebra: Algebra, later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
+    """The offset of a product of two maps from the offsets of its factors:
+    (I + later)(I + earlier) - I = later earlier + later + earlier."""
+    out = algebra.product(later, earlier)
+    out += later
+    out += earlier
+    return out
+
+
+def _blocked_scan(x: np.ndarray, u: np.ndarray, algebra: Algebra) -> np.ndarray:
+    """Ordered products of a stack of maps I + x, x (n, k, *rest, C) their
+    offsets from the identity.
 
     u is the start element (n, k, *rest).  Returns the prefix products
-    p[..., k] = x_k ... x_0 u for every k, component-major (n, k, *rest, C).
-    With shifted, x holds every factor's difference X = M - I from the
-    identity instead, and the in-block partial products are carried as
-    differences too, (I + A)(I + B) - I = A + B + A B, at two additions per
-    product; a product with u or with a block's incoming offset, which are
-    whole elements, adds that element instead of I.  A partial product of a
-    few near-identity factors then rounds relative to its small difference,
-    not to 1, and its rounding carries no bias in the norm: the production
-    cphase/d1 Magnus batch reads a defect of 2.8e-14 this way and 1.6e-13
-    with whole factors.
+    p[..., k] = (I + x_k) ... (I + x_0) u for every k, component-major
+    (n, k, *rest, C).  The in-block partial products are carried as offsets
+    too (_compose), at two additions per product, so they round relative to
+    their offsets (see Product order); a product with u or with a block's
+    incoming offset, which are whole elements, adds that element.
 
     The C factors are split into blocks of SCAN_WIDTH consecutive factors,
     narrower when C < SCAN_WIDTH^2 so that there are at least SCAN_WIDTH
@@ -673,7 +680,7 @@ def _blocked_scan(x: np.ndarray, u: np.ndarray, algebra: Algebra,
     from u, which gives every block its incoming offset, and every block's
     local prefixes are then multiplied by it at once.  Fewer than
     2 SCAN_WIDTH factors are chained onto u one at a time, by one batched
-    `@` of the expanded factor per step, which beats a product call on a
+    `@` of the expanded offset per step, which beats a product call on a
     stack that short.  A chunk of C steps then takes about
     SCAN_WIDTH log(C) / log(SCAN_WIDTH) Python-level products instead of C.
     Every product runs over at least SCAN_WIDTH elements per member: numpy
@@ -689,95 +696,66 @@ def _blocked_scan(x: np.ndarray, u: np.ndarray, algebra: Algebra,
         v = matrix_major(u)
         for b in range(c):
             w = np.matmul(factors[..., b, :, :], v, out=p[..., b, :, :])
-            if shifted:
-                w += v
+            w += v
             v = w
         return component_major(p)
     width = min(SCAN_WIDTH, c // SCAN_WIDTH)
     blocks = -(-c // width)
     pad = blocks * width - c
     if pad:
-        # identity factors multiply exactly
-        fill = np.zeros((n, k, *rest, pad)) if shifted else algebra.unit((*rest, pad))
-        x = np.concatenate([x, fill], axis=-1)
+        # identity factors, offsets 0, multiply exactly
+        x = np.concatenate([x, np.zeros((n, k, *rest, pad))], axis=-1)
     # y[:, :, j, ..., b] = factor b*width + j: every in-block position is
     # one contiguous slab across the rest axes and the blocks
     y = np.ascontiguousarray(np.moveaxis(x.reshape(n, k, *rest, blocks, width), -1, 2))
     for j in range(1, width):
-        prefix = algebra.product(y[:, :, j], y[:, :, j - 1])
-        if shifted:
-            prefix += y[:, :, j]
-            prefix += y[:, :, j - 1]
-        y[:, :, j] = prefix
+        y[:, :, j] = _compose(algebra, y[:, :, j], y[:, :, j - 1])
     # block b's offset is totals b-1 .. 0 on u
-    offsets = _blocked_scan(y[:, :, width - 1, ..., :-1], u, algebra, shifted)
+    offsets = _blocked_scan(y[:, :, width - 1, ..., :-1], u, algebra)
     offsets = np.concatenate([u[..., None], offsets], axis=-1)
     p = algebra.product(y, offsets[:, :, None])
-    if shifted:
-        p += offsets[:, :, None]
+    p += offsets[:, :, None]
     return np.moveaxis(p, 2, -1).reshape(n, k, *rest, blocks * width)[..., :c]
 
 
-def _sample_rows(afun, grid, c0: int, cs: int, refine: int):
-    """Sample rows of steps c0 .. c0 + cs - 1 (see _integrate), and their
-    step sizes, a scalar or one per step along the rows' trailing axis.
-
-    afun receives a (rows, steps) time array, row j at j/(2 refine) of the
-    way through every step, and on a TimeGrid where those rows lie
-    (ChunkRows; None on StepNodes).  A TimeGrid's steps share their end
-    samples: its 2 refine rows span cs + 1 steps, and the end row is row 0
-    shifted by one step.  StepNodes sample their own end row, row 2 refine.
+def _sample_rows(afun, grid, c0: int, cs: int, fractions: np.ndarray, k: int):
+    """Samples of A at the given fractions of each of the steps
+    c0 .. c0 + cs - 1, and the step size, a scalar or one per step along
+    the rows' trailing axis (afun as in _integrate).  Returns one row per
+    fraction, the first k columns of the matrices, component-major
+    (n, k, *batch, cs).  A TimeGrid's steps share their end samples: a last
+    fraction of 1 (after a first one of 0) is not sampled but read as the
+    first row shifted by one step, over one step more than the chunk.
     """
     nodes = isinstance(grid, StepNodes)
+    shared = not nodes and fractions[-1] == 1.0
+    sampled = fractions[:-1] if shared else fractions
     if nodes:
         t = grid.taus[c0:c0 + cs + 1]
         dt = np.diff(t)
-        taus = t[:-1] + np.arange(2 * refine + 1)[:, None] / (2 * refine) * dt
+        taus = t[:-1] + sampled[:, None] * dt
+        where = None
     else:
-        s = np.arange(cs + 1) * (2 * refine) + np.arange(2 * refine)[:, None]
-        taus = grid.tau_start + c0 * grid.h + s * (grid.h / refine / 2.0)
-    where = None if nodes else ChunkRows(grid, c0, np.arange(2 * refine) / (2 * refine))
-    x = np.ascontiguousarray(component_major(afun(taus, where)))
-    rows = [x[..., j, :cs] for j in range(2 * refine)]
-    if nodes:
-        return [*rows, x[..., 2 * refine, :]], dt
-    return [*rows, x[..., 0, 1:]], grid.h
+        dt = grid.h
+        cols = cs + 1 if shared else cs
+        taus = grid.tau_start + c0 * dt + (np.arange(cols) + sampled[:, None]) * dt
+        where = ChunkRows(grid, c0, sampled)
+    x = np.ascontiguousarray(component_major(afun(taus, where)))[:, :k]
+    rows = [x[..., j, :cs] for j in range(len(sampled))]
+    if shared:
+        rows.append(x[..., 0, 1:])
+    return rows, dt
 
 
-def _step_map(rows, dt, refine: int, r: int, algebra: Algebra):
-    """The map of every step, the product of its r substep maps (r divides
-    refine), component-major (n, k, *batch, steps).
-
-    Substep i reads rows 2wi, 2wi + w and 2w(i + 1), w = refine / r, as its
-    start, midpoint and end: a coarser level reads every w-th row.
-    """
-    w = refine // r
-    maps = (component_major(step_maps(matrix_major(rows[2 * w * i]),
-                                      matrix_major(rows[2 * w * i + w]),
-                                      matrix_major(rows[2 * w * (i + 1)]), dt / r,
-                                      algebra))
-            for i in range(r))
-    return functools.reduce(lambda g, s: algebra.product(s, g), maps)
-
-
-def _magnus_step_map(afun, grid: TimeGrid, c0: int, cs: int, refine: int,
-                     algebra: Algebra):
-    """The Magnus map of steps c0 .. c0 + cs - 1 of a TimeGrid, the product
-    of `refine` Magnus substeps each, as its offset from the identity,
-    component-major (n, k, *batch, cs): (I + S)(I + G) - I = S + G + S G.
-
-    afun receives a (3 refine, cs) time array, rows 3i .. 3i + 2 at the Gauss
-    nodes of substep i, and their ChunkRows.
-    """
-    fractions = ((np.arange(refine)[:, None] + GAUSS) / refine).ravel()
-    taus = grid.tau_start + (c0 + np.arange(cs) + fractions[:, None]) * grid.h
-    rows = ChunkRows(grid, c0, fractions)
-    x = np.ascontiguousarray(component_major(afun(taus, rows)))
-    k = algebra.identity.shape[1]
-    rows = [x[:, :k, ..., j, :] for j in range(3 * refine)]
-    maps = (magnus_maps(*rows[3 * i:3 * i + 3], grid.h / refine, algebra)
-            for i in range(refine))
-    return functools.reduce(lambda g, s: algebra.product(s, g) + s + g, maps)
+def _step_map(substep_maps, rows, substeps, dt, algebra: Algebra):
+    """The map of every step as its offset from the identity, component-major
+    (n, k, *batch, steps): the product of its substep maps, composed as
+    offsets (_compose).  Substep i's map is substep_maps of the rows
+    substeps[i] over dt / len(substeps)."""
+    h = dt / len(substeps)
+    return functools.reduce(lambda g, s: _compose(algebra, s, g),
+                            (substep_maps(*(rows[j] for j in t), h, algebra)
+                             for t in substeps))
 
 
 def _integrate(afun, grid, dim: int, batch=(), refine=DEFAULT_REFINE,
@@ -789,16 +767,14 @@ def _integrate(afun, grid, dim: int, batch=(), refine=DEFAULT_REFINE,
     completed fourth-order map of step_maps, or "magnus", the sixth-order
     map of magnus_maps, on a TimeGrid only.
 
-    A chunk of CHUNK steps (fewer in the last one) is sampled at once:
-    afun(taus, rows) receives a (rows, steps) time array and, on a
-    TimeGrid, where its rows lie (ChunkRows; None on StepNodes); it returns
-    A with shape (*batch, *taus.shape, dim, dim), a matrix-major view of
-    component-major memory (see Memory layout).  The Runge-Kutta rows
-    (_sample_rows) lie at j/(2 refine) of the way through every step, so
-    row `refine` is the step midpoint for both kinds of nodes; the Magnus
-    rows are the three Gauss nodes of every substep (_magnus_step_map).
-    Every step's map is the product of its substep maps, and a blocked scan
-    over the chunk's step maps gives the propagator at every node; this
+    A chunk of CHUNK steps (fewer in the last one) is sampled at once, at
+    the rule's fractions of every step (_sample_rows): afun(taus, rows)
+    receives a (rows, steps) time array and, on a TimeGrid, where its rows
+    lie (ChunkRows; None on StepNodes); it returns A with shape
+    (*batch, *taus.shape, dim, dim), a matrix-major view of component-major
+    memory (see Memory layout).  Every step's map is the product of its
+    substep maps, and a blocked scan over the chunk's step maps, all given
+    as offsets from the identity, gives the propagator at every node; this
     path is the same for both rules and both storage modes, which only
     choose what is written.
 
@@ -826,13 +802,27 @@ def _integrate(afun, grid, dim: int, batch=(), refine=DEFAULT_REFINE,
     if nodes and (store != "final" or refine % 2 or rule != "runge-kutta"):
         raise ValueError("step nodes integrate final propagators at an even refine, "
                          "by the Runge-Kutta rule")
+    if rule == "magnus":
+        # rows 3i .. 3i + 2 at the Gauss nodes of substep i
+        fractions = ((np.arange(refine)[:, None] + GAUSS) / refine).ravel()
+        levels = [[(3 * i, 3 * i + 1, 3 * i + 2) for i in range(refine)]]
+        substep_maps = magnus_maps
+    else:
+        # row j at j/(2 refine) of every step; a level of refine / w substeps
+        # reads every w-th row, substep i rows 2wi, 2wi + w and 2w(i + 1).
+        # Step nodes run the levels refine // 2 and refine.
+        fractions = np.arange(2 * refine + 1) / (2 * refine)
+        levels = [[(2 * w * i, 2 * w * i + w, 2 * w * (i + 1)) for i in range(refine // w)]
+                  for w in ((2, 1) if nodes else (1,))]
+
+        def substep_maps(a1, a2, a3, dt, algebra):
+            return component_major(step_maps(*map(matrix_major, (a1, a2, a3)), dt, algebra))
     # an unstable coarse grid overflows to inf and NaN; the defect check of
     # every caller turns those into an AccuracyError, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
         # step nodes carry their two levels along a leading axis of u
-        levels, lead = ((refine // 2, refine), (2,)) if nodes else ((refine,), ())
+        lead = (2,) if nodes else ()
         algebra = CAYLEY_KLEIN if dim == 2 else matrix_algebra(dim)
-        k = algebra.identity.shape[1]
         steps = grid.steps
         u = algebra.unit((*lead, *batch))
         out = None
@@ -842,14 +832,10 @@ def _integrate(afun, grid, dim: int, batch=(), refine=DEFAULT_REFINE,
             algebra.expand(u, out[..., 0, :, :])
         for c0 in range(0, steps, CHUNK):
             cs = min(CHUNK, steps - c0)
-            if rule == "magnus":
-                m = [_magnus_step_map(afun, grid, c0, cs, refine, algebra)]
-            else:
-                rows, dt = _sample_rows(afun, grid, c0, cs, refine)
-                rows = [x[:, :k] for x in rows]
-                m = [_step_map(rows, dt, refine, r, algebra) for r in levels]
-            p = _blocked_scan(np.stack(m, axis=2) if lead else m[0], u, algebra,
-                              shifted=rule == "magnus")
+            rows, dt = _sample_rows(afun, grid, c0, cs, fractions,
+                                    algebra.identity.shape[1])
+            m = [_step_map(substep_maps, rows, level, dt, algebra) for level in levels]
+            p = _blocked_scan(np.stack(m, axis=2) if lead else m[0], u, algebra)
             if out is not None:
                 algebra.expand(p, out[..., c0 + 1:c0 + cs + 1, :, :])
             # the defect of the level a noisy run reports, refine, on StepNodes
@@ -879,13 +865,13 @@ def _control_fun(grid: TimeGrid, delta_f):
     component-major window; the whole series is never copied.
 
     On a TimeGrid chunk whose steps are m of this grid's (rows a ChunkRows
-    of a grid of steps / m steps), row j lies at a fixed fraction of a fixed
-    one of the m grid steps in every chunk step: four fixed weights on four
-    m-strided slices of the window, with no search.  The last chunk of a
-    grid-stored run samples one column past the final step, whose row 0 is
-    f[steps] and whose other rows are never read.  Anywhere else (StepNodes,
-    rows None, or a grid that m does not divide) every time finds its step
-    by floor and gathers its four samples.
+    of a grid of steps / m steps, for an m that divides the steps), row j
+    lies at a fixed fraction of a fixed one of the m grid steps in every
+    chunk step: four fixed weights on four m-strided slices of the window,
+    with no search.  The last chunk of a grid-stored run samples one column
+    past the final step, whose row 0 is f[steps] and whose other rows are
+    never read.  On StepNodes (rows None) every time finds its step by floor
+    and gathers its four samples.
     """
     delta_f = np.asarray(delta_f, dtype=float)
     n = grid.steps
@@ -911,9 +897,10 @@ def _control_fun(grid: TimeGrid, delta_f):
         return out
 
     def interpolate(taus, rows):
-        if (rows is not None and rows.grid.tau0 == grid.tau0
-                and n % rows.grid.steps == 0):
-            m = n // rows.grid.steps
+        if rows is not None:
+            m, rest = divmod(n, rows.grid.steps)
+            if rest or rows.grid.tau0 != grid.tau0:
+                raise ValueError(f"chunk rows on {rows.grid} do not divide {grid}")
             cols = taus.shape[1]
             first = m * rows.c0
             g = window(first, first + m * cols + 3)
@@ -997,6 +984,14 @@ def propagate_sweep(p, grid: TimeGrid, delta_f=None, *,
     return Trajectory(grid, out, defect=defect)
 
 
+def _magnus_coarsening(grid: TimeGrid) -> int:
+    """Grid steps per Magnus step of propagate_finals: the largest m of 4, 3
+    and 2 that divides grid.steps with steps >= MAGNUS_STEPS_PER_TAU m tau0,
+    else 1."""
+    return next((m for m in (4, 3, 2) if grid.steps % m == 0
+                 and grid.steps >= MAGNUS_STEPS_PER_TAU * m * grid.tau0), 1)
+
+
 def propagate_finals(members, grid: TimeGrid, delta_f) -> np.ndarray:
     """Final propagators (len(members), n, n) of a batch of sweeps on one
     grid, in one integration.
@@ -1004,14 +999,15 @@ def propagate_finals(members, grid: TimeGrid, delta_f) -> np.ndarray:
     members is a list of (p, controlled) pairs: sweep parameters of one
     system size, and whether the control modification delta_f (grid
     samples, shape (steps + 1, 3)) enters.  The batch runs by the
-    sixth-order Magnus rule on TimeGrid(tau0, ceil(steps / 4)), a quarter of
-    the grid's steps (MAGNUS_COARSENING), with the cubic of delta_f read from
-    its samples on grid (_control_fun: m-strided slices when 4 divides the
-    steps, floor and gather otherwise).  A member's final is that of a
-    one-member run bit for bit.  The defect is checked at every step of
-    every member: AccuracyError when it exceeds UNITARITY_BUDGET.
+    sixth-order Magnus rule on TimeGrid(tau0, steps / m), m grid steps per
+    Magnus step (_magnus_coarsening: 4 at the production grids, 1 where the
+    grid's steps are already as long as theirs), with the cubic of delta_f
+    read from its samples on grid by m-strided slices (_control_fun).  A
+    member's final is that of a one-member run bit for bit.  The defect is
+    checked at every step of every member: AccuracyError when it exceeds
+    UNITARITY_BUDGET.
     """
-    coarse = TimeGrid(grid.tau0, -(-grid.steps // MAGNUS_COARSENING))
+    coarse = TimeGrid(grid.tau0, grid.steps // _magnus_coarsening(grid))
     _, finals, defect = _integrate(_generator_fun(grid, members, delta_f), coarse,
                                    members[0][0].dim, batch=(len(members),),
                                    refine=1, store="final", rule="magnus")
@@ -1091,10 +1087,12 @@ def feedback_maps(g_half: np.ndarray, h: float) -> np.ndarray:
     """One-step maps of the feedback equation dy/dtau = -G G† y.
 
     g_half holds G at the nodes and midpoints of consecutive steps of size
-    h, shape (2 steps + 1, N, 3).  Step k's map is step_maps' map for the
-    samples B = -G G† at its start, midpoint and end.  B has rank 3, so the
-    map is exactly M = I + W C W† with W = [G(tau) | G(tau+h/2) | G(tau+h)]
-    (N x 9), and the 9x9 core C follows from the Gram matrix K = W† W:
+    h, shape (2 steps + 1, N, 3).  Step k's map is I + X, X the offset
+    step_maps returns for the samples B = -G G† at its start, midpoint and
+    end, formed as a whole matrix, since y takes one matrix-vector product
+    per step (integrate_delta_y).  B has rank 3, so the map is exactly
+    M = I + W C W† with W = [G(tau) | G(tau+h/2) | G(tau+h)] (N x 9), and
+    the 9x9 core C follows from the Gram matrix K = W† W:
 
     - with a1 = W X1 W†, X1 = -E1 (E_i selects column block i), each
       Runge-Kutta stage is W X W† with X one 3-row block: a_i Y is row

@@ -44,7 +44,7 @@ def run_sensitivity(improved: noc.ImprovedGateResult, parameter: str):
     The perturbed sweeps run with the control correction of `improved`
     frozen, as one batched integration of four members: (-1 ULP, +1 ULP) x
     (with, without the correction), final propagators only, by the Magnus
-    rule on a quarter of the grid's steps (propagate.propagate_finals).
+    rule on up to a quarter of the grid's steps (propagate.propagate_finals).
     The zero row is the ideal pipeline output: the two final propagators
     of `improved`.  A parameter without a printed-precision entry raises
     ConfigError (parameter_ulp).

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicHermiteSpline
 
 from nocgf import propagate
+from nocgf.config import default_config
 from nocgf.control import NOMINAL_PARAMS, coupling_matrices
 from nocgf.lincore import SIGMA_Z, hermitize, vectorize
 from nocgf.noise import NoiseRealization
@@ -20,6 +21,7 @@ from nocgf.propagate import (
     _control_fun,
     _generator_fun,
     _integrate,
+    _magnus_coarsening,
     _noisy_composite,
     integrate_delta_y,
     matrix_algebra,
@@ -102,6 +104,21 @@ def test_nominal_unitarity_and_budget(monkeypatch):
         propagate_sweep(HAD, TimeGrid(HAD.tau0, 2000))
 
 
+@pytest.mark.parametrize("p, steps, refine, bound",
+                         [(HAD, 160000, 2, 1e-13), (NOMINAL_PARAMS["cphase"], 240000, 1, 1e-12)],
+                         ids=["hadamard", "cphase"])
+def test_production_nominal_sweeps_stay_unitary_to_roundoff(p, steps, refine, bound):
+    # the production nominal sweeps (cphase's at twice its grid's steps, as
+    # Strategy 2 runs it): the step maps and the scan's partial products are
+    # offsets from the identity, so their rounding does not drift in the
+    # norm.  The defects read 1.5e-14 and 3.3e-13; multiplied as whole maps,
+    # 2.6e-12 and 1.9e-11.
+    grid = TimeGrid(p.tau0, steps)
+    _, _, defect = _integrate(sweep_generator(p, grid), grid, p.dim, refine=refine,
+                              store="final")
+    assert defect <= bound
+
+
 def test_one_qubit_sweep_keeps_the_cayley_klein_form():
     # every sample is [[alpha, -conj(beta)], [beta, conj(alpha)]] bit for
     # bit, and the defect is that of the first columns
@@ -167,16 +184,18 @@ def test_modified_dual_formulation(monkeypatch):
 
 
 @settings(max_examples=80, deadline=None)
-@given(steps=st.integers(1, 60), m=st.integers(1, 5), c0=st.integers(0, 20),
+@given(coarse_steps=st.integers(1, 12), m=st.integers(1, 5), c0=st.integers(0, 20),
        rk=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_cubic_control_matches_a_hermite_spline_on_every_path(steps, m, c0, rk, seed):
-    # rows of a chunk of a grid of ceil(steps / m) steps: m-strided slices
-    # when m divides the steps, floor and gather when not; and the same
-    # times as StepNodes rows (None), which always gather
+def test_cubic_control_matches_a_hermite_spline_on_every_path(coarse_steps, m, c0, rk,
+                                                              seed):
+    # rows of a chunk of a grid of 1/m of the steps, by m-strided slices,
+    # and the same times as StepNodes rows (None), by floor and gather; rows
+    # of a grid whose steps do not divide the control's are refused
+    steps = m * coarse_steps
     grid = TimeGrid(SHORT_HAD.tau0, steps)
     delta_f = 0.05 * np.random.default_rng(seed).normal(size=(steps + 1, 3))
     interpolate = _control_fun(grid, delta_f)
-    coarse = TimeGrid(grid.tau0, -(-steps // m))
+    coarse = TimeGrid(grid.tau0, coarse_steps)
     c0 = c0 % coarse.steps
     cols = coarse.steps - c0
     fractions = np.arange(4) / 4.0 if rk else GAUSS
@@ -188,38 +207,19 @@ def test_cubic_control_matches_a_hermite_spline_on_every_path(steps, m, c0, rk, 
         # a sample time's roundoff, a fraction of 1e-14 of a step, times a
         # slope below 1 per step
         assert np.abs(got - want).max() <= 1e-14
+    with pytest.raises(ValueError, match="do not divide"):
+        interpolate(taus, ChunkRows(TimeGrid(grid.tau0, steps + 1), c0, fractions))
 
 
-def test_finals_on_a_grid_that_4_does_not_divide(monkeypatch):
-    # ceil(N / 4) Magnus steps, the cubic by floor and gather.  The steps
-    # straddle the cubic's knots, where its second derivative jumps, at
-    # fractions that vary from step to step, and the observed order falls to
-    # about 3 (errors of 7e-11 to 1.5e-10 here, 1e-11 to 2e-11 at twice the
-    # steps); the finals lie within four times their third-order
-    # step-halving estimate of eight Magnus substeps per step
-    monkeypatch.setattr(propagate, "UNITARITY_BUDGET", np.inf)
-    grids = []
-    integrate = propagate._integrate
-
-    def recording(afun, grid, *args, **kwargs):
-        grids.append(grid)
-        return integrate(afun, grid, *args, **kwargs)
-
-    for steps in (801, 802, 803):
-        grid = TimeGrid(SHORT_HAD.tau0, steps)
-        delta_f = _short_control(grid)
-        members = [(SHORT_HAD, True), (SHORT_HAD, False)]
-        with monkeypatch.context() as mp:
-            mp.setattr(propagate, "_integrate", recording)
-            finals = propagate_finals(members, grid, delta_f)
-        assert grids.pop() == TimeGrid(grid.tau0, 201)
-        afun = _generator_fun(grid, members, delta_f)
-        _, half, _ = _integrate(afun, TimeGrid(grid.tau0, 100), 2, batch=(2,), refine=1,
-                                store="final", rule="magnus")
-        _, fine, _ = _integrate(afun, TimeGrid(grid.tau0, 201), 2, batch=(2,), refine=8,
-                                store="final", rule="magnus")
-        for final, h, f in zip(finals, half, fine):
-            assert 0.0 < np.abs(final - f).max() <= 4.0 * np.abs(final - h).max() / 7
+def test_magnus_coarsening_divides_the_grid_within_the_production_step():
+    # the largest of 4, 3, 2 and 1 that divides the steps and keeps the
+    # Magnus step within the production grids' 4e-3, so the cubic's knots
+    # lie at fixed fractions of every Magnus step
+    for p in (HAD, NOMINAL_PARAMS["cphase"]):
+        assert _magnus_coarsening(default_config().grid_for(p)) == 4
+    assert _magnus_coarsening(TimeGrid(HAD.tau0, 40000)) == 1
+    for steps, m in zip((20000, 20001, 20002, 20003), (4, 3, 2, 1)):
+        assert _magnus_coarsening(TimeGrid(20.0, steps)) == m
 
 
 def test_modified_grid_mismatch():
@@ -332,7 +332,7 @@ def test_uniform_nodes_match_a_sequential_step_map_product(monkeypatch, refine):
     q = grid.h / refine
     taus = grid.tau_start + np.arange(2 * refine * steps + 1) * (q / 2.0)
     a = afun(taus, None)
-    maps = step_maps(a[0:-1:2], a[1::2], a[2::2], q, matrix_algebra(2))
+    maps = np.eye(2) + step_maps(a[0:-1:2], a[1::2], a[2::2], q, matrix_algebra(2))
     want = [np.eye(2, dtype=complex)]
     for k in range(steps):
         v = want[-1]
@@ -649,8 +649,9 @@ def test_checked_finals_raise_on_a_defect_a_later_chunk_cancels(monkeypatch, dim
 
     monkeypatch.setattr(propagate, "_integrate", with_cancelling_generator)
     members = [(p, True), (p, False)]
-    # the batch runs on a quarter of its grid's steps: five chunks again
-    fine = TimeGrid(p.tau0, propagate.MAGNUS_COARSENING * grid.steps)
+    # the batch runs on a quarter of its grid's steps for one qubit (five
+    # chunks again) and on a half for the longer cphase sweep (ten chunks)
+    fine = TimeGrid(p.tau0, 4 * grid.steps)
     for run in (lambda: propagate_sweep(p, grid),
                 lambda: propagate_finals(members, fine, np.zeros((fine.steps + 1, 3)))):
         with pytest.raises(AccuracyError, match="unitarity defect") as err:
@@ -726,11 +727,15 @@ SHORT_CP = dataclasses.replace(NOMINAL_PARAMS["cphase"], tau0=12.0)
                   (dataclasses.replace(SHORT_CP, c4=5.0004), True)],
          chunk=9, full=1, last=4, short=1, seed=1)
 @example(members=[(SHORT_HAD, True)], chunk=9, full=3, last=1, short=0, seed=2)
+@example(members=[(SHORT_HAD, True), (SHORT_HAD, False)], chunk=9, full=1, last=3,
+         short=2, seed=3)
+@example(members=[(SHORT_CP, False)], chunk=9, full=1, last=1, short=3, seed=4)
 def test_batched_finals_equal_one_member_runs(members, chunk, full, last, short, seed):
     # random members of one system size, each with or without the control;
-    # Magnus chunks that leave a last chunk of 1 to 8 steps, on grids that 4
-    # divides (short 0) or not
-    steps = propagate.MAGNUS_COARSENING * (full * chunk + last) - short
+    # the Magnus step taken from the grid's divisors alone, so grids that 4
+    # divides (short 0) run Magnus chunks that leave a last chunk of 1 to 8
+    # steps, and the others run 3, 2 or 1 grid steps per Magnus step
+    steps = 4 * (full * chunk + last) - short
     grid = TimeGrid(members[0][0].tau0, steps)
     delta_f = 0.05 * np.random.default_rng(seed).normal(size=(steps + 1, 3))
     dim = members[0][0].dim
@@ -738,20 +743,25 @@ def test_batched_finals_equal_one_member_runs(members, chunk, full, last, short,
         # coarse grids are far from unitary
         mp.setattr(propagate, "UNITARITY_BUDGET", np.inf)
         mp.setattr(propagate, "CHUNK", chunk)
+        mp.setattr(propagate, "MAGNUS_STEPS_PER_TAU", 0)
         finals = propagate_finals(members, grid, delta_f)
         assert finals.shape == (len(members), dim, dim)
         for final, member in zip(finals, members):
             assert np.array_equal(final, propagate_finals([member], grid, delta_f)[0])
 
 
-@pytest.mark.parametrize("p, steps", [(SHORT_HAD, 400), (SHORT_CP, 1600)],
-                         ids=["hadamard", "cphase"])
+@pytest.mark.parametrize("p, steps, m", [(SHORT_HAD, 400, 4), (SHORT_CP, 1600, 4),
+                                         (SHORT_HAD, 402, 3), (SHORT_CP, 1602, 3)],
+                         ids=["hadamard", "cphase", "hadamard-3", "cphase-3"])
 def test_magnus_finals_match_sweeps_within_their_step_halving_estimates(monkeypatch, p,
-                                                                        steps):
+                                                                        steps, m):
     # grids coarse enough that both rules err far above roundoff (1e-11 to
-    # 2e-9), and the Runge-Kutta refine-1 defect exceeds the budget
+    # 2e-9), and the Runge-Kutta refine-1 defect exceeds the budget; the
+    # Magnus step taken from the grid's divisors alone, m grid steps long
     monkeypatch.setattr(propagate, "UNITARITY_BUDGET", np.inf)
+    monkeypatch.setattr(propagate, "MAGNUS_STEPS_PER_TAU", 0)
     grid = TimeGrid(p.tau0, steps)
+    assert _magnus_coarsening(grid) == m
     delta_f = _short_control(grid)
     members = [(p, True), (dataclasses.replace(p, lam=1.001 * p.lam), False)]
     finals = propagate_finals(members, grid, delta_f)
@@ -762,7 +772,7 @@ def test_magnus_finals_match_sweeps_within_their_step_halving_estimates(monkeypa
                           refine=refine, store="final", rule="magnus")[1]
 
     # the same rule on half as many steps, and on four substeps per step
-    halved, fine = magnus(steps // 8, 1), magnus(steps // 4, 4)
+    halved, fine = magnus(steps // (2 * m), 1), magnus(steps // m, 4)
     for final, half, ref, (q, controlled) in zip(finals, halved, fine, members):
         estimate = np.abs(final - half).max() / 63
         assert 0.0 < np.abs(final - ref).max() <= 4.0 * estimate

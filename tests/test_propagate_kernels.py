@@ -114,11 +114,13 @@ def su2_generators(rng, *stack, trace=False):
 def test_blocked_scan_matches_sequential_and_tree(seed, n, length, batch):
     factors = unitary_stack(seed, n, length + 1, batch)
     u, factors = factors[0], factors[1:]
-    # component-major with the steps last, (n, n, *batch, length)
-    x = np.ascontiguousarray(np.moveaxis(factors, (-2, -1, 0), (0, 1, -1)))
+    # component-major with the steps last, (n, n, *batch, length), as
+    # offsets from the identity
+    algebra = matrix_algebra(n)
+    x = np.moveaxis(factors, (-2, -1, 0), (0, 1, -1)) - algebra.unit((*batch, length))
     bound = EPS_BOUND * length
 
-    p = _blocked_scan(x, component_major(u), matrix_algebra(n))
+    p = _blocked_scan(np.ascontiguousarray(x), component_major(u), algebra)
     assert p.shape == (n, n, *batch, length)
     p = np.moveaxis(matrix_major(p), -3, 0)
     assert np.abs(p - sequential_products(factors, u)).max() <= bound
@@ -138,7 +140,7 @@ def test_step_maps_matches_matmul_reference(seed, n, steps, batch, dt,
         # each entry of each stage input is one contiguous vector
         a = np.moveaxis(np.ascontiguousarray(np.moveaxis(a, (-2, -1), (0, 1))),
                         (0, 1), (-2, -1))
-    m = step_maps(a[0], a[1], a[2], dt, matrix_algebra(n))
+    m = np.eye(n) + step_maps(a[0], a[1], a[2], dt, matrix_algebra(n))
     ref = reference_step_maps(*(np.ascontiguousarray(x) for x in a), dt)
     assert m.shape == ref.shape
     assert np.abs(m - ref).max() <= EPS_BOUND * max(1.0, np.abs(ref).max())
@@ -175,7 +177,7 @@ def test_cayley_klein_step_maps_match_matmul_reference(seed, steps, batch, dt, t
     m = step_maps(a[0][..., :1], a[1][..., :1], a[2][..., :1], dt, CAYLEY_KLEIN)
     ref = reference_step_maps(a[0], a[1], a[2], dt)
     assert m.shape == (steps, *batch, 2, 1)
-    got = cayley_klein_expand(component_major(m))
+    got = ID2 + cayley_klein_expand(component_major(m))
     assert np.abs(got - ref).max() <= EPS_BOUND * max(1.0, np.abs(ref).max())
 
 
@@ -223,44 +225,70 @@ SCAN_LENGTHS = (1, _W - 1, _W, _W + 1, 2 * _W - 1, 2 * _W, _W**2 - 1, _W**2,
                 _W**2 + 1, _W**3 - 1, _W**3 + 1, CHUNK, CHUNK + 1)
 
 
-def check_scan(n, length, shifted):
-    """One stack for CAYLEY_KLEIN (n = 2, first columns) or for whole 4x4
-    matrices, with a batch of three members ahead of the steps; shifted,
-    the factors are given as their offsets from the identity."""
+def scan_algebra(n):
+    """CAYLEY_KLEIN for n = 2 (first columns), whole matrices for 4x4."""
+    return CAYLEY_KLEIN if n == 2 else matrix_algebra(n)
+
+
+def check_scan(n, length):
+    """One stack of unitaries, with a batch of three members ahead of the
+    steps, given to the scan as offsets from the identity."""
     rng = np.random.default_rng(length)
+    algebra = scan_algebra(n)
     if n == 2:
-        algebra = CAYLEY_KLEIN
         x = unit_columns(rng, 3, length + 1)
         mats = cayley_klein_expand(x)                   # (3, length + 1, 2, 2)
     else:
-        algebra = matrix_algebra(n)
         mats = unitary_stack(length, n, length + 1, (3,)).swapaxes(0, 1)
         x = component_major(mats)
-    u, x = np.ascontiguousarray(x[..., 0]), np.ascontiguousarray(x[..., 1:])
-    if shifted:
-        x = x - algebra.unit(x.shape[2:])
-    p = _blocked_scan(x, u, algebra, shifted)
+    u, x = np.ascontiguousarray(x[..., 0]), x[..., 1:]
+    x = np.ascontiguousarray(x - algebra.unit(x.shape[2:]))
+    p = _blocked_scan(x, u, algebra)
     assert p.shape == (n, u.shape[1], 3, length)
     got = np.moveaxis(algebra.expand(p), -3, 0)         # (length, 3, n, n)
     want = sequential_products(mats[:, 1:].swapaxes(0, 1), mats[:, 0])
     assert np.abs(got - want).max() <= EPS_BOUND * length
     # each member scanned alone has the batch member's bits
     for b in range(3):
-        alone = _blocked_scan(np.ascontiguousarray(x[:, :, b]), u[:, :, b], algebra,
-                              shifted)
+        alone = _blocked_scan(np.ascontiguousarray(x[:, :, b]), u[:, :, b], algebra)
         assert np.array_equal(alone, p[:, :, b])
 
 
 @pytest.mark.parametrize("length", SCAN_LENGTHS)
 @pytest.mark.parametrize("n", [2, 4])
 def test_scan_at_recursion_boundaries(n, length):
-    check_scan(n, length, shifted=False)
+    check_scan(n, length)
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
+                    reason="the long-double reference product would round as float64")
 @pytest.mark.parametrize("length", SCAN_LENGTHS)
 @pytest.mark.parametrize("n", [2, 4])
 def test_shifted_scan_at_recursion_boundaries(n, length):
-    check_scan(n, length, shifted=True)
+    # factors near the identity, as a fine grid's step maps are, shifted to
+    # their offsets X = M - I of about 1e-3: the partial products round
+    # relative to the offsets, so against a long-double product of the
+    # I + X the error stays within 4 eps at every length (it reads 1.5 eps at
+    # most).  Factors rounded to whole matrices I + X first err by 2e-15 to
+    # 4e-15 at 511 steps and up to 1e-14 at 4097.
+    rng = np.random.default_rng(length)
+    algebra = scan_algebra(n)
+    if n == 2:
+        a = su2_generators(rng, 3, length + 1)
+    else:
+        shape = (3, length + 1, n, n)
+        g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        a = (g - np.conj(np.swapaxes(g, -1, -2))) / 2.0
+    a = 1e-3 * np.ascontiguousarray(component_major(a))[:, :algebra.identity.shape[1]]
+    x = algebra.expm1(algebra.coordinates(a))             # (n, k, 3, length + 1)
+    u = algebra.unit((3,)) + x[..., 0]
+    x = np.ascontiguousarray(x[..., 1:])
+    p = _blocked_scan(x, u, algebra)
+    factors = np.eye(n) + algebra.expand(x).astype(np.clongdouble)
+    want = sequential_products(np.moveaxis(factors, -3, 0),
+                               algebra.expand(u).astype(np.clongdouble))
+    got = np.moveaxis(algebra.expand(p), -3, 0)
+    assert np.abs(got - want).max() <= 4.0 * np.finfo(float).eps
 
 
 @settings(max_examples=40, deadline=None)
@@ -274,7 +302,8 @@ def test_cayley_klein_scan_matches_sequential(seed, length, batch):
     cols = complex_columns(rng, *batch, length + 1)
     cols /= np.sqrt((np.abs(cols) ** 2).sum(axis=0))      # |alpha|² + |beta|² = 1
     mats = np.moveaxis(cayley_klein_expand(cols), -3, 0)
-    p = _blocked_scan(np.ascontiguousarray(cols[..., 1:]), cols[..., 0], CAYLEY_KLEIN)
+    x = cols[..., 1:] - CAYLEY_KLEIN.unit((*batch, length))
+    p = _blocked_scan(np.ascontiguousarray(x), cols[..., 0], CAYLEY_KLEIN)
     assert p.shape == (2, 1, *batch, length)
     want = sequential_products(mats[1:], mats[0])
     got = np.moveaxis(cayley_klein_expand(p), -3, 0)

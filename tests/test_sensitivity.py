@@ -69,10 +69,11 @@ def test_zero_row_reuses_improve_result_on_its_grid(monkeypatch, hadamard_40k):
     rows = run_sensitivity(res, "lam")
     assert [r.value for r in rows] == pytest.approx([7.819, 7.820, 7.821], abs=1e-12)
     # one final-only integration of 4 members, (-1, +1 ULP) x (with, without
-    # the correction), on a quarter of the improve result's grid steps; none
-    # at the unperturbed value, whose row is the improve result's own
-    grid = res.control.grid
-    assert integrations == [(TimeGrid(grid.tau0, grid.steps // 4), (4,), "final")]
+    # the correction), on the improve result's grid (its 40,000 one-qubit
+    # steps are as long as the production Magnus steps, so one grid step per
+    # Magnus step); none at the unperturbed value, whose row is the improve
+    # result's own
+    assert integrations == [(res.control.grid, (4,), "final")]
     ((members, grid, delta_f),) = finals
     assert grid == res.control.grid and delta_f is res.control.samples
     assert [controlled for _, controlled in members] == [True, False, True, False]
@@ -99,10 +100,10 @@ def test_perturbed_rows_match_one_member_runs_and_sweeps(monkeypatch, hadamard_4
             member = [(pp, controlled)]
             (final,) = propagate.propagate_finals(member, grid, delta_f)
             assert trace_p(final, target) == trp
-            # the same rule on half as many steps, eight grid steps each
+            # the same rule on half as many steps, two grid steps each
             _, (half,), _ = propagate._integrate(
                 propagate._generator_fun(grid, member, delta_f),
-                TimeGrid(grid.tau0, grid.steps // 8), 2, batch=(1,), refine=1,
+                TimeGrid(grid.tau0, grid.steps // 2), 2, batch=(1,), refine=1,
                 store="final", rule="magnus")
             control = delta_f if controlled else None
             sweep = propagate_sweep(pp, grid, control).final
