@@ -6,14 +6,14 @@ arbitrary leading axes) and on length-N^2 column-stacked vectors.  Batched
 `@` is slow on stacks of matrices this small, so products of long stacks are
 formed by entry arithmetic on component-major views (entry_matmul), where
 every matrix entry is one vector across the stack.  One-qubit propagators
-also have a Cayley-Klein form (cayley_klein_matmul): a matrix in the real
-span of I, i sigma_x, i sigma_y, i sigma_z is [[alpha, -conj(beta)],
-[beta, conj(alpha)]], fixed by its first column, and products of such
-matrices stay in that span.  Like every 2x2 matrix, such an X satisfies
-X^2 = tr X X - det X I, with the real tr X = 2 Re alpha and
-det X = |alpha|^2 + |beta|^2, so a polynomial in one element needs no
-product at all (the integrator's step-map completion uses this).  The
-Cayley-Klein helpers take a bare (2, 1) element as well as stacks.
+also have a Cayley-Klein form (cayley_klein_matmul): the one-qubit
+generators i f.sigma lie in su(2), and a matrix in the real span of su(2)
+and I is [[alpha, -conj(beta)], [beta, conj(alpha)]], fixed by its first
+column; products of such matrices stay in that span.  A generator X of
+su(2) has an imaginary alpha and squares to -(|alpha|^2 + |beta|^2) I, so
+a polynomial in one generator needs no product at all (the integrator's
+step-map completion uses this).  The Cayley-Klein helpers take a bare
+(2, 1) element as well as stacks.
 pauli_coordinates takes column-stacked 2x2 or 4x4 matrices to the real
 coordinates of their Hermitian part in the one- or two-qubit Pauli basis.
 """

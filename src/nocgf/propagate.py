@@ -86,17 +86,16 @@ scan:
 - whole matrices, k = n, by entry arithmetic (lincore.entry_matmul), for
   the 4x4 propagators; the completion takes four products;
 - one-qubit matrices in Cayley-Klein form, k = 1.  A = i f.sigma lies in
-  the real span of I, i sigma_x, i sigma_y, i sigma_z, which is closed
-  under products and real combinations, so every step map, prefix product
-  and propagator is exactly [[alpha, -conj(beta)], [beta, conj(alpha)]]
-  and is fixed by its first column (alpha, beta), the generator's entries
-  [0, 0] and [1, 0].  The product (lincore.cayley_klein_matmul) takes 4
-  complex multiplies where entry arithmetic takes 8, and the unitarity
-  defect is max | |alpha|^2 + |beta|^2 - 1 |.  The completion takes no
-  product: by Cayley-Hamilton every power of a 2x2 matrix is a real
-  combination of it and I, with coefficients from its trace and
-  determinant, so a step map takes the three products of its Runge-Kutta
-  stages.
+  su(2), and products and real combinations keep the real span of I and
+  su(2), so every step map, prefix product and propagator is exactly
+  [[alpha, -conj(beta)], [beta, conj(alpha)]] and is fixed by its first
+  column (alpha, beta), the generator's entries [0, 0] and [1, 0].  The
+  product (lincore.cayley_klein_matmul) takes 4 complex multiplies where
+  entry arithmetic takes 8, and the unitarity defect is
+  max | |alpha|^2 + |beta|^2 - 1 |.  The completion takes no product: a
+  generator X of su(2) squares to -det X I, so every power of it is a
+  real multiple of X or I, and a step map takes the three products of its
+  Runge-Kutta stages.
 
 _integrate chooses the algebra from the dimension, and expands elements to
 n x n matrices at one boundary only: when it writes the grid samples or the
@@ -376,13 +375,12 @@ class Algebra:
     (*stack, n, n) (to out, when given), and defect is the max-norm of
     U†U - I over a stack.  completion returns the step map's modulus
     completion pbar^5/120 + pbar^6/720 + pbar^7/5760 of a contiguous stack
-    pbar as a contiguous stack, written over pbar or fresh; pbar is scratch
-    afterwards.
+    pbar of generators as a contiguous stack, written over pbar or fresh;
+    pbar is scratch afterwards.
 
-    The Magnus step (magnus_maps) works on generators in the algebra's
-    own coordinates: coordinates takes a stack of elements to them,
-    commutator forms [a, b] there, and expm1 takes a stack of coordinates to
-    the elements exp(a) - I, the maps' offsets from the identity.
+    The Magnus step (magnus_maps) works on stacks of generators as elements:
+    commutator forms [a, b], and expm1 takes a stack to the elements
+    exp(a) - I, the maps' offsets from the identity.
     """
 
     product: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -390,7 +388,6 @@ class Algebra:
     expand: Callable[..., np.ndarray]
     defect: Callable[[np.ndarray], float]
     completion: Callable[[np.ndarray], np.ndarray]
-    coordinates: Callable[[np.ndarray], np.ndarray]
     commutator: Callable[[np.ndarray, np.ndarray], np.ndarray]
     expm1: Callable[[np.ndarray], np.ndarray]
 
@@ -466,46 +463,33 @@ def _matrix_expm1(omega):
 def matrix_algebra(n: int) -> Algebra:
     """Whole n x n matrices multiplied by entry arithmetic (entry_matmul).
 
-    Their Magnus coordinates are the matrices themselves: a commutator takes
-    two products, and the exponential is _matrix_expm1's Taylor polynomial.
+    A commutator takes two products, and the exponential is _matrix_expm1's
+    Taylor polynomial.
     """
     return Algebra(entry_matmul, np.eye(n), _expand_matrices, _matrix_defect,
-                   _matrix_completion, lambda x: x, _matrix_commutator,
-                   _matrix_expm1)
+                   _matrix_completion, _matrix_commutator, _matrix_expm1)
 
 
 def _cayley_klein_completion(pbar):
-    """The completion in closed form, by Cayley-Hamilton, written over pbar.
+    """The completion in closed form, written over pbar.
 
-    Every 2x2 X satisfies X^2 = t X - d I (t = tr X, d = det X), so a
-    polynomial c(X) equals r(X) = p X + q I, where r = p x + q is the
-    remainder of c modulo x^2 - t x + d.  Horner's rule on the coefficients
-    of c, highest degree first, gives it: (p, q) <- (p t + q, c_k - p d).
-    For [[alpha, -conj(beta)], [beta, conj(alpha)]], t = 2 Re alpha and
-    d = |alpha|^2 + |beta|^2 are real, so p and q are real vectors: about
-    30 real vector operations in place of four products.  No trace
-    condition is needed; for a generator i f.sigma, t is 0.
+    A generator X of su(2), first column (alpha, beta) with alpha imaginary,
+    squares to -d I, d = |alpha|^2 + |beta|^2, so the completion is
+    p X + q I with the real p = d^2/120 - d^3/5760 and q = -d^3/720: about
+    15 real vector operations in place of four products.
     """
     alpha, beta = pbar[:, 0]
-    t, nd, p, q, tmp = np.empty((5, *alpha.shape))
-    np.multiply(alpha.real, 2.0, out=t)
-    np.multiply(alpha.real, alpha.real, out=nd)
-    for x in (alpha.imag, beta.real, beta.imag):
-        np.multiply(x, x, out=tmp)
-        nd += tmp
-    nd *= -1.0
-    # c = x^7/5760 + x^6/720 + x^5/120: (p, q) is (0, 1/5760) after x^7
-    # and (1/5760, 1/720) after x^6; then x^5
-    np.multiply(t, 1 / 5760.0, out=p)
-    p += 1 / 720.0
-    np.multiply(nd, 1 / 5760.0, out=q)
-    q += 1 / 120.0
-    for _ in range(5):
-        # x^4 .. x^0, whose coefficients are 0: the new q is -p d
-        np.multiply(p, nd, out=tmp)
-        p *= t
-        p += q
-        q, tmp = tmp, q
+    d, p, q = np.empty((3, *alpha.shape))
+    np.multiply(alpha.imag, alpha.imag, out=d)
+    for x in (beta.real, beta.imag):
+        np.multiply(x, x, out=p)
+        d += p
+    np.multiply(d, -1 / 5760.0, out=p)
+    p += 1 / 120.0
+    np.multiply(d, -1 / 720.0, out=q)
+    for y in (p, q):
+        y *= d
+        y *= d
     # a real p keeps pbar in the span; q I adds to alpha's real part alone
     pbar *= p
     re = pbar[0, 0, ...].real
@@ -513,57 +497,50 @@ def _cayley_klein_completion(pbar):
     return pbar
 
 
-def _su2_coordinates(x):
-    """Real coordinates (c, w1, w2, w3) of X = c I + i w.sigma from its first
-    column (alpha, beta) = (c + i w3, -w2 + i w1), shape (4, *stack)."""
-    alpha, beta = x[:, 0]
-    return np.stack([alpha.real, beta.imag, -beta.real, alpha.imag])
-
-
 def _su2_commutator(a, b):
-    """[a, b] in su(2) coordinates: the I parts commute, and
-    [i u.sigma, i v.sigma] = i (-2 u x v).sigma."""
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    out[0] = 0.0
-    for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-        np.multiply(a[j], b[k], out=out[i])
-        out[i] -= a[k] * b[j]
-    out[1:] *= -2.0
+    """[a, b] of su(2) generators with first columns (i p, beta): its alpha
+    is 2 i Im(beta_a conj(beta_b)) and its beta 2 i (p_b beta_a - p_a beta_b)."""
+    (pa, beta_a), (pb, beta_b) = ((x[0, 0, ...].imag, x[1, 0, ...]) for x in (a, b))
+    out = np.empty((2, 1, *np.broadcast_shapes(pa.shape, pb.shape)), dtype=complex)
+    alpha, beta = out[0, 0, ...], out[1, 0, ...]
+    alpha.real = 0.0
+    for target, (x, y, z, t) in (
+            (alpha.imag, (beta_a.imag, beta_b.real, beta_a.real, beta_b.imag)),
+            (beta.real, (pa, beta_b.imag, beta_a.imag, pb)),
+            (beta.imag, (beta_a.real, pb, pa, beta_b.real))):
+        np.multiply(x, y, out=target)
+        target -= z * t
+        target *= 2.0
     return out
 
 
-def _su2_expm1(w):
-    """exp(c I + i w.sigma) - I in Cayley-Klein form (2, 1, *stack), from
-    exp = e^c (cos|w| I + i sin|w| w.sigma / |w|): alpha - 1 is
-    expm1(c) cos|w| - 2 sin^2(|w|/2), free of the cancellation in
-    cos|w| - 1.  The exponential is unitary to roundoff when c = 0, as for
-    every generator i f.sigma."""
-    c, w1, w2, w3 = w
-    theta = np.sqrt(w1 * w1 + w2 * w2 + w3 * w3)
-    scale = np.exp(c)
+def _su2_expm1(x):
+    """exp(X) - I in Cayley-Klein form (2, 1, *stack) of su(2) generators
+    X = i w.sigma, first columns (i w3, -w2 + i w1), from
+    exp(X) = cos|w| I + sin|w| X / |w|: alpha - 1 is -2 sin^2(|w|/2), free
+    of the cancellation in cos|w| - 1.  It is unitary to roundoff."""
+    alpha, beta = x[:, 0]
+    theta = np.sqrt(beta.imag * beta.imag + beta.real * beta.real
+                    + alpha.imag * alpha.imag)
     sinc = np.ones_like(theta)
     np.divide(np.sin(theta), theta, out=sinc, where=theta > 0.0)
-    sinc *= scale
     out = np.empty((2, 1, *theta.shape), dtype=complex)
-    alpha, beta = out[0, 0, ...], out[1, 0, ...]
     half = np.sin(0.5 * theta)
     half *= half
-    np.multiply(np.expm1(c), np.cos(theta), out=alpha.real)
-    alpha.real -= 2.0 * half
-    np.multiply(w3, sinc, out=alpha.imag)
-    np.multiply(w2, -sinc, out=beta.real)
-    np.multiply(w1, sinc, out=beta.imag)
+    np.multiply(half, -2.0, out=out[0, 0, ...].real)
+    for entry, target in zip((alpha.imag, beta.real, beta.imag),
+                             (out[0, 0, ...].imag, out[1, 0, ...].real, out[1, 0, ...].imag)):
+        np.multiply(entry, sinc, out=target)
     return out
 
 
-# One-qubit generators i f.sigma, and so every step map and propagator, lie
-# in the real span of I, i sigma_x, i sigma_y, i sigma_z: each is
-# [[alpha, -conj(beta)], [beta, conj(alpha)]], fixed by its first column.
-# Its Magnus coordinates are the real (c, w) of c I + i w.sigma, in which a
-# commutator is a cross product and the exponential has a closed form.
+# One-qubit generators i f.sigma lie in su(2), and every step map and
+# propagator in the real span of it and I: [[alpha, -conj(beta)],
+# [beta, conj(alpha)]], fixed by its first column, with alpha imaginary on
+# a generator.
 CAYLEY_KLEIN = Algebra(cayley_klein_matmul, np.eye(2, 1), cayley_klein_expand,
                        cayley_klein_defect, _cayley_klein_completion,
-                       _su2_coordinates, _su2_commutator, _su2_expm1)
+                       _su2_commutator, _su2_expm1)
 
 
 def step_maps(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray, dt,
@@ -626,18 +603,17 @@ def magnus_maps(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray, dt,
     b3 = (10 dt / 3)(A3 - 2 A2 + A1), C1 = [b1, b2] and
     C2 = -[b1, 2 b3 + C1] / 60, the map is exp(Omega) with
     Omega = b1 + b3/12 + [-20 b1 - b3 + C1, b2 + C2] / 240 (Blanes, Casas and
-    Ros, BIT 40 (2000) 434), formed in the algebra's coordinates: three
+    Ros, BIT 40 (2000) 434), formed on the algebra's elements: three
     commutators and one exponential.  Returns the maps' offsets from the
     identity, exp(Omega) - I, as a component-major stack (n, k, *stack),
     which _blocked_scan multiplies as offsets.
     """
-    x1, x2, x3 = (algebra.coordinates(a) for a in (a1, a2, a3))
     comm = algebra.commutator
-    b1 = x2 * dt
-    b2 = x3 - x1
+    b1 = a2 * dt
+    b2 = a3 - a1
     b2 *= np.sqrt(15.0) * dt / 3.0
-    b3 = x3 + x1
-    b3 -= 2.0 * x2
+    b3 = a3 + a1
+    b3 -= 2.0 * a2
     b3 *= 10.0 * dt / 3.0
     c1 = comm(b1, b2)
     c2 = comm(b1, 2.0 * b3 + c1)
@@ -780,13 +756,14 @@ def _integrate(afun, grid, dim: int, batch=(), refine=DEFAULT_REFINE,
 
     The maps and products are those of the algebra for dim: Cayley-Klein
     first columns for 2x2, whole matrices for 4x4.  So a 2x2 A must lie in
-    the real span of I, i sigma_x, i sigma_y, i sigma_z, as every one-qubit
-    generator i f.sigma does: only its first column is read.  They are
-    expanded to dim x dim matrices only where they are written, so the
-    samples and U_final are complex (..., dim, dim) arrays either way.  The
-    returned defect is the max-norm of U†U - I at every node, over the
-    batch and (on StepNodes) of the refine level, measured per chunk on the
-    algebra's elements in both storage modes.
+    su(2), as every one-qubit generator i f.sigma does: only its first
+    column is read, and the kernels that act on generators (the
+    completion, commutator and exponential) take alpha as imaginary.  The
+    elements are expanded to dim x dim matrices only where they are
+    written, so the samples and U_final are complex (..., dim, dim) arrays
+    either way.  The returned defect is the max-norm of U†U - I at every
+    node, over the batch and (on StepNodes) of the refine level, measured
+    per chunk on the algebra's elements in both storage modes.
 
     store is "grid" (samples (*batch, steps + 1, dim, dim) at the nodes) or
     "final".  StepNodes allow only "final", at an even refine: the same rows

@@ -290,6 +290,11 @@ def test_generator_matches_dense_oracle(p, seed, with_dfi, with_noise):
     if n == 4:
         for i, k in ((0, 3), (1, 2), (2, 1), (3, 0)):
             assert np.all(got[i, k] == 0.0)
+    else:
+        # in su(2), exactly: propagate's one-qubit kernels take no trace part
+        assert np.all(got[0, 0].real == 0.0) and np.all(got[1, 1].real == 0.0)
+        assert np.array_equal(got[1, 1], np.conj(got[0, 0]))
+        assert np.array_equal(got[0, 1], -np.conj(got[1, 0]))
     # written into a member's slab of a batch buffer, the same bits
     buffer = np.full((n, n, 3, len(tau)), np.nan, dtype=complex)
     slab = buffer[:, :, 1]

@@ -1,5 +1,6 @@
-"""No module of the package imports a name that it never uses, and none
-reads another module's private (`_`-prefixed) name."""
+"""No module of the package imports a name that it never uses, none reads
+another module's private (`_`-prefixed) name, and every private name that a
+module defines at its top level is read."""
 
 import ast
 from pathlib import Path
@@ -77,3 +78,43 @@ def test_private_reads_finds_a_planted_read():
               "    propagate._check(x, __version__)\n"
               "    return np.ones(3), self._cache, x._y, _table\n")
     assert private_reads(source) == ["lincore._table", "propagate._check"]
+
+
+def _private_definitions(tree):
+    """(name, node) of every private function, class or constant that a
+    module defines at its top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from ((name, node) for name in names if _is_private(name))
+
+
+def unread_private_names(source: str) -> list[str]:
+    """Private top-level names of a module that nothing outside their own
+    definition reads: a function that only calls itself is unread."""
+    tree = ast.parse(source)
+    unread = []
+    for name, definition in _private_definitions(tree):
+        inside = {id(node) for node in ast.walk(definition)}
+        if not any(isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                   and node.id == name and id(node) not in inside
+                   for node in ast.walk(tree)):
+            unread.append(name)
+    return unread
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_every_private_name_is_read(path):
+    assert unread_private_names(path.read_text()) == []
+
+
+def test_unread_private_names_finds_planted_names():
+    source = ("_USED = 2\n_UNUSED = 3\n\n"
+              "def _recursive(n):\n    return _recursive(n - 1) if n else _USED\n\n"
+              "class _Helper:\n    pass\n\n"
+              "def public():\n    return _Helper\n")
+    assert unread_private_names(source) == ["_UNUSED", "_recursive"]

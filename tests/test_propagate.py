@@ -648,6 +648,24 @@ def test_checked_finals_raise_on_a_defect_a_later_chunk_cancels(monkeypatch, dim
         return integrate(every_member, grid, dim, batch, *args, **kwargs)
 
     monkeypatch.setattr(propagate, "_integrate", with_cancelling_generator)
+    chunks = []
+    if dim == 2:
+        # the one-qubit Magnus maps read a generator's su(2) part alone, and
+        # the cancelling generator's is 0: there chunk 1's maps are scaled by
+        # 1 + 1e-7 and chunk 3's by its inverse
+        expm1 = propagate.CAYLEY_KLEIN.expm1
+
+        def scaled_expm1(omega):
+            s = {1: 1.0 + 1e-7, 3: 1.0 / (1.0 + 1e-7)}.get(len(chunks), 1.0)
+            chunks.append(s)
+            # the offset of s (I + x) from the identity
+            x = expm1(omega)
+            x *= s
+            x[0, 0] += s - 1.0
+            return x
+
+        monkeypatch.setattr(propagate, "CAYLEY_KLEIN", dataclasses.replace(
+            propagate.CAYLEY_KLEIN, expm1=scaled_expm1))
     members = [(p, True), (p, False)]
     # the batch runs on a quarter of its grid's steps for one qubit (five
     # chunks again) and on a half for the longer cphase sweep (ten chunks)
@@ -657,6 +675,7 @@ def test_checked_finals_raise_on_a_defect_a_later_chunk_cancels(monkeypatch, dim
         with pytest.raises(AccuracyError, match="unitarity defect") as err:
             run()
         assert err.value.value > 1e-4
+    assert len(chunks) == (5 if dim == 2 else 0)
 
 
 def test_noisy_runs_check_the_defect_inside_their_segments(monkeypatch):
