@@ -95,9 +95,14 @@ class Strategy2Solution:
 class ImprovedGateResult:
     """params are the sweep parameters improve_gate ran with; the noise
     ensembles and sensitivity rows built on the result read them from it.
-    improved_trajectory is the grid-stored sweep with the control
-    modification; the noisy runs of the jitter ensemble reuse it between
-    their noise pulses (propagate.propagate_modified_batch).  strategy is
+    improved_trajectory is the sweep with the control modification, by the
+    sixth-order Magnus rule of the sensitivity rows
+    (propagate.propagate_finals), stored at the nodes of its Magnus grid:
+    every m-th point of the control's grid, m = 4 at the production grids
+    and 1 where the grid's steps are as long as a Magnus step.  Its final is
+    improved_unitary.  The noisy runs of the jitter ensemble reuse it
+    between their noise pulses (propagate.propagate_modified_batch), with
+    segments that snap to its nodes.  strategy is
     the gate's: 1 for one qubit, 2 for two; feedback is the strategy-2
     solution, None for strategy 1."""
 
@@ -308,7 +313,11 @@ def improve_gate(gate: GateTarget, p, grid: TimeGrid) -> ImprovedGateResult:
     # a copy of its final propagator
     del nominal
 
-    improved = propagate.propagate_sweep(p, grid, ctrl.samples)
+    # the improved sweep by the Magnus rule of the sensitivity rows, stored
+    # at the Magnus grid's nodes, where the noisy runs read it; the nominal
+    # sweep's defect check has already rejected a grid too coarse for it
+    (improved,) = propagate.propagate_finals([(p, True)], grid, ctrl.samples,
+                                             store="grid")
     return ImprovedGateResult(
         gate=gate,
         params=p,

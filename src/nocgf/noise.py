@@ -208,9 +208,10 @@ def noise_ensemble(improved: noc.ImprovedGateResult, noise_params: NoiseParams,
     `improved` used for the jitter-free sweep, on its grid; each trial adds
     an independent phase-noise realization to the twist phase.  All trials are one
     propagate_modified_batch call on the improved trajectory: each trial is
-    integrated only over its noisy segments, on the grid points plus its
-    pulse edges, so the noise is constant inside each step, and the improved
-    trajectory supplies the steps between them.  It fails with
+    integrated only over its noisy segments, which snap to the trajectory's
+    Magnus nodes (every m-th grid point), on the grid points plus its pulse
+    edges, so the noise is constant inside each step, and the improved
+    trajectory's node samples supply the steps between them.  It fails with
     AccuracyError unless its step-doubling error estimate (refine 2 against
     refine 1 on the noisy segments) and the unitarity defect stay within
     budget.  A trial without pulses (zero power) is the improved gate

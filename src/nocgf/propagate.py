@@ -9,11 +9,14 @@ extends the stability polynomial of the map so that its modulus on the
 imaginary axis is 1 + O(z^10).  At production step sizes the unitarity
 defect of the propagator then stays near roundoff without any
 re-unitarization, so integration error remains a measurable diagnostic.
-It serves the grid-stored sweeps, Strategy 2's nominal sweep and the noisy
-segments.  The sixth-order Magnus map (magnus_maps) serves the final-only
-batches of propagate_finals, on up to a quarter of the grid's steps: it
-samples A at the three Gauss nodes of a step and takes one exponential, in
-closed form for one qubit (exactly unitary) and by a Taylor polynomial.
+It serves the nominal sweeps (propagate_sweep), whose drive samples need
+every grid point and whose defect check rejects a grid too coarse for the
+pipeline, and the noisy segments.  The sixth-order Magnus map
+(magnus_maps) serves propagate_finals, on up to a quarter of the grid's
+steps: the final-only batches of the sensitivity rows, and the improved
+sweep, stored at its own nodes.  It samples A at the three Gauss nodes of
+a step and takes one exponential, in closed form for one qubit (exactly
+unitary) and by a Taylor polynomial.
 
 Step nodes.  One integrator (_integrate) steps over an array of nodes, on
 one path for every kind of node, rule and storage mode.  One sampler
@@ -49,13 +52,15 @@ Noisy segments.  Shot noise is a set of short pulses, and outside them the
 noisy generator is the improved sweep's own.  So a realization is
 integrated only over its noisy segments: every pulse, clipped to the
 sweep, widened to the grid points around it, overlapping or touching
-intervals merged (noisy_segments).  Each segment is integrated from I on
-StepNodes, the segment's grid points plus the realization's edges inside
-it.  Every quiet stretch between segments is one factor
-Q = U(t_a) U(t_prev)^-1 of the stored improved trajectory, taken by an
-exact solve rather than with the adjoint, which would carry each sample's
-unitarity defect into the product.  The final propagator is the composite
-Q_M S_M ... Q_1 S_1 Q_0.
+intervals merged (noisy_segments).  The improved trajectory holds the
+nodes of its Magnus grid, every m-th point of the control's grid, so the
+segments are widened to those nodes.  Each segment is integrated from I on
+StepNodes, the control grid's points of the segment plus the realization's
+edges inside it.  Every quiet stretch between segments is one factor
+Q = U(t_a) U(t_prev)^-1 of the stored improved trajectory, two of its node
+samples, taken by an exact solve rather than with the adjoint, which would
+carry each sample's unitarity defect into the product.  The final
+propagator is the composite Q_M S_M ... Q_1 S_1 Q_0.
 
 Error estimate.  The unitarity defect does not track accuracy at noise
 jumps, so every noisy segment is also a step-doubling pair: the same
@@ -63,8 +68,8 @@ samples are integrated at refine 2 (reported) and at refine 1, and both
 composites share the quiet factors.  max|U_2 - U_1| is then the error
 estimate of the refine-1 steps where the noisy generator differs from the
 improved one, and it bounds the reported refine-2 error there (about 1/16
-of it at fourth order).  The quiet steps are the improved sweep's own,
-checked by its unitarity defect; the defects of the composite and of
+of it at fourth order).  The quiet steps are the improved sweep's own
+Magnus steps (see Magnus accuracy); the defects of the composite and of
 every segment's refine-2 propagators at each of its nodes are checked
 again.  The estimate must stay within DOUBLING_BUDGET, as the defect must
 within UNITARITY_BUDGET; either check raises AccuracyError naming itself.
@@ -152,7 +157,7 @@ depend on its own samples alone (the 4x4 exponential scales each matrix by
 its own norm), so its final propagator is that of a one-member batch bit
 for bit.
 
-Magnus accuracy.  The final-only batches run on TimeGrid(tau0, N/m) and
+Magnus accuracy.  The Magnus batches run on TimeGrid(tau0, N/m) and
 read the cubic of the N-point control samples, where m is the largest of
 4, 3 and 2 that divides N and keeps the Magnus step m tau0 / N within the
 production grids' 4e-3, else 1 (_magnus_coarsening).  So the production
@@ -163,9 +168,13 @@ grids the hadamard/eta4 rows err by 8.8e-12 to 1.0e-11 and the cphase/d1
 rows by 9.3e-12 (without the control) and 7.7e-11 (with it), each within
 2.7 times its step-halving estimate |U(N/m) - U(N/2m)| / 63; on the
 40,000-step one-qubit grid of the CLI examples (m = 1) the lam and eta4
-rows err by 8.7e-12 to 1.0e-11.  The one-qubit maps are unitary to
-roundoff at any step, and the batches' defects read 1.4e-14
-(hadamard/eta4) and 3.4e-14 (cphase/d1).
+rows err by 8.7e-12 to 1.0e-11.  The improved sweeps err by 9.0e-12
+(hadamard) and 7.7e-11 (cphase), 1.0 and 2.7 times their estimates, where
+Runge-Kutta steps at refine 2 on the whole grid erred by 1.1e-11 and
+2.0e-11 at four times the cost.  The one-qubit maps are unitary to
+roundoff at any step, and the defects read 1.4e-14 (hadamard/eta4) and
+3.4e-14 (cphase/d1) for the batches, 1.3e-14 and 2.0e-14 for the improved
+sweeps.
 """
 
 from __future__ import annotations
@@ -969,7 +978,7 @@ def _magnus_coarsening(grid: TimeGrid) -> int:
                  and grid.steps >= MAGNUS_STEPS_PER_TAU * m * grid.tau0), 1)
 
 
-def propagate_finals(members, grid: TimeGrid, delta_f) -> np.ndarray:
+def propagate_finals(members, grid: TimeGrid, delta_f, *, store: str = "final"):
     """Final propagators (len(members), n, n) of a batch of sweeps on one
     grid, in one integration.
 
@@ -983,13 +992,20 @@ def propagate_finals(members, grid: TimeGrid, delta_f) -> np.ndarray:
     member's final is that of a one-member run bit for bit.  The defect is
     checked at every step of every member: AccuracyError when it exceeds
     UNITARITY_BUDGET.
+
+    store "grid" returns one Trajectory per member in place of the finals,
+    on that Magnus grid: the samples at every m-th point of grid, the last
+    of them the member's final, bit for bit (the improved sweep,
+    noc.improve_gate).
     """
     coarse = TimeGrid(grid.tau0, grid.steps // _magnus_coarsening(grid))
-    _, finals, defect = _integrate(_generator_fun(grid, members, delta_f), coarse,
-                                   members[0][0].dim, batch=(len(members),),
-                                   refine=1, store="final", rule="magnus")
+    out, finals, defect = _integrate(_generator_fun(grid, members, delta_f), coarse,
+                                     members[0][0].dim, batch=(len(members),),
+                                     refine=1, store=store, rule="magnus")
     check_budget("unitarity defect", defect, UNITARITY_BUDGET)
-    return finals
+    if out is None:
+        return finals
+    return [Trajectory(coarse, u, defect=defect) for u in out]
 
 
 def _noisy_composite(p, improved: Trajectory, delta_f, noise):
@@ -998,18 +1014,23 @@ def _noisy_composite(p, improved: Trajectory, delta_f, noise):
     the largest unitarity defect of the segments' DEFAULT_REFINE-level
     propagators at every node.
 
-    Each segment is integrated from I on StepNodes (the segment's grid
-    points plus the realization's clipped edges inside it), and each quiet
-    stretch between segments is one factor of the improved trajectory
-    (_quiet_factor); both levels share the quiet factors.
+    The segments snap to the improved trajectory's grid (noisy_segments),
+    whose steps are m of the control's (delta_f's grid); each is integrated
+    from I on StepNodes (the control grid's points of the segment, every
+    m-th of them a trajectory point, plus the realization's clipped edges
+    inside it), and each quiet stretch between segments is one factor of
+    the improved trajectory (_quiet_factor); both levels share the quiet
+    factors.
     """
     grid = improved.grid
-    pts, u_imp, edges = grid.points(), improved.unitaries, noise.edges()
-    afun = _generator_fun(grid, [(p, True)], delta_f, noise)
+    fine = TimeGrid(grid.tau0, len(delta_f) - 1)
+    m = fine.steps // grid.steps
+    pts, u_imp, edges = fine.points(), improved.unitaries, noise.edges()
+    afun = _generator_fun(fine, [(p, True)], delta_f, noise)
     u = np.broadcast_to(np.eye(p.dim, dtype=complex), (2, p.dim, p.dim))
     steps, prev, defects = 0, 0, [0.0]
     for a, b in noisy_segments(grid, edges):
-        nodes = StepNodes.with_edges(pts[a:b + 1], edges)
+        nodes = StepNodes.with_edges(pts[m * a:m * b + 1], edges)
         _, seg, defect = _integrate(lambda taus, c0: afun(taus, c0)[0], nodes, p.dim,
                                     refine=DEFAULT_REFINE, store="final")
         u = seg @ (_quiet_factor(u_imp, prev, a) @ u)
@@ -1031,22 +1052,29 @@ def propagate_modified_batch(p, improved: Trajectory, delta_f, noises) -> NoisyF
     """Final propagators for a batch of noise realizations sharing one delta_f.
 
     Used by the jitter ensemble, where only the final gate is needed.
-    improved is the grid-stored trajectory of the sweep with delta_f and
-    without noise (propagate_sweep(p, grid, delta_f)); its grid is the
-    grid of the noisy runs.  Each realization is integrated only over its
-    noisy segments (noisy_segments), on the grid points plus its pulse
-    edges, so the noise is constant inside each step and is evaluated once
-    per step, at its midpoint; the quiet stretches between segments are
-    factors of the improved trajectory.  The segments are integrated at
+    delta_f holds the control's samples on its grid, shape (steps + 1, 3);
+    improved is the stored trajectory of the sweep with delta_f and without
+    noise, on that grid or on one of 1/m of its steps, as noc.improve_gate's
+    Magnus sweep is (propagate_finals with store "grid").  Each realization
+    is integrated only over its noisy segments (noisy_segments on the
+    trajectory's grid, so they start and end at its samples), on the control
+    grid's points plus its pulse edges, so the noise is constant inside each
+    step and is evaluated once per step, at its midpoint; the quiet
+    stretches between segments are factors of the improved trajectory.  The
+    segments are integrated at
     refine 1 and refine 2 from one set of generator samples; the refine-2
     composites are returned, and max|U_2 - U_1| over the batch is their
     step-doubling error estimate, which covers the noisy segments (the
     quiet steps are the improved sweep's own).  A realization without
     pulses returns the improved final propagator, with estimate 0.
     The defect is the largest of the refine-2 composites' and of their
-    noisy segments' at every node.  Raises AccuracyError when the estimate
+    noisy segments' at every node.  Raises ValueError when the trajectory's
+    steps do not divide the control's, and AccuracyError when the estimate
     exceeds DOUBLING_BUDGET or the defect exceeds UNITARITY_BUDGET.
     """
+    if (len(delta_f) - 1) % improved.grid.steps:
+        raise ValueError(f"a trajectory on {improved.grid.steps} steps does not divide "
+                         f"a control on {len(delta_f) - 1}")
     runs = [_noisy_composite(p, improved, delta_f, nz) for nz in noises]
     coarse, fine = np.stack([u for u, _, _ in runs], axis=1)
     defect = float(np.max([unitarity_defect(fine), *(d for _, _, d in runs)]))

@@ -10,7 +10,7 @@ from scipy.interpolate import CubicHermiteSpline
 from nocgf import propagate
 from nocgf.config import default_config
 from nocgf.control import NOMINAL_PARAMS, coupling_matrices
-from nocgf.lincore import SIGMA_Z, hermitize, vectorize
+from nocgf.lincore import SIGMA_Z, component_major, hermitize, vectorize
 from nocgf.noise import NoiseRealization
 from nocgf.propagate import (
     GAUSS,
@@ -515,6 +515,40 @@ def test_noisy_composite_matches_a_whole_sweep_edge_aligned_run(level):
         assert np.abs(composite[level] - whole[level]).max() <= 1e-13
 
 
+@pytest.mark.parametrize("level", [0, 1])
+def test_noisy_composite_over_a_coarse_trajectory_matches_a_whole_sweep_run(level):
+    # the improved trajectory at every m-th point of the control's grid, as
+    # the Magnus sweep stores it: the segments snap to its points, and each
+    # is integrated over the control grid's points between them plus the
+    # edges; the quiet factors are the trajectory's samples of the same
+    # whole-grid run at that level's refine
+    grid = TimeGrid(SHORT_HAD.tau0, 400)
+    m = 4
+    coarse = TimeGrid(grid.tau0, grid.steps // m)
+    delta_f = _short_control(grid)
+    out, _, _ = _integrate(sweep_generator(SHORT_HAD, grid, delta_f), grid, 2,
+                           refine=level + 1)
+    improved = propagate.Trajectory(coarse, out[::m])
+    pts = grid.points()
+    for nz in _hand_placed_noise():
+        nodes = StepNodes.with_edges(pts, nz.edges())
+        _, whole, _ = _integrate(sweep_generator(SHORT_HAD, grid, delta_f, nz), nodes,
+                                 2, refine=2, store="final")
+        composite, steps, _ = _noisy_composite(SHORT_HAD, improved, delta_f, nz)
+        # every pulse that reaches into the sweep lies inside the control
+        # grid's span of one snapped segment
+        seg = m * noisy_segments(coarse, nz.edges())
+        left, right = np.clip(np.reshape(nz.edges(), (2, -1)), pts[0], pts[-1])
+        for lo, hi in zip(left[left < right], right[left < right]):
+            assert np.sum((pts[seg[:, 0]] <= lo) & (pts[seg[:, 1]] >= hi)) == 1
+        assert steps < nodes.steps
+        # measured at most 1.9e-15
+        assert np.abs(composite[level] - whole[level]).max() <= 1e-13
+    with pytest.raises(ValueError, match="does not divide"):
+        propagate_modified_batch(SHORT_HAD, propagate.Trajectory(TimeGrid(grid.tau0, 3),
+                                                                 out[:4]), delta_f, [])
+
+
 def test_a_realization_without_pulses_is_the_improved_gate():
     grid = TimeGrid(SHORT_HAD.tau0, 400)
     delta_f = _short_control(grid)
@@ -604,20 +638,54 @@ def test_noisy_segments_are_disjoint_and_hold_every_pulse(steps, centers, on_gri
         assert np.sum((pts[seg[:, 0]] <= l) & (pts[seg[:, 1]] >= r)) == 1
 
 
-def _cancelling_generator(dim, chunk, eps=1e-2):
-    """A zero generator except for a Hermitian part +eps H in chunk 1 and
-    -eps H in chunk 3, with H constant: the middle propagators grow away
-    from unitarity by about 2 eps |tau|, and the final one is unitary to
-    roundoff.  For 2x2 the Cayley-Klein algebra reads only the first column,
-    and its one Hermitian direction is the identity."""
-    h = np.eye(2) if dim == 2 else hermitize(
-        np.random.default_rng(5).normal(size=(4, 4)) + 0j)
+def _cancelling(monkeypatch, dim, chunk, eps):
+    """A generator whose propagators grow away from unitarity in chunk 1
+    and back in chunk 3, so that the final one is unitary to roundoff, and
+    the list of scales the one-qubit maps took, one per call.
+
+    For 4x4 the generator is zero except for a Hermitian part +eps H in
+    chunk 1 and -eps H in chunk 3, with H constant: the middle propagators
+    grow by about 2 eps |tau|.  A 2x2 generator lies in su(2), whose maps
+    are unitary, so the defect enters through the maps instead: the
+    generator is zero and tells the maps its chunk, and the step maps of
+    both rules (step_maps and CAYLEY_KLEIN.expm1) are scaled, M to
+    (1 + eps) M in chunk 1 and to M / (1 + eps) in chunk 3.
+    """
+    scales = []
+    if dim == 4:
+        h = hermitize(np.random.default_rng(5).normal(size=(4, 4)) + 0j)
+
+        def afun(taus, rows):
+            sign = {1: 1.0, 3: -1.0}.get(rows.c0 // chunk, 0.0)
+            return np.broadcast_to(sign * eps * h, (*taus.shape, 4, 4)).astype(complex)
+
+        return afun, scales
+    chunk_scale = []
 
     def afun(taus, rows):
-        sign = {1: 1.0, 3: -1.0}.get(rows.c0 // chunk, 0.0)
-        return np.broadcast_to(sign * eps * h, (*taus.shape, dim, dim)).astype(complex)
+        chunk_scale.append({1: 1.0 + eps, 3: 1.0 / (1.0 + eps)}.get(rows.c0 // chunk, 1.0))
+        return np.zeros((*taus.shape, 2, 2), dtype=complex)
 
-    return afun
+    def scaled(x):
+        # the offset of s (I + x) from the identity, in place on a
+        # component-major Cayley-Klein stack
+        s = chunk_scale[-1]
+        scales.append(s)
+        x *= s
+        x[0, 0] += s - 1.0
+        return x
+
+    step_maps, expm1 = propagate.step_maps, propagate.CAYLEY_KLEIN.expm1
+
+    def scaled_step_maps(*args):
+        x = step_maps(*args)
+        scaled(component_major(x))
+        return x
+
+    monkeypatch.setattr(propagate, "step_maps", scaled_step_maps)
+    monkeypatch.setattr(propagate, "CAYLEY_KLEIN", dataclasses.replace(
+        propagate.CAYLEY_KLEIN, expm1=lambda omega: scaled(expm1(omega))))
+    return afun, scales
 
 
 @pytest.mark.parametrize("dim", [2, 4])
@@ -625,19 +693,24 @@ def test_final_storage_measures_the_defect_of_every_prefix(monkeypatch, dim):
     chunk = 10
     monkeypatch.setattr(propagate, "CHUNK", chunk)
     grid = TimeGrid(10.0, 5 * chunk)
-    afun = _cancelling_generator(dim, chunk)
+    # 20 Runge-Kutta substeps per chunk: (1 + 1e-3)^20 grows the one-qubit
+    # propagators as much as the 4x4 generator's 1e-2 does
+    afun, scales = _cancelling(monkeypatch, dim, chunk, 1e-2 if dim == 4 else 1e-3)
     _, u_grid, d_grid = _integrate(afun, grid, dim, store="grid")
     none, u_final, d_final = _integrate(afun, grid, dim, store="final")
     assert none is None and np.array_equal(u_final, u_grid)
     assert propagate.unitarity_defect(u_final) <= 1e-14
     assert d_final == d_grid > 1e-3
+    # two runs of five chunks of two substeps each
+    assert len(scales) == (20 if dim == 2 else 0)
 
 
 @pytest.mark.parametrize("dim", [2, 4])
 def test_checked_finals_raise_on_a_defect_a_later_chunk_cancels(monkeypatch, dim):
     p = SHORT_HAD if dim == 2 else NOMINAL_PARAMS["cphase"]
     grid = TimeGrid(p.tau0, 5 * propagate.CHUNK)
-    cancelling = _cancelling_generator(dim, propagate.CHUNK, eps=1e-4)
+    cancelling, scales = _cancelling(monkeypatch, dim, propagate.CHUNK,
+                                     1e-4 if dim == 4 else 1e-7)
     integrate = propagate._integrate
 
     def with_cancelling_generator(afun, grid, dim, batch=(), *args, **kwargs):
@@ -648,24 +721,6 @@ def test_checked_finals_raise_on_a_defect_a_later_chunk_cancels(monkeypatch, dim
         return integrate(every_member, grid, dim, batch, *args, **kwargs)
 
     monkeypatch.setattr(propagate, "_integrate", with_cancelling_generator)
-    chunks = []
-    if dim == 2:
-        # the one-qubit Magnus maps read a generator's su(2) part alone, and
-        # the cancelling generator's is 0: there chunk 1's maps are scaled by
-        # 1 + 1e-7 and chunk 3's by its inverse
-        expm1 = propagate.CAYLEY_KLEIN.expm1
-
-        def scaled_expm1(omega):
-            s = {1: 1.0 + 1e-7, 3: 1.0 / (1.0 + 1e-7)}.get(len(chunks), 1.0)
-            chunks.append(s)
-            # the offset of s (I + x) from the identity
-            x = expm1(omega)
-            x *= s
-            x[0, 0] += s - 1.0
-            return x
-
-        monkeypatch.setattr(propagate, "CAYLEY_KLEIN", dataclasses.replace(
-            propagate.CAYLEY_KLEIN, expm1=scaled_expm1))
     members = [(p, True), (p, False)]
     # the batch runs on a quarter of its grid's steps for one qubit (five
     # chunks again) and on a half for the longer cphase sweep (ten chunks)
@@ -675,7 +730,9 @@ def test_checked_finals_raise_on_a_defect_a_later_chunk_cancels(monkeypatch, dim
         with pytest.raises(AccuracyError, match="unitarity defect") as err:
             run()
         assert err.value.value > 1e-4
-    assert len(chunks) == (5 if dim == 2 else 0)
+    # the sweep's five chunks of two Runge-Kutta substeps, then the batch's
+    # five chunks of one Magnus step
+    assert len(scales) == (15 if dim == 2 else 0)
 
 
 def test_noisy_runs_check_the_defect_inside_their_segments(monkeypatch):

@@ -344,9 +344,9 @@ def test_feedback_on_real_samples_stays_real(seed, steps, log_z):
 
 
 def su2_matrices(w):
-    """c I + i w.sigma for coordinates w = (c, w1, w2, w3), shape (4, *stack)."""
-    c, w1, w2, w3 = (x[..., None, None] for x in w)
-    return c * ID2 + 1j * (w1 * SIGMA_X + w2 * SIGMA_Y + w3 * SIGMA_Z)
+    """i w.sigma for coordinates w = (w1, w2, w3), shape (3, *stack)."""
+    w1, w2, w3 = (x[..., None, None] for x in w)
+    return 1j * (w1 * SIGMA_X + w2 * SIGMA_Y + w3 * SIGMA_Z)
 
 
 @settings(max_examples=40, deadline=None)
@@ -356,8 +356,7 @@ def test_su2_exponential_matches_expm(seed, steps, scale):
     # the closed form of exp - I of generators i w.sigma, read from their
     # first columns, against scipy's expm; the exponential is unitary
     rng = np.random.default_rng(seed)
-    w = scale * rng.normal(size=(4, steps))
-    w[0] = 0.0
+    w = scale * rng.normal(size=(3, steps))
     a = su2_matrices(w)
 
     def element(m):
@@ -375,9 +374,7 @@ def test_su2_exponential_matches_expm(seed, steps, scale):
     gram = np.conj(np.swapaxes(got, -1, -2)) @ got
     assert np.abs(gram - np.eye(2)).max() <= 1e-15
     # a commutator is the matrices' own
-    v = rng.normal(size=(4, steps))
-    v[0] = 0.0
-    b = su2_matrices(v)
+    b = su2_matrices(rng.normal(size=(3, steps)))
     bracket = cayley_klein_expand(CAYLEY_KLEIN.commutator(element(a), element(b)))
     assert np.abs(bracket - (a @ b - b @ a)).max() <= 1e-13 * scale
 
@@ -421,9 +418,7 @@ def test_magnus_maps_of_a_constant_generator_are_its_exponential(n):
     rng = np.random.default_rng(n)
     h = rng.normal(size=(5, n, n)) + 1j * rng.normal(size=(5, n, n))
     if n == 2:
-        w = rng.normal(size=(4, 5))
-        w[0] = 0.0
-        a = su2_matrices(w)
+        a = su2_matrices(rng.normal(size=(3, 5)))
         algebra, k = CAYLEY_KLEIN, 1
     else:
         a = -1j * (h + np.conj(np.swapaxes(h, -1, -2)))
