@@ -9,7 +9,8 @@ coordinates on an orthonormal Pauli basis (lincore.pauli_coordinates) are
 real, and the change of basis is unitary: norms are unchanged and
 G† v = G_rᵀ v_r.  What the projection discards, the imaginary parts of the
 coordinates, is the one check that the inputs are Hermitian.  Both solvers
-stream G in windows (drive_windows) and never hold the whole drive stack.
+stream G in windows (drive_windows) and never hold the whole drive stack,
+and Strategy 2 holds no history of its state, only its squared norms.
 
 Strategy 1 (one qubit) fixes the costate by an exponential-decay ansatz;
 the weight vector w = delta_b / 20 then yields the control modification
@@ -67,12 +68,13 @@ class ControlModification:
 
 @dataclass
 class Strategy2Solution:
-    """Feedback solution: state samples and the control law.
+    """Feedback solution: the control law and the checks of the state.
 
-    delta_y holds the state at the grid points in real Pauli coordinates,
-    shape (steps + 1, 16): y_a = tr(P_a Y) / 2 for the 4x4 matrix Y of
-    the column-stacked state, so Y = sum_a y_a P_a / 2 (lincore.
-    PAULI_PRODUCTS).  energy_balance_max is the checked closed-loop energy
+    The state y itself is not kept: the pass holds one drive window of it
+    at a time, in real Pauli coordinates y_a = tr(P_a Y) / 2 for the 4x4
+    matrix Y of the column-stacked state (lincore.PAULI_PRODUCTS), and
+    keeps only ||y_k||² per feedback grid sample until the energy balance
+    has read them.  energy_balance_max is the checked closed-loop energy
     balance (energy_balance; 7.5e-11 at the production grid).
     norm_increase_max is the largest one-step increase max_k (||y_{k+1}|| -
     ||y_k||) of the state: the exact flow never increases ||y||, so a
@@ -84,7 +86,6 @@ class Strategy2Solution:
     production grid).
     """
 
-    delta_y: np.ndarray
     control: ControlModification
     energy_balance_max: float
     norm_increase_max: float
@@ -193,14 +194,14 @@ def feedback_control(g: np.ndarray, y: np.ndarray) -> np.ndarray:
     return -np.einsum("kmj,km->kj", g, y)
 
 
-def energy_balance(delta_y: np.ndarray, control: np.ndarray, h: float) -> float:
+def energy_balance(v: np.ndarray, control: np.ndarray, h: float) -> float:
     """max_k |r_k| / ||y_0||² for the closed-loop balance d||y||²/dtau =
-    -2 |delta_f|² on a grid of step h and at least 2 steps: with V = ||y||²
-    and F = |delta_f|², r_k = V_{k+2} - V_k + (2h/3)(F_k + 4 F_{k+1} +
+    -2 |delta_f|² on a grid of step h and at least 2 steps, from the
+    squared state norms v_k = ||y_k||² and the control samples: with
+    F = |delta_f|², r_k = v_{k+2} - v_k + (2h/3)(F_k + 4 F_{k+1} +
     F_{k+2}) over each step pair (Simpson's rule, fourth order), and an odd
     step count closes with the 3/8 rule over its last three steps.  A change
     of the control that keeps every |delta_f| goes unseen."""
-    v = np.einsum("ki,ki->k", delta_y, delta_y)
     f = np.einsum("kj,kj->k", control, control)
     r = v[2::2] - v[:-2:2] + (2.0 * h / 3.0) * (f[:-2:2] + 4.0 * f[1:-1:2] + f[2::2])
     if len(v) % 2 == 0:
@@ -221,13 +222,15 @@ def strategy2_solve(p, nominal: Trajectory, offset: TargetOffset) -> Strategy2So
     window at a time (drive_windows; DRIVE_WINDOW // 16 = 1,024 nominal
     samples, 512 feedback steps): the window's drive samples G_r, the
     state advanced through the rank-3 maps (propagate.integrate_delta_y),
-    the control law -G_rᵀ y (feedback_control) and the one-step increase
-    of ||y|| at the window's feedback grid samples.  Only window-sized
-    drive samples are held; the whole (2 steps + 1, 16, 3) stack never
-    is.  Against the batched-`@`
-    maps on the whole complex stack, at the production grid, delta_y
-    differs by 2.7e-14 and the control by 9.1e-16 in max-norm; against the
-    same streamed pass on complex arrays, by 5.7e-16 and 9.0e-17.
+    the control law -G_rᵀ y (feedback_control), and ||y||² and the
+    one-step increase of ||y|| at the window's feedback grid samples.  Only
+    window-sized drive samples and states are held; the whole
+    (2 steps + 1, 16, 3) drive stack and the (steps + 1, 16) state history
+    never are, and the energy balance reads the squared norms.  Against
+    the batched-`@` maps on the whole complex stack, at the production
+    grid, the state differs by 2.7e-14 and the control by 9.1e-16 in
+    max-norm; against the same streamed pass on complex arrays, by 5.7e-16
+    and 9.0e-17.
 
     Raises ValueError when the nominal step count is odd or below 4;
     ConsistencyError when the projections of delta_b (checked before the
@@ -242,7 +245,7 @@ def strategy2_solve(p, nominal: Trajectory, offset: TargetOffset) -> Strategy2So
         raise ValueError("strategy 2 needs a nominal trajectory on an even step "
                          f"count of at least 4, got {nominal.grid.steps}")
     grid = TimeGrid(nominal.grid.tau0, nominal.grid.steps // 2)
-    delta_y = np.empty((grid.steps + 1, 16))
+    v = np.empty(grid.steps + 1)
     raw = np.empty((grid.steps + 1, 3))
     b_r, imag_residue = pauli_coordinates(offset.delta_b)
     # the offset's own residue is known before the first window
@@ -256,7 +259,7 @@ def strategy2_solve(p, nominal: Trajectory, offset: TargetOffset) -> Strategy2So
         y = ys[-1]
         # the window's feedback grid samples
         k = slice(c0 // 2, c0 // 2 + len(ys))
-        delta_y[k] = ys
+        v[k] = np.einsum("ki,ki->k", ys, ys)
         increase = np.maximum(increase, np.diff(np.linalg.norm(ys, axis=1)).max())
         raw[k] = feedback_control(g_half[0::2], ys)
     _check_imag_residue(imag_residue)
@@ -265,10 +268,9 @@ def strategy2_solve(p, nominal: Trajectory, offset: TargetOffset) -> Strategy2So
             f"||delta_y|| increases by {increase:.3e} in one step "
             f"(tolerance {NORM_INCREASE_TOL:.0e}); the step size is unstable"
         )
-    balance = energy_balance(delta_y, raw, grid.h)
+    balance = energy_balance(v, raw, grid.h)
     propagate.check_budget("Riccati energy balance", balance, ENERGY_BALANCE_BUDGET)
     return Strategy2Solution(
-        delta_y=delta_y,
         control=ControlModification(grid=grid, samples=raw),
         energy_balance_max=balance,
         norm_increase_max=float(increase),

@@ -114,7 +114,8 @@ and a 9x9 core C built from the Gram matrix W† W (see feedback_maps).
 No n² x n² generator or product besides W C W† itself is formed; the maps
 match the batched-`@` form of step_maps to about 1e-16.
 integrate_delta_y advances y over the steps of a run of drive samples, so
-the caller can stream the samples chunk by chunk (noc.strategy2_solve).
+the caller can stream the samples chunk by chunk and keep no state history
+(noc.strategy2_solve).
 Both follow the dtype of their input on one code path.  Strategy 2 passes
 real arrays: G and y in the orthonormal basis P_a/2 of the two-qubit Pauli
 products (lincore.pauli_coordinates), a unitary change of basis in which

@@ -3,6 +3,9 @@ another module's private (`_`-prefixed) name, and every private name that a
 module defines at its top level is read."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -118,3 +121,13 @@ def test_unread_private_names_finds_planted_names():
               "class _Helper:\n    pass\n\n"
               "def public():\n    return _Helper\n")
     assert unread_private_names(source) == ["_UNUSED", "_recursive"]
+
+
+def test_importing_the_package_loads_no_scipy():
+    # the package's one runtime dependency is numpy (pyproject.toml); scipy
+    # is a test dependency only
+    code = ("import sys, nocgf\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert out.stdout.strip() == "[]"

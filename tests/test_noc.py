@@ -257,17 +257,29 @@ def cphase_30k():
     return p, traj, target_offset(traj.final, gate_target("cphase"))
 
 
+def _feedback_states(p, traj, off):
+    """The state of strategy2_solve, rebuilt from the two public calls of its
+    pass: y at every feedback grid sample, in real Pauli coordinates."""
+    h = TimeGrid(traj.grid.tau0, traj.grid.steps // 2).h
+    y0 = -pauli_coordinates(off.delta_b)[0]
+    ys = [y0[None]]
+    for _, g_half, _ in noc.drive_windows(p, traj):
+        ys.append(propagate.integrate_delta_y(g_half, ys[-1][-1], h)[1:])
+    return np.concatenate(ys)
+
+
 def test_strategy2_small_grid_properties(cphase_30k):
     p, traj, off = cphase_30k
     sol = strategy2_solve(p, traj, off)
     assert sol.control.grid == TimeGrid(p.tau0, 30000)
-    assert sol.delta_y.shape == (30001, 16)
+    delta_y = _feedback_states(p, traj, off)
+    assert delta_y.shape == (30001, 16)
     # the energy balance is fourth order: 7.7e-8 here, 7.5e-11 at 120,000
     assert 0.0 < sol.energy_balance_max <= 1e-7
-    norms = np.linalg.norm(sol.delta_y, axis=1)
+    norms = np.linalg.norm(delta_y, axis=1)
     assert norms[-1] <= norms[0]
     assert sol.norm_increase_max == np.diff(norms).max() <= 1e-12
-    assert sol.delta_y.dtype == sol.control.samples.dtype == np.float64
+    assert delta_y.dtype == sol.control.samples.dtype == np.float64
     assert sol.imag_residue_max <= 1e-15
 
 
@@ -290,7 +302,7 @@ def test_strategy2_streamed_pass_matches_an_unstreamed_reference(cphase_30k):
     ctrl = -np.einsum("kmj,km->kj", np.conj(g_half[0::2]), want)
     # the solve's state is in Pauli coordinates
     want_r, _ = pauli_coordinates(want)
-    assert np.abs(sol.delta_y - want_r).max() <= 1e-13
+    assert np.abs(_feedback_states(p, traj, off) - want_r).max() <= 1e-13
     assert np.abs(sol.control.samples - ctrl.real).max() <= 1e-13
 
 
@@ -304,6 +316,21 @@ def test_strategy2_never_holds_the_drive_stack(cphase_30k):
     finally:
         tracemalloc.stop()
     assert peak < stack_bytes / 2
+
+
+def test_strategy2_holds_no_state_history(cphase_30k, monkeypatch):
+    # with windows of 64 nominal samples, a window's arrays are far below
+    # the (30,001 x 16) state, so holding it would set the peak
+    p, traj, off = cphase_30k
+    monkeypatch.setattr(noc, "DRIVE_WINDOW", 16 * 64)
+    state_bytes = (traj.grid.steps // 2 + 1) * 16 * np.dtype(float).itemsize
+    tracemalloc.start()
+    try:
+        strategy2_solve(p, traj, off)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < state_bytes
 
 
 @pytest.mark.parametrize("mutation", ["scaled", "late"])
@@ -360,18 +387,18 @@ def test_energy_balance_reads_every_sample(steps):
     h = 0.01
     decay = np.exp(-h * np.arange(steps + 1))
     y0 = np.random.default_rng(2).normal(size=16)
-    delta_y = decay[:, None] * y0
+    v = decay**2 * (y0 @ y0)
     ctrl = np.zeros((steps + 1, 3))
     ctrl[:, 1] = decay * np.linalg.norm(y0)
-    assert noc.energy_balance(delta_y, ctrl, h) <= 1e-9
+    assert noc.energy_balance(v, ctrl, h) <= 1e-9
     # the last sample of an odd step count enters through the 3/8 rule only
     for k in range(steps + 1):
         bad = ctrl.copy()
         bad[k] *= 1.01
-        assert noc.energy_balance(delta_y, bad, h) > 1e2 * noc.ENERGY_BALANCE_BUDGET
-    assert noc.energy_balance(0.0 * delta_y, 0.0 * ctrl, h) == 0.0
+        assert noc.energy_balance(v, bad, h) > 1e2 * noc.ENERGY_BALANCE_BUDGET
+    assert noc.energy_balance(0.0 * v, 0.0 * ctrl, h) == 0.0
     ctrl[1, 0] = np.nan
-    assert np.isnan(noc.energy_balance(delta_y, ctrl, h))
+    assert np.isnan(noc.energy_balance(v, ctrl, h))
 
 
 @pytest.mark.parametrize("steps,stable", [(100, False), (300, True)])
